@@ -157,6 +157,21 @@ void BM_DecodeGreedyWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeGreedyWorkspace)->Arg(30)->Arg(100);
 
+/// The decode at the shape the paper path runs (perfbench zoo-compile):
+/// default PtrNetConfig (hidden 64) on ResNet152, warm workspace.  Items
+/// are nodes, so the rate compares with the sampled-graph trio above.
+void BM_DecodeGreedyZoo(benchmark::State& state) {
+  static const rl::PtrNetAgent agent{rl::PtrNetConfig{}};
+  const graph::Dag dag = models::BuildModel(models::ModelName::kResNet152);
+  rl::DecodeWorkspace ws;
+  (void)agent.DecodeGreedy(dag, ws);  // warms every buffer
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agent.DecodeGreedy(dag, ws));
+  }
+  state.SetItemsProcessed(state.iterations() * dag.NodeCount());
+}
+BENCHMARK(BM_DecodeGreedyZoo);
+
 /// Batched multi-graph decode (this PR's tentpole metric): 16 fixed
 /// 100-node graphs decoded per iteration, lock-stepped in groups of
 /// `state.range(0)`.  Arg(1) degrades to the single-graph fused workspace

@@ -45,6 +45,7 @@ import sys
 
 DEFAULT_WATCH = [
     "BM_DecodeGreedyWorkspace/100",
+    "BM_DecodeGreedyZoo",
     "BM_BatchedDecode/16",
     "BM_MissStormRefill",
     "BM_CompileServiceWarmCache",

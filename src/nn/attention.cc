@@ -34,11 +34,9 @@ PointerAttention::PointerAttention(ParamStore& store, std::string prefix,
 
 PointerAttention::CachedRefs PointerAttention::Precompute(
     const Tensor& contexts) const {
-  if (contexts.Rows() != hidden_dim_) {
-    throw std::invalid_argument("PointerAttention: contexts must be (d, V)");
-  }
-  return CachedRefs{MatMul(store_.Value(wref_g_name_), contexts),
-                    MatMul(store_.Value(wref_p_name_), contexts)};
+  CachedRefs refs;
+  PrecomputeInto(contexts, refs);
+  return refs;
 }
 
 void PointerAttention::PrecomputeInto(const Tensor& contexts,
@@ -50,6 +48,10 @@ void PointerAttention::PrecomputeInto(const Tensor& contexts,
   refs.pointer_ref.Resize(hidden_dim_, contexts.Cols());
   MatMulInto(store_.Value(wref_g_name_), contexts, refs.glimpse_ref);
   MatMulInto(store_.Value(wref_p_name_), contexts, refs.pointer_ref);
+  refs.wq_g_t.Resize(hidden_dim_, hidden_dim_);
+  refs.wq_p_t.Resize(hidden_dim_, hidden_dim_);
+  TransposeInto(store_.Value(wq_g_name_), refs.wq_g_t);
+  TransposeInto(store_.Value(wq_p_name_), refs.wq_p_t);
 }
 
 namespace {
@@ -73,26 +75,16 @@ void ScoreColumns(const Tensor& ref, const Tensor& q, const Tensor& v,
   }
 }
 
-/// q = W·h + b without temporaries; the GEMV accumulates like MatMul (k
-/// ascending, zero-weight skip), then adds b — matching Add(MatMul(W, h), b)
-/// bit-for-bit.
-void QueryInto(const Tensor& w, const Tensor& h, const Tensor& b, Tensor& q) {
-  const int d = w.Rows();
-  const int k_dim = w.Cols();
-  const float* __restrict wd = w.Data();
-  const float* __restrict hd = h.Data();
-  const float* __restrict bd = b.Data();
+/// q = W·x + b from the k-major panel `wt` = Wᵀ: the GEMV keeps MatMul's
+/// k-ascending chain per element (KMajorGemv), then adds b — matching
+/// Add(MatMul(W, x), b) bit-for-bit.
+void PanelQueryInto(const Tensor& wt, const Tensor& x, const Tensor& b,
+                    Tensor& q) {
+  const int d = q.Rows();
   float* __restrict qd = q.Data();
-  for (int i = 0; i < d; ++i) {
-    const float* __restrict wrow = wd + static_cast<std::int64_t>(i) * k_dim;
-    float acc = 0.0f;
-    for (int k = 0; k < k_dim; ++k) {
-      const float wik = wrow[k];
-      if (wik == 0.0f) continue;
-      acc += wik * hd[k];
-    }
-    qd[i] = acc + bd[i];
-  }
+  const float* __restrict bd = b.Data();
+  KMajorGemv(wt.Data(), x.Data(), wt.Rows(), qd, d);
+  for (int i = 0; i < d; ++i) qd[i] += bd[i];
 }
 
 /// glimpse = contexts · attnᵀ, row-dot form shared by both inference paths.
@@ -171,14 +163,14 @@ void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
   }
 }
 
-/// QueryInto widened across the batch: q is (d, B) with q[i·B+g] the i-th
-/// element of graph g's query, h is (d, B) in the same layout
-/// (LstmCell::BatchState).  Per (i, g) the k-accumulation is ascending with
-/// the zero-weight skip — QueryInto's exact per-element order — while the
-/// inner g loop is contiguous.  Output rows go two at a time over fixed
-/// k-groups of four, like LstmCell::StepBatchInto: the partition into
-/// ordered sweeps keeps every element's addition chain (and bits) intact
-/// while giving the hardware two independent accumulation chains.
+/// q = W·h + b widened across the batch: q is (d, B) with q[i·B+g] the
+/// i-th element of graph g's query, h is (d, B) in the same layout
+/// (LstmCell::BatchState).  Per (i, g) the k-accumulation is ascending —
+/// PanelQueryInto's exact per-element chain — while the inner g loop is
+/// contiguous.  Output rows go two at a time over fixed k-groups of four,
+/// like LstmCell::StepBatchInto: the partition into ordered sweeps keeps
+/// every element's addition chain (and bits) intact while giving the
+/// hardware two independent accumulation chains.
 void QueryBatchInto(const Tensor& w, const Tensor& h, const Tensor& b,
                     int batch, Tensor& q) {
   const int d = w.Rows();
@@ -197,34 +189,15 @@ void QueryBatchInto(const Tensor& w, const Tensor& h, const Tensor& b,
     for (int g = 0; g < batch; ++g) accb[g] = 0.0f;
     int k = 0;
     for (; k + 4 <= k_dim; k += 4) {
-      const float a0 = wra[k], a1 = wra[k + 1], a2 = wra[k + 2],
-                  a3 = wra[k + 3];
-      const float b0 = wrb[k], b1 = wrb[k + 1], b2 = wrb[k + 2],
-                  b3 = wrb[k + 3];
       const float* hk = hd + static_cast<std::int64_t>(k) * batch;
-      if ((a0 != 0.0f) & (a1 != 0.0f) & (a2 != 0.0f) & (a3 != 0.0f) &
-          (b0 != 0.0f) & (b1 != 0.0f) & (b2 != 0.0f) & (b3 != 0.0f)) {
-        FusedAxpy4x2(hk, hk + batch, hk + 2 * batch, hk + 3 * batch, a0, a1,
-                     a2, a3, b0, b1, b2, b3, acca, accb, batch);
-      } else {
-        for (int t = 0; t < 4; ++t) {
-          if (wra[k + t] != 0.0f) {
-            Axpy(hk + static_cast<std::int64_t>(t) * batch, wra[k + t], acca,
-                 batch);
-          }
-        }
-        for (int t = 0; t < 4; ++t) {
-          if (wrb[k + t] != 0.0f) {
-            Axpy(hk + static_cast<std::int64_t>(t) * batch, wrb[k + t], accb,
-                 batch);
-          }
-        }
-      }
+      FusedAxpy4x2(hk, hk + batch, hk + 2 * batch, hk + 3 * batch, wra[k],
+                   wra[k + 1], wra[k + 2], wra[k + 3], wrb[k], wrb[k + 1],
+                   wrb[k + 2], wrb[k + 3], acca, accb, batch);
     }
     for (; k < k_dim; ++k) {
       const float* hk = hd + static_cast<std::int64_t>(k) * batch;
-      if (wra[k] != 0.0f) Axpy(hk, wra[k], acca, batch);
-      if (wrb[k] != 0.0f) Axpy(hk, wrb[k], accb, batch);
+      Axpy(hk, wra[k], acca, batch);
+      Axpy(hk, wrb[k], accb, batch);
     }
     const float bia = bd[i];
     const float bib = bd[i + 1];
@@ -236,9 +209,7 @@ void QueryBatchInto(const Tensor& w, const Tensor& h, const Tensor& b,
     float* __restrict acc = qd + static_cast<std::int64_t>(i) * batch;
     for (int g = 0; g < batch; ++g) acc[g] = 0.0f;
     for (int k = 0; k < k_dim; ++k) {
-      const float wik = wrow[k];
-      if (wik == 0.0f) continue;
-      Axpy(hd + static_cast<std::int64_t>(k) * batch, wik, acc, batch);
+      Axpy(hd + static_cast<std::int64_t>(k) * batch, wrow[k], acc, batch);
     }
     const float bi = bd[i];
     for (int g = 0; g < batch; ++g) acc[g] += bi;
@@ -373,8 +344,9 @@ void PointerAttention::PointerLogitsInto(
   const int d = hidden_dim_;
   if (logits.Rows() != 1 || logits.Cols() != n || scratch.q.Rows() != d ||
       scratch.scores.Cols() != n || scratch.attn.Cols() != n ||
-      scratch.glimpse.Rows() != d ||
-      static_cast<int>(valid.size()) != n) {
+      scratch.glimpse.Rows() != d || refs.wq_g_t.Rows() != d ||
+      refs.wq_g_t.Cols() != d || refs.wq_p_t.Rows() != d ||
+      refs.wq_p_t.Cols() != d || static_cast<int>(valid.size()) != n) {
     throw std::invalid_argument(
         "PointerAttention::PointerLogitsInto: bad buffer shape");
   }
@@ -384,7 +356,7 @@ void PointerAttention::PointerLogitsInto(
   }
 
   // Glimpse.
-  QueryInto(store_.Value(wq_g_name_), h, store_.Value(bg_name_), scratch.q);
+  PanelQueryInto(refs.wq_g_t, h, store_.Value(bg_name_), scratch.q);
   ScoreColumnsMasked(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
                      scratch.valid_idx, scratch.fast_tmp, scratch.fast_acc,
                      scratch.scores);
@@ -393,8 +365,8 @@ void PointerAttention::PointerLogitsInto(
                     scratch.glimpse);
 
   // Pointer.
-  QueryInto(store_.Value(wq_p_name_), scratch.glimpse, store_.Value(bp_name_),
-            scratch.q);
+  PanelQueryInto(refs.wq_p_t, scratch.glimpse, store_.Value(bp_name_),
+                 scratch.q);
   ScoreColumnsMasked(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
                      scratch.valid_idx, scratch.fast_tmp, scratch.fast_acc,
                      logits);

@@ -32,15 +32,21 @@ class PointerAttention {
 
   // ---- Inference path (no gradients) ----
 
-  /// Precomputed W_ref C products, reused across decode steps.
+  /// Per-sequence state reused across decode steps: the W_ref C products
+  /// and the k-major query panels W_qᵀ that PointerLogitsInto's per-step
+  /// W_q·h GEMVs sweep.  The panels are snapshots of the store's weights,
+  /// rebuilt with the products on every Precompute rather than cached on
+  /// the ParamStore, so ParamStore::Load and weight swaps stay safe.
   struct CachedRefs {
     Tensor glimpse_ref;  // (d, V)
     Tensor pointer_ref;  // (d, V)
+    Tensor wq_g_t;       // (d, d) — W_q_gᵀ
+    Tensor wq_p_t;       // (d, d) — W_q_pᵀ
   };
   [[nodiscard]] CachedRefs Precompute(const Tensor& contexts) const;
 
   /// Allocation-free Precompute: resizes and overwrites `refs`' tensors in
-  /// place (storage reused across calls).
+  /// place (grow-only storage reused across calls).
   void PrecomputeInto(const Tensor& contexts, CachedRefs& refs) const;
 
   /// Returns the masked pointer logits (1, V) for query h.

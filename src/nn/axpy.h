@@ -1,5 +1,6 @@
 // Bundled row-axpy helpers for the GEMM-shaped kernels (MatMulKernel,
-// QueryBatchInto, LstmCell::StepBatchInto).
+// QueryBatchInto, LstmCell::StepBatchInto) and the k-major GEMV of the
+// single-graph decode steps (KMajorGemv).
 //
 // Those kernels accumulate `out[j] += coef_k · row_k[j]` one k at a time,
 // which costs a load and a store of the accumulator row per multiply-add
@@ -9,9 +10,19 @@
 // are applied left-associated in ascending-k order —
 //   out[j] = (((out[j] + c0·r0[j]) + c1·r1[j]) + c2·r2[j]) + c3·r3[j]
 // — which is the exact addition sequence the one-k-at-a-time sweeps
-// perform, so callers keep their bit-identity contracts (the zero-weight
-// skip happens before bundling, in the caller's k scan).
+// perform, so callers keep their bit-identity contracts.
+//
+// Zero weights.  MatMulKernel skips every k whose weight is zero; the
+// decode kernels built on these helpers add every product, and still match
+// it bit for bit.  An accumulator that starts at +0 never becomes −0 (a
+// rounded sum is −0 only when both operands are −0); a ±0 weight times a
+// finite activation is ±0; and x + ±0 == x for every x other than −0.  So
+// adding the product is exactly the identity the skip implements, as long
+// as activations are finite — ParamStore::Load rejects non-finite weights,
+// and the LSTM and attention activations are bounded.
 #pragma once
+
+#include <cstdint>
 
 namespace respect::nn {
 
@@ -48,6 +59,23 @@ inline void FusedAxpy4x2(const float* r0, const float* r1, const float* r2,
     outb[j] =
         (((outb[j] + b0 * r0[j]) + b1 * r1[j]) + b2 * r2[j]) + b3 * r3[j];
   }
+}
+
+/// out[0..m) = W·x for the k-major panel `wt` = Wᵀ ((k_dim, m) row-major):
+/// out = Σ_k x[k]·wt[k][0..m), k ascending, four panel rows per sweep.  Per
+/// output element this is the row-dot chain (((0 + W[i][0]·x[0]) + …)
+/// computed m lanes at a time instead of one serial chain per row.  `out`
+/// must not alias `wt` or `x`.
+inline void KMajorGemv(const float* wt, const float* x, int k_dim,
+                       float* __restrict out, int m) {
+  for (int i = 0; i < m; ++i) out[i] = 0.0f;
+  int k = 0;
+  for (; k + 4 <= k_dim; k += 4) {
+    const float* r0 = wt + std::int64_t{k} * m;
+    FusedAxpy4(r0, r0 + m, r0 + 2 * m, r0 + 3 * m, x[k], x[k + 1], x[k + 2],
+               x[k + 3], out, m);
+  }
+  for (; k < k_dim; ++k) Axpy(wt + std::int64_t{k} * m, x[k], out, m);
 }
 
 }  // namespace respect::nn

@@ -55,39 +55,34 @@ LstmCell::State LstmCell::Step(const Tensor& x, const State& prev) const {
   return next;
 }
 
-void LstmCell::StepInto(const Tensor& zx, int zx_col, Tensor& gates,
-                        State& state) const {
+void LstmCell::RecurrentPanelInto(Tensor& wh_t) const {
+  wh_t.Resize(hidden_dim_, 4 * hidden_dim_);
+  TransposeInto(store_.Value(wh_name_), wh_t);
+}
+
+void LstmCell::StepInto(const Tensor& zx, int zx_col, const Tensor& wh_t,
+                        Tensor& gates, State& state) const {
   const int d = hidden_dim_;
   if (zx.Rows() != 4 * d || zx_col < 0 || zx_col >= zx.Cols()) {
     throw std::invalid_argument("LstmCell::StepInto: bad zx column");
   }
-  if (gates.Rows() != 4 * d || gates.Cols() != 1 || state.h.Rows() != d ||
-      state.h.Cols() != 1 || state.c.Rows() != d || state.c.Cols() != 1) {
+  if (wh_t.Rows() != d || wh_t.Cols() != 4 * d || gates.Rows() != 4 * d ||
+      gates.Cols() != 1 || state.h.Rows() != d || state.h.Cols() != 1 ||
+      state.c.Rows() != d || state.c.Cols() != 1) {
     throw std::invalid_argument("LstmCell::StepInto: bad buffer shape");
   }
-  const Tensor& wh = store_.Value(wh_name_);
   const Tensor& b = store_.Value(b_name_);
   const float* __restrict zxd = zx.Data();
-  const float* __restrict whd = wh.Data();
   const float* __restrict bd = b.Data();
-  // No __restrict on h: the state-update loop below writes the same
-  // storage through hc, and two restrict-qualified views of one object in
-  // one scope would be undefined behavior.
-  const float* h = state.h.Data();
   float* __restrict zd = gates.Data();
   const int zx_cols = zx.Cols();
 
-  // z = (Wx·x + Wh·h) + b, with the Wh·h GEMV accumulated like MatMul (k
-  // ascending, zero-weight skip) so the sum matches Step() bit-for-bit.
+  // z = (Wx·x + Wh·h) + b.  Wh·h sweeps the k-major panel (nn/axpy.h): each
+  // output keeps Step()'s k-ascending addition chain, so the sum matches
+  // MatMul bit for bit, while the 4d outputs advance as one vector.
+  KMajorGemv(wh_t.Data(), state.h.Data(), d, zd, 4 * d);
   for (int i = 0; i < 4 * d; ++i) {
-    const float* __restrict wrow = whd + std::int64_t{i} * d;
-    float acc = 0.0f;
-    for (int k = 0; k < d; ++k) {
-      const float w = wrow[k];
-      if (w == 0.0f) continue;
-      acc += w * h[k];
-    }
-    zd[i] = (zxd[std::int64_t{i} * zx_cols + zx_col] + acc) + bd[i];
+    zd[i] = (zxd[std::int64_t{i} * zx_cols + zx_col] + zd[i]) + bd[i];
   }
 
   // Gate order [i f g o]; products are stored before the sum so the
@@ -141,21 +136,22 @@ void LstmCell::StepBatchInto(const Tensor& zx, const int* zx_cols, int batch,
   const float* __restrict whd = wh.Data();
   const float* __restrict bd = b.Data();
   // No __restrict on h: the state-update loop below writes the same
-  // storage (see StepInto).
+  // storage through hc, and two restrict-qualified views of one object in
+  // one scope would be undefined behavior.
   const float* h = state.h.Data();
   float* __restrict zd = gates.Data();
   const int zxn = zx.Cols();
 
   // z[:, g] = (Wx·x_g + Wh·h_g) + b as a (4d, d)×(d, B) GEMM.  For each
-  // output element the k-accumulation is ascending with the w==0 skip —
-  // exactly StepInto's GEMV per column — while the inner g loop runs over
-  // contiguous storage (h is (d, B) row-major), which is where the batch
-  // speedup comes from: one weight load feeds B multiply-adds.  Output
-  // rows go two at a time over fixed groups of four k values (nn/axpy.h):
-  // any partition of the ascending nonzero-k sequence into ordered sweeps
-  // leaves each element's left-associated addition chain — and therefore
-  // the result bits — unchanged, while the row pair gives the hardware two
-  // independent accumulation chains instead of one latency-bound chain.
+  // output element the k-accumulation is ascending — exactly StepInto's
+  // chain per column — while the inner g loop runs over contiguous storage
+  // (h is (d, B) row-major), which is where the batch speedup comes from:
+  // one weight load feeds B multiply-adds.  Output rows go two at a time
+  // over fixed groups of four k values (nn/axpy.h): any partition of the
+  // ascending k sequence into ordered sweeps leaves each element's
+  // left-associated addition chain — and therefore the result bits —
+  // unchanged, while the row pair gives the hardware two independent
+  // accumulation chains instead of one latency-bound chain.
   for (int i = 0; i < 4 * d; i += 2) {
     const float* __restrict wra = whd + std::int64_t{i} * d;
     const float* __restrict wrb = wra + d;
@@ -165,34 +161,15 @@ void LstmCell::StepBatchInto(const Tensor& zx, const int* zx_cols, int batch,
     for (int g = 0; g < batch; ++g) accb[g] = 0.0f;
     int k = 0;
     for (; k + 4 <= d; k += 4) {
-      const float a0 = wra[k], a1 = wra[k + 1], a2 = wra[k + 2],
-                  a3 = wra[k + 3];
-      const float b0 = wrb[k], b1 = wrb[k + 1], b2 = wrb[k + 2],
-                  b3 = wrb[k + 3];
       const float* hk = h + std::int64_t{k} * batch;
-      if ((a0 != 0.0f) & (a1 != 0.0f) & (a2 != 0.0f) & (a3 != 0.0f) &
-          (b0 != 0.0f) & (b1 != 0.0f) & (b2 != 0.0f) & (b3 != 0.0f)) {
-        FusedAxpy4x2(hk, hk + batch, hk + 2 * batch, hk + 3 * batch, a0, a1,
-                     a2, a3, b0, b1, b2, b3, acca, accb, batch);
-      } else {
-        // Rare zero weight in the group: one-row sweeps with the skip, the
-        // same per-element addition chain in the same order.
-        for (int t = 0; t < 4; ++t) {
-          if (wra[k + t] != 0.0f) {
-            Axpy(hk + std::int64_t{t} * batch, wra[k + t], acca, batch);
-          }
-        }
-        for (int t = 0; t < 4; ++t) {
-          if (wrb[k + t] != 0.0f) {
-            Axpy(hk + std::int64_t{t} * batch, wrb[k + t], accb, batch);
-          }
-        }
-      }
+      FusedAxpy4x2(hk, hk + batch, hk + 2 * batch, hk + 3 * batch, wra[k],
+                   wra[k + 1], wra[k + 2], wra[k + 3], wrb[k], wrb[k + 1],
+                   wrb[k + 2], wrb[k + 3], acca, accb, batch);
     }
     for (; k < d; ++k) {
       const float* hk = h + std::int64_t{k} * batch;
-      if (wra[k] != 0.0f) Axpy(hk, wra[k], acca, batch);
-      if (wrb[k] != 0.0f) Axpy(hk, wrb[k], accb, batch);
+      Axpy(hk, wra[k], acca, batch);
+      Axpy(hk, wrb[k], accb, batch);
     }
     const float bia = bd[i];
     const float bib = bd[i + 1];

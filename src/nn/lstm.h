@@ -56,10 +56,19 @@ class LstmCell {
   /// Wx·x must be precomputed — `zx` is a (4·hidden, *) matrix whose column
   /// `zx_col` holds Wx·x for this step, so callers hoist the input
   /// projection for a whole sequence into one GEMM and each step pays only
-  /// the Wh·h GEMV.  `gates` is a caller-owned (4·hidden, 1) scratch.
-  /// Bit-identical to Step() given zx_col == MatMul(Wx, x) column.
-  void StepInto(const Tensor& zx, int zx_col, Tensor& gates,
-                State& state) const;
+  /// the Wh·h GEMV.  That GEMV reads `wh_t`, the (hidden, 4·hidden) k-major
+  /// panel Whᵀ from RecurrentPanelInto, so all 4·hidden outputs accumulate
+  /// as one vector sweep per k.  `gates` is a caller-owned (4·hidden, 1)
+  /// scratch.  Bit-identical to Step() given zx_col == MatMul(Wx, x) column
+  /// and a panel built from the current weights.
+  void StepInto(const Tensor& zx, int zx_col, const Tensor& wh_t,
+                Tensor& gates, State& state) const;
+
+  /// Writes the k-major recurrent panel Whᵀ ((hidden, 4·hidden)) for
+  /// StepInto into `wh_t` (grow-only storage).  The panel is a snapshot of
+  /// the store's current Wh: callers rebuild it for every sequence rather
+  /// than cache it, so ParamStore::Load and weight swaps stay safe.
+  void RecurrentPanelInto(Tensor& wh_t) const;
 
   /// The (4·hidden, input) input weight Wx, for hoisting Wx·X out of step
   /// loops (see StepInto).
@@ -75,8 +84,8 @@ class LstmCell {
   ///
   /// Column g of the result is bit-identical to a StepInto call on graph
   /// g's own (hidden, 1) state: per output element the k-accumulation runs
-  /// in the same ascending order with the same zero-weight skip, and the
-  /// gate math stores the same intermediates.  (When the opt-in SIMD path
+  /// in the same ascending order, and the gate math stores the same
+  /// intermediates.  (When the opt-in SIMD path
   /// is enabled — nn/simd.h — activations switch to FastTanh/FastSigmoid
   /// and bit-parity becomes tolerance-parity; both paths stay internally
   /// consistent between StepInto and StepBatchInto.)

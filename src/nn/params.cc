@@ -1,5 +1,6 @@
 #include "nn/params.h"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
@@ -92,8 +93,10 @@ void ParamStore::Load(const std::string& path) {
   if (!is || magic != kMagic) {
     throw std::runtime_error("ParamStore::Load: bad header in " + path);
   }
-  values_.clear();
-  grads_.clear();
+  // Parse into fresh maps and swap them in only once the whole file has
+  // checked out, so a rejected file leaves the current weights untouched.
+  std::map<std::string, Tensor> values;
+  std::map<std::string, Tensor> grads;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t name_len = 0;
     is.read(reinterpret_cast<char*>(&name_len), sizeof(name_len));
@@ -112,9 +115,19 @@ void ParamStore::Load(const std::string& path) {
     is.read(reinterpret_cast<char*>(t.Data()),
             static_cast<std::streamsize>(t.Size() * sizeof(float)));
     if (!is) throw std::runtime_error("ParamStore::Load: truncated " + path);
-    grads_.emplace(name, Tensor::Zeros(rows, cols));
-    values_.emplace(std::move(name), std::move(t));
+    // Decode kernels rely on finite weights (nn/axpy.h), and a NaN weight
+    // would turn every pointer logit into NaN.
+    for (std::int64_t e = 0; e < t.Size(); ++e) {
+      if (!std::isfinite(t.Data()[e])) {
+        throw std::runtime_error("ParamStore::Load: non-finite value in " +
+                                 name + " in " + path);
+      }
+    }
+    grads.emplace(name, Tensor::Zeros(rows, cols));
+    values.emplace(std::move(name), std::move(t));
   }
+  values_.swap(values);
+  grads_.swap(grads);
 }
 
 }  // namespace respect::nn

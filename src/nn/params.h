@@ -39,6 +39,9 @@ class ParamStore {
   }
 
   /// Binary round trip.  Throws std::runtime_error on I/O or format errors.
+  /// Load also rejects non-finite values, and replaces the store's contents
+  /// only when the whole file is valid: after a throw the previous
+  /// parameters are intact.
   void Save(const std::string& path) const;
   void Load(const std::string& path);
 

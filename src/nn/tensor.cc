@@ -263,10 +263,15 @@ Tensor SliceCols(const Tensor& a, int c0, int c1) {
 
 Tensor Transpose(const Tensor& a) {
   Tensor out(a.Cols(), a.Rows());
+  TransposeInto(a, out);
+  return out;
+}
+
+void TransposeInto(const Tensor& a, Tensor& out) {
+  CheckShape(out, a.Cols(), a.Rows(), "TransposeInto");
   for (int i = 0; i < a.Rows(); ++i) {
     for (int j = 0; j < a.Cols(); ++j) out.At(j, i) = a.At(i, j);
   }
-  return out;
 }
 
 Tensor MaskedSoftmax(const Tensor& logits, const std::vector<bool>& valid) {

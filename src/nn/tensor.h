@@ -118,6 +118,9 @@ void TanhInto(const Tensor& a, Tensor& out);
 /// out = sigmoid(a) (elementwise).  out == &a is allowed.
 void SigmoidInto(const Tensor& a, Tensor& out);
 
+/// out = aᵀ.  out must be (a.Cols(), a.Rows()).
+void TransposeInto(const Tensor& a, Tensor& out);
+
 /// a[:, j] += col[j-th row broadcast]: adds `col` ((rows, 1)) to every
 /// column of `a` in place.
 void AddBroadcastColInPlace(Tensor& a, const Tensor& col);

@@ -26,7 +26,8 @@ void DecodeWorkspace::Reserve(int hidden_dim, int nodes) {
   unpicked_parents.resize(n);
   sequence.reserve(n);
   // topo / topo_scratch / pos are sized by AnalyzeTopologyInto and the
-  // decode itself (assign with steady-state capacity).
+  // decode itself (assign with steady-state capacity); the k-major panels
+  // (enc_wh_t, dec_wh_t, refs.wq_*_t) by the calls that fill them.
 }
 
 }  // namespace respect::rl

@@ -51,6 +51,12 @@ struct DecodeWorkspace {
   nn::PointerAttention::CachedRefs refs;
   nn::PointerAttention::Scratch attn;
 
+  // k-major recurrent panels Whᵀ for LstmCell::StepInto, rebuilt from the
+  // agent's weights on every decode (never cached across decodes, so a
+  // ParamStore::Load or weight swap is picked up by the next decode).
+  nn::Tensor enc_wh_t;  // (d, 4d)
+  nn::Tensor dec_wh_t;  // (d, 4d)
+
   // Recurrent state and per-step scratch.
   nn::LstmCell::State state;  // h, c (d, 1); encoder state, then decoder
   nn::Tensor gates;           // (4d, 1)

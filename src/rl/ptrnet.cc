@@ -40,21 +40,10 @@ std::vector<bool> StepMaskVec(MaskingMode masking,
   return valid;
 }
 
-int ArgmaxIndex(const nn::Tensor& probs) {
-  int best = -1;
-  float best_p = -1.0f;
-  for (int j = 0; j < probs.Cols(); ++j) {
-    if (probs.At(0, j) > best_p) {
-      best_p = probs.At(0, j);
-      best = j;
-    }
-  }
-  return best;
-}
-
-/// ArgmaxIndex over the column slice [c0, c0+n), returning the index
-/// RELATIVE to c0.  Same ascending strictly-greater scan (first max wins),
-/// so the batched decode picks exactly what the single path would.
+/// Argmax over the column slice [c0, c0+n), returning the index RELATIVE to
+/// c0: ascending strictly-greater scan (first max wins), so the batched
+/// decode picks exactly what the single path would.  Throws when nothing is
+/// pickable (e.g. an all-NaN probability row), like SampleIndex.
 int ArgmaxIndexRange(const nn::Tensor& probs, int c0, int n) {
   int best = -1;
   float best_p = -1.0f;
@@ -63,6 +52,9 @@ int ArgmaxIndexRange(const nn::Tensor& probs, int c0, int n) {
       best_p = probs.At(0, c0 + j);
       best = j;
     }
+  }
+  if (best < 0) {
+    throw std::logic_error("ArgmaxIndexRange: degenerate distribution");
   }
   return best;
 }
@@ -115,13 +107,17 @@ const std::vector<graph::NodeId>& PtrNetAgent::DecodeImpl(
   nn::MatMulInto(decoder_.InputWeight(), ws.x_all, ws.zx_dec);
   nn::MatMulInto(decoder_.InputWeight(), store_.Value("decoder.d0"), ws.zx_d0);
 
+  // k-major Wh panels for the per-step recurrent GEMVs.
+  encoder_.RecurrentPanelInto(ws.enc_wh_t);
+  decoder_.RecurrentPanelInto(ws.dec_wh_t);
+
   // Encoder sweep, contexts written column-by-column into C.
   ws.state.h.Fill(0.0f);
   ws.state.c.Fill(0.0f);
   float* ctx = ws.contexts.Data();
   for (int j = 0; j < n; ++j) {
     const graph::NodeId v = ws.topo.order[j];
-    encoder_.StepInto(ws.zx_enc, v, ws.gates, ws.state);
+    encoder_.StepInto(ws.zx_enc, v, ws.enc_wh_t, ws.gates, ws.state);
     const float* h = ws.state.h.Data();
     for (int i = 0; i < d; ++i) ctx[std::int64_t{i} * n + j] = h[i];
   }
@@ -140,13 +136,14 @@ const std::vector<graph::NodeId>& PtrNetAgent::DecodeImpl(
   int zx_col = 0;
   for (int t = 0; t < n; ++t) {
     cancel.ThrowIfCancelled("rl decode step");
-    decoder_.StepInto(*zx, zx_col, ws.gates, ws.state);
+    decoder_.StepInto(*zx, zx_col, ws.dec_wh_t, ws.gates, ws.state);
     StepMaskInto(ws);
     attention_.PointerLogitsInto(ws.contexts, ws.refs, ws.state.h, ws.valid,
                                  ws.attn, ws.logits);
     nn::MaskedSoftmaxInto(ws.logits, ws.valid, ws.probs);
     const int j =
-        rng == nullptr ? ArgmaxIndex(ws.probs) : SampleIndex(ws.probs, *rng);
+        rng == nullptr ? ArgmaxIndexRange(ws.probs, 0, n)
+                       : SampleIndex(ws.probs, *rng);
     const graph::NodeId v = ws.topo.order[j];
     ws.picked[j] = 1;
     for (const graph::NodeId c : dag.Children(v)) {

@@ -3,6 +3,9 @@
 //    sequences to the frozen pre-optimization reference implementation
 //    (rl/reference_decode.h) across sampled graph complexities (deg 2-6)
 //    and both MaskingModes;
+//  * the k-major recurrent GEMVs keep that parity at hidden sizes that are
+//    not multiples of four (the Axpy k-tail) and with exact ±0 weights
+//    planted in every panel-swept matrix, on the single and batched paths;
 //  * a steady-state decode on a warm DecodeWorkspace performs ZERO heap
 //    allocations (counted via a replaced global operator new);
 //  * repair runs exactly once on both the standalone-scheduler path and the
@@ -11,12 +14,18 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/respect.h"
 #include "graph/sampler.h"
+#include "nn/attention.h"
+#include "nn/lstm.h"
+#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/reference_decode.h"
@@ -99,6 +108,159 @@ TEST(DecodeParityTest, SampledMatchesReferenceRngStream) {
           << "workspace deg=" << deg;
       // Identical rng consumption: the generators must end in lock-step.
       EXPECT_EQ(rng_ref(), rng_new());
+    }
+  }
+}
+
+TEST(DecodeParityTest, OddHiddenSizesMatchReference) {
+  // 23 and 66 leave a k-tail of 3 and 2 after the four-row panel sweeps.
+  for (const int hidden : {23, 66}) {
+    rl::PtrNetConfig config = NetConfig(rl::MaskingMode::kReadySet);
+    config.hidden_dim = hidden;
+    const rl::PtrNetAgent agent(config);
+    rl::DecodeWorkspace ws;
+    std::mt19937_64 graph_rng(61);
+    for (const int deg : {2, 5}) {
+      graph::SamplerConfig sampler;
+      sampler.max_in_degree = deg;
+      sampler.num_nodes = 40;
+      const graph::Dag dag = graph::SampleDag(sampler, graph_rng);
+      const auto expected = rl::ReferenceDecodeGreedy(agent, dag);
+      EXPECT_EQ(agent.DecodeGreedy(dag), expected) << "d=" << hidden;
+      EXPECT_EQ(agent.DecodeGreedy(dag, ws), expected) << "d=" << hidden;
+
+      std::mt19937_64 rng_ref(300 + deg), rng_ws(300 + deg);
+      EXPECT_EQ(agent.DecodeSampled(dag, rng_ws, ws),
+                rl::ReferenceDecodeSampled(agent, dag, rng_ref))
+          << "sampled d=" << hidden;
+      EXPECT_EQ(rng_ref(), rng_ws());
+    }
+  }
+}
+
+/// Zeroes roughly one entry in six of `w` (alternating +0 and -0) plus
+/// three whole columns — the first, a middle one and the last, which the
+/// k-tail sweeps when the column count is not a multiple of four.
+void PlantZeros(nn::Tensor& w, std::mt19937_64& rng) {
+  std::bernoulli_distribution pick(1.0 / 6.0);
+  bool negative = false;
+  for (int i = 0; i < w.Rows(); ++i) {
+    for (int k = 0; k < w.Cols(); ++k) {
+      if (pick(rng)) {
+        w.At(i, k) = negative ? -0.0f : 0.0f;
+        negative = !negative;
+      }
+    }
+  }
+  for (const int k : {0, w.Cols() / 2, w.Cols() - 1}) {
+    for (int i = 0; i < w.Rows(); ++i) w.At(i, k) = 0.0f;
+  }
+}
+
+/// Exact bit comparison (EXPECT_EQ on floats would equate +0 and -0).
+bool SameBits(const float* a, const float* b, int n) {
+  return std::memcmp(a, b, sizeof(float) * static_cast<std::size_t>(n)) == 0;
+}
+
+TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
+  // Sequence parity is coarse (an argmax rarely flips), so the two k-major
+  // kernels are also checked value by value against the MatMul-based
+  // allocating path, with and without planted zeros.
+  for (const int hidden : {23, 64, 66}) {
+    for (const bool zeros : {false, true}) {
+      std::mt19937_64 rng(81);
+      nn::ParamStore store;
+      const nn::LstmCell cell(store, "lstm", hidden, hidden, rng);
+      const nn::PointerAttention attention(store, "attention", hidden, rng);
+      if (zeros) {
+        for (const std::string name :
+             {"lstm.Wh", "attention.Wq_g", "attention.Wq_p"}) {
+          PlantZeros(store.Value(name), rng);
+        }
+      }
+
+      nn::LstmCell::State slow = cell.InitialState();
+      nn::LstmCell::State fast = cell.InitialState();
+      nn::Tensor panel, gates(4 * hidden, 1);
+      cell.RecurrentPanelInto(panel);
+      for (int step = 0; step < 5; ++step) {
+        const nn::Tensor x = nn::Tensor::Xavier(hidden, 1, rng);
+        const nn::Tensor zx = nn::MatMul(cell.InputWeight(), x);
+        slow = cell.Step(x, slow);
+        cell.StepInto(zx, 0, panel, gates, fast);
+        ASSERT_TRUE(SameBits(slow.h.Data(), fast.h.Data(), hidden))
+            << "h d=" << hidden << " zeros=" << zeros << " step=" << step;
+        ASSERT_TRUE(SameBits(slow.c.Data(), fast.c.Data(), hidden))
+            << "c d=" << hidden << " zeros=" << zeros << " step=" << step;
+      }
+
+      const int nodes = 17;
+      const nn::Tensor contexts = nn::Tensor::Xavier(hidden, nodes, rng);
+      const auto refs = attention.Precompute(contexts);
+      std::vector<bool> valid(nodes);
+      std::vector<std::uint8_t> valid_bytes(nodes);
+      for (int j = 0; j < nodes; ++j) {
+        valid[j] = j % 3 != 1;
+        valid_bytes[j] = valid[j] ? 1 : 0;
+      }
+      nn::PointerAttention::Scratch scratch;
+      scratch.Reserve(hidden, nodes);
+      nn::Tensor logits(1, nodes);
+      const nn::Tensor expected =
+          attention.PointerLogits(contexts, refs, slow.h, valid);
+      attention.PointerLogitsInto(contexts, refs, slow.h, valid_bytes,
+                                  scratch, logits);
+      for (int j = 0; j < nodes; ++j) {
+        if (!valid[j]) continue;
+        EXPECT_TRUE(SameBits(expected.Data() + j, logits.Data() + j, 1))
+            << "logit " << j << " d=" << hidden << " zeros=" << zeros;
+      }
+    }
+  }
+}
+
+TEST(DecodeParityTest, PlantedZeroWeightsMatchReference) {
+  // The reference (MatMul) skips zero weights; the k-major and batched
+  // kernels add their ±0 products instead.  Both must give the same bits.
+  for (const int hidden : {23, 64, 66}) {
+    // Visited-only masking keeps every unpicked node in the argmax, which
+    // makes the sequences far more sensitive to logit bits.
+    rl::PtrNetConfig config = NetConfig(rl::MaskingMode::kVisitedOnly);
+    config.hidden_dim = hidden;
+    rl::PtrNetAgent agent(config);
+    std::mt19937_64 plant_rng(71);
+    for (const std::string name : {"encoder.Wh", "decoder.Wh",
+                                   "attention.Wq_g", "attention.Wq_p"}) {
+      PlantZeros(agent.Params().Value(name), plant_rng);
+    }
+
+    std::mt19937_64 graph_rng(73);
+    std::vector<graph::Dag> dags;
+    for (int g = 0; g < 3; ++g) {
+      graph::SamplerConfig sampler;
+      sampler.max_in_degree = 2 + g;
+      sampler.num_nodes = 36;
+      dags.push_back(graph::SampleDag(sampler, graph_rng));
+    }
+    std::vector<const graph::Dag*> ptrs;
+    for (const graph::Dag& dag : dags) ptrs.push_back(&dag);
+
+    rl::DecodeWorkspace ws;
+    rl::BatchDecodeWorkspace batch_ws;
+    const auto& batched = agent.DecodeGreedyBatch(
+        std::span<const graph::Dag* const>(ptrs), batch_ws);
+    for (std::size_t g = 0; g < dags.size(); ++g) {
+      const auto expected = rl::ReferenceDecodeGreedy(agent, dags[g]);
+      EXPECT_EQ(agent.DecodeGreedy(dags[g]), expected)
+          << "d=" << hidden << " g=" << g;
+      EXPECT_EQ(agent.DecodeGreedy(dags[g], ws), expected)
+          << "workspace d=" << hidden << " g=" << g;
+      EXPECT_EQ(batched[g], expected) << "batch d=" << hidden << " g=" << g;
+
+      std::mt19937_64 rng_ref(500 + g), rng_ws(500 + g);
+      EXPECT_EQ(agent.DecodeSampled(dags[g], rng_ws, ws),
+                rl::ReferenceDecodeSampled(agent, dags[g], rng_ref))
+          << "sampled d=" << hidden << " g=" << g;
     }
   }
 }

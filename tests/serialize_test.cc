@@ -1,13 +1,23 @@
-// Graph text-serialization round trips and error handling.
+// Graph text-serialization round trips and error handling, plus the
+// rejection paths of the binary ParamStore format.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <random>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
 
 #include "graph/sampler.h"
 #include "graph/serialize.h"
 #include "models/zoo.h"
+#include "nn/params.h"
 
 namespace respect::graph {
 namespace {
@@ -98,3 +108,85 @@ TEST(SerializeTest, RejectsCyclicInput) {
 
 }  // namespace
 }  // namespace respect::graph
+
+namespace respect::nn {
+namespace {
+
+class ParamLoadTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::mt19937_64 rng(5);
+    store_.GetOrCreate("a", 3, 4, rng);
+    store_.GetOrCreate("b", 2, 1, rng);
+    snapshot_ = store_.Values();
+    path_ = (std::filesystem::temp_directory_path() /
+             ("respect_param_load_" + std::to_string(::getpid()) + ".bin"))
+                .string();
+  }
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  /// The rejected Load must leave every previous value in place.
+  void ExpectStoreIntact() const {
+    ASSERT_EQ(store_.Values().size(), snapshot_.size());
+    for (const auto& [name, value] : snapshot_) {
+      ASSERT_TRUE(store_.Contains(name)) << name;
+      const Tensor& now = store_.Value(name);
+      ASSERT_TRUE(now.SameShape(value)) << name;
+      for (std::int64_t e = 0; e < value.Size(); ++e) {
+        EXPECT_EQ(now.Data()[e], value.Data()[e]) << name << "[" << e << "]";
+      }
+    }
+  }
+
+  ParamStore store_;
+  std::map<std::string, Tensor> snapshot_;
+  std::string path_;
+};
+
+TEST_F(ParamLoadTest, RejectsNaNWeight) {
+  std::mt19937_64 rng(6);
+  ParamStore poisoned;
+  poisoned.GetOrCreate("a", 3, 4, rng);
+  poisoned.GetOrCreate("b", 2, 1, rng);
+  poisoned.Value("a").At(1, 2) = std::numeric_limits<float>::quiet_NaN();
+  poisoned.Save(path_);
+  EXPECT_THROW(store_.Load(path_), std::runtime_error);
+  ExpectStoreIntact();
+}
+
+TEST_F(ParamLoadTest, RejectsTruncatedFile) {
+  std::mt19937_64 rng(7);
+  ParamStore other;
+  other.GetOrCreate("a", 3, 4, rng);
+  other.GetOrCreate("b", 2, 1, rng);
+  other.Save(path_);
+  std::vector<char> bytes;
+  {
+    std::ifstream is(path_, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is),
+                 std::istreambuf_iterator<char>());
+  }
+  // Cut inside the last tensor's payload: the first entry parses, so a
+  // Load that cleared the store up front would leave it half-filled.
+  bytes.resize(bytes.size() - 3);
+  {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_THROW(store_.Load(path_), std::runtime_error);
+  ExpectStoreIntact();
+}
+
+TEST_F(ParamLoadTest, ValidFileStillReplacesValues) {
+  std::mt19937_64 rng(8);
+  ParamStore other;
+  other.GetOrCreate("c", 2, 2, rng);
+  other.Save(path_);
+  store_.Load(path_);
+  EXPECT_FALSE(store_.Contains("a"));
+  ASSERT_TRUE(store_.Contains("c"));
+  EXPECT_EQ(store_.Value("c").At(1, 1), other.Value("c").At(1, 1));
+}
+
+}  // namespace
+}  // namespace respect::nn
