@@ -547,14 +547,13 @@ BENCHMARK(BM_CompileServiceBatchWarm);
 /// The serving miss storm the grouped batch path exists for: every
 /// iteration rolls the RL weights (ReplaceRl invalidates all 8 cached
 /// entries) and refills them through CompileBatch — one grouped
-/// lock-stepped solve on the single worker.  Compare against the same
-/// refill with batch_decode off (BM_MissStormRefill/unbatched) for what
-/// the GEMM path buys a cold cache.  Alternating between two premade
-/// snapshots keeps weight (re)initialization out of the timed rollout.
-void MissStormRefill(benchmark::State& state, bool batch_decode) {
+/// lock-stepped attempt on the single worker, through the same cold path
+/// (flight, disk/peer warm-up, SolveCold, publish) as every other miss.
+/// Alternating between two premade snapshots keeps weight
+/// (re)initialization out of the timed rollout.
+void BM_MissStormRefill(benchmark::State& state) {
   serve::ServiceOptions options;
   options.num_threads = 1;  // isolate per-worker refill throughput
-  options.batch_decode = batch_decode;
   serve::CompileService service(BatchBenchOptions(), options);
   const auto snapshot_a =
       std::make_shared<rl::RlScheduler>(BatchBenchOptions().net);
@@ -574,16 +573,7 @@ void MissStormRefill(benchmark::State& state, bool batch_decode) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(storm.size()));
 }
-
-void BM_MissStormRefill(benchmark::State& state) {
-  MissStormRefill(state, /*batch_decode=*/true);
-}
 BENCHMARK(BM_MissStormRefill)->Unit(benchmark::kMillisecond);
-
-void BM_MissStormRefill_Unbatched(benchmark::State& state) {
-  MissStormRefill(state, /*batch_decode=*/false);
-}
-BENCHMARK(BM_MissStormRefill_Unbatched)->Unit(benchmark::kMillisecond);
 
 /// Interactive latency under a batch flood: each iteration submits the full
 /// 8-graph batch on the batch lane with cache bypass (every one a real

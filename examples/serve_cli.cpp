@@ -31,13 +31,12 @@
 // same directory — the restart — and replays the exact stream, reporting
 // the disk-warm-start hit rate and latency against the cold run.
 //
-// --miss-storm shows what the grouped batch decode buys: a skewed stream of
-// RL-engine requests fills the cache, ReplaceRl invalidates every entry —
-// the miss storm — and the same stream refills through CompileBatch twice,
-// once with grouped lock-stepped decodes and once with batch_decode off,
-// comparing per-worker refill throughput.  Exits non-zero if the batched
-// variant never took the batch path.  --no-batch-decode disables grouped
-// miss solving in the other modes (A/B escape hatch).
+// --miss-storm drives the grouped cold-miss path: a skewed stream of
+// RL-engine requests fills the cache, ReplaceRl (same weights) invalidates
+// every entry — the miss storm — and the same stream refills through
+// CompileBatch, whose same-size misses share lock-stepped decodes.  Exits
+// non-zero unless the refill took the batch path and every refilled result
+// equals the fill's.
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -87,7 +86,7 @@ int Usage(const char* argv0) {
       "          [--priority=interactive|normal|batch] [--deadline-ms=N]\n"
       "          [--threads=N] [--mixed] [--max-batch-inflight=N]\n"
       "          [--cache-dir=DIR] [--cache-ttl-s=N] [--restart-demo]\n"
-      "          [--miss-storm] [--no-batch-decode]\n"
+      "          [--miss-storm]\n"
       "          [--profile=NAME] [--tenant=NAME] [--fleet-demo]\n"
       "          [--fleet[=N]] [--chaos-demo] "
       "[--failpoint=SITE=ACTION;...] [--budget-ms=N]\n"
@@ -239,11 +238,10 @@ int RunRestartDemo(const CompilerOptions& options,
 
 /// --miss-storm: the cold-refill path after a weight rollout.  Fill the
 /// cache through CompileBatch, invalidate every RL entry with ReplaceRl —
-/// the storm — then refill the identical stream and time it, once with
-/// grouped lock-stepped decodes and once with batch_decode off.  Thread
-/// count defaults to 1 so the comparison isolates per-worker decode
-/// throughput (GEMM across the group vs one GEMV decode at a time) rather
-/// than pool parallelism; pass --threads to compare loaded pools.
+/// the storm — then refill the identical stream and time it.  Thread count
+/// defaults to 1 so the timing shows per-worker decode throughput (GEMM
+/// across the group) rather than pool parallelism; pass --threads to load
+/// more workers.
 int RunMissStorm(const CompilerOptions& options,
                  serve::ServiceOptions service_options,
                  const std::vector<graph::Dag>& zoo, int requests, int stages,
@@ -266,54 +264,48 @@ int RunMissStorm(const CompilerOptions& options,
         .dag = zoo[pick], .num_stages = stages, .engine = "respect"});
   }
 
-  struct Refill {
-    double wall_seconds = 0.0;
-    serve::ServiceMetrics metrics;
-  };
-  const auto run = [&](bool batch_decode) {
-    serve::ServiceOptions variant = service_options;
-    variant.batch_decode = batch_decode;
-    serve::CompileService service(options, variant);
-    (void)service.CompileBatch(stream);  // cold fill
-    // The rollout: every RL-dependent entry (here: all of them) drops.
-    service.ReplaceRl(std::make_shared<rl::RlScheduler>(options.net));
-    const auto start = std::chrono::steady_clock::now();
-    (void)service.CompileBatch(stream);  // the measured refill
-    Refill refill;
-    refill.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - start)
-                              .count();
-    refill.metrics = service.Metrics();
-    return refill;
-  };
-
   std::printf("miss storm: %d requests over %zu models, %d stages, engine "
               "respect, %d worker(s)\n",
               requests, zoo.size(), stages, service_options.num_threads);
-  const Refill batched = run(/*batch_decode=*/true);
-  const Refill plain = run(/*batch_decode=*/false);
+  serve::CompileService service(options, service_options);
+  const std::vector<serve::CompileResponse> fill = service.CompileBatch(stream);
+  // The rollout: every RL-dependent entry (here: all of them) drops.  The
+  // new snapshot has the configured weights, so the refill must reproduce
+  // the fill exactly.
+  service.ReplaceRl(std::make_shared<rl::RlScheduler>(options.net));
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<serve::CompileResponse> refill =
+      service.CompileBatch(stream);
+  const double wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  const serve::ServiceMetrics metrics = service.Metrics();
 
-  // Each run solves every unique picked model twice (fill + refill); the
-  // refill half is what the wall clock above measures.
-  const double solves = static_cast<double>(unique_models);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const CompileResult& a = *fill[i].result;
+    const CompileResult& b = *refill[i].result;
+    if (a.schedule.stage != b.schedule.stage ||
+        a.peak_stage_param_bytes != b.peak_stage_param_bytes) {
+      ++mismatches;
+    }
+  }
+  // Fill and refill each solve every unique picked model once; the refill
+  // half is what the wall clock above measures.
   std::printf(
-      "  batched refill:   %7.3f s (%6.0f solves/s, %6.0f req/s)  "
-      "batch-solved %llu of %llu cold solves in %llu group(s)\n",
-      batched.wall_seconds, solves / batched.wall_seconds,
-      requests / batched.wall_seconds,
-      static_cast<unsigned long long>(batched.metrics.batch_solved),
-      static_cast<unsigned long long>(batched.metrics.misses),
-      static_cast<unsigned long long>(batched.metrics.batch_groups));
-  std::printf(
-      "  unbatched refill: %7.3f s (%6.0f solves/s, %6.0f req/s)\n",
-      plain.wall_seconds, solves / plain.wall_seconds,
-      requests / plain.wall_seconds);
-  std::printf("  grouped batch decode refilled at %.1fx the per-worker "
-              "unbatched throughput\n",
-              plain.wall_seconds / batched.wall_seconds);
-  if (batched.metrics.batch_solved == 0) {
-    std::fprintf(stderr,
-                 "error: the batched variant never took the batch path\n");
+      "  refill: %7.3f s (%6.0f solves/s, %6.0f req/s)  batch-solved %llu "
+      "of %llu cold solves in %llu group(s); %d result mismatch(es)\n",
+      wall_seconds, unique_models / wall_seconds, requests / wall_seconds,
+      static_cast<unsigned long long>(metrics.batch_solved),
+      static_cast<unsigned long long>(metrics.misses),
+      static_cast<unsigned long long>(metrics.batch_groups), mismatches);
+  if (metrics.batch_solved == 0) {
+    std::fprintf(stderr, "error: the refill never took the batch path\n");
+    return 1;
+  }
+  if (mismatches > 0) {
+    std::fprintf(stderr, "error: the refill changed %d result(s)\n",
+                 mismatches);
     return 1;
   }
   return 0;
@@ -1188,7 +1180,6 @@ int main(int argc, char** argv) {
   int cache_ttl_s = 0;         // 0 = no expiry
   bool restart_demo = false;
   bool miss_storm = false;
-  bool batch_decode = true;
   bool fleet_demo = false;
   bool chaos_demo = false;
   int fleet_n = 0;          // > 0: parent of a --fleet multi-process run
@@ -1291,8 +1282,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--miss-storm") == 0) {
       miss_storm = true;
-    } else if (std::strcmp(arg, "--no-batch-decode") == 0) {
-      batch_decode = false;
     } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       trace_out = arg + 12;
       if (trace_out.empty()) {
@@ -1368,7 +1357,6 @@ int main(int argc, char** argv) {
   service_options.max_batch_inflight = max_batch_inflight;
   service_options.cache_dir = cache_dir;
   service_options.cache_ttl_seconds = cache_ttl_s;
-  service_options.batch_decode = batch_decode;
   service_options.default_solve_budget_seconds = budget_ms * 1e-3;
 
   if (fleet_serve) {

@@ -8,7 +8,8 @@ by more than --max-regression (a fraction; 0.15 = 15%).
 Watched by default:
   * BM_DecodeGreedyWorkspace/100    — fused decode throughput (items/s),
   * BM_BatchedDecode/16             — batched multi-graph decode throughput,
-  * BM_MissStormRefill              — grouped cold-miss refill throughput,
+  * BM_MissStormRefill              — grouped refill through the single cold
+                                      path (requests/s),
   * BM_CompileServiceWarmCache      — warm-cache serving throughput,
   * BM_CompileServiceDiskWarmStart  — persistent-tier (disk) hit throughput,
   * BM_TenantFairness               — weighted-fair queue throughput under an

@@ -152,22 +152,18 @@ CompileResult PipelineCompiler::CompileWith(
 
 std::vector<CompileResult> PipelineCompiler::CompileGroup(
     std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, engines::SolveStats* stats) const {
-  return CompileGroup(dags, num_stages, engine_name, tpu::DefaultProfile(),
-                      stats);
-}
-
-std::vector<CompileResult> PipelineCompiler::CompileGroup(
-    std::span<const graph::Dag* const> dags, int num_stages,
     std::string_view engine_name, const tpu::DeviceProfile& profile,
-    engines::SolveStats* stats) const {
+    const core::CancelToken& cancel, engines::SolveStats* stats) const {
   const auto engine = engines::EngineRegistry::Global().Create(
       engine_name, MakeEngineContext());
   for (const graph::Dag* dag : dags) dag->Validate();
+  RESPECT_FAILPOINT_TAGGED("engine.solve", engine->Name());
   const sched::PipelineConstraints constraints =
       ConstraintsFor(num_stages, &profile);
+  engines::EngineBudget budget = MakeBudget();
+  budget.cancel = cancel;
   std::vector<engines::EngineResult> engine_results =
-      engine->ScheduleBatch(dags, constraints, MakeBudget(), stats);
+      engine->ScheduleBatch(dags, constraints, budget, stats);
   std::vector<CompileResult> results;
   results.reserve(dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {

@@ -151,17 +151,15 @@ class PipelineCompiler {
   /// lock-stepped batch decode when the engine supports it.  This is the
   /// entry point for callers that already run on a worker thread (the
   /// serving layer's grouped miss handling must not nest pool submissions);
-  /// results are element-wise identical to per-graph Compile() calls on
-  /// the scalar path.
-  [[nodiscard]] std::vector<CompileResult> CompileGroup(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, engines::SolveStats* stats = nullptr) const;
-
-  /// Profile-targeted group compile (every graph of the group shares the
-  /// profile; the serving layer groups by profile fingerprint).
+  /// every graph of the group shares `profile`, and the results are
+  /// element-wise identical to per-graph Compile() calls on the scalar
+  /// path.  The group is one engine solve: the engine.solve failpoint fires
+  /// once, and a fired `cancel` unwinds the whole group with
+  /// core::CancelledError (the RL decode polls it once per step).
   [[nodiscard]] std::vector<CompileResult> CompileGroup(
       std::span<const graph::Dag* const> dags, int num_stages,
       std::string_view engine, const tpu::DeviceProfile& profile,
+      const core::CancelToken& cancel = {},
       engines::SolveStats* stats = nullptr) const;
 
   /// Snapshot of the current RL scheduler for training / weight loading

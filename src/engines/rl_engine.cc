@@ -43,11 +43,6 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
   // grown to the largest (nodes, batch) this thread has lock-stepped.
   thread_local rl::BatchDecodeWorkspace batch_workspace;
 
-  // The lock-stepped kernels are not cancellation-aware (a fired token
-  // would strand the whole group), so the batch path checks once up front;
-  // straggler singletons still poll per decode step via Schedule().
-  budget.cancel.ThrowIfCancelled("rl batch decode");
-
   std::vector<EngineResult> results(dags.size());
 
   // Group by node count — lock-stepping needs equal decode lengths.
@@ -85,7 +80,7 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
       }
       std::vector<rl::RlScheduler::Result> raw = rl_->ScheduleRawBatch(
           std::span<const graph::Dag* const>(chunk), constraints,
-          batch_workspace);
+          batch_workspace, budget.cancel);
       for (std::size_t k = 0; k < size; ++k) {
         EngineResult& out = results[indices[begin + k]];
         out.schedule = std::move(raw[k].schedule);

@@ -175,7 +175,8 @@ const std::vector<graph::NodeId>& PtrNetAgent::DecodeGreedy(
 }
 
 const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
-    std::span<const graph::Dag* const> dags, BatchDecodeWorkspace& ws) const {
+    std::span<const graph::Dag* const> dags, BatchDecodeWorkspace& ws,
+    const core::CancelToken& cancel) const {
   const int batch = static_cast<int>(dags.size());
   if (batch <= 0) {
     throw std::invalid_argument("DecodeGreedyBatch: empty batch");
@@ -249,6 +250,7 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
   const nn::Tensor* zx = &ws.zx_d0;  // first input: shared d0 projection
   for (int g = 0; g < batch; ++g) ws.zx_cols[g] = 0;
   for (int t = 0; t < n; ++t) {
+    cancel.ThrowIfCancelled("rl batch decode step");
     decoder_.StepBatchInto(*zx, ws.zx_cols.data(), batch, ws.gates, ws.state);
     for (int g = 0; g < batch; ++g) {
       const int c0 = g * n;

@@ -96,9 +96,14 @@ class PtrNetAgent {
   /// Returns a reference to ws.sequences; entries [0, dags.size()) hold
   /// this call's results (later entries may be stale from a larger batch)
   /// and stay valid until the next decode on the same workspace.
+  ///
+  /// `cancel` (optional) is polled once per decode step, as in
+  /// DecodeGreedy; a fired token unwinds the whole batch with
+  /// core::CancelledError.
   [[nodiscard]] const std::vector<std::vector<graph::NodeId>>&
   DecodeGreedyBatch(std::span<const graph::Dag* const> dags,
-                    BatchDecodeWorkspace& ws) const;
+                    BatchDecodeWorkspace& ws,
+                    const core::CancelToken& cancel = {}) const;
 
   /// Tape-recorded stochastic decode for training.
   struct SampleResult {

@@ -30,10 +30,10 @@ RlScheduler::Result RlScheduler::ScheduleRaw(
 
 std::vector<RlScheduler::Result> RlScheduler::ScheduleRawBatch(
     std::span<const graph::Dag* const> dags,
-    const sched::PipelineConstraints& constraints,
-    BatchDecodeWorkspace& ws) const {
+    const sched::PipelineConstraints& constraints, BatchDecodeWorkspace& ws,
+    const core::CancelToken& cancel) const {
   const auto start = std::chrono::steady_clock::now();
-  const auto& sequences = agent_.DecodeGreedyBatch(dags, ws);
+  const auto& sequences = agent_.DecodeGreedyBatch(dags, ws, cancel);
   std::vector<Result> results(dags.size());
   for (std::size_t g = 0; g < dags.size(); ++g) {
     results[g].sequence = sequences[g];

@@ -71,10 +71,12 @@ class RlScheduler {
   /// path, bit-identical to per-graph ScheduleRaw calls.  Each result's
   /// solve_seconds is the batch total amortized over the batch (decode
   /// work is shared, so per-graph attribution is inherently amortized).
+  /// `cancel` is polled once per lock-stepped decode step, as in
+  /// ScheduleRaw; a fired token unwinds the whole batch.
   [[nodiscard]] std::vector<Result> ScheduleRawBatch(
       std::span<const graph::Dag* const> dags,
-      const sched::PipelineConstraints& constraints,
-      BatchDecodeWorkspace& ws) const;
+      const sched::PipelineConstraints& constraints, BatchDecodeWorkspace& ws,
+      const core::CancelToken& cancel = {}) const;
 
  private:
   PtrNetAgent agent_;

@@ -119,7 +119,6 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
     admission_ =
         std::make_unique<store::TinyLfuAdmission>(options.cache_capacity);
   }
-  batch_decode_ = options.batch_decode;
   default_solve_budget_seconds_ = options.default_solve_budget_seconds;
   deadline_admission_ = options.deadline_admission;
   breaker_options_.failure_threshold = options.breaker_failure_threshold;
@@ -283,17 +282,32 @@ bool CompileService::DropIfExpiredLocked(Shard& shard,
   return true;
 }
 
+CompileService::ResultPtr CompileService::LookupLocked(Shard& shard,
+                                                       const RequestKey& key) {
+  const auto it = shard.entries.find(key.hash);
+  if (it == shard.entries.end()) return nullptr;
+  // Expired: a miss (the disk copy, if any, carries the same TTL and will
+  // be dropped by the store's own check).
+  if (DropIfExpiredLocked(shard, it->second)) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  return it->second->result;
+}
+
 CompileService::ResultPtr CompileService::TryCached(const RequestKey& key) {
   OBS_SPAN("serve.cache_probe");
   if (admission_ != nullptr) admission_->RecordAccess(key.hash);
   Shard& shard = ShardFor(key.hash);
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(key.hash);
-  if (it == shard.entries.end()) return nullptr;
-  if (DropIfExpiredLocked(shard, it->second)) return nullptr;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return it->second->result;
+  return LookupLocked(shard, key);
+}
+
+CompileResponse CompileService::ResponseFor(const RequestKey& key) {
+  CompileResponse response;
+  response.engine_name = key.engine_name;
+  response.requested_engine = key.engine_name;
+  response.key_hex = key.hash.ToHex();
+  return response;
 }
 
 CircuitBreaker& CompileService::BreakerFor(std::string_view engine) {
@@ -307,294 +321,359 @@ CircuitBreaker& CompileService::BreakerFor(std::string_view engine) {
   return *it->second;
 }
 
-CompileService::ResultPtr CompileService::SolveCold(
-    const graph::Dag& dag, int num_stages, const RequestKey& key,
-    const CompileRequest& params, double& solve_seconds,
-    SolveOutcome& outcome) {
-  // Candidate chain: the preferred engine, then each configured fallback
-  // (minus the preferred engine itself — already first).
+std::vector<std::string_view> CompileService::Candidates(
+    const RequestKey& key) const {
   std::vector<std::string_view> candidates;
   candidates.reserve(1 + fallback_chain_.size());
   candidates.push_back(key.engine_name);
   for (const std::string_view name : fallback_chain_) {
     if (name != key.engine_name) candidates.push_back(name);
   }
+  return candidates;
+}
 
+double CompileService::BudgetFor(const CompileRequest& request) const {
+  return request.solve_budget_seconds > 0.0 ? request.solve_budget_seconds
+                                            : default_solve_budget_seconds_;
+}
+
+void CompileService::RecordSolve(double seconds) {
+  solve_latency_.Record(seconds);
+  // Load-compute-store EWMA: a lost race skews the admission estimate by
+  // one sample, which it tolerates by construction.
+  const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
+  ewma_solve_seconds_.store(
+      prev == 0.0 ? seconds : 0.8 * prev + 0.2 * seconds,
+      std::memory_order_relaxed);
+}
+
+void CompileService::SolveCold(std::span<ColdSolve> solves) {
+  OBS_SPAN("serve.solve");
+  std::vector<ColdSolve*> group;
+  if (solves.size() >= 2) {
+    // Only owners that would reach the preferred engine join the shared
+    // attempt: a lapsed deadline or an invalid graph fails alone instead of
+    // taking its siblings down with it.
+    for (ColdSolve& solve : solves) {
+      const CompileRequest& request = *solve.request;
+      if (request.deadline && SteadyClock::now() > *request.deadline) continue;
+      try {
+        request.dag.Validate();
+      } catch (...) {
+        continue;
+      }
+      group.push_back(&solve);
+    }
+  }
+  if (group.size() >= 2) SolveGroup(group);
+  for (ColdSolve& solve : solves) {
+    if (solve.result == nullptr && solve.failure == nullptr) {
+      WalkChain(solve, {});
+    }
+  }
+}
+
+template <typename Solve>
+bool CompileService::Attempt(std::string_view engine, bool last,
+                             double budget, std::size_t members,
+                             ChainStart& chain, const Solve& solve) {
+  CircuitBreaker* breaker = breaker_options_.failure_threshold > 0
+                                ? &BreakerFor(engine)
+                                : nullptr;
+  if (breaker != nullptr && !breaker->Allow() && !last) {
+    // Open breaker: skip the sick engine straight to its fallback.  The
+    // last candidate is always attempted — short-circuiting it would turn
+    // "sick engine" into "no answer at all".
+    obs::RecordInstant("serve.breaker_short_circuit", engine.data(),
+                       static_cast<std::uint32_t>(engine.size()));
+    return false;
+  }
+  // Engine names borrow from the registry (process lifetime), so the
+  // span's detail pointer stays valid for any later drain.
+  OBS_SPAN_DETAIL("serve.attempt", engine.data(), engine.size());
+  try {
+    solve(budget > 0.0 ? core::CancelToken::WithBudget(budget)
+                       : core::CancelToken());
+    if (breaker != nullptr) breaker->RecordSuccess();
+    return true;
+  } catch (const core::CancelledError&) {
+    budget_blown_.fetch_add(members, std::memory_order_relaxed);
+    if (breaker != nullptr) breaker->RecordFailure();
+    if (chain.failure == nullptr) {
+      chain.failure = std::current_exception();
+      chain.budget_blown = true;
+    }
+  } catch (...) {
+    if (breaker != nullptr) breaker->RecordFailure();
+    if (chain.failure == nullptr) chain.failure = std::current_exception();
+  }
+  return false;
+}
+
+void CompileService::SolveGroup(std::span<ColdSolve* const> group) {
+  // Every member shares engine, stages and profile (CompileBatch's group
+  // key), so the first member's key speaks for the attempt.
+  const RequestKey& key = *group.front()->key;
+  const std::string_view engine = key.engine_name;
+  // One attempt, one token: the tightest member budget bounds the group.
+  double budget = 0.0;
+  for (const ColdSolve* solve : group) {
+    const double own = BudgetFor(*solve->request);
+    if (own > 0.0 && (budget == 0.0 || own < budget)) budget = own;
+  }
+  ChainStart rest{1, nullptr, false};
+  const bool solved = Attempt(
+      engine, /*last=*/Candidates(key).size() == 1, budget, group.size(),
+      rest, [&](const core::CancelToken& cancel) {
+        std::vector<const graph::Dag*> dags;
+        dags.reserve(group.size());
+        for (const ColdSolve* solve : group) {
+          dags.push_back(&solve->request->dag);
+        }
+        engines::SolveStats stats;
+        const auto start = SteadyClock::now();
+        std::vector<CompileResult> results = compiler_.CompileGroup(
+            dags, group.front()->request->num_stages, engine, key.profile,
+            cancel, &stats);
+        // Decode work is shared, so each member's solve time is amortized.
+        const double amortized =
+            std::chrono::duration<double>(SteadyClock::now() - start)
+                .count() /
+            static_cast<double>(group.size());
+        batch_solved_.fetch_add(stats.batch_solved, std::memory_order_relaxed);
+        batch_single_.fetch_add(stats.single_solved,
+                                std::memory_order_relaxed);
+        batch_groups_.fetch_add(stats.batch_groups, std::memory_order_relaxed);
+        for (std::size_t k = 0; k < group.size(); ++k) {
+          ColdSolve& solve = *group[k];
+          solve.result =
+              std::make_shared<const CompileResult>(std::move(results[k]));
+          solve.solve_seconds = amortized;
+          solve.engine_used = engine;
+          solve.grouped = true;
+          RecordSolve(amortized);
+        }
+      });
+  if (solved) return;
+  for (ColdSolve* solve : group) WalkChain(*solve, rest);
+}
+
+void CompileService::WalkChain(ColdSolve& solve, ChainStart chain) {
+  const RequestKey& key = *solve.key;
+  const CompileRequest& request = *solve.request;
+  const std::vector<std::string_view> candidates = Candidates(key);
   // Per-attempt budget: every candidate gets a fresh one — a fallback must
   // not inherit the few microseconds the preferred engine left behind.
-  const double budget = params.solve_budget_seconds > 0.0
-                            ? params.solve_budget_seconds
-                            : default_solve_budget_seconds_;
-
-  OBS_SPAN("serve.solve");
-  std::exception_ptr first_failure;
-  bool first_was_budget = false;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+  const double budget = BudgetFor(request);
+  for (std::size_t i = chain.candidate; i < candidates.size(); ++i) {
     const std::string_view engine = candidates[i];
-    const bool last = i + 1 == candidates.size();
-    if (params.deadline && SteadyClock::now() > *params.deadline) {
+    if (request.deadline && SteadyClock::now() > *request.deadline) {
       // The request's own deadline passed between attempts: stop walking,
       // the caller's waiter is already (or about to be) past caring.
       deadline_expired_.fetch_add(1, std::memory_order_relaxed);
       failures_.fetch_add(1, std::memory_order_relaxed);
-      throw DeadlineExceeded(
+      solve.failure = std::make_exception_ptr(DeadlineExceeded(
           "compile request deadline expired while walking the fallback "
-          "chain");
+          "chain"));
+      return;
     }
-    CircuitBreaker* breaker = breaker_options_.failure_threshold > 0
-                                  ? &BreakerFor(engine)
-                                  : nullptr;
-    if (breaker != nullptr && !breaker->Allow() && !last) {
-      // Open breaker: skip the sick engine straight to its fallback.  The
-      // last candidate is always attempted — short-circuiting it would turn
-      // "sick engine" into "no answer at all".
-      obs::RecordInstant("serve.breaker_short_circuit", engine.data(),
-                         static_cast<std::uint32_t>(engine.size()));
-      continue;
-    }
-    // Engine names borrow from the registry (process lifetime), so the
-    // span's detail pointer stays valid for any later drain.
-    OBS_SPAN_DETAIL("serve.attempt", engine.data(), engine.size());
-    try {
-      const core::CancelToken cancel =
-          budget > 0.0 ? core::CancelToken::WithBudget(budget)
-                       : core::CancelToken();
-      const auto start = SteadyClock::now();
-      auto result = std::make_shared<const CompileResult>(
-          compiler_.Compile(dag, num_stages, engine, key.profile, cancel));
-      solve_seconds =
-          std::chrono::duration<double>(SteadyClock::now() - start).count();
-      solve_latency_.Record(solve_seconds);
-      // Load-compute-store EWMA: a lost race skews the admission estimate
-      // by one sample, which it tolerates by construction.
-      const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
-      ewma_solve_seconds_.store(
-          prev == 0.0 ? solve_seconds : 0.8 * prev + 0.2 * solve_seconds,
-          std::memory_order_relaxed);
-      if (breaker != nullptr) breaker->RecordSuccess();
-      outcome.engine_used = engine;
-      outcome.degraded = engine != key.engine_name;
-      if (outcome.degraded) {
+    const bool solved = Attempt(
+        engine, /*last=*/i + 1 == candidates.size(), budget, 1, chain,
+        [&](const core::CancelToken& cancel) {
+          const auto begin = SteadyClock::now();
+          solve.result = std::make_shared<const CompileResult>(
+              compiler_.Compile(request.dag, request.num_stages, engine,
+                                key.profile, cancel));
+          solve.solve_seconds =
+              std::chrono::duration<double>(SteadyClock::now() - begin)
+                  .count();
+          RecordSolve(solve.solve_seconds);
+        });
+    if (solved) {
+      solve.engine_used = engine;
+      solve.degraded = engine != key.engine_name;
+      if (solve.degraded) {
         degraded_served_.fetch_add(1, std::memory_order_relaxed);
       }
-      return result;
-    } catch (const core::CancelledError&) {
-      budget_blown_.fetch_add(1, std::memory_order_relaxed);
-      if (breaker != nullptr) breaker->RecordFailure();
-      if (first_failure == nullptr) {
-        first_failure = std::current_exception();
-        first_was_budget = true;
-      }
-    } catch (...) {
-      if (breaker != nullptr) breaker->RecordFailure();
-      if (first_failure == nullptr) first_failure = std::current_exception();
+      return;
     }
   }
 
   fallback_exhausted_.fetch_add(1, std::memory_order_relaxed);
   failures_.fetch_add(1, std::memory_order_relaxed);
-  if (first_was_budget) {
+  solve.failure = chain.failure;
+  if (chain.budget_blown) {
     // The chain died on budgets: surface the typed error the serving
     // contract promises, not the internal cancellation type.
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded(
+    solve.failure = std::make_exception_ptr(DeadlineExceeded(
         "solve budget exhausted across the engine chain (preferred \"" +
         std::string(key.engine_name) + "\" plus " +
-        std::to_string(candidates.size() - 1) + " fallback(s))");
+        std::to_string(candidates.size() - 1) + " fallback(s))"));
   }
-  std::rethrow_exception(first_failure);
 }
 
-void CompileService::ExecuteCached(const graph::Dag& dag,
-                                   const CompileRequest& params,
+void CompileService::ResolveFlight(const RequestKey& key, Flight& flight,
+                                   ResultPtr result,
+                                   std::exception_ptr failure) {
+  {
+    Shard& shard = ShardFor(key.hash);
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.flights.erase(key.hash);
+  }
+  if (result != nullptr) {
+    flight.promise.set_value(std::move(result));
+  } else {
+    flight.promise.set_exception(std::move(failure));
+  }
+}
+
+void CompileService::Publish(const ColdSolve& solve,
+                             const std::shared_ptr<Flight>& flight,
+                             CompileResponse& response) {
+  const RequestKey& key = *solve.key;
+  if (solve.failure != nullptr) {
+    if (flight != nullptr) ResolveFlight(key, *flight, nullptr, solve.failure);
+    std::rethrow_exception(solve.failure);
+  }
+  // A fallback's result is cached (and spilled) under the fallback engine's
+  // OWN key — the preferred engine's key must never serve a degraded result
+  // once the engine recovers.  The flight under the preferred key still
+  // resolves so collapsed waiters share this answer, tagged degraded via
+  // the flight's provenance fields.
+  std::optional<RequestKey> fallback_key;
+  if (solve.degraded) {
+    fallback_key = MakeKey(solve.request->dag, solve.request->num_stages,
+                           EngineRef(std::string(solve.engine_used)),
+                           key.profile.name);
+  }
+  const RequestKey& cache_key = fallback_key ? *fallback_key : key;
+  {
+    Shard& shard = ShardFor(cache_key.hash);
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    InsertLocked(shard, cache_key, solve.result);
+  }
+  if (flight != nullptr) {
+    flight->degraded = solve.degraded;  // written before set_value
+    flight->served_by = solve.engine_used;
+    ResolveFlight(key, *flight, solve.result);
+  }
+  EnqueueWriteback(cache_key, solve.result);
+  response.result = solve.result;
+  response.solve_seconds = solve.solve_seconds;
+  if (solve.degraded) {
+    response.degraded = true;
+    response.engine_name = solve.engine_used;
+  }
+}
+
+CompileService::Claim CompileService::ClaimFlight(
+    const RequestKey& key, std::shared_ptr<Flight>& flight,
+    CompileResponse& response) {
+  Shard& shard = ShardFor(key.hash);
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  if (ResultPtr hit = LookupLocked(shard, key)) {
+    response.result = std::move(hit);
+    response.outcome = CacheOutcome::kHit;
+    return Claim::kHit;
+  }
+  if (const auto it = shard.flights.find(key.hash);
+      it != shard.flights.end()) {
+    flight = it->second;
+    single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
+    return Claim::kJoined;
+  }
+  flight = std::make_shared<Flight>();
+  flight->future = flight->promise.get_future().share();
+  shard.flights.emplace(key.hash, flight);
+  return Claim::kOwner;
+}
+
+void CompileService::JoinFlight(const Flight& flight,
+                                CompileResponse& response) {
+  response.result = flight.future.get();  // rethrows the owner's failure
+  response.outcome = CacheOutcome::kCollapsed;
+  if (flight.degraded) {  // written before set_value; get() ordered it
+    response.degraded = true;
+    response.engine_name = flight.served_by;
+  }
+}
+
+bool CompileService::WarmOwner(const RequestKey& key,
+                               const std::shared_ptr<Flight>& flight,
+                               CompileResponse& response) {
+  if (ResultPtr from_disk = ProbeDisk(key, flight.get())) {
+    response.result = std::move(from_disk);
+    response.outcome = CacheOutcome::kDiskHit;
+    return true;
+  }
+  // Both local tiers missed: in fleet mode, ask peers for their spill
+  // envelope before paying an engine solve; any failure falls through to
+  // the solve.
+  if (ResultPtr from_peer = TryPeerWarm(key, flight.get())) {
+    response.result = std::move(from_peer);
+    response.outcome = CacheOutcome::kPeerHit;
+    return true;
+  }
+  return false;
+}
+
+void CompileService::ExecuteCached(const CompileRequest& request,
                                    const RequestKey& key, bool record_access,
                                    CompileResponse& response) {
-  const int num_stages = params.num_stages;
   if (record_access && admission_ != nullptr) {
     admission_->RecordAccess(key.hash);
   }
-  Shard& shard = ShardFor(key.hash);
-
   std::shared_ptr<Flight> flight;
-  bool owner = false;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (const auto it = shard.entries.find(key.hash);
-        it != shard.entries.end()) {
-      if (!DropIfExpiredLocked(shard, it->second)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        response.result = it->second->result;
-        response.outcome = CacheOutcome::kHit;
-        return;
-      }
-      // Expired: fall through as a miss (the disk copy, if any, carries
-      // the same TTL and will be dropped by the store's own check).
-    }
-    if (const auto it = shard.flights.find(key.hash);
-        it != shard.flights.end()) {
-      flight = it->second;
-      single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      flight = std::make_shared<Flight>();
-      flight->future = flight->promise.get_future().share();
-      shard.flights.emplace(key.hash, flight);
-      owner = true;
-    }
-  }
-
-  if (!owner) {
-    response.result = flight->future.get();  // rethrows the owner's failure
-    response.outcome = CacheOutcome::kCollapsed;
-    if (flight->degraded) {  // written before set_value; get() ordered it
-      response.degraded = true;
-      response.engine_name = flight->served_by;
-    }
-    return;
-  }
-
-  // The flight owner probes the persistent tier before paying a solve —
-  // the one synchronous disk read on the request path.  Collapsed waiters
-  // share the disk hit exactly as they would a solve.
-  if (store_ != nullptr) {
-    OBS_SPAN("serve.disk_probe");
-    std::int64_t disk_expiry_ms = 0;
-    if (ResultPtr from_disk = store_->Probe(key.hash, &disk_expiry_ms)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, from_disk,
-                     PromoteExpiry(disk_expiry_ms));  // subject to admission
-        shard.flights.erase(key.hash);
-      }
-      flight->promise.set_value(from_disk);
-      response.result = std::move(from_disk);
-      response.outcome = CacheOutcome::kDiskHit;
+  switch (ClaimFlight(key, flight, response)) {
+    case Claim::kHit:
       return;
-    }
+    case Claim::kJoined:
+      JoinFlight(*flight, response);
+      return;
+    case Claim::kOwner:
+      break;
   }
-
-  // Both local tiers missed: in fleet mode, ask peers for their spill
-  // envelope before paying an engine solve.  A verified fetch settles the
-  // flight exactly like a disk hit; any failure falls through to the solve.
-  if (TryPeerWarm(key, shard, flight, response)) return;
-
+  if (WarmOwner(key, flight, response)) return;
   misses_.fetch_add(1, std::memory_order_relaxed);
-  try {
-    double solve_seconds = 0.0;
-    SolveOutcome outcome;
-    ResultPtr result =
-        SolveCold(dag, num_stages, key, params, solve_seconds, outcome);
-    if (!outcome.degraded) {
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, result);
-        shard.flights.erase(key.hash);
-      }
-      flight->promise.set_value(result);
-      EnqueueWriteback(key, result);
-    } else {
-      // A fallback answered.  Cache (and spill) the result under the
-      // fallback engine's OWN key — the preferred engine's key must never
-      // serve a degraded result once the engine recovers.  The flight under
-      // the preferred key still resolves so collapsed waiters share this
-      // answer, tagged degraded via the flight's provenance fields.
-      const RequestKey used_key = MakeKey(
-          dag, num_stages, EngineRef(std::string(outcome.engine_used)),
-          key.profile.name);
-      Shard& used_shard = ShardFor(used_key.hash);
-      {
-        const std::lock_guard<std::mutex> lock(used_shard.mutex);
-        InsertLocked(used_shard, used_key, result);
-      }
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        shard.flights.erase(key.hash);
-      }
-      flight->degraded = true;
-      flight->served_by = outcome.engine_used;
-      flight->promise.set_value(result);
-      EnqueueWriteback(used_key, result);
-      response.degraded = true;
-      response.engine_name = outcome.engine_used;
-    }
-    response.result = std::move(result);
-    response.outcome = CacheOutcome::kMiss;
-    response.solve_seconds = solve_seconds;
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.flights.erase(key.hash);
-    }
-    flight->promise.set_exception(std::current_exception());
-    throw;
-  }
+  ColdSolve solve(request, key);
+  SolveCold({&solve, 1});
+  Publish(solve, flight, response);
+  response.outcome = CacheOutcome::kMiss;
 }
 
 CompileResponse CompileService::Execute(
-    const graph::Dag& dag, const CompileRequest& params,
+    const CompileRequest& request,
     const std::optional<RequestKey>& precomputed) {
-  const RequestKey key = precomputed ? *precomputed
-                                     : MakeKey(dag, params.num_stages,
-                                               params.engine, params.profile);
-  CompileResponse response;
-  response.engine_name = key.engine_name;
-  response.requested_engine = key.engine_name;
-  response.key_hex = key.hash.ToHex();
-  switch (params.cache_policy) {
-    case CachePolicy::kUse:
-      // A precomputed key means the batch path probed (and recorded) this
-      // request in TryCached already — don't double-count it in the
-      // admission sketch.
-      ExecuteCached(dag, params, key,
-                    /*record_access=*/!precomputed.has_value(), response);
-      break;
-    case CachePolicy::kBypass: {
-      // Forced fresh solve, cache untouched; not counted as a miss (misses
-      // are cache-lookup outcomes, and this never looked).
-      bypasses_.fetch_add(1, std::memory_order_relaxed);
-      SolveOutcome outcome;
-      response.result = SolveCold(dag, params.num_stages, key, params,
-                                  response.solve_seconds, outcome);
-      response.outcome = CacheOutcome::kBypass;
-      if (outcome.degraded) {
-        response.degraded = true;
-        response.engine_name = outcome.engine_used;
-      }
-      break;
-    }
-    case CachePolicy::kRefresh: {
-      refreshes_.fetch_add(1, std::memory_order_relaxed);
-      SolveOutcome outcome;
-      ResultPtr result = SolveCold(dag, params.num_stages, key, params,
-                                   response.solve_seconds, outcome);
-      if (!outcome.degraded) {
-        {
-          Shard& shard = ShardFor(key.hash);
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, key, result);
-        }
-        EnqueueWriteback(key, result);  // a refresh renews the disk copy too
-      } else {
-        // A degraded refresh must not overwrite the preferred engine's
-        // entry with a fallback result — it lands under the fallback
-        // engine's key, exactly like the kUse path.
-        const RequestKey used_key = MakeKey(
-            dag, params.num_stages, EngineRef(std::string(outcome.engine_used)),
-            key.profile.name);
-        {
-          Shard& used_shard = ShardFor(used_key.hash);
-          const std::lock_guard<std::mutex> lock(used_shard.mutex);
-          InsertLocked(used_shard, used_key, result);
-        }
-        EnqueueWriteback(used_key, result);
-        response.degraded = true;
-        response.engine_name = outcome.engine_used;
-      }
-      response.result = std::move(result);
-      response.outcome = CacheOutcome::kRefresh;
-      break;
-    }
+  const RequestKey key =
+      precomputed ? *precomputed
+                  : MakeKey(request.dag, request.num_stages, request.engine,
+                            request.profile);
+  CompileResponse response = ResponseFor(key);
+  if (request.cache_policy == CachePolicy::kUse) {
+    ExecuteCached(request, key, /*record_access=*/!precomputed.has_value(),
+                  response);
+    return response;
+  }
+  // kBypass: a forced fresh solve, cache untouched; not counted as a miss
+  // (misses are cache-lookup outcomes, and this never looked).  kRefresh:
+  // a fresh solve that overwrites the entry and renews its disk copy.
+  const bool refresh = request.cache_policy == CachePolicy::kRefresh;
+  (refresh ? refreshes_ : bypasses_).fetch_add(1, std::memory_order_relaxed);
+  ColdSolve solve(request, key);
+  SolveCold({&solve, 1});
+  if (refresh) {
+    Publish(solve, nullptr, response);
+    response.outcome = CacheOutcome::kRefresh;
+    return response;
+  }
+  if (solve.failure != nullptr) std::rethrow_exception(solve.failure);
+  response.result = solve.result;
+  response.solve_seconds = solve.solve_seconds;
+  response.outcome = CacheOutcome::kBypass;
+  if (solve.degraded) {
+    response.degraded = true;
+    response.engine_name = solve.engine_used;
   }
   return response;
 }
@@ -661,6 +740,29 @@ CompileService::PromoteExpiry(std::int64_t expires_at_unix_ms) {
          std::chrono::duration_cast<SteadyClock::duration>(remaining);
 }
 
+void CompileService::Promote(const RequestKey& key, const ResultPtr& result,
+                             std::int64_t expires_at_unix_ms, Flight* flight) {
+  {
+    Shard& shard = ShardFor(key.hash);
+    const std::lock_guard<std::mutex> lock(shard.mutex);
+    InsertLocked(shard, key, result,
+                 PromoteExpiry(expires_at_unix_ms));  // subject to admission
+  }
+  if (flight != nullptr) ResolveFlight(key, *flight, result);
+}
+
+CompileService::ResultPtr CompileService::ProbeDisk(const RequestKey& key,
+                                                    Flight* flight) {
+  if (store_ == nullptr) return nullptr;
+  OBS_SPAN("serve.disk_probe");
+  std::int64_t expiry_ms = 0;
+  ResultPtr from_disk = store_->Probe(key.hash, &expiry_ms);
+  if (from_disk == nullptr) return nullptr;
+  disk_hits_.fetch_add(1, std::memory_order_relaxed);
+  Promote(key, from_disk, expiry_ms, flight);
+  return from_disk;
+}
+
 std::shared_ptr<const CompileService::PeerFetchFn>
 CompileService::PeerFetchSnapshot() const {
   const std::lock_guard<std::mutex> lock(peer_fetch_mutex_);
@@ -686,11 +788,10 @@ bool CompileService::ImportSpill(const graph::CanonicalHash& key,
   return store_ != nullptr && store_->ImportRaw(key, bytes);
 }
 
-bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
-                                 const std::shared_ptr<Flight>& flight,
-                                 CompileResponse& response) {
+CompileService::ResultPtr CompileService::TryPeerWarm(const RequestKey& key,
+                                                      Flight* flight) {
   const std::shared_ptr<const PeerFetchFn> fetch = PeerFetchSnapshot();
-  if (fetch == nullptr) return false;
+  if (fetch == nullptr) return nullptr;
   OBS_SPAN("serve.peer_fetch");
   peer_fetches_.fetch_add(1, std::memory_order_relaxed);
   std::string bytes;
@@ -700,9 +801,9 @@ bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
     // A dead or slow peer degrades to a local solve — never a request
     // failure.
     peer_fetch_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return nullptr;
   }
-  if (bytes.empty()) return false;  // clean peer miss
+  if (bytes.empty()) return nullptr;  // clean peer miss
   const std::optional<store::SpillEnvelope> envelope =
       store::TryDecodeSpillEnvelope(bytes);
   const bool usable =
@@ -715,23 +816,14 @@ bool CompileService::TryPeerWarm(const RequestKey& key, Shard& shard,
     // Corrupt, mismatched, or expired peer bytes: counted, discarded, and
     // the request pays its own solve — a lying peer cannot poison a cache.
     peer_fetch_failures_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return nullptr;
   }
   if (store_ != nullptr) {
     store_->ImportRaw(key.hash, bytes);  // durable warmth; refusal is fine
   }
   peer_hits_.fetch_add(1, std::memory_order_relaxed);
-  ResultPtr result = envelope->result;
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    InsertLocked(shard, key, result,
-                 PromoteExpiry(envelope->expires_at_unix_ms));
-    shard.flights.erase(key.hash);
-  }
-  flight->promise.set_value(result);
-  response.result = std::move(result);
-  response.outcome = CacheOutcome::kPeerHit;
-  return true;
+  Promote(key, envelope->result, envelope->expires_at_unix_ms, flight);
+  return envelope->result;
 }
 
 graph::CanonicalHash CompileService::KeyFor(
@@ -746,10 +838,7 @@ std::optional<CompileResponse> CompileService::TryServeLocal(
   if (request.cache_policy != CachePolicy::kUse) return std::nullopt;
   const RequestKey key = MakeKey(request.dag, request.num_stages,
                                  request.engine, request.profile);
-  CompileResponse response;
-  response.engine_name = key.engine_name;
-  response.requested_engine = key.engine_name;
-  response.key_hex = key.hash.ToHex();
+  CompileResponse response = ResponseFor(key);
   // Note: a miss here followed by a full Compile records the admission
   // access twice — a one-sample skew the frequency sketch tolerates.
   if (ResultPtr cached = TryCached(key)) {
@@ -757,31 +846,12 @@ std::optional<CompileResponse> CompileService::TryServeLocal(
     response.outcome = CacheOutcome::kHit;
     return response;
   }
-  if (store_ != nullptr) {
-    std::int64_t disk_expiry_ms = 0;
-    if (ResultPtr from_disk = store_->Probe(key.hash, &disk_expiry_ms)) {
-      disk_hits_.fetch_add(1, std::memory_order_relaxed);
-      Shard& shard = ShardFor(key.hash);
-      {
-        const std::lock_guard<std::mutex> lock(shard.mutex);
-        InsertLocked(shard, key, from_disk, PromoteExpiry(disk_expiry_ms));
-      }
-      response.result = std::move(from_disk);
-      response.outcome = CacheOutcome::kDiskHit;
-      return response;
-    }
+  if (ResultPtr from_disk = ProbeDisk(key, nullptr)) {
+    response.result = std::move(from_disk);
+    response.outcome = CacheOutcome::kDiskHit;
+    return response;
   }
   return std::nullopt;
-}
-
-CompileResponse CompileService::CompileOn(const graph::Dag& dag,
-                                          const CompileRequest& params) {
-  if (params.deadline && SteadyClock::now() > *params.deadline) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    throw DeadlineExceeded(
-        "compile request deadline expired before the solve started");
-  }
-  return Execute(dag, params, std::nullopt);
 }
 
 CompileResponse CompileService::Compile(const CompileRequest& request) {
@@ -793,11 +863,34 @@ CompileResponse CompileService::Compile(const CompileRequest& request) {
   }
   const obs::ScopedTraceId trace_scope(trace_id);
   OBS_SPAN("serve.compile");
-  return CompileOn(request.dag, request);
+  if (request.deadline && SteadyClock::now() > *request.deadline) {
+    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+    throw DeadlineExceeded(
+        "compile request deadline expired before the solve started");
+  }
+  return Execute(request, std::nullopt);
 }
 
 CompileService::Ticket CompileService::Submit(CompileRequest request) {
   return SubmitInternal(std::move(request), std::nullopt);
+}
+
+void CompileService::StartQueued(const CompileRequest& request,
+                                 double wait_seconds) {
+  const std::size_t lane = LaneIndex(request.priority);
+  lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
+  BumpTenant(request.tenant, &TenantMetrics::started);
+  lane_wait_[lane].Record(wait_seconds);
+}
+
+void CompileService::ExpireQueued(const CompileRequest& request,
+                                  std::promise<CompileResponse>& promise,
+                                  const std::string& what) {
+  lane_counters_[LaneIndex(request.priority)].expired.fetch_add(
+      1, std::memory_order_relaxed);
+  BumpTenant(request.tenant, &TenantMetrics::expired);
+  deadline_expired_.fetch_add(1, std::memory_order_relaxed);
+  promise.set_exception(std::make_exception_ptr(DeadlineExceeded(what)));
 }
 
 CompileService::Ticket CompileService::SubmitInternal(
@@ -866,18 +959,16 @@ CompileService::Ticket CompileService::SubmitInternal(
     attrs.has_deadline = true;
     attrs.deadline = *pending->request.deadline;
   }
-  attrs.on_expired = [this, pending, lane] {
-    lane_counters_[lane].expired.fetch_add(1, std::memory_order_relaxed);
-    BumpTenant(pending->request.tenant, &TenantMetrics::expired);
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    pending->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-        "compile request deadline expired while queued (lane " +
-        std::string(PriorityName(pending->request.priority)) + ")")));
+  attrs.on_expired = [this, pending] {
+    ExpireQueued(pending->request, pending->promise,
+                 "compile request deadline expired while queued (lane " +
+                     std::string(PriorityName(pending->request.priority)) +
+                     ")");
   };
 
   try {
     pool_->Submit(
-        [this, pending, lane] {
+        [this, pending] {
           const obs::ScopedTraceId trace_scope(pending->request.trace_id);
           OBS_SPAN("serve.request");
           const double wait = std::chrono::duration<double>(
@@ -888,21 +979,15 @@ CompileService::Ticket CompileService::SubmitInternal(
           // between the pop decision and this first instruction.
           if (pending->request.deadline &&
               SteadyClock::now() > *pending->request.deadline) {
-            lane_counters_[lane].expired.fetch_add(1,
-                                                   std::memory_order_relaxed);
-            BumpTenant(pending->request.tenant, &TenantMetrics::expired);
-            deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-            pending->promise.set_exception(std::make_exception_ptr(
-                DeadlineExceeded("compile request deadline expired after " +
-                                 std::to_string(wait) + "s in queue")));
+            ExpireQueued(pending->request, pending->promise,
+                         "compile request deadline expired after " +
+                             std::to_string(wait) + "s in queue");
             return;
           }
-          lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
-          BumpTenant(pending->request.tenant, &TenantMetrics::started);
-          lane_wait_[lane].Record(wait);
+          StartQueued(pending->request, wait);
           try {
             CompileResponse response =
-                Execute(pending->request.dag, pending->request, pending->key);
+                Execute(pending->request, pending->key);
             response.queue_wait_seconds = wait;
             pending->promise.set_value(std::move(response));
           } catch (...) {
@@ -931,22 +1016,19 @@ std::vector<CompileResponse> CompileService::CompileBatch(
   // Warm kUse entries answer in place — no Dag copy, no pool round-trip (an
   // all-warm batch costs one key hash + shard lookup per request, like the
   // sync path).  Cold kUse misses on a batch-capable engine group by
-  // (engine, num_stages, node count): each group of >= 2 becomes ONE pool
-  // task that lock-steps the whole group through a batched decode
-  // (RunBatchGroup), so a post-ReplaceRl miss storm refills at GEMM speed.
-  // Everything else fans out as ordinary async requests on its own lane, so
-  // cold graphs get the full single-flight treatment; results gather in
-  // input order.  Waiters never deadlock the pool: a flight owner finishes
-  // without needing any other queued task (flights only ever belong to
-  // running code, so a queued duplicate that runs later simply hits the
-  // cache or the resolved flight).
+  // (engine, num_stages, node count, profile): each group of >= 2 becomes
+  // ONE pool task (RunBatchGroup) whose cold owners share a lock-stepped
+  // attempt, so a post-ReplaceRl miss storm refills at batch-decode speed.
+  // Everything else fans out as ordinary async requests on its own lane;
+  // results gather in input order.  Waiters never deadlock the pool: a
+  // flight owner finishes without needing any other queued task (flights
+  // only ever belong to running code, so a queued duplicate that runs
+  // later simply hits the cache or the resolved flight).
   std::vector<CompileResponse> responses(requests.size());
   std::vector<std::pair<std::size_t, Ticket>> pending;
 
-  // Cold batch candidates, grouped by (canonical engine, stages, nodes,
-  // profile fingerprint) — only same-shape graphs targeting the same
-  // hardware can lock-step.  std::map keeps group order (and thus solve
-  // order) deterministic for a given input.
+  // std::map keeps group order (and thus solve order) deterministic for a
+  // given input.
   std::map<std::tuple<std::string_view, int, int, std::uint64_t,
                       std::uint64_t>,
            std::vector<GroupMember>>
@@ -955,36 +1037,32 @@ std::vector<CompileResponse> CompileService::CompileBatch(
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const CompileRequest& request = requests[i];
-    if (request.cache_policy == CachePolicy::kUse) {
-      RequestKey key = MakeKey(request.dag, request.num_stages, request.engine,
-                               request.profile);
-      if (ResultPtr cached = TryCached(key)) {
-        responses[i].result = std::move(cached);
-        responses[i].outcome = CacheOutcome::kHit;
-        responses[i].engine_name = key.engine_name;
-        responses[i].key_hex = key.hash.ToHex();
-        continue;
-      }
-      if (batch_decode_) {
-        // One SupportsBatch probe per distinct engine in the batch.
-        auto [probe, inserted] = supports_batch.try_emplace(key.engine_name);
-        if (inserted) probe->second = EngineSupportsBatch(key.engine_name);
-        if (probe->second) {
-          GroupMember member;
-          member.index = i;
-          member.enqueue_time = SteadyClock::now();
-          const auto group_key = std::make_tuple(
-              key.engine_name, request.num_stages, request.dag.NodeCount(),
-              key.profile_fingerprint.hi, key.profile_fingerprint.lo);
-          member.key = std::move(key);
-          groups[group_key].push_back(std::move(member));
-          continue;
-        }
-      }
+    if (request.cache_policy != CachePolicy::kUse) {
+      pending.emplace_back(i, SubmitInternal(request, std::nullopt));
+      continue;
+    }
+    RequestKey key = MakeKey(request.dag, request.num_stages, request.engine,
+                             request.profile);
+    if (ResultPtr cached = TryCached(key)) {
+      responses[i] = ResponseFor(key);
+      responses[i].result = std::move(cached);
+      responses[i].outcome = CacheOutcome::kHit;
+      continue;
+    }
+    // One SupportsBatch probe per distinct engine in the batch.
+    auto [probe, inserted] = supports_batch.try_emplace(key.engine_name);
+    if (inserted) probe->second = EngineSupportsBatch(key.engine_name);
+    if (!probe->second) {
       pending.emplace_back(i, SubmitInternal(request, std::move(key)));
       continue;
     }
-    pending.emplace_back(i, SubmitInternal(request, std::nullopt));
+    const auto group_key = std::make_tuple(
+        key.engine_name, request.num_stages, request.dag.NodeCount(),
+        key.profile_fingerprint.hi, key.profile_fingerprint.lo);
+    GroupMember& member = groups[group_key].emplace_back();
+    member.index = i;
+    member.key = std::move(key);
+    member.enqueue_time = SteadyClock::now();
   }
 
   for (auto& [group_key, members] : groups) {
@@ -996,8 +1074,6 @@ std::vector<CompileResponse> CompileService::CompileBatch(
       }
       continue;
     }
-    const int num_stages = std::get<1>(group_key);
-    const std::string_view engine_name = std::get<0>(group_key);
     // The group task runs on the most urgent member's lane so a grouped
     // interactive miss is not demoted behind batch-lane floods; per-member
     // lane counters still record each request under its own lane.
@@ -1013,17 +1089,26 @@ std::vector<CompileResponse> CompileService::CompileBatch(
     // below before returning, so the span outlives the task.  The group
     // task queues under the first member's tenant flow — one grouped solve
     // is one unit of service however many members share it.
-    std::string task_flow = requests[members.front().index].tenant;
-    auto shared_members =
-        std::make_shared<std::vector<GroupMember>>(std::move(members));
     core::ThreadPool::TaskAttrs attrs;
     attrs.lane = static_cast<int>(task_lane);
-    attrs.flow = std::move(task_flow);
-    pool_->Submit(
-        [this, requests, num_stages, engine_name, shared_members] {
-          RunBatchGroup(requests, num_stages, engine_name, *shared_members);
-        },
-        std::move(attrs));
+    attrs.flow = requests[members.front().index].tenant;
+    attrs.sheddable = true;  // a full lane refuses the whole group
+    auto shared_members =
+        std::make_shared<std::vector<GroupMember>>(std::move(members));
+    try {
+      pool_->Submit(
+          [this, requests, shared_members] {
+            RunBatchGroup(requests, *shared_members);
+          },
+          std::move(attrs));
+    } catch (const Overloaded&) {
+      // Shed as a unit, counted per member on its own lane.
+      for (GroupMember& m : *shared_members) {
+        lane_counters_[LaneIndex(requests[m.index].priority)].shed.fetch_add(
+            1, std::memory_order_relaxed);
+        m.promise.set_exception(std::current_exception());
+      }
+    }
   }
 
   std::exception_ptr first_failure;
@@ -1039,274 +1124,80 @@ std::vector<CompileResponse> CompileService::CompileBatch(
 }
 
 void CompileService::RunBatchGroup(std::span<const CompileRequest> requests,
-                                   int num_stages,
-                                   std::string_view engine_name,
                                    std::vector<GroupMember>& members) {
-  struct Active {
+  OBS_SPAN("serve.batch_group");
+  struct Slot {
     GroupMember* member = nullptr;
     std::shared_ptr<Flight> flight;
-    double wait_seconds = 0.0;
+    CompileResponse response;
   };
-  std::vector<Active> owners;
-  std::vector<Active> waiters;
+  std::vector<Slot> owners;
+  std::vector<Slot> joined;
   owners.reserve(members.size());
 
-  OBS_SPAN("serve.batch_group");
-  const auto respond = [](GroupMember& m, CacheOutcome outcome,
-                          ResultPtr result, double wait, double solve) {
-    CompileResponse response;
-    response.result = std::move(result);
-    response.outcome = outcome;
-    response.queue_wait_seconds = wait;
-    response.solve_seconds = solve;
-    response.engine_name = m.key.engine_name;
-    response.key_hex = m.key.hash.ToHex();
-    m.promise.set_value(std::move(response));
-  };
-
-  // Phase 1 — per member: settle deadline expiries and late cache hits
-  // (another worker may have filled the entry since the probe), then
-  // acquire or join the single-flight slot.  Flights only ever belong to
-  // running code, so the waiter joins below can never block on a task
-  // still sitting in the queue.
+  // Per member: the queued-request accounting of SubmitInternal, then the
+  // single path's claim and warm-up.  Claims never block, so a duplicate
+  // inside this group joins a flight this very task resolves below.
   for (GroupMember& m : members) {
     const CompileRequest& request = requests[m.index];
-    const std::size_t lane = LaneIndex(request.priority);
     const double wait = std::chrono::duration<double>(SteadyClock::now() -
                                                       m.enqueue_time)
                             .count();
     if (request.deadline && SteadyClock::now() > *request.deadline) {
-      lane_counters_[lane].expired.fetch_add(1, std::memory_order_relaxed);
-      BumpTenant(request.tenant, &TenantMetrics::expired);
-      deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-      m.promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
-          "compile request deadline expired after " + std::to_string(wait) +
-          "s in queue (batched group)")));
+      ExpireQueued(request, m.promise,
+                   "compile request deadline expired after " +
+                       std::to_string(wait) + "s in queue (batched group)");
       continue;
     }
-    lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
-    BumpTenant(request.tenant, &TenantMetrics::started);
-    lane_wait_[lane].Record(wait);
-
-    Shard& shard = ShardFor(m.key.hash);
-    std::shared_ptr<Flight> flight;
-    ResultPtr hit;
-    bool owner = false;
-    {
-      const std::lock_guard<std::mutex> lock(shard.mutex);
-      if (const auto it = shard.entries.find(m.key.hash);
-          it != shard.entries.end() && !DropIfExpiredLocked(shard, it->second)) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        hit = it->second->result;
-      } else if (const auto fit = shard.flights.find(m.key.hash);
-                 fit != shard.flights.end()) {
-        flight = fit->second;
-        single_flight_waits_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        flight = std::make_shared<Flight>();
-        flight->future = flight->promise.get_future().share();
-        shard.flights.emplace(m.key.hash, flight);
-        owner = true;
-      }
-    }
-    if (hit != nullptr) {
-      respond(m, CacheOutcome::kHit, std::move(hit), wait, 0.0);
-      continue;
-    }
-    if (!owner) {
-      waiters.push_back({&m, std::move(flight), wait});
-      continue;
-    }
-
-    // Owner: probe the persistent tier before paying a solve, exactly as
-    // the single-request path does.
-    if (store_ != nullptr) {
-      std::int64_t disk_expiry_ms = 0;
-      if (ResultPtr from_disk = store_->Probe(m.key.hash, &disk_expiry_ms)) {
-        disk_hits_.fetch_add(1, std::memory_order_relaxed);
-        std::optional<SteadyClock::time_point> promote_expiry;
-        if (disk_expiry_ms != 0) {
-          const auto remaining =
-              std::chrono::system_clock::time_point(
-                  std::chrono::milliseconds(disk_expiry_ms)) -
-              std::chrono::system_clock::now();
-          promote_expiry =
-              SteadyClock::now() +
-              std::chrono::duration_cast<SteadyClock::duration>(remaining);
-        }
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, m.key, from_disk, promote_expiry);
-          shard.flights.erase(m.key.hash);
-        }
-        flight->promise.set_value(from_disk);
-        respond(m, CacheOutcome::kDiskHit, std::move(from_disk), wait, 0.0);
+    StartQueued(request, wait);
+    Slot slot{&m, nullptr, ResponseFor(m.key)};
+    slot.response.queue_wait_seconds = wait;
+    switch (ClaimFlight(m.key, slot.flight, slot.response)) {
+      case Claim::kHit:
+        m.promise.set_value(std::move(slot.response));
         continue;
-      }
+      case Claim::kJoined:
+        joined.push_back(std::move(slot));
+        continue;
+      case Claim::kOwner:
+        break;
     }
-    owners.push_back({&m, std::move(flight), wait});
-  }
-
-  // Phase 2 — every surviving cold owner solves through ONE inline
-  // CompileGroup call on this worker (same-size groups of >= 2 take the
-  // lock-stepped batch decode; a lone survivor degrades to a per-graph
-  // solve inside the same call).  Solve latency is amortized: total / B is
-  // what each request effectively paid.
-  if (!owners.empty()) {
-    misses_.fetch_add(owners.size(), std::memory_order_relaxed);
-    try {
-      std::vector<const graph::Dag*> dags;
-      dags.reserve(owners.size());
-      for (const Active& a : owners) {
-        dags.push_back(&requests[a.member->index].dag);
-      }
-      engines::SolveStats stats;
-      const auto start = SteadyClock::now();
-      // Every owner shares one profile (the group key includes its
-      // fingerprint), so the group solve targets the first owner's.
-      std::vector<CompileResult> results = compiler_.CompileGroup(
-          std::span<const graph::Dag* const>(dags), num_stages, engine_name,
-          owners.front().member->key.profile, &stats);
-      const double total =
-          std::chrono::duration<double>(SteadyClock::now() - start).count();
-      const double amortized = total / static_cast<double>(owners.size());
-      batch_solved_.fetch_add(stats.batch_solved, std::memory_order_relaxed);
-      batch_single_.fetch_add(stats.single_solved, std::memory_order_relaxed);
-      batch_groups_.fetch_add(stats.batch_groups, std::memory_order_relaxed);
-      for (std::size_t k = 0; k < owners.size(); ++k) {
-        Active& a = owners[k];
-        solve_latency_.Record(amortized);
-        ResultPtr result =
-            std::make_shared<const CompileResult>(std::move(results[k]));
-        Shard& shard = ShardFor(a.member->key.hash);
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          InsertLocked(shard, a.member->key, result);
-          shard.flights.erase(a.member->key.hash);
-        }
-        a.flight->promise.set_value(result);
-        EnqueueWriteback(a.member->key, result);
-        respond(*a.member, CacheOutcome::kMiss, std::move(result),
-                a.wait_seconds, amortized);
-      }
-    } catch (...) {
-      // One grouped solve, one failure: every owner's flight and ticket
-      // rethrow it (collapsed waiters inherit through the flights below).
-      failures_.fetch_add(owners.size(), std::memory_order_relaxed);
-      const std::exception_ptr failure = std::current_exception();
-      for (Active& a : owners) {
-        Shard& shard = ShardFor(a.member->key.hash);
-        {
-          const std::lock_guard<std::mutex> lock(shard.mutex);
-          shard.flights.erase(a.member->key.hash);
-        }
-        a.flight->promise.set_exception(failure);
-        a.member->promise.set_exception(failure);
-      }
-    }
-  }
-
-  // Phase 3 — waiters join whatever their flight's owner produced.  A
-  // duplicate key inside this group waits on a flight phase 2 already
-  // resolved; a flight owned by another worker is actively solving, so the
-  // get() blocks on running code, never on the queue.
-  for (Active& a : waiters) {
-    try {
-      ResultPtr result = a.flight->future.get();
-      respond(*a.member, CacheOutcome::kCollapsed, std::move(result),
-              a.wait_seconds, 0.0);
-    } catch (...) {
-      a.member->promise.set_exception(std::current_exception());
-    }
-  }
-}
-
-// ── Deprecated shims ─────────────────────────────────────────────────────
-// Implemented against the internal paths (not each other) so building this
-// file emits no deprecation warnings.
-
-CompileService::ResultPtr CompileService::Compile(const graph::Dag& dag,
-                                                  int num_stages,
-                                                  std::string_view engine) {
-  CompileRequest params;  // dag-less: CompileOn reads the graph by reference
-  params.num_stages = num_stages;
-  params.engine = EngineRef(engine);
-  return CompileOn(dag, params).result;
-}
-
-CompileService::ResultPtr CompileService::Compile(const graph::Dag& dag,
-                                                  int num_stages,
-                                                  Method method) {
-  CompileRequest params;
-  params.num_stages = num_stages;
-  params.engine = EngineRef(method);
-  return CompileOn(dag, params).result;
-}
-
-CompileService::Ticket CompileService::Submit(graph::Dag dag, int num_stages,
-                                              std::string engine) {
-  CompileRequest request;
-  request.dag = std::move(dag);
-  request.num_stages = num_stages;
-  request.engine = EngineRef(std::move(engine));
-  return SubmitInternal(std::move(request), std::nullopt);
-}
-
-CompileService::Ticket CompileService::Submit(graph::Dag dag, int num_stages,
-                                              Method method) {
-  CompileRequest request;
-  request.dag = std::move(dag);
-  request.num_stages = num_stages;
-  request.engine = EngineRef(method);
-  return SubmitInternal(std::move(request), std::nullopt);
-}
-
-std::vector<CompileService::ResultPtr> CompileService::LegacyCompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    const EngineRef& engine) {
-  // Preserves the old batch contract exactly: warm entries answer through
-  // the pointer (no Dag copy at all), only cold graphs are copied into
-  // their async request.
-  std::vector<ResultPtr> results(dags.size());
-  std::vector<std::pair<std::size_t, Ticket>> pending;
-  for (std::size_t i = 0; i < dags.size(); ++i) {
-    RequestKey key = MakeKey(*dags[i], num_stages, engine, /*profile_name=*/"");
-    if (ResultPtr cached = TryCached(key)) {
-      results[i] = std::move(cached);
+    if (WarmOwner(m.key, slot.flight, slot.response)) {
+      m.promise.set_value(std::move(slot.response));
       continue;
     }
-    CompileRequest request;
-    request.dag = *dags[i];
-    request.num_stages = num_stages;
-    request.engine = engine;
-    pending.emplace_back(i,
-                         SubmitInternal(std::move(request), std::move(key)));
+    owners.push_back(std::move(slot));
   }
-  std::exception_ptr first_failure;
-  for (const auto& [i, ticket] : pending) {
+
+  misses_.fetch_add(owners.size(), std::memory_order_relaxed);
+  std::vector<ColdSolve> solves;
+  solves.reserve(owners.size());
+  for (const Slot& slot : owners) {
+    solves.emplace_back(requests[slot.member->index], slot.member->key);
+  }
+  if (!solves.empty()) SolveCold(solves);
+
+  const auto settle = [](Slot& slot, const auto& step) {
     try {
-      results[i] = ticket.Wait();
+      step();
+      slot.member->promise.set_value(std::move(slot.response));
     } catch (...) {
-      if (first_failure == nullptr) first_failure = std::current_exception();
+      slot.member->promise.set_exception(std::current_exception());
     }
+  };
+  for (std::size_t k = 0; k < owners.size(); ++k) {
+    if (solves[k].result != nullptr && !solves[k].grouped) {
+      batch_single_.fetch_add(1, std::memory_order_relaxed);
+    }
+    settle(owners[k], [&] {
+      Publish(solves[k], owners[k].flight, owners[k].response);
+      owners[k].response.outcome = CacheOutcome::kMiss;
+    });
   }
-  if (first_failure != nullptr) std::rethrow_exception(first_failure);
-  return results;
+  for (Slot& slot : joined) {
+    settle(slot, [&] { JoinFlight(*slot.flight, slot.response); });
+  }
 }
-
-std::vector<CompileService::ResultPtr> CompileService::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine) {
-  return LegacyCompileBatch(dags, num_stages, EngineRef(engine));
-}
-
-std::vector<CompileService::ResultPtr> CompileService::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages, Method method) {
-  return LegacyCompileBatch(dags, num_stages, EngineRef(method));
-}
-
-// ─────────────────────────────────────────────────────────────────────────
 
 void CompileService::ReplaceRl(std::shared_ptr<rl::RlScheduler> rl) {
   // Bump the version first: every key computed from here on addresses the

@@ -42,9 +42,11 @@
 // cache_ttl_seconds bounds the age of both tiers, enforced lazily on
 // probe.
 //
-// The pre-CompileRequest overloads (Compile/Submit/CompileBatch taking
-// dag + stages + engine) survive as [[deprecated]] shims over the new entry
-// points; migrate to CompileRequest.
+// Every cold miss, whatever its entry point, takes one path: claim (or
+// join) the single-flight slot, probe disk then peers, solve through the
+// engine chain (SolveCold: budgets, breakers, fallbacks), and publish.
+// CompileBatch only adds grouping: same-shape misses on a batch-capable
+// engine share one lock-stepped attempt at the preferred engine.
 //
 // Thread safety: every public method is safe to call concurrently.
 #pragma once
@@ -54,6 +56,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <future>
 #include <list>
@@ -68,7 +71,6 @@
 #include <vector>
 
 #include "core/respect.h"
-#include "engines/method.h"
 #include "graph/canonical_hash.h"
 #include "graph/dag.h"
 #include "obs/registry.h"
@@ -138,15 +140,6 @@ struct ServiceOptions {
   /// traffic cannot flush hot entries.  Disable for pure-LRU behavior.
   bool lfu_admission = true;
 
-  /// Grouped miss solving for CompileBatch(requests): cold kUse requests on
-  /// a batch-capable engine (RlEngine's lock-stepped decode) are grouped by
-  /// (engine, num_stages, node count) and each group of >= 2 solves as one
-  /// batched GEMM decode on a single worker — a cold-cache miss storm
-  /// (e.g. right after ReplaceRl) refills at batch throughput instead of
-  /// one GEMV decode per worker.  Disable to fan every miss out as an
-  /// independent async request (the pre-batch behavior).
-  bool batch_decode = true;
-
   /// Fair-queueing weight of tenants absent from tenant_weights (see
   /// serve::RequestQueue): inside each priority lane, backlogged tenants
   /// receive service proportional to their weight, so one tenant's flood
@@ -194,7 +187,8 @@ struct ServiceOptions {
 
   /// Bound on queued entries per priority lane (serve::RequestQueue);
   /// <= 0 = unbounded.  A request submitted into a full lane is shed —
-  /// Ticket::Wait throws Overloaded — instead of deepening the backlog.
+  /// Ticket::Wait throws Overloaded — instead of deepening the backlog; a
+  /// grouped CompileBatch task is one entry, shed with all its members.
   /// Ignored by the fifo_queue baseline.
   int max_lane_depth = 0;
 
@@ -338,44 +332,18 @@ class CompileService {
 
   /// Compiles every request of the batch through the shared cache: warm
   /// kUse entries answer in place without a solve, and results come back in
-  /// input order.  Cold kUse requests on a batch-capable engine are grouped
-  /// by (engine, num_stages, node count) and every group of >= 2 solves as
-  /// one lock-stepped batched decode on a single worker (see
-  /// ServiceOptions::batch_decode); everything else fans out as ordinary
-  /// async requests on its own priority lane (duplicates collapse via
-  /// single-flight).  The first failure rethrows after every flight
-  /// finishes.
+  /// input order.  Cold kUse requests on a batch-capable engine
+  /// (SchedulerEngine::SupportsBatch) are grouped by (engine, num_stages,
+  /// node count, profile); each group of >= 2 becomes one sheddable task
+  /// on its most urgent member's lane whose cold owners share one
+  /// lock-stepped attempt at the preferred engine — a miss storm after
+  /// ReplaceRl refills at batch-decode throughput.  Budgets, breakers,
+  /// fallbacks, disk and peer warm-up and spans are those of Compile.
+  /// Everything else fans out as ordinary async requests on its own
+  /// priority lane (duplicates collapse via single-flight).  The first
+  /// failure rethrows after every flight finishes.
   [[nodiscard]] std::vector<CompileResponse> CompileBatch(
       std::span<const CompileRequest> requests);
-
-  // ── Deprecated pre-CompileRequest overloads ────────────────────────────
-  // Thin shims over the request API: engine-spelling pairs collapse into
-  // EngineRef, priority is kNormal, no deadline, CachePolicy::kUse.
-
-  [[deprecated("build a serve::CompileRequest and call Compile(request)")]]
-  [[nodiscard]] ResultPtr Compile(const graph::Dag& dag, int num_stages,
-                                  std::string_view engine);
-  [[deprecated("build a serve::CompileRequest and call Compile(request)")]]
-  [[nodiscard]] ResultPtr Compile(const graph::Dag& dag, int num_stages,
-                                  Method method);
-
-  [[deprecated("build a serve::CompileRequest and call Submit(request)")]]
-  [[nodiscard]] Ticket Submit(graph::Dag dag, int num_stages,
-                              std::string engine);
-  [[deprecated("build a serve::CompileRequest and call Submit(request)")]]
-  [[nodiscard]] Ticket Submit(graph::Dag dag, int num_stages, Method method);
-
-  [[deprecated(
-      "build serve::CompileRequests and call CompileBatch(requests)")]]
-  [[nodiscard]] std::vector<ResultPtr> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine);
-  [[deprecated(
-      "build serve::CompileRequests and call CompileBatch(requests)")]]
-  [[nodiscard]] std::vector<ResultPtr> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method);
-
-  // ───────────────────────────────────────────────────────────────────────
 
   /// Swaps the RL weight snapshot (null resets to the configured state),
   /// bumps the snapshot version, and drops every RL-dependent cache entry.
@@ -541,44 +509,123 @@ class CompileService {
   /// refreshed) or null without joining flights or solving.
   [[nodiscard]] ResultPtr TryCached(const RequestKey& key);
 
-  /// Deadline pre-check + Execute — the synchronous request path shared by
-  /// Compile(request) and the deprecated sync shims.  `params.dag` is
-  /// ignored; the graph comes in by reference so shims avoid copying it.
-  [[nodiscard]] CompileResponse CompileOn(const graph::Dag& dag,
-                                          const CompileRequest& params);
+  /// The resident, unexpired entry for `key` (a hit: counted, LRU
+  /// refreshed) or null.  Call under the shard mutex.
+  [[nodiscard]] ResultPtr LookupLocked(Shard& shard, const RequestKey& key);
 
-  /// Dispatch on cache policy; fills result/outcome/solve_seconds.
+  /// A response carrying only `key`'s header: engine, requested engine and
+  /// key hex.  Every entry point starts its response here.
+  [[nodiscard]] static CompileResponse ResponseFor(const RequestKey& key);
+
+  /// Dispatch on cache policy; fills result/outcome/solve_seconds.  A
+  /// precomputed key means the caller already recorded the admission
+  /// access in its TryCached probe.
   [[nodiscard]] CompileResponse Execute(
-      const graph::Dag& dag, const CompileRequest& params,
+      const CompileRequest& request,
       const std::optional<RequestKey>& precomputed);
 
-  /// The CachePolicy::kUse path: cache probe → single-flight join → disk
-  /// probe → cold solve + insert, in that order.  `record_access` feeds the
-  /// admission sketch; it is false when the batch path already recorded
-  /// this logical request in its TryCached probe (one access per request,
-  /// whatever the entry point).  A degraded solve is inserted (and written
-  /// back) under the fallback engine's own key, never the preferred one's.
-  void ExecuteCached(const graph::Dag& dag, const CompileRequest& params,
-                     const RequestKey& key, bool record_access,
-                     CompileResponse& response);
+  /// The CachePolicy::kUse path: claim → warm tiers → SolveCold → Publish.
+  /// `record_access` feeds the admission sketch (one access per logical
+  /// request, whatever the entry point).
+  void ExecuteCached(const CompileRequest& request, const RequestKey& key,
+                     bool record_access, CompileResponse& response);
 
-  /// Which engine actually solved, and whether that was a fallback.
-  struct SolveOutcome {
+  /// How a request meets the single-flight table.
+  enum class Claim { kHit, kJoined, kOwner };
+
+  /// Answers from memory (kHit, response filled), joins an in-flight
+  /// identical solve (kJoined), or becomes the flight's owner (kOwner).
+  /// Never blocks on a solve: JoinFlight waits separately.
+  [[nodiscard]] Claim ClaimFlight(const RequestKey& key,
+                                  std::shared_ptr<Flight>& flight,
+                                  CompileResponse& response);
+
+  /// Waits for a joined flight (rethrowing its failure) and fills the
+  /// response as kCollapsed with the owner's provenance.
+  static void JoinFlight(const Flight& flight, CompileResponse& response);
+
+  /// Flight-owner warm-up before paying a solve: the persistent tier, then
+  /// peers.  True when either answered (flight resolved, response filled).
+  [[nodiscard]] bool WarmOwner(const RequestKey& key,
+                               const std::shared_ptr<Flight>& flight,
+                               CompileResponse& response);
+
+  /// One flight owner's cold solve: request and key in; the result (with
+  /// the engine that produced it), or the failure that exhausted the
+  /// engine chain, out.
+  struct ColdSolve {
+    ColdSolve(const CompileRequest& r, const RequestKey& k)
+        : request(&r), key(&k) {}
+    const CompileRequest* request = nullptr;
+    const RequestKey* key = nullptr;
+    ResultPtr result;
+    std::exception_ptr failure;
+    double solve_seconds = 0.0;
     std::string_view engine_used{};  // canonical; borrowed from the registry
-    bool degraded = false;
+    bool degraded = false;           // engine_used is a fallback
+    bool grouped = false;  // answered by the lock-stepped group attempt
   };
 
-  /// One cold solve through the engine chain: the preferred engine (unless
-  /// its breaker is open and a fallback exists), then each configured
-  /// fallback, each attempt under a fresh solve budget.  Records latency,
-  /// breaker outcomes, and the budget/fallback counters.  Throws when every
-  /// candidate failed — a chain that died purely on budgets surfaces as
-  /// DeadlineExceeded.
-  [[nodiscard]] ResultPtr SolveCold(const graph::Dag& dag, int num_stages,
-                                    const RequestKey& key,
-                                    const CompileRequest& params,
-                                    double& solve_seconds,
-                                    SolveOutcome& outcome);
+  /// Where an owner's engine-chain walk starts, and what already failed.
+  struct ChainStart {
+    std::size_t candidate = 0;
+    std::exception_ptr failure;
+    bool budget_blown = false;
+  };
+
+  /// The cold solve of N flight owners through the engine chain — the
+  /// preferred engine (unless its breaker is open and a fallback exists),
+  /// then each configured fallback, every attempt under a fresh solve
+  /// budget.  Two or more owners (same engine, stages and profile, on a
+  /// batch-capable engine) first share ONE PipelineCompiler::CompileGroup
+  /// attempt at the preferred engine; when that attempt throws or blows
+  /// its budget, each owner walks the rest of the chain alone.  Owners
+  /// whose graph is invalid or whose deadline lapsed stay out of the group
+  /// attempt, so they fail alone.  One owner is the single-request path.
+  /// Never throws: each owner ends with a result or a failure (a chain
+  /// that died purely on budgets fails with DeadlineExceeded).
+  void SolveCold(std::span<ColdSolve> solves);
+
+  /// The lock-stepped attempt at the preferred engine shared by `group`
+  /// (one breaker check, one token under the tightest member budget); on
+  /// a short circuit or a failed attempt every member walks the rest of
+  /// the chain alone.
+  void SolveGroup(std::span<ColdSolve* const> group);
+
+  /// One owner's walk down the engine chain from `chain`.
+  void WalkChain(ColdSolve& solve, ChainStart chain);
+
+  /// One engine attempt on behalf of `members` owners: skipped (false)
+  /// behind an open breaker unless `last`; otherwise `solve(cancel)` runs
+  /// under a fresh `budget` token (0 = none) and the breaker records the
+  /// outcome.  A failure lands in `chain` (the first one is kept) and
+  /// returns false; a blown budget counts once per member.
+  template <typename Solve>
+  [[nodiscard]] bool Attempt(std::string_view engine, bool last,
+                             double budget, std::size_t members,
+                             ChainStart& chain, const Solve& solve);
+
+  /// The preferred engine, then each configured fallback other than it.
+  [[nodiscard]] std::vector<std::string_view> Candidates(
+      const RequestKey& key) const;
+
+  /// Per-attempt solve budget in seconds (0 = unlimited).
+  [[nodiscard]] double BudgetFor(const CompileRequest& request) const;
+
+  /// Feeds one cold solve's latency to the window and the admission EWMA.
+  void RecordSolve(double seconds);
+
+  /// Settles a cold solve.  On success: inserts under the serving engine's
+  /// key (the fallback's own key when degraded, never the preferred one's),
+  /// spills, resolves `flight` (may be null) and fills the response.  On
+  /// failure: resolves `flight` with the failure and rethrows it.
+  void Publish(const ColdSolve& solve, const std::shared_ptr<Flight>& flight,
+               CompileResponse& response);
+
+  /// Removes `key`'s flight from its shard, then resolves it with `result`
+  /// or, when `result` is null, with `failure`.
+  void ResolveFlight(const RequestKey& key, Flight& flight, ResultPtr result,
+                     std::exception_ptr failure = nullptr);
 
   /// The breaker guarding `engine` (created closed on first use).
   [[nodiscard]] CircuitBreaker& BreakerFor(std::string_view engine);
@@ -588,6 +635,15 @@ class CompileService {
   /// per graph, not two).
   [[nodiscard]] Ticket SubmitInternal(CompileRequest request,
                                       std::optional<RequestKey> key);
+
+  /// Lane and tenant accounting for a queued request a worker starts.
+  void StartQueued(const CompileRequest& request, double wait_seconds);
+
+  /// Fails a queued request whose deadline lapsed (counted per lane and
+  /// tenant) with DeadlineExceeded carrying `what`.
+  void ExpireQueued(const CompileRequest& request,
+                    std::promise<CompileResponse>& promise,
+                    const std::string& what);
 
   /// One member of a grouped cold-miss solve: index into the caller's
   /// request span, the precomputed key, and the promise behind the
@@ -603,22 +659,13 @@ class CompileService {
   /// with a real lock-stepped path (SchedulerEngine::SupportsBatch).
   [[nodiscard]] bool EngineSupportsBatch(std::string_view engine_name) const;
 
-  /// Body of one grouped solve task (runs on a worker): per member, settle
-  /// deadline expiries and late cache hits, acquire or join the
-  /// single-flight slot, disk-probe owners, then solve every surviving
-  /// cold owner through ONE inline PipelineCompiler::CompileGroup call —
-  /// never a nested pool submission, so a full queue cannot deadlock the
-  /// group.  Resolves every member's promise on all paths.
-  void RunBatchGroup(std::span<const CompileRequest> requests, int num_stages,
-                     std::string_view engine_name,
+  /// Body of one grouped task (runs on a worker): per member, deadline
+  /// and lane accounting, then the single path's steps — claim, warm
+  /// tiers, one SolveCold over every cold owner, publish, join.  Never a
+  /// nested pool submission, so a full queue cannot deadlock the group.
+  /// Resolves every member's promise on all paths.
+  void RunBatchGroup(std::span<const CompileRequest> requests,
                      std::vector<GroupMember>& members);
-
-  /// Body of the deprecated batch shims: probes warm entries through the
-  /// caller's pointers (no Dag copy) and copies only cold graphs into
-  /// async requests, as the pre-request batch path did.
-  [[nodiscard]] std::vector<ResultPtr> LegacyCompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      const EngineRef& engine);
 
   /// Inserts (or refreshes) an entry.  `expires_at` caps the entry's
   /// lifetime below the default TTL — set on disk-hit promotion so a
@@ -641,14 +688,22 @@ class CompileService {
   [[nodiscard]] static std::optional<std::chrono::steady_clock::time_point>
   PromoteExpiry(std::int64_t expires_at_unix_ms);
 
+  /// Promotes a result found outside memory (subject to admission, at its
+  /// remaining lifetime) and resolves `flight` with it when non-null.
+  void Promote(const RequestKey& key, const ResultPtr& result,
+               std::int64_t expires_at_unix_ms, Flight* flight);
+
+  /// Persistent-tier probe — the one synchronous disk read on the request
+  /// path.  A hit is counted and promoted (see Promote); null on a miss or
+  /// without a store.
+  [[nodiscard]] ResultPtr ProbeDisk(const RequestKey& key, Flight* flight);
+
   /// Snapshot of the installed peer-fetch hook (null when none).
   [[nodiscard]] std::shared_ptr<const PeerFetchFn> PeerFetchSnapshot() const;
 
-  /// Flight-owner peer warm attempt: fetch → verify → import → promote →
-  /// resolve the flight.  True when the response was filled (kPeerHit).
-  [[nodiscard]] bool TryPeerWarm(const RequestKey& key, Shard& shard,
-                                 const std::shared_ptr<Flight>& flight,
-                                 CompileResponse& response);
+  /// Peer warm attempt: fetch → verify → import → promote.  The verified
+  /// result, or null (no hook, peer miss, or bad bytes).
+  [[nodiscard]] ResultPtr TryPeerWarm(const RequestKey& key, Flight* flight);
 
   /// Enqueues a background spill of `result` on the pool (no-op without a
   /// store).  Never blocks on I/O; FlushStore waits for all of these.
@@ -666,9 +721,6 @@ class CompileService {
 
   /// Frequency sketch consulted on insert/promote; null = always admit.
   std::unique_ptr<store::TinyLfuAdmission> admission_;
-
-  /// ServiceOptions::batch_decode — grouped miss solving in CompileBatch.
-  bool batch_decode_ = true;
 
   /// Persistent tier; null when no cache_dir is configured.  Declared
   /// before pool_ so queued writeback tasks (which reference it) are

@@ -3,7 +3,8 @@
 //  * DecodeGreedyBatch on the scalar path is bit-identical to sequential
 //    single-graph decodes (deg 2-6, both MaskingModes, mixed batch sizes
 //    including B=1), and the same workspace survives different
-//    (nodes, batch, hidden) shapes;
+//    (nodes, batch, hidden) shapes; a fired CancelToken unwinds the batch
+//    decode and leaves its workspace reusable;
 //  * the compiler-level batch path (CompileBatch size-grouping, CompileGroup)
 //    returns element-wise the same schedules as sequential Compile() calls,
 //    and SolveStats reports the batch/single split correctly — stragglers
@@ -22,6 +23,7 @@
 #include <random>
 #include <vector>
 
+#include "core/cancel.h"
 #include "core/respect.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
@@ -153,6 +155,27 @@ TEST(BatchDecodeTest, RejectsMixedNodeCounts) {
       std::invalid_argument);
 }
 
+TEST(BatchDecodeTest, FiredTokenUnwindsTheBatchDecode) {
+  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  std::mt19937_64 rng(153);
+  const auto dags = SampleSameSizeDags(3, 20, 3, rng);
+  const auto ptrs = Pointers(dags);
+  const core::CancelToken cancel = core::CancelToken::Manual();
+  cancel.Cancel();
+
+  rl::BatchDecodeWorkspace ws;
+  EXPECT_THROW((void)agent.DecodeGreedyBatch(
+                   std::span<const graph::Dag* const>(ptrs), ws, cancel),
+               core::CancelledError);
+  // The unwound workspace still decodes exactly like a fresh one.
+  rl::BatchDecodeWorkspace fresh;
+  const auto expected =
+      agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), fresh);
+  const auto& reused =
+      agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
+  for (int g = 0; g < 3; ++g) EXPECT_EQ(reused[g], expected[g]) << "g=" << g;
+}
+
 TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
   const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
   std::mt19937_64 rng(161);
@@ -244,7 +267,8 @@ TEST(BatchCompileTest, CompileGroupRunsInlineAndMatchesSequential) {
 
   engines::SolveStats stats;
   const auto grouped = compiler.CompileGroup(
-      std::span<const graph::Dag* const>(ptrs), 4, "respect", &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, "respect",
+      tpu::DefaultProfile(), /*cancel=*/{}, &stats);
   ASSERT_EQ(grouped.size(), 4u);
   for (int g = 0; g < 4; ++g) {
     const auto single = compiler.Compile(dags[g], 4, Method::kRespectRl);

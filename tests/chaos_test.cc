@@ -13,10 +13,13 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -990,6 +993,254 @@ TEST(ChaosTraceTest, DeadPeerForwardShowsFailedHopAndLocalDegrade) {
   EXPECT_GT(hop->depth, handled->depth);
   EXPECT_LE(hop->start_us + hop->dur_us, compile->start_us);
 }
+
+// ── Entry-point contract ─────────────────────────────────────────────────
+// The serving contract holds on every entry point: each failure scenario
+// below runs through Compile, Submit, a one-request CompileBatch and a
+// grouped CompileBatch (two same-size RESPECT requests sharing one
+// lock-stepped attempt) and must settle in the same outcome class.
+
+/// Engine that blocks until the test opens its gate — how a test pins the
+/// one worker while it fills a lane.
+class GateEngine : public engines::SchedulerEngine {
+ public:
+  static void Reset() {
+    const std::lock_guard<std::mutex> lock(Mutex());
+    open_ = false;
+    entered_ = 0;
+  }
+  static void Open() {
+    {
+      const std::lock_guard<std::mutex> lock(Mutex());
+      open_ = true;
+    }
+    Cv().notify_all();
+  }
+  static void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(Mutex());
+    Cv().wait(lock, [] { return entered_ > 0; });
+  }
+
+  [[nodiscard]] std::string_view Name() const override { return "Gate"; }
+
+  [[nodiscard]] engines::EngineResult Schedule(
+      const graph::Dag& dag, const sched::PipelineConstraints& constraints,
+      const engines::EngineBudget&) const override {
+    {
+      std::unique_lock<std::mutex> lock(Mutex());
+      ++entered_;
+      Cv().notify_all();
+      Cv().wait(lock, [] { return open_; });
+    }
+    engines::EngineResult result;
+    result.schedule.num_stages = constraints.num_stages;
+    result.schedule.stage.assign(dag.NodeCount(), 0);
+    return result;
+  }
+
+ private:
+  static std::mutex& Mutex() {
+    static std::mutex mutex;
+    return mutex;
+  }
+  static std::condition_variable& Cv() {
+    static std::condition_variable cv;
+    return cv;
+  }
+  static inline bool open_ = false;
+  static inline int entered_ = 0;
+};
+
+enum class EntryPoint { kCompile, kSubmit, kBatchOfOne, kGroupedBatch };
+
+constexpr std::array<const char*, 4> kEntryPointNames = {
+    "Compile", "Submit", "BatchOfOne", "GroupedBatch"};
+
+void PrintTo(EntryPoint entry, std::ostream* os) {
+  *os << kEntryPointNames[static_cast<std::size_t>(entry)];
+}
+
+std::string EntryPointName(
+    const ::testing::TestParamInfo<EntryPoint>& info) {
+  return kEntryPointNames[static_cast<std::size_t>(info.param)];
+}
+
+/// How a request settled.
+enum class Outcome { kServed, kDegraded, kDeadline, kOverloaded, kError };
+
+class EntryPointContractTest : public ::testing::TestWithParam<EntryPoint> {
+ protected:
+  void SetUp() override {
+    EnsureChaosEngines();
+    engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+    if (!registry.Contains("Gate")) {
+      registry.Register({"Gate", "", "test-only engine blocked on a gate", {},
+                         [](const engines::EngineContext&) {
+                           return std::make_unique<GateEngine>();
+                         }});
+    }
+    GateEngine::Reset();
+  }
+
+  /// Cold owners the entry point creates for one call.
+  [[nodiscard]] std::size_t Owners() const {
+    return GetParam() == EntryPoint::kGroupedBatch ? 2 : 1;
+  }
+
+  /// A cold RESPECT request on a fresh graph, shaped by `shape`.
+  [[nodiscard]] static CompileRequest Request(
+      std::uint64_t seed, const CompileRequest& shape = {}) {
+    CompileRequest request = shape;
+    request.dag = SampleDag(24, seed);
+    request.num_stages = 4;
+    request.engine = "respect";
+    return request;
+  }
+
+  /// Sends Request(seed, shape) through the entry point under test (the
+  /// grouped batch adds a same-size sibling) and classifies the result.
+  Outcome Run(serve::CompileService& service, std::uint64_t seed,
+              const CompileRequest& shape = {}) {
+    std::vector<CompileRequest> requests = {Request(seed, shape)};
+    if (GetParam() == EntryPoint::kGroupedBatch) {
+      requests.push_back(Request(seed + 1000, shape));
+    }
+    try {
+      switch (GetParam()) {
+        case EntryPoint::kCompile:
+          response_ = service.Compile(requests.front());
+          break;
+        case EntryPoint::kSubmit:
+          response_ = service.Submit(requests.front()).WaitResponse();
+          break;
+        case EntryPoint::kBatchOfOne:
+        case EntryPoint::kGroupedBatch:
+          response_ = service.CompileBatch(requests).front();
+          break;
+      }
+    } catch (const DeadlineExceeded&) {
+      return Outcome::kDeadline;
+    } catch (const Overloaded&) {
+      return Outcome::kOverloaded;
+    } catch (...) {
+      return Outcome::kError;
+    }
+    if (response_.result == nullptr) return Outcome::kError;
+    return response_.degraded ? Outcome::kDegraded : Outcome::kServed;
+  }
+
+  CompileResponse response_;
+};
+
+#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
+
+TEST_P(EntryPointContractTest, FailingEngineDegradesToTheFallback) {
+  serve::ServiceOptions svc;
+  svc.fallback_chain = {"list"};
+  serve::CompileService service(FastOptions(), svc);
+  const ScopedFailpoint fp("engine.solve.RESPECT", "error");
+  EXPECT_EQ(Run(service, 201), Outcome::kDegraded);
+  EXPECT_EQ(response_.engine_name, "ListScheduling");
+  EXPECT_EQ(response_.requested_engine, "RESPECT");
+  EXPECT_EQ(service.Metrics().degraded_served, Owners());
+}
+
+TEST_P(EntryPointContractTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
+  serve::CompileService service(FastOptions());
+  const ScopedFailpoint fp("engine.solve.RESPECT", "delay(50)");
+  EXPECT_EQ(Run(service, 211, {.solve_budget_seconds = 0.01}),
+            Outcome::kDeadline);
+  const auto metrics = service.Metrics();
+  EXPECT_GE(metrics.budget_blown, 1u);
+  EXPECT_EQ(metrics.fallback_exhausted, Owners());
+}
+
+TEST_P(EntryPointContractTest, OpenBreakerShortCircuitsToTheFallback) {
+  serve::ServiceOptions svc;
+  svc.fallback_chain = {"list"};
+  svc.breaker_failure_threshold = 1;  // opens on the first failure
+  svc.breaker_open_seconds = 1000.0;
+  serve::CompileService service(FastOptions(), svc);
+  {
+    const ScopedFailpoint fp("engine.solve.RESPECT", "error");
+    (void)service.Compile(Request(221));
+  }
+  ASSERT_EQ(service.Metrics().breakers.at("RESPECT").state, "open");
+
+  EXPECT_EQ(Run(service, 222), Outcome::kDegraded);
+  EXPECT_EQ(response_.engine_name, "ListScheduling");
+  EXPECT_GE(service.Metrics().breakers.at("RESPECT").short_circuits, 1u);
+}
+
+#endif  // RESPECT_FAILPOINTS
+
+TEST_P(EntryPointContractTest, ExpiredDeadlineIsDeadlineExceeded) {
+  serve::CompileService service(FastOptions());
+  EXPECT_EQ(Run(service, 231,
+                {.deadline = std::chrono::steady_clock::now() -
+                             std::chrono::milliseconds(1)}),
+            Outcome::kDeadline);
+  EXPECT_EQ(service.Metrics().misses, 0u);  // never reached a solve
+}
+
+TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
+  serve::CompileService service(FastOptions());
+  std::atomic<int> fetches{0};
+  service.SetPeerFetch([&fetches](const graph::CanonicalHash&) {
+    fetches.fetch_add(1);
+    return std::string();  // clean peer miss: solve locally
+  });
+  EXPECT_EQ(Run(service, 241), Outcome::kServed);
+  EXPECT_EQ(static_cast<std::size_t>(fetches.load()), Owners());
+  const auto metrics = service.Metrics();
+  EXPECT_EQ(metrics.peer_fetches, Owners());
+  EXPECT_EQ(metrics.batch_groups,
+            GetParam() == EntryPoint::kGroupedBatch ? 1u : 0u);
+  service.SetPeerFetch(nullptr);
+}
+
+TEST_P(EntryPointContractTest, FullLaneShedsQueuedEntryPoints) {
+  serve::ServiceOptions svc;
+  svc.num_threads = 1;
+  svc.max_lane_depth = 1;
+  serve::CompileService service(FastOptions(), svc);
+
+  // Pin the only worker, then fill the one-deep normal lane behind it.
+  auto pinned = service.Submit(CompileRequest{
+      .dag = SampleDag(24, 251), .num_stages = 4, .engine = "Gate"});
+  GateEngine::AwaitEntered();
+  auto queued = service.Submit(CompileRequest{
+      .dag = SampleDag(24, 252), .num_stages = 4, .engine = "Gate"});
+
+  // Run on a side thread: an entry point that queued instead of shedding
+  // would wait behind the gate.
+  auto outcome =
+      std::async(std::launch::async, [&] { return Run(service, 253); });
+  const bool settled = outcome.wait_for(std::chrono::seconds(5)) ==
+                       std::future_status::ready;
+  GateEngine::Open();
+  const Outcome got = outcome.get();
+  (void)pinned.Wait();
+  (void)queued.Wait();
+
+  if (GetParam() == EntryPoint::kCompile) {
+    EXPECT_EQ(got, Outcome::kServed);  // the caller's thread never queues
+    return;
+  }
+  EXPECT_TRUE(settled);
+  EXPECT_EQ(got, Outcome::kOverloaded);
+  const auto metrics = service.Metrics();
+  EXPECT_EQ(metrics.shed, Owners());
+  EXPECT_EQ(metrics.lanes[static_cast<std::size_t>(Priority::kNormal)].shed,
+            Owners());
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryEntryPoint, EntryPointContractTest,
+                         ::testing::Values(EntryPoint::kCompile,
+                                           EntryPoint::kSubmit,
+                                           EntryPoint::kBatchOfOne,
+                                           EntryPoint::kGroupedBatch),
+                         EntryPointName);
 
 }  // namespace
 }  // namespace respect

@@ -1,7 +1,8 @@
 // Tests for the observability layer: the tracer's per-thread rings and span
-// nesting, trace-id propagation, the metrics registry (idempotent
-// registration, Prometheus rendering, histogram quantiles), and the
-// chrometrace exporter (JSON shape, fragment merging, sim timelines).
+// nesting, trace-id propagation, the serving spans of the grouped
+// CompileBatch path, the metrics registry (idempotent registration,
+// Prometheus rendering, histogram quantiles), and the chrometrace exporter
+// (JSON shape, fragment merging, sim timelines).
 //
 // The tracer is process-global, so every test that arms it first drains any
 // leftovers from an earlier test and stops it before returning — the same
@@ -11,14 +12,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/respect.h"
+#include "graph/sampler.h"
 #include "obs/chrometrace.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "serve/compile_service.h"
 #include "tpu/device.h"
 #include "tpu/sim.h"
 
@@ -179,6 +185,55 @@ TEST(ObsTrace, ConcurrentEmissionIsCleanUnderDrain) {
         << name;
   }
 }
+
+#if defined(RESPECT_OBS) && RESPECT_OBS
+/// The grouped CompileBatch path is spanned like the single path: the disk
+/// probe, the solve and its engine attempt nest under serve.batch_group.
+TEST(ObsTrace, GroupedBatchSpansNestUnderTheGroup) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "respect-obs-group";
+  std::filesystem::remove_all(dir);
+  CompilerOptions compiler_options;
+  compiler_options.net.hidden_dim = 12;
+  serve::ServiceOptions options;
+  options.cache_dir = dir.string();
+  ScopedTracing tracing;
+  {
+    serve::CompileService service(compiler_options, options);
+    std::mt19937_64 rng(17);
+    std::vector<serve::CompileRequest> requests;
+    for (int i = 0; i < 2; ++i) {
+      requests.push_back(
+          serve::CompileRequest{.dag = graph::SampleTrainingDag(24, rng),
+                                .num_stages = 4,
+                                .engine = "respect"});
+    }
+    const auto responses = service.CompileBatch(requests);
+    EXPECT_EQ(responses[0].outcome, serve::CacheOutcome::kMiss);
+    EXPECT_EQ(service.Metrics().batch_groups, 1u);
+  }  // joins the pool: the group task has closed its span
+  const std::vector<obs::TraceEvent> events = obs::Tracer::Global().Drain();
+  std::filesystem::remove_all(dir);
+
+  const auto find = [&](const std::string& name) {
+    return std::find_if(
+        events.begin(), events.end(),
+        [&](const obs::TraceEvent& e) { return e.name == name; });
+  };
+  const auto group = find("serve.batch_group");
+  ASSERT_NE(group, events.end());
+  for (const std::string name :
+       {"serve.disk_probe", "serve.solve", "serve.attempt"}) {
+    const auto span = find(name);
+    ASSERT_NE(span, events.end()) << name;
+    EXPECT_EQ(span->tid, group->tid) << name;
+    EXPECT_GT(span->depth, group->depth) << name;
+    EXPECT_GE(span->start_us, group->start_us) << name;
+    EXPECT_LE(span->start_us + span->dur_us, group->start_us + group->dur_us)
+        << name;
+  }
+}
+#endif  // RESPECT_OBS
 
 TEST(ObsRegistry, GetCounterIsIdempotent) {
   obs::Registry registry;

@@ -4,8 +4,7 @@
 // entries, single-flight must collapse N concurrent identical requests into
 // one engine solve, priority lanes must let interactive requests overtake
 // queued batch work, and deadlines must fail fast with DeadlineExceeded
-// before a solve ever runs.  The deprecated pre-request overloads are
-// exercised once at the bottom to prove the shims still serve.
+// before a solve ever runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -611,7 +610,7 @@ TEST(CompileServiceBatchDecodeTest, GroupedMissStormSolvesBatchedAndMatchesSync)
   }
 }
 
-TEST(CompileServiceBatchDecodeTest, StragglersAndDisabledPathFallBackToSingles) {
+TEST(CompileServiceBatchDecodeTest, StragglersAndNonBatchEnginesSolveSingly) {
   const graph::Dag a = SampleDag(30, 111);
   const graph::Dag b = SampleDag(30, 112);
   const graph::Dag lone = SampleDag(20, 113);
@@ -639,23 +638,59 @@ TEST(CompileServiceBatchDecodeTest, StragglersAndDisabledPathFallBackToSingles) 
   }
   (void)service.CompileBatch(list_requests);
   EXPECT_EQ(service.Metrics().batch_groups, 1u);  // unchanged
+}
 
-  // batch_decode = false: the same storm fans out as independent requests.
-  serve::ServiceOptions off;
-  off.batch_decode = false;
-  serve::CompileService plain(FastOptions(), off);
-  const auto plain_responses = plain.CompileBatch(requests);
-  for (const auto& response : plain_responses) {
-    ASSERT_NE(response.result, nullptr);
+TEST(CompileServiceBatchDecodeTest, BatchResponsesReportTheRequestedEngine) {
+  serve::CompileService service(FastOptions());
+  const graph::Dag a = SampleDag(30, 121);
+  const graph::Dag b = SampleDag(30, 122);
+  std::vector<CompileRequest> requests;
+  for (const graph::Dag* dag : {&a, &b}) {
+    requests.push_back(
+        CompileRequest{.dag = *dag, .num_stages = 4, .engine = "respect"});
   }
-  metrics = plain.Metrics();
-  EXPECT_EQ(metrics.misses, 3u);
-  EXPECT_EQ(metrics.batch_solved, 0u);
-  EXPECT_EQ(metrics.batch_groups, 0u);
+
+  const auto cold = service.CompileBatch(requests);  // one grouped miss
+  EXPECT_EQ(service.Metrics().batch_groups, 1u);
+  const auto warm = service.CompileBatch(requests);  // answered in place
+  const CompileResponse sync = Ask(service, a, 4, "respect");
+  ASSERT_EQ(sync.requested_engine, "RESPECT");
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    ExpectSameResult(*plain_responses[i].result, *responses[i].result,
-                     "grouped vs fanned-out graph " + std::to_string(i));
+    EXPECT_EQ(cold[i].outcome, CacheOutcome::kMiss) << i;
+    EXPECT_EQ(warm[i].outcome, CacheOutcome::kHit) << i;
+    EXPECT_EQ(cold[i].requested_engine, sync.requested_engine) << i;
+    EXPECT_EQ(warm[i].requested_engine, sync.requested_engine) << i;
+    EXPECT_EQ(cold[i].engine_name, sync.engine_name) << i;
+    EXPECT_EQ(warm[i].key_hex, cold[i].key_hex) << i;
   }
+}
+
+TEST(CompileServiceBatchDecodeTest, InvalidGraphFailsOnlyItsOwnFlight) {
+  serve::CompileService service(FastOptions());
+  const graph::Dag a = SampleDag(30, 131);
+  const graph::Dag b = SampleDag(30, 132);
+  graph::Dag cyclic = SampleDag(30, 133);
+  for (graph::NodeId v = 0; v < cyclic.NodeCount(); ++v) {
+    if (!cyclic.Children(v).empty()) {
+      cyclic.AddEdge(cyclic.Children(v).front(), v);  // back edge: a cycle
+      break;
+    }
+  }
+  ASSERT_FALSE(cyclic.IsAcyclic());
+  const graph::Dag& broken = cyclic;
+  std::vector<CompileRequest> requests;
+  for (const graph::Dag* dag : {&a, &b, &broken}) {
+    requests.push_back(
+        CompileRequest{.dag = *dag, .num_stages = 4, .engine = "respect"});
+  }
+
+  // The cyclic graph fails its own flight; its two siblings still share
+  // the lock-stepped attempt and land in the cache.
+  EXPECT_THROW((void)service.CompileBatch(requests), std::logic_error);
+  const serve::ServiceMetrics metrics = service.Metrics();
+  EXPECT_EQ(metrics.failures, 1u);
+  EXPECT_EQ(metrics.batch_solved, 2u);
+  EXPECT_EQ(Ask(service, b, 4, "respect").outcome, CacheOutcome::kHit);
 }
 
 TEST(CompileServiceTest, UnknownEngineThrowsBeforeTouchingTheCache) {
@@ -937,46 +972,6 @@ TEST(CompileServiceQueueTest, FifoQueueStillFailsLapsedDeadlines) {
   }
   EXPECT_EQ(service.Metrics().deadline_expired, 1u);
 }
-
-// ── Deprecated shim coverage ─────────────────────────────────────────────
-// The six pre-CompileRequest overloads must keep old call sites compiling
-// and serving through the same cache until they are removed.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(CompileServiceLegacyShimTest, OldOverloadsShareTheRequestApiCache) {
-  serve::ServiceOptions options;
-  options.num_threads = 1;
-  serve::CompileService service(FastOptions(), options);
-  const graph::Dag dag = SampleDag(24, 71);
-
-  const auto by_name = service.Compile(dag, 4, "list");
-  const auto by_method = service.Compile(dag, 4, Method::kListScheduling);
-  EXPECT_EQ(by_name, by_method);  // shims share one cache entry
-
-  // The request API sees the shim-populated entry.
-  EXPECT_EQ(Ask(service, dag, 4, "list").result, by_name);
-
-  auto ticket = service.Submit(dag, 4, std::string("list"));
-  EXPECT_EQ(ticket.Wait(), by_name);
-  auto method_ticket = service.Submit(dag, 4, Method::kListScheduling);
-  EXPECT_EQ(method_ticket.Wait(), by_name);
-
-  const graph::Dag other = SampleDag(24, 73);
-  const std::vector<const graph::Dag*> batch = {&dag, &other, &dag};
-  const auto results = service.CompileBatch(batch, 4, "list");
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0], by_name);
-  EXPECT_EQ(results[2], by_name);
-  const auto method_results =
-      service.CompileBatch(batch, 4, Method::kListScheduling);
-  EXPECT_EQ(method_results[1], results[1]);
-
-  EXPECT_EQ(service.Metrics().misses, 2u);  // dag + other, once each
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace respect
