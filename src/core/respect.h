@@ -5,15 +5,18 @@
 //                                  respect::Method::kRespectRl);
 //   auto sim = respect::tpu::SimulatePipeline(result.package);
 //
-// Compile() resolves the chosen engine through the SchedulerEngine registry
-// (engines/registry.h — the RL agent, the exact ILP route, the Edge TPU
-// compiler substitute, the classic heuristics, or anything registered at
-// runtime), validates/repairs the schedule, and packages it for deployment
-// (quantization + segment extraction).  Compile() is const and engines are
-// stateless, so one compiler may serve many threads; CompileBatch runs a
-// whole batch of graphs across a thread pool with results identical to the
-// sequential path.  EnsureTrainedAgent implements the train-or-load weight
-// cache used by the examples and benchmarks.
+// Three compile calls cover every shape of work: Compile (one graph),
+// CompileBatch (many graphs across a caller-owned thread pool, results
+// identical to the sequential path) and CompileGroup (many graphs inline on
+// the calling thread).  Each takes an engines::EngineRef, so a Method value,
+// a canonical engine name or a CLI alias all work.  All three resolve the
+// engine through the SchedulerEngine registry (engines/registry.h — the RL
+// agent, the exact ILP route, the Edge TPU compiler substitute, the classic
+// heuristics, or anything registered at runtime) and run one private Solve
+// helper: validate, solve, repair the schedule and package it for
+// deployment (quantization + segment extraction).  The compile calls are
+// const and engines are stateless, so one compiler may serve many threads.  EnsureTrainedAgent implements the train-or-load weight cache
+// used by the examples and benchmarks.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +24,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/cancel.h"
@@ -33,6 +35,7 @@
 #include "rl/scheduler.h"
 #include "rl/trainer.h"
 #include "sched/schedule.h"
+#include "tpu/device_profile.h"
 
 namespace respect::core {
 class ThreadPool;
@@ -86,64 +89,37 @@ class PipelineCompiler {
   PipelineCompiler(const PipelineCompiler&) = delete;
   PipelineCompiler& operator=(const PipelineCompiler&) = delete;
 
-  /// Compiles with a built-in engine addressed by enum value.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      Method method) const;
+  /// Compiles `dag` onto `num_stages` pipeline stages with the engine
+  /// `engine` names — a Method value, a canonical name or a CLI alias,
+  /// including engines registered at runtime.  The engine receives
+  /// `profile` through sched::PipelineConstraints; for non-default profiles
+  /// the repaired schedule additionally runs the deterministic device-aware
+  /// rebalance (sched::RebalanceForProfile) before packaging.  `cancel`
+  /// carries a cooperative cancellation token into the engine's inner loops
+  /// (the serving layer's per-request solve budget): a fired token unwinds
+  /// with core::CancelledError, never a partial schedule.  Throws
+  /// std::invalid_argument for an unknown engine or num_stages < 1, and
+  /// std::logic_error for an invalid graph.
+  [[nodiscard]] CompileResult Compile(
+      const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
+      const tpu::DeviceProfile& profile = tpu::DefaultProfile(),
+      const core::CancelToken& cancel = {}) const;
 
-  /// Compiles with any registered engine addressed by name or CLI alias —
-  /// including engines registered at runtime that have no Method value.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine) const;
-
-  /// Same, targeting an explicit device profile: the engine receives the
-  /// profile through sched::PipelineConstraints, and for non-default
-  /// profiles the repaired schedule additionally runs the deterministic
-  /// device-aware rebalance (sched::RebalanceForProfile) before packaging.
-  /// With tpu::DefaultProfile() this is byte-identical to the two-argument
-  /// overload.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine,
-                                      const tpu::DeviceProfile& profile) const;
-
-  /// Same, carrying a cooperative cancellation token into the engine's
-  /// inner loops (the serving layer's per-request solve budget).  A fired
-  /// token unwinds with core::CancelledError — no partial schedule is ever
-  /// returned.  An empty token makes this identical to the overload above.
-  [[nodiscard]] CompileResult Compile(const graph::Dag& dag, int num_stages,
-                                      std::string_view engine,
-                                      const tpu::DeviceProfile& profile,
-                                      const core::CancelToken& cancel) const;
-
-  /// Compiles every graph of the batch across `num_threads` worker threads
-  /// (values < 1 select ThreadPool::DefaultThreadCount()).  Engines are
-  /// stateless and the RL weights are a shared immutable snapshot, so the
-  /// results are element-wise identical to calling Compile() in a loop —
-  /// except when a wall-clock budget cuts a solve short (ExactILP with
-  /// exact_time_limit_seconds > 0): CPU contention changes how far such a
-  /// solve gets, so its incumbent may differ between runs.  Expansion caps
-  /// are deterministic; use those when bit-identical batches matter.
-  /// When the chosen engine supports batched solving (RlEngine's
-  /// lock-stepped decode), CompileBatch additionally groups the graphs by
-  /// node count and routes every same-size group of >= 2 through the batch
-  /// path, so the per-step recurrences run as GEMMs across the group;
-  /// stragglers keep the per-graph path.  `stats` (optional, may be null)
-  /// accumulates the batch/single split.
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method,
-      int num_threads, engines::SolveStats* stats = nullptr) const;
+  /// Compiles every graph of the batch on `pool` (serving loops reuse one
+  /// pool across batches).  Engines are stateless and the RL weights are a
+  /// shared immutable snapshot, so the results are element-wise identical
+  /// to calling Compile() in a loop — except when a wall-clock budget cuts
+  /// a solve short (ExactILP with exact_time_limit_seconds > 0): CPU
+  /// contention changes how far such a solve gets, so its incumbent may
+  /// differ between runs.  Expansion caps are deterministic; use those when
+  /// bit-identical batches matter.  When the engine supports batched
+  /// solving (RlEngine's lock-stepped decode), the graphs are split by
+  /// engines::ChunkBySize and every same-size chunk of >= 2 is one task
+  /// through the batch path; otherwise each graph is one task.  `stats`
+  /// (optional, may be null) accumulates the batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileBatch(
       std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, int num_threads,
-      engines::SolveStats* stats = nullptr) const;
-
-  /// Same, on a caller-owned pool — serving loops issuing many batches
-  /// reuse one pool instead of paying thread spawn/join per call.
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages, Method method,
-      core::ThreadPool& pool, engines::SolveStats* stats = nullptr) const;
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, core::ThreadPool& pool,
+      const engines::EngineRef& engine, core::ThreadPool& pool,
       engines::SolveStats* stats = nullptr) const;
 
   /// Compiles a group of graphs INLINE on the calling thread through the
@@ -158,7 +134,7 @@ class PipelineCompiler {
   /// core::CancelledError (the RL decode polls it once per step).
   [[nodiscard]] std::vector<CompileResult> CompileGroup(
       std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, const tpu::DeviceProfile& profile,
+      const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
       const core::CancelToken& cancel = {},
       engines::SolveStats* stats = nullptr) const;
 
@@ -195,25 +171,15 @@ class PipelineCompiler {
   /// options.weights_path loaded when present).
   [[nodiscard]] std::shared_ptr<rl::RlScheduler> MakeConfiguredRl() const;
 
-  [[nodiscard]] engines::EngineBudget MakeBudget() const;
-
-  /// Post-solve half of a compile: repair, packaging, peak-bytes — shared
-  /// by the single, batch, and group paths so every route finishes a solve
-  /// identically.
-  [[nodiscard]] CompileResult FinishCompile(
-      engines::EngineResult engine_result, const graph::Dag& dag,
-      const sched::PipelineConstraints& constraints) const;
-
-  [[nodiscard]] CompileResult CompileWith(const engines::SchedulerEngine& engine,
-                                          const graph::Dag& dag,
-                                          const sched::PipelineConstraints&
-                                              constraints,
-                                          const core::CancelToken& cancel =
-                                              {}) const;
-  [[nodiscard]] std::vector<CompileResult> CompileBatchWith(
+  /// The one compile body behind every entry point: validates each graph,
+  /// rejects num_stages < 1, fires the engine.solve failpoint, solves under
+  /// the options' budget plus `cancel` (Schedule for one graph,
+  /// ScheduleBatch for more), then repairs and packages each schedule.
+  [[nodiscard]] std::vector<CompileResult> Solve(
       const engines::SchedulerEngine& engine,
-      std::span<const graph::Dag* const> dags, int num_stages,
-      core::ThreadPool& pool, engines::SolveStats* stats) const;
+      std::span<const graph::Dag* const> dags,
+      const sched::PipelineConstraints& constraints,
+      const core::CancelToken& cancel, engines::SolveStats* stats) const;
 
   /// The current RL scheduler, behind a heap-allocated slot so the compiler
   /// stays movable: ReplaceRl swaps the inner pointer under the slot mutex

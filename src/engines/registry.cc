@@ -87,37 +87,15 @@ const EngineRegistration& EngineRegistry::Resolve(const EngineRef& ref) const {
   return *registration;
 }
 
-namespace {
-
-std::unique_ptr<SchedulerEngine> RunFactory(
-    const EngineRegistration& registration, const EngineContext& context) {
+std::unique_ptr<SchedulerEngine> EngineRegistry::Create(
+    const EngineRef& ref, const EngineContext& context) const {
+  const EngineRegistration& registration = Resolve(ref);
   std::unique_ptr<SchedulerEngine> engine = registration.factory(context);
   if (engine == nullptr) {
     throw std::runtime_error("factory of engine '" + registration.name +
                              "' returned null");
   }
   return engine;
-}
-
-}  // namespace
-
-std::unique_ptr<SchedulerEngine> EngineRegistry::Create(
-    std::string_view name_or_alias, const EngineContext& context) const {
-  const EngineRegistration* registration = Find(name_or_alias);
-  if (registration == nullptr) {
-    throw std::invalid_argument("unknown scheduling engine '" +
-                                std::string(name_or_alias) + "'");
-  }
-  return RunFactory(*registration, context);
-}
-
-std::unique_ptr<SchedulerEngine> EngineRegistry::Create(
-    Method method, const EngineContext& context) const {
-  const EngineRegistration* registration = Find(method);
-  if (registration == nullptr) {
-    throw std::invalid_argument("Method enum value without registered engine");
-  }
-  return RunFactory(*registration, context);
 }
 
 std::vector<std::string> EngineRegistry::Names() const {

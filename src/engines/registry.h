@@ -10,6 +10,11 @@
 //       .factory = [](const engines::EngineContext&) { ... }});
 //   auto result = compiler.Compile(dag, 4, "MyEngine");
 //
+// Every lookup that instantiates or resolves an engine takes an EngineRef
+// (engine_ref.h), so the canonical name, the alias and the Method value are
+// interchangeable wherever an engine is named: Resolve finds the entry and
+// Create runs its factory.
+//
 // Registration is not synchronized: register engines during startup, before
 // handing the registry to concurrent compile paths.  Lookups are const and
 // safe to run concurrently once registration is done.
@@ -75,12 +80,10 @@ class EngineRegistry {
   /// the process lifetime (entries are never relocated or removed).
   [[nodiscard]] const EngineRegistration& Resolve(const EngineRef& ref) const;
 
-  /// Instantiates an engine.  Throws std::invalid_argument on unknown
-  /// name/method.
+  /// Instantiates the engine `ref` spells (any spelling Resolve accepts).
+  /// Throws std::invalid_argument when the ref is empty or unknown.
   [[nodiscard]] std::unique_ptr<SchedulerEngine> Create(
-      std::string_view name_or_alias, const EngineContext& context) const;
-  [[nodiscard]] std::unique_ptr<SchedulerEngine> Create(
-      Method method, const EngineContext& context) const;
+      const EngineRef& ref, const EngineContext& context) const;
 
   /// All entries, in registration order (built-ins first).
   [[nodiscard]] const std::deque<EngineRegistration>& Registrations() const {

@@ -44,28 +44,42 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
   thread_local rl::BatchDecodeWorkspace batch_workspace;
 
   std::vector<EngineResult> results(dags.size());
+  std::vector<const graph::Dag*> chunk;
+  for (const std::vector<std::size_t>& indices : ChunkBySize(dags)) {
+    if (indices.size() == 1) {
+      // Straggler: the single-graph path (identical result, no batch
+      // overhead for a batch of one).
+      results[indices[0]] = Schedule(*dags[indices[0]], constraints, budget);
+      if (stats != nullptr) ++stats->single_solved;
+      continue;
+    }
+    chunk.clear();
+    for (const std::size_t i : indices) chunk.push_back(dags[i]);
+    std::vector<rl::RlScheduler::Result> raw = rl_->ScheduleRawBatch(
+        std::span<const graph::Dag* const>(chunk), constraints,
+        batch_workspace, budget.cancel);
+    for (std::size_t k = 0; k < indices.size(); ++k) {
+      EngineResult& out = results[indices[k]];
+      out.schedule = std::move(raw[k].schedule);
+      out.solve_seconds = raw[k].solve_seconds;
+    }
+    if (stats != nullptr) {
+      stats->batch_solved += indices.size();
+      ++stats->batch_groups;
+    }
+  }
+  return results;
+}
 
-  // Group by node count — lock-stepping needs equal decode lengths.
-  // std::map keeps the grouping (and thus group/chunk boundaries)
-  // deterministic for a given input order.
+std::vector<std::vector<std::size_t>> ChunkBySize(
+    std::span<const graph::Dag* const> dags) {
   std::map<int, std::vector<std::size_t>> by_nodes;
   for (std::size_t i = 0; i < dags.size(); ++i) {
     by_nodes[dags[i]->NodeCount()].push_back(i);
   }
-
-  std::vector<const graph::Dag*> chunk;
+  std::vector<std::vector<std::size_t>> chunks;
   for (const auto& [nodes, indices] : by_nodes) {
-    if (indices.size() < 2) {
-      // Straggler: the single-graph path (identical result, no batch
-      // overhead for a batch of one).
-      for (const std::size_t i : indices) {
-        results[i] = Schedule(*dags[i], constraints, budget);
-      }
-      if (stats != nullptr) stats->single_solved += indices.size();
-      continue;
-    }
-    // Balanced chunking under the workspace cap: ceil-divide the group so
-    // chunk sizes differ by at most one and every chunk keeps >= 2 graphs.
+    // Ceil-divide under the workspace cap; a singleton stays one chunk.
     const std::size_t group = indices.size();
     const std::size_t num_chunks =
         (group + rl::kMaxDecodeBatch - 1) / rl::kMaxDecodeBatch;
@@ -74,26 +88,12 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
     std::size_t begin = 0;
     for (std::size_t c = 0; c < num_chunks; ++c) {
       const std::size_t size = base + (c < extra ? 1 : 0);
-      chunk.clear();
-      for (std::size_t k = begin; k < begin + size; ++k) {
-        chunk.push_back(dags[indices[k]]);
-      }
-      std::vector<rl::RlScheduler::Result> raw = rl_->ScheduleRawBatch(
-          std::span<const graph::Dag* const>(chunk), constraints,
-          batch_workspace, budget.cancel);
-      for (std::size_t k = 0; k < size; ++k) {
-        EngineResult& out = results[indices[begin + k]];
-        out.schedule = std::move(raw[k].schedule);
-        out.solve_seconds = raw[k].solve_seconds;
-      }
-      if (stats != nullptr) {
-        stats->batch_solved += size;
-        ++stats->batch_groups;
-      }
+      chunks.emplace_back(indices.begin() + begin,
+                          indices.begin() + begin + size);
       begin += size;
     }
   }
-  return results;
+  return chunks;
 }
 
 }  // namespace respect::engines

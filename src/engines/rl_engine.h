@@ -1,7 +1,10 @@
 // SchedulerEngine adapter for the paper's RL scheduler (rl/scheduler.h).
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "engines/engine.h"
 #include "rl/scheduler.h"
@@ -23,12 +26,10 @@ class RlEngine : public SchedulerEngine {
 
   [[nodiscard]] bool SupportsBatch() const override { return true; }
 
-  /// Groups `dags` by node count (lock-stepped decodes need equal lengths),
-  /// routes every group of >= 2 through the batched decode path — chunked
-  /// into balanced pieces of at most rl::kMaxDecodeBatch — and falls back
-  /// to the single-graph path for singletons.  Scalar-path results are
-  /// bit-identical to per-graph Schedule() calls; `stats` reports the
-  /// batch/single split.
+  /// Splits `dags` with ChunkBySize, routes every chunk of >= 2 through the
+  /// batched decode path and falls back to the single-graph path for
+  /// singletons.  Scalar-path results are bit-identical to per-graph
+  /// Schedule() calls; `stats` reports the batch/single split.
   [[nodiscard]] std::vector<EngineResult> ScheduleBatch(
       std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,
@@ -37,5 +38,15 @@ class RlEngine : public SchedulerEngine {
  private:
   std::shared_ptr<const rl::RlScheduler> rl_;
 };
+
+/// The one size-chunker behind every batched solve (RlEngine::ScheduleBatch
+/// and PipelineCompiler::CompileBatch): groups the indices of `dags` by
+/// node count (lock-stepped decodes need equal lengths), in ascending node
+/// count so chunk boundaries are deterministic for a given input order, and
+/// splits each group of >= 2 into balanced chunks of at most
+/// rl::kMaxDecodeBatch — sizes differ by at most one and every chunk keeps
+/// >= 2 graphs.  A node count seen once is a singleton chunk.
+[[nodiscard]] std::vector<std::vector<std::size_t>> ChunkBySize(
+    std::span<const graph::Dag* const> dags);
 
 }  // namespace respect::engines

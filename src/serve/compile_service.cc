@@ -192,6 +192,10 @@ CompileService::RequestKey CompileService::MakeKey(
     throw std::invalid_argument("unknown device profile: \"" +
                                 std::string(profile_name) + "\"");
   }
+  if (num_stages < 1) {
+    throw std::invalid_argument("num_stages must be >= 1, got " +
+                                std::to_string(num_stages));
+  }
   graph::CanonicalHasher h;
   h.Update("respect-serve-key-v1");
   h.Update(registration.name);  // canonical, so alias and name share a key

@@ -498,8 +498,9 @@ class CompileService {
   };
 
   /// Resolves the engine and the named device profile and builds the
-  /// content-addressed key.  An unknown profile name throws
-  /// std::invalid_argument (same contract as an unknown engine).
+  /// content-addressed key.  An unknown profile name or num_stages < 1
+  /// throws std::invalid_argument (same contract as an unknown engine), so
+  /// such a request never reaches a flight or a breaker.
   [[nodiscard]] RequestKey MakeKey(const graph::Dag& dag, int num_stages,
                                    const EngineRef& engine,
                                    std::string_view profile_name) const;

@@ -25,6 +25,7 @@
 
 #include "core/cancel.h"
 #include "core/respect.h"
+#include "core/thread_pool.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
 #include "nn/simd.h"
@@ -242,9 +243,10 @@ TEST(BatchCompileTest, CompileBatchGroupsBySizeAndMatchesSequential) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
+  core::ThreadPool pool(3);
   const auto batched = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kRespectRl,
-      /*num_threads=*/3, &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, Method::kRespectRl, pool,
+      &stats);
   ASSERT_EQ(batched.size(), dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
     const auto single = compiler.Compile(dags[i], 4, Method::kRespectRl);
@@ -286,9 +288,10 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
+  core::ThreadPool pool(2);
   const auto results = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, Method::kHuLevel,
-      /*num_threads=*/2, &stats);
+      std::span<const graph::Dag* const>(ptrs), 4, Method::kHuLevel, pool,
+      &stats);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(stats.batch_solved, 0u);
   EXPECT_EQ(stats.single_solved, 3u);

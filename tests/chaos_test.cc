@@ -319,6 +319,20 @@ TEST(FailpointTest, EngineSolveSiteIsTaggedPerEngine) {
   EXPECT_GE(core::failpoint::HitCount("engine.solve.ListScheduling"), 1u);
 }
 
+TEST(FailpointTest, EngineSolveSiteFiresForGroupedBatchChunks) {
+  const PipelineCompiler compiler(FastOptions());
+  std::vector<graph::Dag> dags;
+  for (const std::uint64_t seed : {14, 15, 16}) {
+    dags.push_back(SampleDag(24, seed));  // one size: one batched chunk
+  }
+  const std::vector<const graph::Dag*> pointers = {&dags[0], &dags[1],
+                                                   &dags[2]};
+  core::ThreadPool pool(2);
+  const ScopedFailpoint fp("engine.solve.RESPECT", "error");
+  EXPECT_THROW((void)compiler.CompileBatch(pointers, 4, "respect", pool),
+               FailpointError);
+}
+
 // ── Solve budgets, fallback chains, degraded caching ─────────────────────
 
 TEST(ChaosServiceTest, BlownBudgetFallsBackDegradedAndCachesUnderFallbackKey) {
@@ -1066,7 +1080,14 @@ std::string EntryPointName(
 }
 
 /// How a request settled.
-enum class Outcome { kServed, kDegraded, kDeadline, kOverloaded, kError };
+enum class Outcome {
+  kServed,
+  kDegraded,
+  kDeadline,
+  kOverloaded,
+  kInvalidArgument,
+  kError
+};
 
 class EntryPointContractTest : public ::testing::TestWithParam<EntryPoint> {
  protected:
@@ -1089,21 +1110,24 @@ class EntryPointContractTest : public ::testing::TestWithParam<EntryPoint> {
 
   /// A cold RESPECT request on a fresh graph, shaped by `shape`.
   [[nodiscard]] static CompileRequest Request(
-      std::uint64_t seed, const CompileRequest& shape = {}) {
+      std::uint64_t seed, const CompileRequest& shape = {},
+      int num_stages = 4) {
     CompileRequest request = shape;
     request.dag = SampleDag(24, seed);
-    request.num_stages = 4;
+    request.num_stages = num_stages;
     request.engine = "respect";
     return request;
   }
 
-  /// Sends Request(seed, shape) through the entry point under test (the
-  /// grouped batch adds a same-size sibling) and classifies the result.
+  /// Sends Request(seed, shape, num_stages) through the entry point under
+  /// test (the grouped batch adds a same-size sibling) and classifies the
+  /// result.
   Outcome Run(serve::CompileService& service, std::uint64_t seed,
-              const CompileRequest& shape = {}) {
-    std::vector<CompileRequest> requests = {Request(seed, shape)};
+              const CompileRequest& shape = {}, int num_stages = 4) {
+    std::vector<CompileRequest> requests = {
+        Request(seed, shape, num_stages)};
     if (GetParam() == EntryPoint::kGroupedBatch) {
-      requests.push_back(Request(seed + 1000, shape));
+      requests.push_back(Request(seed + 1000, shape, num_stages));
     }
     try {
       switch (GetParam()) {
@@ -1122,6 +1146,8 @@ class EntryPointContractTest : public ::testing::TestWithParam<EntryPoint> {
       return Outcome::kDeadline;
     } catch (const Overloaded&) {
       return Outcome::kOverloaded;
+    } catch (const std::invalid_argument&) {
+      return Outcome::kInvalidArgument;
     } catch (...) {
       return Outcome::kError;
     }
@@ -1183,6 +1209,15 @@ TEST_P(EntryPointContractTest, ExpiredDeadlineIsDeadlineExceeded) {
   EXPECT_EQ(service.Metrics().misses, 0u);  // never reached a solve
 }
 
+TEST_P(EntryPointContractTest, NonPositiveStageCountIsRejectedAtAdmission) {
+  serve::CompileService service(FastOptions());
+  EXPECT_EQ(Run(service, 235, {}, /*num_stages=*/0),
+            Outcome::kInvalidArgument);
+  const auto metrics = service.Metrics();
+  EXPECT_EQ(metrics.misses, 0u);  // never reached a flight
+  EXPECT_TRUE(metrics.breakers.empty());
+}
+
 TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
   serve::CompileService service(FastOptions());
   std::atomic<int> fetches{0};
@@ -1192,10 +1227,21 @@ TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
   });
   EXPECT_EQ(Run(service, 241), Outcome::kServed);
   EXPECT_EQ(static_cast<std::size_t>(fetches.load()), Owners());
-  const auto metrics = service.Metrics();
+  auto metrics = service.Metrics();
   EXPECT_EQ(metrics.peer_fetches, Owners());
+  EXPECT_EQ(metrics.peer_fetch_failures, 0u);
   EXPECT_EQ(metrics.batch_groups,
             GetParam() == EntryPoint::kGroupedBatch ? 1u : 0u);
+
+  // A dead peer: the hook throws, and every cold owner still solves
+  // locally.
+  service.SetPeerFetch([](const graph::CanonicalHash&) -> std::string {
+    throw std::runtime_error("peer connection refused");
+  });
+  EXPECT_EQ(Run(service, 242), Outcome::kServed);
+  metrics = service.Metrics();
+  EXPECT_EQ(metrics.peer_fetches, 2 * Owners());
+  EXPECT_EQ(metrics.peer_fetch_failures, Owners());
   service.SetPeerFetch(nullptr);
 }
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,6 +205,19 @@ TEST_P(AllEnginesValidationTest, ValidSchedulesAcrossDegreeSweep) {
   }
 }
 
+// A stage count below one is a caller error, rejected before any engine
+// runs (several engines would otherwise index an empty stage array).
+TEST_P(AllEnginesValidationTest, NonPositiveStageCountIsInvalidArgument) {
+  PipelineCompiler compiler(FastOptions());
+  std::mt19937_64 rng(43);
+  const graph::Dag dag = graph::SampleTrainingDag(12, rng);
+  for (const int num_stages : {0, -1}) {
+    EXPECT_THROW((void)compiler.Compile(dag, num_stages, GetParam()),
+                 std::invalid_argument)
+        << GetParam() << " num_stages=" << num_stages;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, AllEnginesValidationTest,
     ::testing::ValuesIn(engines::EngineRegistry::Global().Names()),
@@ -333,12 +347,13 @@ TEST(CompileBatchTest, ParallelMatchesSequential) {
   PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(10, 7);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
+  core::ThreadPool pool(4);
 
   for (const Method method :
        {Method::kRespectRl, Method::kExactIlp, Method::kListScheduling,
         Method::kAnnealing, Method::kGreedyBalance}) {
     const std::vector<CompileResult> parallel =
-        compiler.CompileBatch(pointers, 4, method, /*num_threads=*/4);
+        compiler.CompileBatch(pointers, 4, method, pool);
     ASSERT_EQ(parallel.size(), dags.size()) << MethodName(method);
     for (std::size_t i = 0; i < dags.size(); ++i) {
       const CompileResult sequential = compiler.Compile(dags[i], 4, method);
@@ -356,31 +371,31 @@ TEST(CompileBatchTest, RepeatedParallelRunsAreDeterministic) {
   const std::vector<graph::Dag> dags = SampleBatch(8, 13);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
-  const auto first = compiler.CompileBatch(pointers, 4, Method::kAnnealing, 4);
-  const auto second = compiler.CompileBatch(pointers, 4, "anneal", 3);
+  // Two pools of different sizes: the split across workers must not matter.
+  core::ThreadPool four(4);
+  core::ThreadPool three(3);
+  const auto first =
+      compiler.CompileBatch(pointers, 4, Method::kAnnealing, four);
+  const auto second = compiler.CompileBatch(pointers, 4, "anneal", three);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].schedule.stage, second[i].schedule.stage) << i;
   }
 }
 
-TEST(CompileBatchTest, CallerOwnedPoolMatchesPerCallPool) {
+TEST(CompileBatchTest, BackToBackBatchesOnOnePoolAgree) {
   PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(8, 23);
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
-  core::ThreadPool pool(4);
-  const auto reused =
-      compiler.CompileBatch(pointers, 4, Method::kListScheduling, pool);
   // Back-to-back batches on the same pool (the serving-loop shape).
-  const auto reused_again =
-      compiler.CompileBatch(pointers, 4, "list", pool);
-  const auto per_call =
-      compiler.CompileBatch(pointers, 4, Method::kListScheduling, 4);
-  ASSERT_EQ(reused.size(), per_call.size());
-  for (std::size_t i = 0; i < reused.size(); ++i) {
-    EXPECT_EQ(reused[i].schedule.stage, per_call[i].schedule.stage) << i;
-    EXPECT_EQ(reused_again[i].schedule.stage, per_call[i].schedule.stage) << i;
+  core::ThreadPool pool(4);
+  const auto first =
+      compiler.CompileBatch(pointers, 4, Method::kListScheduling, pool);
+  const auto second = compiler.CompileBatch(pointers, 4, "list", pool);
+  ASSERT_EQ(first.size(), second.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].schedule.stage, second[i].schedule.stage) << i;
   }
 }
 
@@ -390,8 +405,9 @@ TEST(CompileBatchTest, WorkerExceptionsReachTheCaller) {
   // 30-node graphs cannot fill 64 stages; the failure must not be swallowed
   // by the pool.
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
+  core::ThreadPool pool(2);
   EXPECT_THROW(
-      (void)compiler.CompileBatch(pointers, 64, Method::kGreedyBalance, 2),
+      (void)compiler.CompileBatch(pointers, 64, Method::kGreedyBalance, pool),
       std::exception);
 }
 

@@ -461,6 +461,13 @@ TEST(FleetServerTest, TypedErrorsSurviveTheHop) {
   expired.deadline = serve::DeadlineIn(-0.5);
   EXPECT_THROW((void)client.Compile(expired), serve::DeadlineExceeded);
 
+  // Rejected at admission: before the check, a zero stage count crashed
+  // the list scheduler and took the whole shard down.
+  CompileRequest no_stages = AnnealRequest(SampleDag(10, 55));
+  no_stages.engine = serve::EngineRef("list");
+  no_stages.num_stages = 0;
+  EXPECT_THROW((void)client.Compile(no_stages), std::invalid_argument);
+
   // The connection survives typed failures: a good request still works.
   const CompileResponse ok = client.Compile(AnnealRequest(SampleDag(10, 54)));
   ASSERT_NE(ok.result, nullptr);
