@@ -7,6 +7,9 @@ by more than --max-regression (a fraction; 0.15 = 15%).
 
 Watched by default:
   * BM_DecodeGreedyWorkspace/100    — fused decode throughput (items/s),
+  * BM_DecodeGreedyZoo              — fused decode at the zoo-compile shape
+                                      (default agent on ResNet152; items are
+                                      nodes),
   * BM_BatchedDecode/16             — batched multi-graph decode throughput,
   * BM_MissStormRefill              — grouped refill through the single cold
                                       path (requests/s),

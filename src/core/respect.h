@@ -11,9 +11,9 @@
 // the calling thread).  Each takes an engines::EngineRef, so a Method value,
 // a canonical engine name or a CLI alias all work.  All three resolve the
 // engine through the SchedulerEngine registry (engines/registry.h — the RL
-// agent, the exact ILP route, the Edge TPU compiler substitute, the classic
-// heuristics, or anything registered at runtime) and run one private Solve
-// helper: validate, solve, repair the schedule and package it for
+// agent, the exact branch-and-bound, the Edge TPU compiler substitute, the
+// classic heuristics, or anything registered at runtime) and run one private
+// Solve helper: validate, solve, repair the schedule and package it for
 // deployment (quantization + segment extraction).  The compile calls are
 // const and engines are stateless, so one compiler may serve many threads.  EnsureTrainedAgent implements the train-or-load weight cache
 // used by the examples and benchmarks.
@@ -73,7 +73,9 @@ struct CompileResult {
   /// the Fig. 5 metric.
   std::int64_t peak_stage_param_bytes = 0;
 
-  /// True for exact runs that proved optimality within budget.
+  /// True for exact runs that proved optimality: the search completed, or a
+  /// budget cut it short after the peak already met its lower bound (peak
+  /// proved, communication best effort).
   bool proved_optimal = false;
 };
 

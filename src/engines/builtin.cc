@@ -29,7 +29,7 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
        },
        /*uses_rl=*/true});
   registry.Register({"ExactILP", "exact",
-                     "exact ILP / branch-and-bound route (CPLEX role)",
+                     "exact (peak, comm) branch-and-bound (CPLEX role)",
                      Method::kExactIlp, Stateless<IlpEngine>});
   registry.Register(
       {"EdgeTPUCompiler", "compiler",

@@ -66,7 +66,8 @@ struct EngineResult {
   /// packaging/quantization (the Fig. 3 metric).
   double solve_seconds = 0.0;
 
-  /// True for exact engines that proved optimality within budget.
+  /// True for exact engines that proved optimality (see
+  /// exact::BnbResult::proved_optimal for what a budget-cut run proves).
   bool proved_optimal = false;
 };
 

@@ -1,19 +1,19 @@
 #include "engines/ilp_engine.h"
 
-#include "ilp/scheduling_ilp.h"
+#include "exact/bnb_scheduler.h"
 
 namespace respect::engines {
 
 EngineResult IlpEngine::Schedule(const graph::Dag& dag,
                                  const sched::PipelineConstraints& constraints,
                                  const EngineBudget& budget) const {
-  ilp::IlpScheduleConfig config;
+  exact::BnbConfig config;
   config.num_stages = constraints.num_stages;
-  config.max_nodes = budget.max_expansions;
+  config.max_expansions = budget.max_expansions;
   config.time_limit_seconds = budget.time_limit_seconds;
   config.cancel = budget.cancel;
 
-  ilp::IlpScheduleResult r = ilp::SolveSchedulingIlp(dag, config);
+  exact::BnbResult r = exact::SolveExact(dag, config);
   EngineResult result;
   result.schedule = std::move(r.schedule);
   result.solve_seconds = r.solve_seconds;

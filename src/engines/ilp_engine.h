@@ -1,6 +1,5 @@
-// SchedulerEngine adapter for the exact ILP route (ilp/scheduling_ilp.h),
-// which itself dispatches small instances to the generic Model-level B&B and
-// larger ones to the structure-aware exact engine in src/exact.
+// SchedulerEngine adapter for the exact method (the paper's CPLEX role):
+// the lexicographic (peak, comm) branch-and-bound of exact/bnb_scheduler.h.
 #pragma once
 
 #include "engines/engine.h"

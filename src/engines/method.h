@@ -17,7 +17,7 @@ namespace respect {
 /// kAllMethods entry is registered then catches a missing adapter.
 ///
 ///   kRespectRl        the paper's contribution
-///   kExactIlp         exact method (ILP route, CPLEX role)
+///   kExactIlp         exact method (CPLEX role): exact::SolveExact
 ///   kEdgeTpuCompiler  commercial-compiler substitute (count + profiling)
 ///   kGreedyBalance    balanced contiguous partition of the default order
 #define RESPECT_METHOD_LIST(X) \

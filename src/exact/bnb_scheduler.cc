@@ -27,7 +27,7 @@ class BnbSearch {
     if (config_.num_stages < 1) {
       throw std::invalid_argument("SolveExact: num_stages must be >= 1");
     }
-    if (config_.require_nonempty && n_ < config_.num_stages) {
+    if (n_ < config_.num_stages) {
       throw std::invalid_argument("SolveExact: |V| < num_stages");
     }
 
@@ -44,13 +44,6 @@ class BnbSearch {
     }
     peak_lower_bound_ = std::max(
         max_node, (dag_.TotalParamBytes() + stages_ - 1) / stages_);
-
-    // Suffix parameter mass in assignment order, for the average-load bound.
-    suffix_mass_.assign(n_ + 1, 0);
-    for (int i = n_ - 1; i >= 0; --i) {
-      suffix_mass_[i] =
-          suffix_mass_[i + 1] + dag_.Attr(topo_.order[i]).param_bytes;
-    }
 
     assign_.assign(n_, -1);
     loads_.assign(stages_, 0);
@@ -104,10 +97,8 @@ class BnbSearch {
     ++expansions_;
 
     if (idx == n_) {
-      if (config_.require_nonempty) {
-        for (int k = 0; k < stages_; ++k) {
-          if (stage_count_[k] == 0) return;  // infeasible leaf
-        }
+      for (int k = 0; k < stages_; ++k) {
+        if (stage_count_[k] == 0) return;  // infeasible leaf
       }
       const sched::ObjectiveValue value{peak, comm};
       if (value < best_value_) {
@@ -128,13 +119,11 @@ class BnbSearch {
     // nodes; nodes can fill any stage >= lo, but stages < lo can only be
     // filled by other remaining nodes.  Cheap conservative check: remaining
     // node count must cover the number of empty stages.
-    if (config_.require_nonempty) {
-      int empty = 0;
-      for (int k = 0; k < stages_; ++k) {
-        if (stage_count_[k] == 0) ++empty;
-      }
-      if (n_ - idx < empty) return;
+    int empty = 0;
+    for (int k = 0; k < stages_; ++k) {
+      if (stage_count_[k] == 0) ++empty;
     }
+    if (n_ - idx < empty) return;
 
     const std::int64_t mass = dag_.Attr(v).param_bytes;
 
@@ -199,12 +188,6 @@ class BnbSearch {
     }
   }
 
-  static std::int64_t Total(const std::vector<std::int64_t>& v) {
-    std::int64_t t = 0;
-    for (const std::int64_t x : v) t += x;
-    return t;
-  }
-
   const graph::Dag& dag_;
   const BnbConfig config_;
   const graph::TopoInfo topo_;
@@ -214,7 +197,6 @@ class BnbSearch {
   sched::Schedule best_;
   sched::ObjectiveValue best_value_;
 
-  std::vector<std::int64_t> suffix_mass_;
   std::int64_t peak_lower_bound_ = 0;
   std::vector<int> assign_;
   std::vector<std::int64_t> loads_;

@@ -3,10 +3,18 @@
 //
 // This plays the role of the paper's "exact optimal scheduling method
 // conducted on constraint solving scheduling using ILP solver" (CPLEX in the
-// paper; our in-repo ILP front end in src/ilp delegates to this solver).
-// The objective is lexicographic (peak per-stage parameter bytes, then
-// hop-weighted communication bytes), matching the paper's memory-allocation
-// + communication-cost optimization.
+// paper).  It searches the feasible set of the paper's ILP formulation
+// (following [21] / [24] as cited by the paper):
+//   binaries x[v][k]  — node v runs on stage k
+//   integer  z        — peak per-stage parameter bytes (objective)
+//   (1) assignment     sum_k x[v][k] == 1                      for all v
+//   (2) precedence     sum_k k*x[u][k] <= sum_k k*x[v][k]      for (u,v) in E
+//   (3) peak memory    sum_v m_v * x[v][k] <= z                for all k
+//   (4) non-empty      sum_v x[v][k] >= 1                      for all k
+//   objective: minimize z
+// and breaks ties on z by hop-weighted communication bytes, so the objective
+// is lexicographic (peak, comm), matching the paper's memory-allocation +
+// communication-cost optimization.
 //
 // Unlike DpPartitioner the search is NOT restricted to contiguous segments
 // of one topological order: any assignment with stage(u) <= stage(v) along
@@ -24,9 +32,6 @@ namespace respect::exact {
 
 struct BnbConfig {
   int num_stages = 4;
-
-  /// Every pipeline stage must receive at least one operator.
-  bool require_nonempty = true;
 
   /// Search budget: maximum number of branch-and-bound tree nodes expanded
   /// before returning the incumbent (0 = unlimited).  The paper's CPLEX runs
@@ -46,17 +51,19 @@ struct BnbResult {
   sched::Schedule schedule;
   sched::ObjectiveValue objective;
 
-  /// True when the search ran to completion, i.e. the schedule is proved
-  /// optimal; false when a budget cut it short (the schedule is still the
-  /// best incumbent found and is always feasible).
+  /// True when the search ran to completion (the schedule is proved optimal
+  /// on (peak, comm)), and also when a budget cut it short but the
+  /// incumbent's peak already meets the global peak lower bound (peak is
+  /// proved optimal; comm is best effort).  False otherwise; the schedule is
+  /// then the best incumbent found, and is always feasible.
   bool proved_optimal = false;
 
   std::int64_t expansions = 0;
   double solve_seconds = 0.0;
 };
 
-/// Solves the instance.  Throws std::invalid_argument when
-/// |V| < num_stages and require_nonempty is set.
+/// Solves the instance.  Throws std::invalid_argument when num_stages < 1
+/// or |V| < num_stages.
 [[nodiscard]] BnbResult SolveExact(const graph::Dag& dag,
                                    const BnbConfig& config);
 

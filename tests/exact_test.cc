@@ -1,11 +1,15 @@
 // Exactness proofs for the solvers: DP partitioner vs exhaustive cut
 // enumeration, and branch-and-bound vs brute force over all monotone
-// assignments on random small graphs.
+// assignments on random small graphs, both directly and through the
+// ExactILP engine of the façade.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <random>
+#include <string>
+#include <tuple>
 
+#include "core/respect.h"
 #include "exact/bnb_scheduler.h"
 #include "exact/dp_partitioner.h"
 #include "graph/sampler.h"
@@ -17,10 +21,10 @@ namespace {
 using sched::ObjectiveValue;
 using sched::Schedule;
 
-/// Brute force over every monotone assignment (exponential; tiny graphs
-/// only).  Returns the lexicographically best (peak, comm).
-ObjectiveValue BruteForceBest(const graph::Dag& dag, int stages,
-                              bool require_nonempty) {
+/// Brute force over every monotone assignment with no empty stage
+/// (exponential; tiny graphs only).  Returns the lexicographically best
+/// (peak, comm).
+ObjectiveValue BruteForceBest(const graph::Dag& dag, int stages) {
   const int n = dag.NodeCount();
   const graph::TopoInfo topo = graph::AnalyzeTopology(dag);
   std::vector<int> assign(n, 0);
@@ -29,12 +33,10 @@ ObjectiveValue BruteForceBest(const graph::Dag& dag, int stages,
   const std::function<void(int)> recurse = [&](int idx) {
     if (idx == n) {
       Schedule s{stages, assign};
-      if (require_nonempty) {
-        std::vector<bool> used(stages, false);
-        for (const int k : assign) used[k] = true;
-        for (const bool u : used) {
-          if (!u) return;
-        }
+      std::vector<bool> used(stages, false);
+      for (const int k : assign) used[k] = true;
+      for (const bool u : used) {
+        if (!u) return;
       }
       const ObjectiveValue value = Evaluate(dag, s);
       if (value < best) best = value;
@@ -122,38 +124,75 @@ TEST_P(DpMatchesExhaustiveCutsTest, OnRandomChains) {
     if (i > 0) dag.AddEdge(i - 1, i);
   }
   const DpResult dp = PartitionDefaultOrder(dag, 3);
-  const ObjectiveValue brute = BruteForceBest(dag, 3, true);
+  const ObjectiveValue brute = BruteForceBest(dag, 3);
   EXPECT_EQ(dp.objective, brute);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DpMatchesExhaustiveCutsTest,
                          ::testing::Range(1, 13));
 
-class BnbMatchesBruteForceTest : public ::testing::TestWithParam<int> {};
+/// (nodes, stages); each case runs seeds 1-15.
+class BnbMatchesBruteForceTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(BnbMatchesBruteForceTest, OnRandomSmallDags) {
-  std::mt19937_64 rng(GetParam() * 977);
-  graph::SamplerConfig config;
-  config.num_nodes = 9;
-  config.max_in_degree = 2 + static_cast<int>(rng() % 3);
-  const graph::Dag dag = graph::SampleDag(config, rng);
+  const auto [nodes, stages] = GetParam();
+  for (int seed = 1; seed <= 15; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 977);
+    graph::SamplerConfig config;
+    config.num_nodes = nodes;
+    config.max_in_degree = 2 + static_cast<int>(rng() % 3);
+    const graph::Dag dag = graph::SampleDag(config, rng);
 
-  BnbConfig bnb;
-  bnb.num_stages = 3;
-  bnb.max_expansions = 0;  // unlimited: prove optimality
-  const BnbResult result = SolveExact(dag, bnb);
-  EXPECT_TRUE(result.proved_optimal);
+    BnbConfig bnb;
+    bnb.num_stages = stages;
+    bnb.max_expansions = 0;  // unlimited: prove optimality
+    const BnbResult result = SolveExact(dag, bnb);
+    EXPECT_TRUE(result.proved_optimal);
 
-  const ObjectiveValue brute = BruteForceBest(dag, 3, true);
-  EXPECT_EQ(result.objective, brute);
+    const ObjectiveValue brute = BruteForceBest(dag, stages);
+    EXPECT_EQ(result.objective, brute);
 
-  sched::PipelineConstraints c;
-  c.num_stages = 3;
-  EXPECT_TRUE(ValidateSchedule(dag, result.schedule, c).ok);
+    sched::PipelineConstraints c;
+    c.num_stages = stages;
+    EXPECT_TRUE(ValidateSchedule(dag, result.schedule, c).ok);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BnbMatchesBruteForceTest,
-                         ::testing::Range(1, 16));
+INSTANTIATE_TEST_SUITE_P(Sizes, BnbMatchesBruteForceTest,
+                         ::testing::Values(std::tuple{6, 2},
+                                           std::tuple{7, 2},
+                                           std::tuple{9, 3}));
+
+class ExactIlpEngineMatchesBruteForceTest
+    : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExactIlpEngineMatchesBruteForceTest, ThroughCompile) {
+  // The ExactILP engine plus the façade's repair pass must keep the
+  // brute-force lexicographic (peak, comm) optimum, not just the peak.
+  const int stages = GetParam();
+  CompilerOptions options;
+  options.exact_max_expansions = 0;
+  options.exact_time_limit_seconds = 0.0;
+  const PipelineCompiler compiler(options);
+  for (int seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed * 977);
+    graph::SamplerConfig config;
+    config.num_nodes = 8;
+    config.max_in_degree = 2 + seed % 3;
+    const graph::Dag dag = graph::SampleDag(config, rng);
+
+    const CompileResult result = compiler.Compile(dag, stages, "exact");
+    EXPECT_TRUE(result.proved_optimal);
+    EXPECT_EQ(sched::Evaluate(dag, result.schedule),
+              BruteForceBest(dag, stages));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Stages, ExactIlpEngineMatchesBruteForceTest,
+                         ::testing::Values(2, 3, 4));
 
 TEST(BnbSchedulerTest, BeatsOrMatchesContiguousDp) {
   // The full search space includes all contiguous partitions, so B&B can
