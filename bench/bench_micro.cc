@@ -26,7 +26,6 @@
 #include "net/fleet_server.h"
 #include "obs/trace.h"
 #include "nn/lstm.h"
-#include "nn/simd.h"
 #include "nn/tape.h"
 #include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
@@ -214,28 +213,6 @@ void BM_BatchedDecode(benchmark::State& state) {
   BatchedDecodeBody(state, static_cast<std::size_t>(state.range(0)));
 }
 BENCHMARK(BM_BatchedDecode)->Arg(1)->Arg(4)->Arg(16);
-
-/// Registered only in RESPECT_SIMD builds: the same batched decode with the
-/// runtime SIMD flag held on for the benchmark's duration (the off-by-
-/// default contract is the caller's choice; this is the caller opting in).
-/// The aggregate >= 4x bar is this divided by BM_BatchedDecode/1.  The two
-/// levers stack roughly multiplicatively because they attack different
-/// bottlenecks: batching turns the latency-bound per-step GEMVs into
-/// GEMMs with a contiguous batch axis (~2.1x), and the SIMD build then
-/// vectorizes those GEMM sweeps plus the gate/score activations with the
-/// host's full vector ISA (~2x on top).
-void RegisterSimdDecodeBenchmarks() {
-  if (!nn::simd::Compiled()) return;
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-    benchmark::RegisterBenchmark(
-        ("BM_BatchedDecodeSimd/" + std::to_string(batch)).c_str(),
-        [batch](benchmark::State& state) {
-          nn::simd::SetEnabled(true);
-          BatchedDecodeBody(state, batch);
-          nn::simd::SetEnabled(false);
-        });
-  }
-}
 
 void BM_SampleWithTapeAndBackward(benchmark::State& state) {
   std::mt19937_64 rng(5);
@@ -735,7 +712,6 @@ void RegisterEngineSolveBenchmarks() {
 
 int main(int argc, char** argv) {
   RegisterEngineSolveBenchmarks();
-  RegisterSimdDecodeBenchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -135,8 +135,8 @@ class SchedulerEngine {
   /// returning results index-aligned with the input.  The default just
   /// loops over Schedule(); engines with SupportsBatch() group same-sized
   /// graphs into lock-stepped solves.  Deterministic and identical, graph
-  /// for graph, to per-graph Schedule() calls on the scalar path.  `stats`
-  /// (optional) accumulates how the work was split.
+  /// for graph, to per-graph Schedule() calls.  `stats` (optional)
+  /// accumulates how the work was split.
   [[nodiscard]] virtual std::vector<EngineResult> ScheduleBatch(
       std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,

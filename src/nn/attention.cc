@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "nn/axpy.h"
-#include "nn/simd.h"
 
 namespace respect::nn {
 
@@ -103,55 +102,14 @@ void GlimpseInto(const Tensor& contexts, const Tensor& attn, Tensor& glimpse) {
 /// `valid_idx` only, masked entries untouched.  Per computed element the
 /// accumulation is i-ascending exactly like ScoreColumns, so every value
 /// the masked softmax reads is bit-identical.
-/// SIMD fast path shared by the single and batched score kernels: scores
-/// for the valid columns `vidx[0..m)` of `ref` (row stride `row_stride`)
-/// against query elements `qd[i * q_stride]`.  Each row's valid entries are
-/// gathered into a packed (d, m) `tmp` buffer (with the query element
-/// folded in), FastTanh runs as ONE sweep over all d·m contiguous elements
-/// — with ready-set masking m is tiny (≈ the frontier size), so per-row
-/// tanh loops would spend more time in prologue/epilogue than in vector
-/// lanes; the fused sweep keeps the vector units saturated — and a final
-/// packed MAC reduces each column.  Per column the value sequence is still
-/// i-ascending with the same operation order as a column-at-a-time loop,
-/// so the packed form computes the exact same bits.  The kernel stays
-/// O(d·|valid|); the gather is the only irregular access.
-void ScoreColumnsFast(const float* __restrict rd, std::int64_t row_stride,
-                      const float* __restrict qd, std::int64_t q_stride,
-                      const float* __restrict vd, int d, const int* vidx,
-                      int m, float* __restrict tmp, float* __restrict acc,
-                      float* __restrict out) {
-  for (int i = 0; i < d; ++i) {
-    const float qi = qd[i * q_stride];
-    const float* __restrict row = rd + i * row_stride;
-    float* __restrict trow = tmp + static_cast<std::int64_t>(i) * m;
-    for (int p = 0; p < m; ++p) trow[p] = row[vidx[p]] + qi;
-  }
-  const std::int64_t total = static_cast<std::int64_t>(d) * m;
-  for (std::int64_t e = 0; e < total; ++e) tmp[e] = simd::FastTanh(tmp[e]);
-  for (int p = 0; p < m; ++p) acc[p] = 0.0f;
-  for (int i = 0; i < d; ++i) {
-    const float vi = vd[i];
-    const float* __restrict trow = tmp + static_cast<std::int64_t>(i) * m;
-    for (int p = 0; p < m; ++p) acc[p] += vi * trow[p];
-  }
-  for (int p = 0; p < m; ++p) out[vidx[p]] = acc[p];
-}
-
 void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
-                        const std::vector<int>& valid_idx, Tensor& tmp,
-                        Tensor& acc, Tensor& scores) {
+                        const std::vector<int>& valid_idx, Tensor& scores) {
   const int d = ref.Rows();
   const int n = ref.Cols();
   const float* __restrict rd = ref.Data();
   const float* __restrict qd = q.Data();
   const float* __restrict vd = v.Data();
   float* __restrict out = scores.Data();
-  if (simd::Enabled()) {
-    ScoreColumnsFast(rd, n, qd, 1, vd, d, valid_idx.data(),
-                     static_cast<int>(valid_idx.size()), tmp.Data(),
-                     acc.Data(), out);
-    return;
-  }
   for (const int j : valid_idx) {
     float acc_j = 0.0f;
     const float* col = rd + j;
@@ -223,26 +181,13 @@ void ScoreColumnsMaskedBatch(const Tensor& ref, const Tensor& q,
                              const Tensor& v,
                              const std::vector<int>& valid_idx,
                              const std::vector<int>& valid_begin, int batch,
-                             Tensor& tmp, Tensor& acc, Tensor& scores) {
+                             Tensor& scores) {
   const int d = ref.Rows();
   const int total = ref.Cols();
   const float* __restrict rd = ref.Data();
   const float* __restrict qd = q.Data();
   const float* __restrict vd = v.Data();
   float* __restrict out = scores.Data();
-  if (simd::Enabled()) {
-    // Graph g's query element i lives at qd[i·B + g]; the absolute column
-    // indices in valid_idx address ref's packed rows directly, so each
-    // graph is one ScoreColumnsFast call — the per-column value sequence
-    // matches the single-graph fast path exactly.
-    for (int g = 0; g < batch; ++g) {
-      const int m = valid_begin[g + 1] - valid_begin[g];
-      ScoreColumnsFast(rd, total, qd + g, batch, vd, d,
-                       valid_idx.data() + valid_begin[g], m, tmp.Data(),
-                       acc.Data(), out);
-    }
-    return;
-  }
   for (int g = 0; g < batch; ++g) {
     for (int p = valid_begin[g]; p < valid_begin[g + 1]; ++p) {
       const int j = valid_idx[p];
@@ -332,8 +277,6 @@ void PointerAttention::Scratch::Reserve(int hidden_dim, int nodes) {
   attn.Resize(1, nodes);
   glimpse.Resize(hidden_dim, 1);
   valid_idx.reserve(nodes);
-  fast_tmp.Resize(hidden_dim, nodes);
-  fast_acc.Resize(1, nodes);
 }
 
 void PointerAttention::PointerLogitsInto(
@@ -358,8 +301,7 @@ void PointerAttention::PointerLogitsInto(
   // Glimpse.
   PanelQueryInto(refs.wq_g_t, h, store_.Value(bg_name_), scratch.q);
   ScoreColumnsMasked(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
-                     scratch.valid_idx, scratch.fast_tmp, scratch.fast_acc,
-                     scratch.scores);
+                     scratch.valid_idx, scratch.scores);
   MaskedSoftmaxInto(scratch.scores, valid, scratch.attn);
   GlimpseIntoMasked(contexts, scratch.attn, scratch.valid_idx,
                     scratch.glimpse);
@@ -368,15 +310,8 @@ void PointerAttention::PointerLogitsInto(
   PanelQueryInto(refs.wq_p_t, scratch.glimpse, store_.Value(bp_name_),
                  scratch.q);
   ScoreColumnsMasked(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
-                     scratch.valid_idx, scratch.fast_tmp, scratch.fast_acc,
-                     logits);
+                     scratch.valid_idx, logits);
   float* u = logits.Data();
-  if (simd::Enabled()) {
-    for (const int j : scratch.valid_idx) {
-      u[j] = kLogitClip * simd::FastTanh(u[j]);
-    }
-    return;
-  }
   for (const int j : scratch.valid_idx) {
     u[j] = kLogitClip * std::tanh(u[j]);
   }
@@ -390,8 +325,6 @@ void PointerAttention::BatchScratch::Reserve(int hidden_dim, int nodes,
   glimpse.Resize(hidden_dim, batch);
   valid_idx.reserve(static_cast<std::size_t>(nodes) * batch);
   valid_begin.reserve(static_cast<std::size_t>(batch) + 1);
-  fast_tmp.Resize(hidden_dim, nodes);
-  fast_acc.Resize(1, nodes);
 }
 
 void PointerAttention::PointerLogitsBatchInto(
@@ -426,7 +359,7 @@ void PointerAttention::PointerLogitsBatchInto(
                  scratch.q);
   ScoreColumnsMaskedBatch(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
                           scratch.valid_idx, scratch.valid_begin, batch,
-                          scratch.fast_tmp, scratch.fast_acc, scratch.scores);
+                          scratch.scores);
   for (int g = 0; g < batch; ++g) {
     MaskedSoftmaxSliceInto(scratch.scores, valid, g * nodes, nodes,
                            scratch.attn);
@@ -439,14 +372,8 @@ void PointerAttention::PointerLogitsBatchInto(
                  store_.Value(bp_name_), batch, scratch.q);
   ScoreColumnsMaskedBatch(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
                           scratch.valid_idx, scratch.valid_begin, batch,
-                          scratch.fast_tmp, scratch.fast_acc, logits);
+                          logits);
   float* u = logits.Data();
-  if (simd::Enabled()) {
-    for (const int j : scratch.valid_idx) {
-      u[j] = kLogitClip * simd::FastTanh(u[j]);
-    }
-    return;
-  }
   for (const int j : scratch.valid_idx) {
     u[j] = kLogitClip * std::tanh(u[j]);
   }

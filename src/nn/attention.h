@@ -62,8 +62,6 @@ class PointerAttention {
     Tensor attn;                 // (1, V) — glimpse attention weights
     Tensor glimpse;              // (d, 1)
     std::vector<int> valid_idx;  // indices of the step's valid columns
-    Tensor fast_tmp;             // (d, V) — SIMD path: gathered ref cols + q
-    Tensor fast_acc;             // (1, V) — SIMD path: packed score accum
     void Reserve(int hidden_dim, int nodes);
   };
 
@@ -94,8 +92,6 @@ class PointerAttention {
     Tensor glimpse;                // (d, B)
     std::vector<int> valid_idx;    // packed valid columns, grouped by graph
     std::vector<int> valid_begin;  // (B+1) offsets into valid_idx
-    Tensor fast_tmp;               // (d, n) — SIMD path: gathered ref cols + q
-    Tensor fast_acc;               // (1, n) — SIMD path: packed score accum
     void Reserve(int hidden_dim, int nodes, int batch);
   };
 
@@ -111,7 +107,7 @@ class PointerAttention {
   /// single path uses per graph, and every per-column accumulation here
   /// replicates the single path's order — so each graph's logits (and the
   /// per-graph softmax via MaskedSoftmaxSliceInto) are bit-identical to B
-  /// independent PointerLogitsInto calls on the scalar path.
+  /// independent PointerLogitsInto calls.
   void PointerLogitsBatchInto(const Tensor& contexts, const CachedRefs& refs,
                               const Tensor& h,
                               const std::vector<std::uint8_t>& valid,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/axpy.h"
-#include "nn/simd.h"
 
 namespace respect::nn {
 
@@ -89,18 +88,6 @@ void LstmCell::StepInto(const Tensor& zx, int zx_col, const Tensor& wh_t,
   // arithmetic matches the unfused Mul/Add chain exactly.
   float* hc = state.h.Data();
   float* __restrict cc = state.c.Data();
-  if (simd::Enabled()) {
-    for (int r = 0; r < d; ++r) {
-      const float gi = simd::FastSigmoid(zd[r]);
-      const float gf = simd::FastSigmoid(zd[d + r]);
-      const float gg = simd::FastTanh(zd[2 * d + r]);
-      const float go = simd::FastSigmoid(zd[3 * d + r]);
-      const float c_next = gf * cc[r] + gi * gg;
-      cc[r] = c_next;
-      hc[r] = go * simd::FastTanh(c_next);
-    }
-    return;
-  }
   for (int r = 0; r < d; ++r) {
     const float gi = 1.0f / (1.0f + std::exp(-zd[r]));
     const float gf = 1.0f / (1.0f + std::exp(-zd[d + r]));
@@ -185,26 +172,6 @@ void LstmCell::StepBatchInto(const Tensor& zx, const int* zx_cols, int batch,
   // every buffer.
   float* hc = state.h.Data();
   float* __restrict cc = state.c.Data();
-  if (simd::Enabled()) {
-    for (int r = 0; r < d; ++r) {
-      const float* __restrict zi = zd + std::int64_t{r} * batch;
-      const float* __restrict zf = zd + std::int64_t{d + r} * batch;
-      const float* __restrict zg = zd + std::int64_t{2 * d + r} * batch;
-      const float* __restrict zo = zd + std::int64_t{3 * d + r} * batch;
-      float* hrow = hc + std::int64_t{r} * batch;
-      float* __restrict crow = cc + std::int64_t{r} * batch;
-      for (int g = 0; g < batch; ++g) {
-        const float gi = simd::FastSigmoid(zi[g]);
-        const float gf = simd::FastSigmoid(zf[g]);
-        const float gg = simd::FastTanh(zg[g]);
-        const float go = simd::FastSigmoid(zo[g]);
-        const float c_next = gf * crow[g] + gi * gg;
-        crow[g] = c_next;
-        hrow[g] = go * simd::FastTanh(c_next);
-      }
-    }
-    return;
-  }
   for (int r = 0; r < d; ++r) {
     const float* __restrict zi = zd + std::int64_t{r} * batch;
     const float* __restrict zf = zd + std::int64_t{d + r} * batch;

@@ -85,10 +85,7 @@ class LstmCell {
   /// Column g of the result is bit-identical to a StepInto call on graph
   /// g's own (hidden, 1) state: per output element the k-accumulation runs
   /// in the same ascending order, and the gate math stores the same
-  /// intermediates.  (When the opt-in SIMD path
-  /// is enabled — nn/simd.h — activations switch to FastTanh/FastSigmoid
-  /// and bit-parity becomes tolerance-parity; both paths stay internally
-  /// consistent between StepInto and StepBatchInto.)
+  /// intermediates.
   void StepBatchInto(const Tensor& zx, const int* zx_cols, int batch,
                      Tensor& gates, BatchState& state) const;
 

@@ -86,12 +86,9 @@ class PtrNetAgent {
   /// recurrences run as one GEMM across the batch.  B = 1 degenerates to a
   /// (slightly wider-buffered) single decode.
   ///
-  /// On the scalar path the result is bit-identical to B independent
-  /// DecodeGreedy calls: every batched kernel replicates the single-graph
-  /// per-element accumulation order (see StepBatchInto /
-  /// PointerLogitsBatchInto).  With nn::simd enabled, sequences may differ
-  /// where a decision was numerically marginal (tolerance contract in
-  /// tests/batch_decode_test.cc).
+  /// The result is bit-identical to B independent DecodeGreedy calls:
+  /// every batched kernel replicates the single-graph per-element
+  /// accumulation order (see StepBatchInto / PointerLogitsBatchInto).
   ///
   /// Returns a reference to ws.sequences; entries [0, dags.size()) hold
   /// this call's results (later entries may be stale from a larger batch)

@@ -68,37 +68,6 @@ std::unique_ptr<core::ThreadPool> MakeServicePool(
 
 }  // namespace
 
-void CompileService::LatencyWindow::Configure(std::size_t capacity,
-                                              obs::Histogram* histogram) {
-  values_.reserve(std::max<std::size_t>(1, capacity));
-  capacity_limit_ = std::max<std::size_t>(1, capacity);
-  histogram_ = histogram;
-}
-
-void CompileService::LatencyWindow::Record(double seconds) {
-  if (histogram_ != nullptr) histogram_->Observe(seconds);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (values_.size() < capacity_limit_) {
-    values_.push_back(seconds);
-    next_ = values_.size() % capacity_limit_;
-    return;
-  }
-  values_[next_] = seconds;
-  next_ = (next_ + 1) % capacity_limit_;
-}
-
-void CompileService::LatencyWindow::Percentiles(double& p50,
-                                                double& p99) const {
-  std::vector<double> window;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    window = values_;
-  }
-  std::sort(window.begin(), window.end());
-  p50 = PercentileSorted(window, 0.50);
-  p99 = PercentileSorted(window, 0.99);
-}
-
 CompileService::CompileService(const CompilerOptions& compiler_options,
                                const ServiceOptions& options)
     : compiler_(compiler_options),
@@ -144,16 +113,6 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
     store_ = std::make_unique<store::DiskStore>(store_options);
   }
   pool_ = MakeServicePool(options);
-  solve_latency_.Configure(options.latency_window, &solve_hist_);
-  for (std::size_t lane = 0; lane < kNumPriorityLanes; ++lane) {
-    lane_wait_[lane].Configure(
-        options.latency_window,
-        &registry_.GetHistogram(
-            "respect_serve_lane_" +
-                std::string(PriorityName(static_cast<Priority>(lane))) +
-                "_wait_seconds",
-            "Queue wait of started requests (seconds)"));
-  }
 }
 
 CompileService::LaneCounters CompileService::MakeLaneCounters(
@@ -169,7 +128,9 @@ CompileService::LaneCounters CompileService::MakeLaneCounters(
       registry_.GetCounter(stem + "expired_total",
                            "Requests failed fast with DeadlineExceeded"),
       registry_.GetCounter(stem + "shed_total",
-                           "Requests refused at admission with Overloaded")};
+                           "Requests refused at admission with Overloaded"),
+      registry_.GetHistogram(stem + "wait_seconds",
+                             "Queue wait of started requests (seconds)")};
 }
 
 // The pool joins before the members the queued tasks reference are torn
@@ -342,7 +303,7 @@ double CompileService::BudgetFor(const CompileRequest& request) const {
 }
 
 void CompileService::RecordSolve(double seconds) {
-  solve_latency_.Record(seconds);
+  solve_hist_.Observe(seconds);
   // Load-compute-store EWMA: a lost race skews the admission estimate by
   // one sample, which it tolerates by construction.
   const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
@@ -884,7 +845,7 @@ void CompileService::StartQueued(const CompileRequest& request,
   const std::size_t lane = LaneIndex(request.priority);
   lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
   BumpTenant(request.tenant, &TenantMetrics::started);
-  lane_wait_[lane].Record(wait_seconds);
+  lane_counters_[lane].wait.Observe(wait_seconds);
 }
 
 void CompileService::ExpireQueued(const CompileRequest& request,
@@ -1282,8 +1243,8 @@ ServiceMetrics CompileService::Metrics() const {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     metrics.cache_size += shard->entries.size();
   }
-  solve_latency_.Percentiles(metrics.solve_p50_seconds,
-                             metrics.solve_p99_seconds);
+  metrics.solve_p50_seconds = solve_hist_.Quantile(0.50);
+  metrics.solve_p99_seconds = solve_hist_.Quantile(0.99);
   for (std::size_t lane = 0; lane < kNumPriorityLanes; ++lane) {
     LaneMetrics& out = metrics.lanes[lane];
     out.enqueued = lane_counters_[lane].enqueued.load(std::memory_order_relaxed);
@@ -1298,7 +1259,8 @@ ServiceMetrics CompileService::Metrics() const {
     out.depth = out.enqueued > settled
                     ? static_cast<std::size_t>(out.enqueued - settled)
                     : 0;
-    lane_wait_[lane].Percentiles(out.wait_p50_seconds, out.wait_p99_seconds);
+    out.wait_p50_seconds = lane_counters_[lane].wait.Quantile(0.50);
+    out.wait_p99_seconds = lane_counters_[lane].wait.Quantile(0.99);
   }
   return metrics;
 }

@@ -102,10 +102,6 @@ struct ServiceOptions {
   /// core::ThreadPool::DefaultThreadCount().
   int num_threads = 0;
 
-  /// Samples kept per latency window (cold solves, and per-lane queue
-  /// waits) for the p50/p99 metrics.
-  std::size_t latency_window = 2048;
-
   /// Anti-starvation aging quantum of the priority queue (see
   /// serve::RequestQueue); <= 0 means pure strict priority.
   double queue_aging_seconds = 2.0;
@@ -215,7 +211,10 @@ struct LaneMetrics {
   std::uint64_t expired = 0;   // failed fast with DeadlineExceeded
   std::uint64_t shed = 0;      // refused at admission with Overloaded
   std::size_t depth = 0;       // waiting in queue right now (approximate)
-  double wait_p50_seconds = 0.0;  // queue wait of started requests
+  // Queue wait of started requests, interpolated from the lane's
+  // respect_serve_lane_<lane>_wait_seconds histogram buckets over every
+  // start since construction.
+  double wait_p50_seconds = 0.0;
   double wait_p99_seconds = 0.0;
 };
 
@@ -256,7 +255,9 @@ struct ServiceMetrics {
   std::uint64_t peer_hits = 0;        // requests answered by peer envelopes
   std::uint64_t peer_fetch_failures = 0;  // fetches that threw or returned
                                           // corrupt/mismatched bytes
-  double solve_p50_seconds = 0.0;     // over the recent cold-solve window
+  // Cold-solve latency, interpolated from the respect_serve_solve_seconds
+  // histogram buckets over every cold solve since construction.
+  double solve_p50_seconds = 0.0;
   double solve_p99_seconds = 0.0;
   std::size_t cache_size = 0;         // resident entries right now
   std::array<LaneMetrics, kNumPriorityLanes> lanes{};
@@ -473,28 +474,6 @@ class CompileService {
     /// reachable); any other profile folds its fingerprint in.
     tpu::DeviceProfile profile;
     graph::CanonicalHash profile_fingerprint{};
-  };
-
-  /// Fixed-capacity ring of latency samples with mutex-guarded recording
-  /// and sort-on-read percentiles.  Once the ring wraps, the window holds
-  /// the most recent `capacity` samples.
-  class LatencyWindow {
-   public:
-    /// Call once before traffic (capacity is clamped to >= 1).  When a
-    /// histogram is supplied, every Record also observes it — the window
-    /// keeps the snapshot's exact recent percentiles, the histogram feeds
-    /// the Prometheus exposition.
-    void Configure(std::size_t capacity, obs::Histogram* histogram = nullptr);
-    void Record(double seconds);
-    /// Percentiles over the resident window; both 0.0 while empty.
-    void Percentiles(double& p50, double& p99) const;
-
-   private:
-    mutable std::mutex mutex_;
-    std::vector<double> values_;  // grows to capacity, then a ring
-    std::size_t next_ = 0;        // overwrite cursor once at capacity
-    std::size_t capacity_limit_ = 1;
-    obs::Histogram* histogram_ = nullptr;  // optional registry mirror
   };
 
   /// Resolves the engine and the named device profile and builds the
@@ -802,7 +781,7 @@ class CompileService {
       "Peer fetches that threw or returned corrupt/mismatched bytes");
 
   /// Cold-solve latency distribution (seconds) with Prometheus buckets;
-  /// LatencyWindow still backs the snapshot's exact windowed percentiles.
+  /// also the source of ServiceMetrics::solve_p50/p99_seconds.
   obs::Histogram& solve_hist_ = registry_.GetHistogram(
       "respect_serve_solve_seconds", "Cold engine solve latency (seconds)");
 
@@ -839,14 +818,14 @@ class CompileService {
     obs::Counter& started;
     obs::Counter& expired;
     obs::Counter& shed;
+    obs::Histogram& wait;  // queue wait of started requests (seconds)
   };
-  /// Binds one lane's counters into the registry under
+  /// Binds one lane's counters and wait histogram into the registry under
   /// respect_serve_lane_<lane>_* names.
   [[nodiscard]] LaneCounters MakeLaneCounters(std::size_t lane);
   static_assert(kNumPriorityLanes == 3, "extend lane_counters_ init");
   std::array<LaneCounters, kNumPriorityLanes> lane_counters_ = {
       MakeLaneCounters(0), MakeLaneCounters(1), MakeLaneCounters(2)};
-  std::array<LatencyWindow, kNumPriorityLanes> lane_wait_;
 
   /// Per-tenant async-path counters, keyed by tenant id.  A small map under
   /// its own mutex (not atomics): tenant cardinality is low and the updates
@@ -855,8 +834,6 @@ class CompileService {
                   std::uint64_t TenantMetrics::*field);
   mutable std::mutex tenant_mutex_;
   std::map<std::string, TenantMetrics> tenant_counters_;
-
-  LatencyWindow solve_latency_;
 };
 
 }  // namespace respect::serve

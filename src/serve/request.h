@@ -116,9 +116,9 @@ enum class CacheOutcome {
 }
 
 /// Nearest-rank percentile over an already-sorted ascending sample; 0.0
-/// when empty.  The one rank rule behind every serving-layer p50/p99
-/// (ServiceMetrics and the CLI reports) — keep them in agreement by using
-/// this, not a local reimplementation.
+/// when empty.  The one rank rule for percentiles over raw samples (the CLI
+/// and bench reports) — use this, not a local reimplementation.
+/// ServiceMetrics reads its percentiles off registry histograms instead.
 [[nodiscard]] inline double PercentileSorted(
     const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;

@@ -1,7 +1,6 @@
-// Guards for the batched multi-graph decode path and the opt-in SIMD
-// activation path:
-//  * DecodeGreedyBatch on the scalar path is bit-identical to sequential
-//    single-graph decodes (deg 2-6, both MaskingModes, mixed batch sizes
+// Guards for the batched multi-graph decode path:
+//  * DecodeGreedyBatch is bit-identical to sequential single-graph
+//    decodes (deg 2-6, both MaskingModes, mixed batch sizes
 //    including B=1), and the same workspace survives different
 //    (nodes, batch, hidden) shapes; a fired CancelToken unwinds the batch
 //    decode and leaves its workspace reusable;
@@ -10,13 +9,9 @@
 //    and SolveStats reports the batch/single split correctly — stragglers
 //    fall back to the single-graph path;
 //  * a steady-state batched decode on a warm BatchDecodeWorkspace performs
-//    ZERO heap allocations (counted via a replaced global operator new);
-//  * nn::simd is OFF by default, cannot be enabled unless compiled in, and
-//    when enabled keeps FastTanh/FastSigmoid within tolerance of libm while
-//    batch and single decodes stay mutually consistent.
+//    ZERO heap allocations (counted via a replaced global operator new).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -28,7 +23,6 @@
 #include "core/thread_pool.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
-#include "nn/simd.h"
 #include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
@@ -296,66 +290,6 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
   EXPECT_EQ(stats.batch_solved, 0u);
   EXPECT_EQ(stats.single_solved, 3u);
   EXPECT_EQ(stats.batch_groups, 0u);
-}
-
-// ---- Opt-in SIMD activation path. ----
-
-TEST(SimdPathTest, DisabledByDefaultAndGatedOnCompile) {
-  EXPECT_FALSE(nn::simd::Enabled());
-  const bool effective = nn::simd::SetEnabled(true);
-  EXPECT_EQ(effective, nn::simd::Compiled());
-  EXPECT_EQ(nn::simd::Enabled(), nn::simd::Compiled());
-  EXPECT_FALSE(nn::simd::SetEnabled(false));
-  EXPECT_FALSE(nn::simd::Enabled());
-}
-
-TEST(SimdPathTest, FastActivationsWithinTolerance) {
-  // The tolerance contract backing the SIMD parity claim: the polynomial
-  // activations track libm within ~1e-6 absolute over the whole range the
-  // decode kernels feed them (logits are clipped to ±10, pre-activations
-  // rarely exceed ±20).
-  for (float x = -20.0f; x <= 20.0f; x += 0.0103f) {
-    EXPECT_NEAR(nn::simd::FastTanh(x), std::tanh(x), 2e-6f) << "x=" << x;
-    EXPECT_NEAR(nn::simd::FastSigmoid(x), 1.0f / (1.0f + std::exp(-x)), 2e-6f)
-        << "x=" << x;
-  }
-  // Saturation tails.
-  EXPECT_NEAR(nn::simd::FastTanh(50.0f), 1.0f, 1e-6f);
-  EXPECT_NEAR(nn::simd::FastTanh(-50.0f), -1.0f, 1e-6f);
-}
-
-TEST(SimdPathTest, SimdDecodeParityWithReference) {
-  if (!nn::simd::Compiled()) {
-    GTEST_SKIP() << "RESPECT_SIMD not compiled in";
-  }
-  // With the fast path enabled, batch and single decodes must stay
-  // mutually bit-identical (they share the same kernels and accumulation
-  // order), every decoded sequence must still be a valid permutation, and
-  // on these graphs the ~1e-6 activation error must not flip any greedy
-  // decision vs the frozen reference decode.
-  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
-  std::mt19937_64 rng(211);
-  const auto dags = SampleSameSizeDags(6, 30, 4, rng);
-  const auto ptrs = Pointers(dags);
-
-  ASSERT_TRUE(nn::simd::SetEnabled(true));
-  rl::BatchDecodeWorkspace batch_ws;
-  rl::DecodeWorkspace single_ws;
-  const auto batched = agent.DecodeGreedyBatch(
-      std::span<const graph::Dag* const>(ptrs), batch_ws);
-  int agree = 0;
-  for (int g = 0; g < 6; ++g) {
-    const auto single = agent.DecodeGreedy(dags[g], single_ws);
-    EXPECT_EQ(batched[g], single) << "batch/single SIMD divergence, g=" << g;
-    auto sorted = batched[g];
-    std::sort(sorted.begin(), sorted.end());
-    for (int v = 0; v < 30; ++v) EXPECT_EQ(sorted[v], v);
-    if (batched[g] == rl::ReferenceDecodeGreedy(agent, dags[g])) ++agree;
-  }
-  nn::simd::SetEnabled(false);
-  // Tolerance contract vs the reference: identical decisions except where
-  // numerically marginal.  On this fixed seed no decision is marginal.
-  EXPECT_EQ(agree, 6);
 }
 
 }  // namespace

@@ -70,7 +70,7 @@ TEST(MinBottleneckTest, SingleStageIsTotal) {
 }
 
 TEST(MinBottleneckTest, RejectsEmpty) {
-  EXPECT_THROW(MinBottleneck({}, 2), std::invalid_argument);
+  EXPECT_THROW((void)MinBottleneck({}, 2), std::invalid_argument);
 }
 
 TEST(DpPartitionerTest, ChainExactness) {

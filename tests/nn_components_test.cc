@@ -21,7 +21,7 @@ TEST(ParamStoreTest, CreateAndLookup) {
   EXPECT_TRUE(store.Contains("w"));
   EXPECT_FALSE(store.Contains("v"));
   EXPECT_EQ(store.ScalarCount(), 12);
-  EXPECT_THROW(store.Value("missing"), std::invalid_argument);
+  EXPECT_THROW((void)store.Value("missing"), std::invalid_argument);
   EXPECT_THROW(store.GetOrCreate("w", 2, 2, rng), std::invalid_argument);
 }
 

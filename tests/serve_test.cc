@@ -470,20 +470,49 @@ TEST(CompileServiceTest, MetricsReportSolveLatencyPercentiles) {
   EXPECT_GE(metrics.solve_p99_seconds, metrics.solve_p50_seconds);
 }
 
-TEST(CompileServiceTest, LatencyWindowWrapsToTheMostRecentSamples) {
-  // Window of one: every solve overwrites the single slot, so after many
-  // solves p50 == p99 == the last solve's latency and nothing runs off the
-  // end of the ring.
-  serve::ServiceOptions options;
-  options.latency_window = 1;
-  serve::CompileService service(FastOptions(), options);
+TEST(CompileServiceTest, MetricsPercentilesComeFromTheRegistryHistograms) {
+  // The snapshot percentiles are read off the same histograms the
+  // Prometheus page renders, so the two can never disagree.
+  serve::CompileService service(FastOptions());
   const graph::Dag dag = SampleDag(24, 29);
-  for (int stages = 2; stages <= 6; ++stages) {
+  for (int stages = 2; stages <= 4; ++stages) {
     (void)Ask(service, dag, stages, "list");
   }
+  std::vector<serve::CompileService::Ticket> tickets;
+  const Priority priorities[] = {Priority::kInteractive, Priority::kNormal,
+                                 Priority::kBatch, Priority::kBatch};
+  int stages = 2;
+  for (const Priority priority : priorities) {
+    tickets.push_back(service.Submit(CompileRequest{.dag = SampleDag(20, 31),
+                                                    .num_stages = stages++,
+                                                    .engine = "list",
+                                                    .priority = priority}));
+  }
+  for (const auto& ticket : tickets) (void)ticket.Wait();
+
   const serve::ServiceMetrics metrics = service.Metrics();
+  obs::Registry& registry = service.MetricsRegistry();
+  const obs::Histogram& solve =
+      registry.GetHistogram("respect_serve_solve_seconds");
+  EXPECT_EQ(solve.Count(), 7u);
   EXPECT_GT(metrics.solve_p50_seconds, 0.0);
-  EXPECT_EQ(metrics.solve_p50_seconds, metrics.solve_p99_seconds);
+  EXPECT_EQ(metrics.solve_p50_seconds, solve.Quantile(0.5));
+  EXPECT_EQ(metrics.solve_p99_seconds, solve.Quantile(0.99));
+  std::uint64_t started = 0;
+  for (std::size_t lane = 0; lane < serve::kNumPriorityLanes; ++lane) {
+    const std::string name =
+        "respect_serve_lane_" +
+        std::string(serve::PriorityName(static_cast<Priority>(lane))) +
+        "_wait_seconds";
+    const obs::Histogram& wait = registry.GetHistogram(name);
+    EXPECT_EQ(wait.Count(), metrics.lanes[lane].started) << name;
+    EXPECT_EQ(metrics.lanes[lane].wait_p50_seconds, wait.Quantile(0.5))
+        << name;
+    EXPECT_EQ(metrics.lanes[lane].wait_p99_seconds, wait.Quantile(0.99))
+        << name;
+    started += metrics.lanes[lane].started;
+  }
+  EXPECT_EQ(started, 4u);
 }
 
 TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {

@@ -221,7 +221,7 @@ TEST(SimTest, RejectsEmptyInput) {
   tpu::SimConfig config;
   config.num_inferences = 0;
   EXPECT_THROW(tpu::SimulatePipeline(package, config), std::invalid_argument);
-  EXPECT_THROW(tpu::AnalyticPipelineUs({}, 5), std::invalid_argument);
+  EXPECT_THROW((void)tpu::AnalyticPipelineUs({}, 5), std::invalid_argument);
 }
 
 TEST(SimTest, RealModelEndToEnd) {
