@@ -27,7 +27,6 @@
 #include "obs/trace.h"
 #include "nn/lstm.h"
 #include "nn/tape.h"
-#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/reference_decode.h"
@@ -171,12 +170,11 @@ void BM_DecodeGreedyZoo(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeGreedyZoo);
 
-/// Batched multi-graph decode (this PR's tentpole metric): 16 fixed
-/// 100-node graphs decoded per iteration, lock-stepped in groups of
-/// `state.range(0)`.  Arg(1) degrades to the single-graph fused workspace
-/// path (the PR 3 baseline — groups of < 2 fall back); Arg(16) is the full
-/// GEMV→GEMM width.  Acceptance bar: Arg(16) >= 4x Arg(1) items/s.  All
-/// widths produce bit-identical sequences (tests/batch_decode_test.cc).
+/// Lock-stepped multi-graph decode: 16 fixed 100-node graphs decoded per
+/// iteration through DecodeGreedyBatch in groups of `state.range(0)`, on
+/// one workspace.  Arg(1) is B = 1 through the same call (the k-major
+/// panel GEMVs); Arg(16) is the full row-pair GEMM width.  All widths
+/// produce bit-identical sequences (tests/batch_decode_test.cc).
 void BatchedDecodeBody(benchmark::State& state, std::size_t batch) {
   const rl::PtrNetAgent& agent = DecodeBenchAgent();
   static const std::vector<graph::Dag>* dags = [] {
@@ -187,22 +185,15 @@ void BatchedDecodeBody(benchmark::State& state, std::size_t batch) {
     }
     return sampled;
   }();
-  rl::DecodeWorkspace single_ws;
-  rl::BatchDecodeWorkspace batch_ws;
+  rl::DecodeWorkspace ws;
   std::vector<const graph::Dag*> group;
   for (auto _ : state) {
     for (std::size_t begin = 0; begin < dags->size(); begin += batch) {
       const std::size_t end = std::min(dags->size(), begin + batch);
-      if (end - begin < 2) {
-        for (std::size_t i = begin; i < end; ++i) {
-          benchmark::DoNotOptimize(agent.DecodeGreedy((*dags)[i], single_ws));
-        }
-        continue;
-      }
       group.clear();
       for (std::size_t i = begin; i < end; ++i) group.push_back(&(*dags)[i]);
       benchmark::DoNotOptimize(agent.DecodeGreedyBatch(
-          std::span<const graph::Dag* const>(group), batch_ws));
+          std::span<const graph::Dag* const>(group), ws));
     }
   }
   state.SetItemsProcessed(state.iterations() *

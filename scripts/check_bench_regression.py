@@ -6,11 +6,11 @@ previous run's upload) and fails when a watched throughput metric regresses
 by more than --max-regression (a fraction; 0.15 = 15%).
 
 Watched by default:
-  * BM_DecodeGreedyWorkspace/100    — fused decode throughput (items/s),
+  * BM_DecodeGreedyWorkspace/100    — decode throughput at B = 1 (items/s),
   * BM_DecodeGreedyZoo              — fused decode at the zoo-compile shape
                                       (default agent on ResNet152; items are
                                       nodes),
-  * BM_BatchedDecode/16             — batched multi-graph decode throughput,
+  * BM_BatchedDecode/16             — lock-stepped decode throughput at B = 16,
   * BM_MissStormRefill              — grouped refill through the single cold
                                       path (requests/s),
   * BM_CompileServiceWarmCache      — warm-cache serving throughput,

@@ -5,10 +5,22 @@
 #include <utility>
 #include <vector>
 
-#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 
 namespace respect::engines {
+namespace {
+
+/// One decode workspace per thread, shared by single decodes and groups:
+/// CompileBatch workers and the CompileService pool each reuse their own
+/// buffers across requests, grown to the largest (nodes, batch) the thread
+/// has decoded, so concurrent serving decodes stay allocation-free without
+/// sharing state.
+rl::DecodeWorkspace& ThreadWorkspace() {
+  thread_local rl::DecodeWorkspace workspace;
+  return workspace;
+}
+
+}  // namespace
 
 RlEngine::RlEngine(std::shared_ptr<const rl::RlScheduler> rl)
     : rl_(std::move(rl)) {
@@ -18,17 +30,12 @@ RlEngine::RlEngine(std::shared_ptr<const rl::RlScheduler> rl)
 EngineResult RlEngine::Schedule(const graph::Dag& dag,
                                 const sched::PipelineConstraints& constraints,
                                 const EngineBudget& budget) const {
-  // One decode workspace per thread: CompileBatch workers and the
-  // CompileService pool each reuse their own buffers across requests, so
-  // concurrent serving decodes stay allocation-free without sharing state.
-  thread_local rl::DecodeWorkspace workspace;
-
   // ScheduleRaw = decode + ρ packing only — like every engine, the raw
   // schedule is repaired exactly once by the façade's PostProcess, outside
   // the solve time (RESPECT's Fig. 3 metric stays comparable to the
   // baseline engines).
   rl::RlScheduler::Result raw =
-      rl_->ScheduleRaw(dag, constraints, workspace, budget.cancel);
+      rl_->ScheduleRaw(dag, constraints, ThreadWorkspace(), budget.cancel);
   EngineResult result;
   result.schedule = std::move(raw.schedule);
   result.solve_seconds = raw.solve_seconds;
@@ -39,16 +46,11 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
     std::span<const graph::Dag* const> dags,
     const sched::PipelineConstraints& constraints, const EngineBudget& budget,
     SolveStats* stats) const {
-  // Same per-thread reuse as Schedule(): one batch workspace per thread,
-  // grown to the largest (nodes, batch) this thread has lock-stepped.
-  thread_local rl::BatchDecodeWorkspace batch_workspace;
-
   std::vector<EngineResult> results(dags.size());
   std::vector<const graph::Dag*> chunk;
   for (const std::vector<std::size_t>& indices : ChunkBySize(dags)) {
     if (indices.size() == 1) {
-      // Straggler: the single-graph path (identical result, no batch
-      // overhead for a batch of one).
+      // Straggler: Schedule() decodes it at B = 1 (identical result).
       results[indices[0]] = Schedule(*dags[indices[0]], constraints, budget);
       if (stats != nullptr) ++stats->single_solved;
       continue;
@@ -57,7 +59,7 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
     for (const std::size_t i : indices) chunk.push_back(dags[i]);
     std::vector<rl::RlScheduler::Result> raw = rl_->ScheduleRawBatch(
         std::span<const graph::Dag* const>(chunk), constraints,
-        batch_workspace, budget.cancel);
+        ThreadWorkspace(), budget.cancel);
     for (std::size_t k = 0; k < indices.size(); ++k) {
       EngineResult& out = results[indices[k]];
       out.schedule = std::move(raw[k].schedule);

@@ -26,10 +26,10 @@ class RlEngine : public SchedulerEngine {
 
   [[nodiscard]] bool SupportsBatch() const override { return true; }
 
-  /// Splits `dags` with ChunkBySize, routes every chunk of >= 2 through the
-  /// batched decode path and falls back to the single-graph path for
-  /// singletons.  Scalar-path results are bit-identical to per-graph
-  /// Schedule() calls; `stats` reports the batch/single split.
+  /// Splits `dags` with ChunkBySize and decodes every chunk of >= 2 as one
+  /// lock-stepped group and every singleton through Schedule() (B = 1).
+  /// Results are bit-identical to per-graph Schedule() calls; `stats`
+  /// reports the batch/single split.
   [[nodiscard]] std::vector<EngineResult> ScheduleBatch(
       std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,

@@ -74,19 +74,7 @@ void ScoreColumns(const Tensor& ref, const Tensor& q, const Tensor& v,
   }
 }
 
-/// q = W·x + b from the k-major panel `wt` = Wᵀ: the GEMV keeps MatMul's
-/// k-ascending chain per element (KMajorGemv), then adds b — matching
-/// Add(MatMul(W, x), b) bit-for-bit.
-void PanelQueryInto(const Tensor& wt, const Tensor& x, const Tensor& b,
-                    Tensor& q) {
-  const int d = q.Rows();
-  float* __restrict qd = q.Data();
-  const float* __restrict bd = b.Data();
-  KMajorGemv(wt.Data(), x.Data(), wt.Rows(), qd, d);
-  for (int i = 0; i < d; ++i) qd[i] += bd[i];
-}
-
-/// glimpse = contexts · attnᵀ, row-dot form shared by both inference paths.
+/// glimpse = contexts · attnᵀ, row-dot form of the allocating path.
 void GlimpseInto(const Tensor& contexts, const Tensor& attn, Tensor& glimpse) {
   const int d = contexts.Rows();
   const int n = contexts.Cols();
@@ -98,90 +86,31 @@ void GlimpseInto(const Tensor& contexts, const Tensor& attn, Tensor& glimpse) {
   }
 }
 
-/// ScoreColumns restricted to the valid columns: scores[idx] for idx in
-/// `valid_idx` only, masked entries untouched.  Per computed element the
-/// accumulation is i-ascending exactly like ScoreColumns, so every value
-/// the masked softmax reads is bit-identical.
-void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
-                        const std::vector<int>& valid_idx, Tensor& scores) {
-  const int d = ref.Rows();
-  const int n = ref.Cols();
-  const float* __restrict rd = ref.Data();
-  const float* __restrict qd = q.Data();
-  const float* __restrict vd = v.Data();
-  float* __restrict out = scores.Data();
-  for (const int j : valid_idx) {
-    float acc_j = 0.0f;
-    const float* col = rd + j;
-    for (int i = 0; i < d; ++i) {
-      acc_j +=
-          vd[i] * std::tanh(col[static_cast<std::int64_t>(i) * n] + qd[i]);
-    }
-    out[j] = acc_j;
-  }
-}
-
-/// q = W·h + b widened across the batch: q is (d, B) with q[i·B+g] the
-/// i-th element of graph g's query, h is (d, B) in the same layout
-/// (LstmCell::BatchState).  Per (i, g) the k-accumulation is ascending —
-/// PanelQueryInto's exact per-element chain — while the inner g loop is
-/// contiguous.  Output rows go two at a time over fixed k-groups of four,
-/// like LstmCell::StepBatchInto: the partition into ordered sweeps keeps
-/// every element's addition chain (and bits) intact while giving the
-/// hardware two independent accumulation chains.
-void QueryBatchInto(const Tensor& w, const Tensor& h, const Tensor& b,
-                    int batch, Tensor& q) {
-  const int d = w.Rows();
-  const int k_dim = w.Cols();
-  const float* __restrict wd = w.Data();
-  const float* __restrict hd = h.Data();
-  const float* __restrict bd = b.Data();
+/// q = W·x + b for the (d, B) queries of B lock-stepped graphs: the
+/// product keeps MatMul's per-element chain (nn::DecodeProductInto), then
+/// adds b — matching Add(MatMul(W, x_g), b) bit for bit in every column.
+void QueryInto(const Tensor& w, const Tensor& wt, const Tensor& x,
+               const Tensor& b, int batch, Tensor& q) {
+  const int d = q.Rows();
   float* __restrict qd = q.Data();
-  int i = 0;
-  for (; i + 2 <= d; i += 2) {
-    const float* __restrict wra = wd + static_cast<std::int64_t>(i) * k_dim;
-    const float* __restrict wrb = wra + k_dim;
-    float* __restrict acca = qd + static_cast<std::int64_t>(i) * batch;
-    float* __restrict accb = acca + batch;
-    for (int g = 0; g < batch; ++g) acca[g] = 0.0f;
-    for (int g = 0; g < batch; ++g) accb[g] = 0.0f;
-    int k = 0;
-    for (; k + 4 <= k_dim; k += 4) {
-      const float* hk = hd + static_cast<std::int64_t>(k) * batch;
-      FusedAxpy4x2(hk, hk + batch, hk + 2 * batch, hk + 3 * batch, wra[k],
-                   wra[k + 1], wra[k + 2], wra[k + 3], wrb[k], wrb[k + 1],
-                   wrb[k + 2], wrb[k + 3], acca, accb, batch);
+  const float* __restrict bd = b.Data();
+  DecodeProductInto(w.Data(), wt.Data(), x.Data(), wt.Rows(), d, batch, qd);
+  for (int g = 0; g < batch; ++g) {
+    for (int i = 0; i < d; ++i) {
+      qd[static_cast<std::int64_t>(i) * batch + g] += bd[i];
     }
-    for (; k < k_dim; ++k) {
-      const float* hk = hd + static_cast<std::int64_t>(k) * batch;
-      Axpy(hk, wra[k], acca, batch);
-      Axpy(hk, wrb[k], accb, batch);
-    }
-    const float bia = bd[i];
-    const float bib = bd[i + 1];
-    for (int g = 0; g < batch; ++g) acca[g] += bia;
-    for (int g = 0; g < batch; ++g) accb[g] += bib;
-  }
-  for (; i < d; ++i) {
-    const float* __restrict wrow = wd + static_cast<std::int64_t>(i) * k_dim;
-    float* __restrict acc = qd + static_cast<std::int64_t>(i) * batch;
-    for (int g = 0; g < batch; ++g) acc[g] = 0.0f;
-    for (int k = 0; k < k_dim; ++k) {
-      Axpy(hd + static_cast<std::int64_t>(k) * batch, wrow[k], acc, batch);
-    }
-    const float bi = bd[i];
-    for (int g = 0; g < batch; ++g) acc[g] += bi;
   }
 }
 
-/// ScoreColumnsMasked over the packed batch: for graph g, every valid
-/// absolute column j gets scores[j] = v^T tanh(ref[:,j] + q[:,g]).  The
-/// i-accumulation per column matches ScoreColumnsMasked exactly.
-void ScoreColumnsMaskedBatch(const Tensor& ref, const Tensor& q,
-                             const Tensor& v,
-                             const std::vector<int>& valid_idx,
-                             const std::vector<int>& valid_begin, int batch,
-                             Tensor& scores) {
+/// ScoreColumns restricted to the valid columns of the packed batch: for
+/// graph g, every valid absolute column j gets
+/// scores[j] = v^T tanh(ref[:,j] + q[:,g]); masked entries are untouched.
+/// Per computed element the accumulation is i-ascending exactly like
+/// ScoreColumns, so every value the masked softmax reads is bit-identical.
+void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
+                        const std::vector<int>& valid_idx,
+                        const std::vector<int>& valid_begin, int batch,
+                        Tensor& scores) {
   const int d = ref.Rows();
   const int total = ref.Cols();
   const float* __restrict rd = ref.Data();
@@ -203,12 +132,14 @@ void ScoreColumnsMaskedBatch(const Tensor& ref, const Tensor& q,
   }
 }
 
-/// GlimpseIntoMasked over the packed batch: glimpse[i·B+g] accumulates
-/// graph g's valid columns in ascending order — the single-path order.
-void GlimpseBatchIntoMasked(const Tensor& contexts, const Tensor& attn,
-                            const std::vector<int>& valid_idx,
-                            const std::vector<int>& valid_begin, int batch,
-                            Tensor& glimpse) {
+/// GlimpseInto restricted to each graph's valid columns: glimpse[i·B+g]
+/// accumulates graph g's valid columns in ascending order.  Masked columns
+/// carry an attention weight of exactly ±0, whose addition cannot change
+/// the accumulated sum, so skipping them leaves the glimpse unchanged.
+void GlimpseIntoMasked(const Tensor& contexts, const Tensor& attn,
+                       const std::vector<int>& valid_idx,
+                       const std::vector<int>& valid_begin, int batch,
+                       Tensor& glimpse) {
   const int d = contexts.Rows();
   const int total = contexts.Cols();
   const float* __restrict ad = attn.Data();
@@ -224,22 +155,6 @@ void GlimpseBatchIntoMasked(const Tensor& contexts, const Tensor& attn,
       }
       grow[g] = acc;
     }
-  }
-}
-
-/// GlimpseInto restricted to the valid columns.  Masked columns carry an
-/// attention weight of exactly ±0, whose addition cannot change the
-/// accumulated sum, so skipping them leaves the glimpse unchanged.
-void GlimpseIntoMasked(const Tensor& contexts, const Tensor& attn,
-                       const std::vector<int>& valid_idx, Tensor& glimpse) {
-  const int d = contexts.Rows();
-  const int n = contexts.Cols();
-  const float* __restrict ad = attn.Data();
-  for (int i = 0; i < d; ++i) {
-    const float* row = contexts.Data() + static_cast<std::int64_t>(i) * n;
-    float acc = 0.0f;
-    for (const int j : valid_idx) acc += row[j] * ad[j];
-    glimpse.At(i, 0) = acc;
   }
 }
 
@@ -271,54 +186,8 @@ Tensor PointerAttention::PointerLogits(const Tensor& contexts,
   return u;
 }
 
-void PointerAttention::Scratch::Reserve(int hidden_dim, int nodes) {
-  q.Resize(hidden_dim, 1);
-  scores.Resize(1, nodes);
-  attn.Resize(1, nodes);
-  glimpse.Resize(hidden_dim, 1);
-  valid_idx.reserve(nodes);
-}
-
-void PointerAttention::PointerLogitsInto(
-    const Tensor& contexts, const CachedRefs& refs, const Tensor& h,
-    const std::vector<std::uint8_t>& valid, Scratch& scratch,
-    Tensor& logits) const {
-  const int n = contexts.Cols();
-  const int d = hidden_dim_;
-  if (logits.Rows() != 1 || logits.Cols() != n || scratch.q.Rows() != d ||
-      scratch.scores.Cols() != n || scratch.attn.Cols() != n ||
-      scratch.glimpse.Rows() != d || refs.wq_g_t.Rows() != d ||
-      refs.wq_g_t.Cols() != d || refs.wq_p_t.Rows() != d ||
-      refs.wq_p_t.Cols() != d || static_cast<int>(valid.size()) != n) {
-    throw std::invalid_argument(
-        "PointerAttention::PointerLogitsInto: bad buffer shape");
-  }
-  scratch.valid_idx.clear();
-  for (int j = 0; j < n; ++j) {
-    if (valid[j]) scratch.valid_idx.push_back(j);
-  }
-
-  // Glimpse.
-  PanelQueryInto(refs.wq_g_t, h, store_.Value(bg_name_), scratch.q);
-  ScoreColumnsMasked(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
-                     scratch.valid_idx, scratch.scores);
-  MaskedSoftmaxInto(scratch.scores, valid, scratch.attn);
-  GlimpseIntoMasked(contexts, scratch.attn, scratch.valid_idx,
-                    scratch.glimpse);
-
-  // Pointer.
-  PanelQueryInto(refs.wq_p_t, scratch.glimpse, store_.Value(bp_name_),
-                 scratch.q);
-  ScoreColumnsMasked(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
-                     scratch.valid_idx, logits);
-  float* u = logits.Data();
-  for (const int j : scratch.valid_idx) {
-    u[j] = kLogitClip * std::tanh(u[j]);
-  }
-}
-
-void PointerAttention::BatchScratch::Reserve(int hidden_dim, int nodes,
-                                             int batch) {
+void PointerAttention::Scratch::Reserve(int hidden_dim, int nodes,
+                                        int batch) {
   q.Resize(hidden_dim, batch);
   scores.Resize(1, nodes * batch);
   attn.Resize(1, nodes * batch);
@@ -327,10 +196,10 @@ void PointerAttention::BatchScratch::Reserve(int hidden_dim, int nodes,
   valid_begin.reserve(static_cast<std::size_t>(batch) + 1);
 }
 
-void PointerAttention::PointerLogitsBatchInto(
+void PointerAttention::PointerLogitsInto(
     const Tensor& contexts, const CachedRefs& refs, const Tensor& h,
     const std::vector<std::uint8_t>& valid, int nodes, int batch,
-    BatchScratch& scratch, Tensor& logits) const {
+    Scratch& scratch, Tensor& logits) const {
   const int d = hidden_dim_;
   const int total = nodes * batch;
   if (nodes <= 0 || batch <= 0 || contexts.Cols() != total ||
@@ -339,9 +208,11 @@ void PointerAttention::PointerLogitsBatchInto(
       scratch.q.Rows() != d || scratch.q.Cols() != batch ||
       scratch.scores.Cols() != total || scratch.attn.Cols() != total ||
       scratch.glimpse.Rows() != d || scratch.glimpse.Cols() != batch ||
+      refs.wq_g_t.Rows() != d || refs.wq_g_t.Cols() != d ||
+      refs.wq_p_t.Rows() != d || refs.wq_p_t.Cols() != d ||
       static_cast<int>(valid.size()) != total) {
     throw std::invalid_argument(
-        "PointerAttention::PointerLogitsBatchInto: bad buffer shape");
+        "PointerAttention::PointerLogitsInto: bad buffer shape");
   }
   scratch.valid_idx.clear();
   scratch.valid_begin.clear();
@@ -355,24 +226,23 @@ void PointerAttention::PointerLogitsBatchInto(
   scratch.valid_begin.push_back(static_cast<int>(scratch.valid_idx.size()));
 
   // Glimpse.
-  QueryBatchInto(store_.Value(wq_g_name_), h, store_.Value(bg_name_), batch,
-                 scratch.q);
-  ScoreColumnsMaskedBatch(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
-                          scratch.valid_idx, scratch.valid_begin, batch,
-                          scratch.scores);
+  QueryInto(store_.Value(wq_g_name_), refs.wq_g_t, h, store_.Value(bg_name_),
+            batch, scratch.q);
+  ScoreColumnsMasked(refs.glimpse_ref, scratch.q, store_.Value(vg_name_),
+                     scratch.valid_idx, scratch.valid_begin, batch,
+                     scratch.scores);
   for (int g = 0; g < batch; ++g) {
     MaskedSoftmaxSliceInto(scratch.scores, valid, g * nodes, nodes,
                            scratch.attn);
   }
-  GlimpseBatchIntoMasked(contexts, scratch.attn, scratch.valid_idx,
-                         scratch.valid_begin, batch, scratch.glimpse);
+  GlimpseIntoMasked(contexts, scratch.attn, scratch.valid_idx,
+                    scratch.valid_begin, batch, scratch.glimpse);
 
   // Pointer.
-  QueryBatchInto(store_.Value(wq_p_name_), scratch.glimpse,
-                 store_.Value(bp_name_), batch, scratch.q);
-  ScoreColumnsMaskedBatch(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
-                          scratch.valid_idx, scratch.valid_begin, batch,
-                          logits);
+  QueryInto(store_.Value(wq_p_name_), refs.wq_p_t, scratch.glimpse,
+            store_.Value(bp_name_), batch, scratch.q);
+  ScoreColumnsMasked(refs.pointer_ref, scratch.q, store_.Value(vp_name_),
+                     scratch.valid_idx, scratch.valid_begin, batch, logits);
   float* u = logits.Data();
   for (const int j : scratch.valid_idx) {
     u[j] = kLogitClip * std::tanh(u[j]);

@@ -34,9 +34,10 @@ class PointerAttention {
 
   /// Per-sequence state reused across decode steps: the W_ref C products
   /// and the k-major query panels W_qᵀ that PointerLogitsInto's per-step
-  /// W_q·h GEMVs sweep.  The panels are snapshots of the store's weights,
-  /// rebuilt with the products on every Precompute rather than cached on
-  /// the ParamStore, so ParamStore::Load and weight swaps stay safe.
+  /// W_q·h GEMVs sweep at B = 1.  The panels are snapshots of the store's
+  /// weights, rebuilt with the products on every Precompute rather than
+  /// cached on the ParamStore, so ParamStore::Load and weight swaps stay
+  /// safe.
   struct CachedRefs {
     Tensor glimpse_ref;  // (d, V)
     Tensor pointer_ref;  // (d, V)
@@ -56,36 +57,10 @@ class PointerAttention {
 
   /// Caller-owned scratch for PointerLogitsInto; Reserve() sizes every
   /// buffer (grow-only storage, so steady-state reuse never allocates).
+  /// `valid_idx` holds every valid column of the packed layout, grouped by
+  /// graph, with `valid_begin[g] .. valid_begin[g+1]` delimiting graph g's
+  /// slice.
   struct Scratch {
-    Tensor q;                    // (d, 1) — glimpse then pointer query
-    Tensor scores;               // (1, V) — glimpse attention scores
-    Tensor attn;                 // (1, V) — glimpse attention weights
-    Tensor glimpse;              // (d, 1)
-    std::vector<int> valid_idx;  // indices of the step's valid columns
-    void Reserve(int hidden_dim, int nodes);
-  };
-
-  /// In-place inference path: writes the masked pointer logits into
-  /// `logits` ((1, V), pre-sized by the caller) using only `scratch`'s
-  /// buffers — no heap allocation.  `valid` uses 0/non-0 bytes (see
-  /// MaskedSoftmaxInto).
-  ///
-  /// Only the VALID columns of `logits` are computed (masked entries are
-  /// left stale): the masked softmax zeroes them regardless, so every
-  /// observable value — and the decoded sequence — is identical to
-  /// PointerLogits, while the per-step cost drops from O(d·V) to
-  /// O(d·|valid|).  With ready-set masking (the deployment default) that is
-  /// the difference between O(V) and O(deg) attention work per step.
-  void PointerLogitsInto(const Tensor& contexts, const CachedRefs& refs,
-                         const Tensor& h,
-                         const std::vector<std::uint8_t>& valid,
-                         Scratch& scratch, Tensor& logits) const;
-
-  /// Caller-owned scratch for PointerLogitsBatchInto.  Same grow-only
-  /// contract as Scratch; `valid_idx` holds every valid ABSOLUTE column of
-  /// the packed layout, grouped by graph, with `valid_begin[g] ..
-  /// valid_begin[g+1]` delimiting graph g's slice.
-  struct BatchScratch {
     Tensor q;                      // (d, B) — glimpse then pointer queries
     Tensor scores;                 // (1, n·B) — glimpse attention scores
     Tensor attn;                   // (1, n·B) — glimpse attention weights
@@ -95,24 +70,29 @@ class PointerAttention {
     void Reserve(int hidden_dim, int nodes, int batch);
   };
 
-  /// Batched PointerLogitsInto over B same-node-count graphs packed side by
+  /// In-place inference path over B same-node-count graphs packed side by
   /// side: `contexts` is (d, n·B) with column g·n+j = graph g's node j,
   /// `refs` the PrecomputeInto of that packed matrix, `h` the (d, B)
-  /// lock-stepped decoder hidden state (LstmCell::BatchState layout), and
-  /// `valid` an n·B byte mask in the same packing.  Writes the masked
-  /// pointer logits into `logits` ((1, n·B)); like the single-graph path,
-  /// only valid columns are computed and masked entries are left stale.
+  /// lock-stepped decoder hidden state (LstmCell::State layout), and
+  /// `valid` an n·B byte mask (0/non-0) in the same packing.  Writes the
+  /// masked pointer logits into `logits` ((1, n·B)) using only `scratch`'s
+  /// buffers — no heap allocation.
   ///
-  /// The (d, n·B) ref products come out of the SAME MatMul kernel that the
-  /// single path uses per graph, and every per-column accumulation here
-  /// replicates the single path's order — so each graph's logits (and the
-  /// per-graph softmax via MaskedSoftmaxSliceInto) are bit-identical to B
-  /// independent PointerLogitsInto calls.
-  void PointerLogitsBatchInto(const Tensor& contexts, const CachedRefs& refs,
-                              const Tensor& h,
-                              const std::vector<std::uint8_t>& valid,
-                              int nodes, int batch, BatchScratch& scratch,
-                              Tensor& logits) const;
+  /// Only the VALID columns of `logits` are computed (masked entries are
+  /// left stale): the masked softmax zeroes them regardless, so every
+  /// observable value — and the decoded sequence — is identical to
+  /// PointerLogits, while the per-step cost drops from O(d·V) to
+  /// O(d·|valid|).  With ready-set masking (the deployment default) that is
+  /// the difference between O(V) and O(deg) attention work per step.
+  ///
+  /// Both query products go through nn::DecodeProductInto (the k-major
+  /// panels `refs.wq_*_t` at B = 1, a row-pair GEMM across wider batches),
+  /// and every per-column accumulation keeps PointerLogits' order, so each
+  /// graph's logits are bit-identical to PointerLogits on that graph alone.
+  void PointerLogitsInto(const Tensor& contexts, const CachedRefs& refs,
+                         const Tensor& h,
+                         const std::vector<std::uint8_t>& valid, int nodes,
+                         int batch, Scratch& scratch, Tensor& logits) const;
 
   // ---- Training path (tape-recorded) ----
 

@@ -1,6 +1,6 @@
-// Bundled row-axpy helpers for the GEMM-shaped kernels (MatMulKernel,
-// QueryBatchInto, LstmCell::StepBatchInto) and the k-major GEMV of the
-// single-graph decode steps (KMajorGemv).
+// Bundled row-axpy helpers for the GEMM-shaped kernels (MatMulKernel and
+// the decode-step products of DecodeProductInto: KMajorGemv at batch 1,
+// RowPairGemm across wider batches).
 //
 // Those kernels accumulate `out[j] += coef_k · row_k[j]` one k at a time,
 // which costs a load and a store of the accumulator row per multiply-add
@@ -76,6 +76,64 @@ inline void KMajorGemv(const float* wt, const float* x, int k_dim,
                x[k + 3], out, m);
   }
   for (; k < k_dim; ++k) Axpy(wt + std::int64_t{k} * m, x[k], out, m);
+}
+
+/// out (m, batch) = W·X for row-major W (m, k_dim), X (k_dim, batch) and
+/// out: the batch is the inner axis, so the g loop is contiguous and one
+/// weight load feeds `batch` multiply-adds.  Per element
+/// the k-accumulation is ascending — KMajorGemv's chain — so column g's
+/// bits equal a KMajorGemv on graph g's own vector.  Output rows go two at
+/// a time over fixed groups of four k values: any partition of the
+/// ascending k sequence into ordered sweeps keeps each element's
+/// left-associated chain, while the row pair gives the hardware two
+/// independent accumulation chains instead of one latency-bound chain.
+/// `out` must not alias `w` or `x`.
+inline void RowPairGemm(const float* w, const float* x, int k_dim, int m,
+                        int batch, float* __restrict out) {
+  int i = 0;
+  for (; i + 2 <= m; i += 2) {
+    const float* __restrict wra = w + std::int64_t{i} * k_dim;
+    const float* __restrict wrb = wra + k_dim;
+    float* __restrict acca = out + std::int64_t{i} * batch;
+    float* __restrict accb = acca + batch;
+    for (int g = 0; g < batch; ++g) acca[g] = 0.0f;
+    for (int g = 0; g < batch; ++g) accb[g] = 0.0f;
+    int k = 0;
+    for (; k + 4 <= k_dim; k += 4) {
+      const float* xk = x + std::int64_t{k} * batch;
+      FusedAxpy4x2(xk, xk + batch, xk + 2 * batch, xk + 3 * batch, wra[k],
+                   wra[k + 1], wra[k + 2], wra[k + 3], wrb[k], wrb[k + 1],
+                   wrb[k + 2], wrb[k + 3], acca, accb, batch);
+    }
+    for (; k < k_dim; ++k) {
+      const float* xk = x + std::int64_t{k} * batch;
+      Axpy(xk, wra[k], acca, batch);
+      Axpy(xk, wrb[k], accb, batch);
+    }
+  }
+  for (; i < m; ++i) {
+    const float* __restrict wrow = w + std::int64_t{i} * k_dim;
+    float* __restrict acc = out + std::int64_t{i} * batch;
+    for (int g = 0; g < batch; ++g) acc[g] = 0.0f;
+    for (int k = 0; k < k_dim; ++k) {
+      Axpy(x + std::int64_t{k} * batch, wrow[k], acc, batch);
+    }
+  }
+}
+
+/// The per-step product of every decode recurrence: out (m, batch) = W·X.
+/// A single graph sweeps the k-major panel `wt` = Wᵀ ((k_dim, m)), whose
+/// m-wide rows vectorise where a one-column GEMM would not; a lock-stepped
+/// batch runs RowPairGemm over `w`.  Both branches keep MatMul's per-element
+/// chain, so the bits do not depend on the batch width.
+inline void DecodeProductInto(const float* w, const float* wt, const float* x,
+                              int k_dim, int m, int batch,
+                              float* __restrict out) {
+  if (batch == 1) {
+    KMajorGemv(wt, x, k_dim, out, m);
+  } else {
+    RowPairGemm(w, x, k_dim, m, batch, out);
+  }
 }
 
 }  // namespace respect::nn

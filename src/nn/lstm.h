@@ -25,10 +25,12 @@ class LstmCell {
   [[nodiscard]] int HiddenDim() const { return hidden_dim_; }
   [[nodiscard]] int InputDim() const { return input_dim_; }
 
-  /// Value-only state (inference path).
+  /// Value-only state (inference path) for B lock-stepped sequences.
+  /// Row-major (hidden, B): h.Data()[k*B + g] is element k of sequence g's
+  /// hidden state, so the per-k inner loop over the batch is contiguous.
   struct State {
-    Tensor h;  // (hidden, 1)
-    Tensor c;  // (hidden, 1)
+    Tensor h;  // (hidden, B)
+    Tensor c;  // (hidden, B)
   };
 
   /// Tape-recorded state (training path).
@@ -37,32 +39,30 @@ class LstmCell {
     Ref c = -1;
   };
 
+  /// B = 1 initial states.
   [[nodiscard]] State InitialState() const;
   [[nodiscard]] TapeState InitialState(Tape& tape) const;
 
-  /// Value-only state for B lock-stepped sequences (batched inference).
-  /// Row-major (hidden, B): h.Data()[k*B + g] is element k of graph g's
-  /// hidden state, so the per-k inner loop over the batch is contiguous.
-  struct BatchState {
-    Tensor h;  // (hidden, B)
-    Tensor c;  // (hidden, B)
-  };
-
-  /// One step without gradient recording.
+  /// One B = 1 step without gradient recording.
   [[nodiscard]] State Step(const Tensor& x, const State& prev) const;
 
-  /// Fused allocation-free step for the inference hot path: updates
-  /// `state.h` / `state.c` ((hidden, 1)) in place.  The input contribution
-  /// Wx·x must be precomputed — `zx` is a (4·hidden, *) matrix whose column
-  /// `zx_col` holds Wx·x for this step, so callers hoist the input
-  /// projection for a whole sequence into one GEMM and each step pays only
-  /// the Wh·h GEMV.  That GEMV reads `wh_t`, the (hidden, 4·hidden) k-major
-  /// panel Whᵀ from RecurrentPanelInto, so all 4·hidden outputs accumulate
-  /// as one vector sweep per k.  `gates` is a caller-owned (4·hidden, 1)
-  /// scratch.  Bit-identical to Step() given zx_col == MatMul(Wx, x) column
-  /// and a panel built from the current weights.
-  void StepInto(const Tensor& zx, int zx_col, const Tensor& wh_t,
-                Tensor& gates, State& state) const;
+  /// Fused allocation-free step for the inference hot path: advances
+  /// `batch` independent sequences one step, updating `state.h` /
+  /// `state.c` ((hidden, batch)) in place.  The input contribution Wx·x
+  /// must be precomputed — `zx` is a (4·hidden, *) matrix and column
+  /// `zx_cols[g]` holds Wx·x for sequence g's step (columns may repeat, e.g.
+  /// every sequence pointing at a shared decoder-start column), so callers
+  /// hoist the input projection into one GEMM and each step pays only Wh·h.
+  /// That product is nn::DecodeProductInto: at batch 1 it sweeps `wh_t`,
+  /// the (hidden, 4·hidden) k-major panel Whᵀ from RecurrentPanelInto; at
+  /// batch >= 2 it is a (4d, d)×(d, B) row-pair GEMM over Wh itself.
+  /// `gates` is a caller-owned (4·hidden, batch) scratch.
+  ///
+  /// Column g is bit-identical to Step() on sequence g alone: per output
+  /// element the k-accumulation runs in MatMul's ascending order on both
+  /// branches, and the gate math stores the same intermediates.
+  void StepInto(const Tensor& zx, const int* zx_cols, int batch,
+                const Tensor& wh_t, Tensor& gates, State& state) const;
 
   /// Writes the k-major recurrent panel Whᵀ ((hidden, 4·hidden)) for
   /// StepInto into `wh_t` (grow-only storage).  The panel is a snapshot of
@@ -73,21 +73,6 @@ class LstmCell {
   /// The (4·hidden, input) input weight Wx, for hoisting Wx·X out of step
   /// loops (see StepInto).
   [[nodiscard]] const Tensor& InputWeight() const;
-
-  /// Batched StepInto: advances `batch` independent sequences one step,
-  /// turning the per-step Wh·h GEMV into a (4d, d)×(d, B) GEMM whose inner
-  /// loop runs contiguously across the batch.  `zx_cols[g]` selects graph
-  /// g's precomputed Wx·x column in `zx` (columns may repeat — e.g. every
-  /// graph pointing at the shared decoder-start column).  `gates` is a
-  /// caller-owned (4·hidden, batch) scratch; `state.h`/`state.c` are
-  /// (hidden, batch) and updated in place.
-  ///
-  /// Column g of the result is bit-identical to a StepInto call on graph
-  /// g's own (hidden, 1) state: per output element the k-accumulation runs
-  /// in the same ascending order, and the gate math stores the same
-  /// intermediates.
-  void StepBatchInto(const Tensor& zx, const int* zx_cols, int batch,
-                     Tensor& gates, BatchState& state) const;
 
   /// One recorded step; `x` must already be a tape node of shape
   /// (input_dim, 1).  Parameters are bound into the tape on first use.

@@ -78,31 +78,6 @@ void CheckMatMulShapes(const Tensor& a, const Tensor& b) {
   }
 }
 
-template <typename Mask>
-void MaskedSoftmaxImpl(const Tensor& logits, const Mask& valid, Tensor& out) {
-  if (logits.Rows() != 1 ||
-      static_cast<int>(valid.size()) != logits.Cols()) {
-    throw std::invalid_argument("MaskedSoftmax: logits must be (1, n) with "
-                                "matching mask");
-  }
-  float max_logit = -std::numeric_limits<float>::infinity();
-  for (int j = 0; j < logits.Cols(); ++j) {
-    if (valid[j]) max_logit = std::max(max_logit, logits.At(0, j));
-  }
-  if (!std::isfinite(max_logit)) {
-    throw std::invalid_argument("MaskedSoftmax: all entries masked");
-  }
-  out.Fill(0.0f);
-  float denom = 0.0f;
-  for (int j = 0; j < logits.Cols(); ++j) {
-    if (valid[j]) {
-      out.At(0, j) = std::exp(logits.At(0, j) - max_logit);
-      denom += out.At(0, j);
-    }
-  }
-  for (int j = 0; j < logits.Cols(); ++j) out.At(0, j) /= denom;
-}
-
 }  // namespace
 
 Tensor Tensor::Xavier(int rows, int cols, std::mt19937_64& rng) {
@@ -275,15 +250,28 @@ void TransposeInto(const Tensor& a, Tensor& out) {
 }
 
 Tensor MaskedSoftmax(const Tensor& logits, const std::vector<bool>& valid) {
+  if (logits.Rows() != 1 ||
+      static_cast<int>(valid.size()) != logits.Cols()) {
+    throw std::invalid_argument("MaskedSoftmax: logits must be (1, n) with "
+                                "matching mask");
+  }
+  float max_logit = -std::numeric_limits<float>::infinity();
+  for (int j = 0; j < logits.Cols(); ++j) {
+    if (valid[j]) max_logit = std::max(max_logit, logits.At(0, j));
+  }
+  if (!std::isfinite(max_logit)) {
+    throw std::invalid_argument("MaskedSoftmax: all entries masked");
+  }
   Tensor out(1, logits.Cols());
-  MaskedSoftmaxImpl(logits, valid, out);
+  float denom = 0.0f;
+  for (int j = 0; j < logits.Cols(); ++j) {
+    if (valid[j]) {
+      out.At(0, j) = std::exp(logits.At(0, j) - max_logit);
+      denom += out.At(0, j);
+    }
+  }
+  for (int j = 0; j < logits.Cols(); ++j) out.At(0, j) /= denom;
   return out;
-}
-
-void MaskedSoftmaxInto(const Tensor& logits,
-                       const std::vector<std::uint8_t>& valid, Tensor& out) {
-  CheckShape(out, 1, logits.Cols(), "MaskedSoftmaxInto");
-  MaskedSoftmaxImpl(logits, valid, out);
 }
 
 void MaskedSoftmaxSliceInto(const Tensor& logits,
@@ -294,25 +282,27 @@ void MaskedSoftmaxSliceInto(const Tensor& logits,
     throw std::invalid_argument("MaskedSoftmaxSliceInto: bad slice");
   }
   CheckShape(out, 1, logits.Cols(), "MaskedSoftmaxSliceInto");
-  // Mirror MaskedSoftmaxImpl exactly within the slice: max over valid, exp
-  // in ascending-j order, ascending-j denominator, then divide EVERY slice
-  // entry by the denominator (masked entries are 0/denom = 0).
+  // Mirror MaskedSoftmax exactly within the slice: max over valid, zero
+  // fill, exp in ascending-j order, ascending-j denominator, then divide
+  // EVERY slice entry by the denominator (masked entries are 0/denom = 0).
+  // Only valid entries are written in the exp loop, so the masked majority
+  // of a ready-set row costs a byte test each.
+  const std::uint8_t* __restrict vd = valid.data() + c0;
   const float* __restrict ld = logits.Data() + c0;
   float* __restrict od = out.Data() + c0;
   float max_logit = -std::numeric_limits<float>::infinity();
   for (int j = 0; j < n; ++j) {
-    if (valid[c0 + j]) max_logit = std::max(max_logit, ld[j]);
+    if (vd[j]) max_logit = std::max(max_logit, ld[j]);
   }
   if (!std::isfinite(max_logit)) {
     throw std::invalid_argument("MaskedSoftmax: all entries masked");
   }
+  std::fill(od, od + n, 0.0f);
   float denom = 0.0f;
   for (int j = 0; j < n; ++j) {
-    if (valid[c0 + j]) {
+    if (vd[j]) {
       od[j] = std::exp(ld[j] - max_logit);
       denom += od[j];
-    } else {
-      od[j] = 0.0f;
     }
   }
   for (int j = 0; j < n; ++j) od[j] /= denom;

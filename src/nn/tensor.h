@@ -125,19 +125,15 @@ void TransposeInto(const Tensor& a, Tensor& out);
 /// column of `a` in place.
 void AddBroadcastColInPlace(Tensor& a, const Tensor& col);
 
-/// MaskedSoftmax into `out` ((1, n)); `valid` uses 0/non-0 bytes so the
-/// mask itself can live in a reusable workspace buffer (std::vector<bool>
-/// cannot hand out stable storage).  Throws when every entry is masked.
-void MaskedSoftmaxInto(const Tensor& logits,
-                       const std::vector<std::uint8_t>& valid, Tensor& out);
-
 /// Masked softmax over the column slice [c0, c0+n) of a packed (1, total)
 /// logits row, writing the same slice of `out` (also (1, total)); entries
 /// outside the slice are untouched.  `valid` is indexed by absolute column
-/// (same packing as `logits`).  Bit-identical to MaskedSoftmaxInto run on
-/// the extracted slice — this is the per-graph softmax of the batched
-/// decode path, which packs B graphs' logits side by side.  Throws when
-/// every entry in the slice is masked.
+/// (same packing as `logits`) and uses 0/non-0 bytes so the mask can live
+/// in a reusable workspace buffer (std::vector<bool> cannot hand out stable
+/// storage).  Bit-identical to MaskedSoftmax run on the extracted slice —
+/// this is the per-graph softmax of the inference decode, which packs B
+/// graphs' logits side by side.  Throws when every entry in the slice is
+/// masked.
 void MaskedSoftmaxSliceInto(const Tensor& logits,
                             const std::vector<std::uint8_t>& valid, int c0,
                             int n, Tensor& out);

@@ -27,7 +27,7 @@ int SampleIndex(const nn::Tensor& probs, std::mt19937_64& rng) {
 }
 
 /// Valid-node mask for the tape-recorded training path (the inference path
-/// uses the workspace's byte mask via StepMaskInto).
+/// writes the workspace's packed byte mask).
 std::vector<bool> StepMaskVec(MaskingMode masking,
                               const std::vector<bool>& picked,
                               const std::vector<int>& unpicked_parents) {
@@ -41,9 +41,9 @@ std::vector<bool> StepMaskVec(MaskingMode masking,
 }
 
 /// Argmax over the column slice [c0, c0+n), returning the index RELATIVE to
-/// c0: ascending strictly-greater scan (first max wins), so the batched
-/// decode picks exactly what the single path would.  Throws when nothing is
-/// pickable (e.g. an all-NaN probability row), like SampleIndex.
+/// c0: ascending strictly-greater scan (first max wins), so every graph of
+/// a batch picks exactly what the reference argmax would.  Throws when
+/// nothing is pickable (e.g. an all-NaN probability row), like SampleIndex.
 int ArgmaxIndexRange(const nn::Tensor& probs, int c0, int n) {
   int best = -1;
   float best_p = -1.0f;
@@ -74,133 +74,51 @@ PtrNetAgent::PtrNetAgent(const PtrNetConfig& config)
   store_.GetOrCreate("decoder.d0", config_.hidden_dim, 1, init_rng_);
 }
 
-void PtrNetAgent::StepMaskInto(DecodeWorkspace& ws) const {
-  const int n = static_cast<int>(ws.picked.size());
-  for (int j = 0; j < n; ++j) {
-    ws.valid[j] =
-        !ws.picked[j] && (config_.masking == MaskingMode::kVisitedOnly ||
-                          ws.unpicked_parents[j] == 0)
-            ? 1
-            : 0;
-  }
-}
-
-const std::vector<graph::NodeId>& PtrNetAgent::DecodeImpl(
-    const graph::Dag& dag, std::mt19937_64* rng, DecodeWorkspace& ws,
-    const core::CancelToken& cancel) const {
-  const int n = dag.NodeCount();
-  const int d = config_.hidden_dim;
-  ws.Reserve(d, n);
-
-  graph::AnalyzeTopologyInto(dag, ws.topo_scratch, ws.topo);
-  ws.pos.assign(n, -1);
-  for (int j = 0; j < n; ++j) ws.pos[ws.topo.order[j]] = j;
-
-  // Input queue q follows the ASAP topological order (§III-A).
-  EmbedGraphInto(dag, config_.embedding, ws.topo, ws.emb);
-  nn::MatMulInto(store_.Value("input.W"), ws.emb, ws.x_all);
-  nn::AddBroadcastColInPlace(ws.x_all, store_.Value("input.b"));
-
-  // Hoisted input projections: one GEMM per LSTM covers every step's Wx·x,
-  // so the recurrent loops below pay only the Wh·h GEMV per step.
-  nn::MatMulInto(encoder_.InputWeight(), ws.x_all, ws.zx_enc);
-  nn::MatMulInto(decoder_.InputWeight(), ws.x_all, ws.zx_dec);
-  nn::MatMulInto(decoder_.InputWeight(), store_.Value("decoder.d0"), ws.zx_d0);
-
-  // k-major Wh panels for the per-step recurrent GEMVs.
-  encoder_.RecurrentPanelInto(ws.enc_wh_t);
-  decoder_.RecurrentPanelInto(ws.dec_wh_t);
-
-  // Encoder sweep, contexts written column-by-column into C.
-  ws.state.h.Fill(0.0f);
-  ws.state.c.Fill(0.0f);
-  float* ctx = ws.contexts.Data();
-  for (int j = 0; j < n; ++j) {
-    const graph::NodeId v = ws.topo.order[j];
-    encoder_.StepInto(ws.zx_enc, v, ws.enc_wh_t, ws.gates, ws.state);
-    const float* h = ws.state.h.Data();
-    for (int i = 0; i < d; ++i) ctx[std::int64_t{i} * n + j] = h[i];
-  }
-  attention_.PrecomputeInto(ws.contexts, ws.refs);
-
-  // Decoder: position-indexed bookkeeping.  The encoder's final state
-  // carries over as the decoder's initial state in place.
-  std::fill(ws.picked.begin(), ws.picked.end(), std::uint8_t{0});
-  for (int j = 0; j < n; ++j) {
-    ws.unpicked_parents[j] =
-        static_cast<int>(dag.Parents(ws.topo.order[j]).size());
-  }
-
-  ws.sequence.clear();
-  const nn::Tensor* zx = &ws.zx_d0;  // first input: trainable d0 projection
-  int zx_col = 0;
-  for (int t = 0; t < n; ++t) {
-    cancel.ThrowIfCancelled("rl decode step");
-    decoder_.StepInto(*zx, zx_col, ws.dec_wh_t, ws.gates, ws.state);
-    StepMaskInto(ws);
-    attention_.PointerLogitsInto(ws.contexts, ws.refs, ws.state.h, ws.valid,
-                                 ws.attn, ws.logits);
-    nn::MaskedSoftmaxInto(ws.logits, ws.valid, ws.probs);
-    const int j =
-        rng == nullptr ? ArgmaxIndexRange(ws.probs, 0, n)
-                       : SampleIndex(ws.probs, *rng);
-    const graph::NodeId v = ws.topo.order[j];
-    ws.picked[j] = 1;
-    for (const graph::NodeId c : dag.Children(v)) {
-      --ws.unpicked_parents[ws.pos[c]];
-    }
-    ws.sequence.push_back(v);
-    zx = &ws.zx_dec;
-    zx_col = v;
-  }
-  return ws.sequence;
-}
-
 std::vector<graph::NodeId> PtrNetAgent::DecodeGreedy(
     const graph::Dag& dag) const {
   DecodeWorkspace ws;
-  return DecodeImpl(dag, nullptr, ws);
-}
-
-std::vector<graph::NodeId> PtrNetAgent::DecodeSampled(
-    const graph::Dag& dag, std::mt19937_64& rng) const {
-  DecodeWorkspace ws;
-  return DecodeImpl(dag, &rng, ws);
+  return DecodeGreedy(dag, ws);
 }
 
 const std::vector<graph::NodeId>& PtrNetAgent::DecodeGreedy(
     const graph::Dag& dag, DecodeWorkspace& ws,
     const core::CancelToken& cancel) const {
-  return DecodeImpl(dag, nullptr, ws, cancel);
+  const graph::Dag* const one[] = {&dag};
+  return DecodeGreedyBatch(one, ws, cancel)[0];
 }
 
 const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
-    std::span<const graph::Dag* const> dags, BatchDecodeWorkspace& ws,
+    std::span<const graph::Dag* const> dags, DecodeWorkspace& ws,
     const core::CancelToken& cancel) const {
   const int batch = static_cast<int>(dags.size());
   if (batch <= 0) {
     throw std::invalid_argument("DecodeGreedyBatch: empty batch");
   }
-  const int n = dags[0]->NodeCount();
   for (const graph::Dag* dag : dags) {
-    if (dag == nullptr || dag->NodeCount() != n) {
+    if (dag == nullptr || dag->NodeCount() != dags[0]->NodeCount()) {
       throw std::invalid_argument(
-          "DecodeGreedyBatch: all graphs must have the same node count");
+          "DecodeGreedyBatch: graphs must be non-null with one node count");
     }
   }
+  const int n = dags[0]->NodeCount();
   const int d = config_.hidden_dim;
   const int total = n * batch;
   ws.Reserve(d, n, batch);
 
-  // Per-graph analysis and packed embedding: emb column g·n+v is graph g's
+  // Input queue q follows the ASAP topological order (§III-A).  Per-graph
+  // analysis and packed embedding: emb column g·n+v is graph g's
   // node-v feature vector, so every downstream packed column g·n+v matches
-  // the single path's column v for graph g bit-for-bit (the shared MatMul
-  // kernel is column-independent).
+  // a one-graph decode's column v bit for bit (the shared MatMul kernel is
+  // column-independent).  A single graph embeds straight into emb.
   float* embd = ws.emb.Data();
   for (int g = 0; g < batch; ++g) {
     graph::AnalyzeTopologyInto(*dags[g], ws.topo_scratch, ws.topos[g]);
     ws.pos[g].assign(n, -1);
     for (int j = 0; j < n; ++j) ws.pos[g][ws.topos[g].order[j]] = j;
+    if (batch == 1) {
+      EmbedGraphInto(*dags[g], config_.embedding, ws.topos[g], ws.emb);
+      continue;
+    }
     EmbedGraphInto(*dags[g], config_.embedding, ws.topos[g], ws.emb_one);
     const float* one = ws.emb_one.Data();
     for (int i = 0; i < kFeatureDim; ++i) {
@@ -211,12 +129,16 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
   nn::MatMulInto(store_.Value("input.W"), ws.emb, ws.x_all);
   nn::AddBroadcastColInPlace(ws.x_all, store_.Value("input.b"));
 
-  // Hoisted input projections over the whole packed batch.
+  // Hoisted input projections over the whole packed batch: one GEMM per
+  // LSTM covers every step's Wx·x, so the recurrent loops below pay only
+  // the Wh·h product per step.
   nn::MatMulInto(encoder_.InputWeight(), ws.x_all, ws.zx_enc);
   nn::MatMulInto(decoder_.InputWeight(), ws.x_all, ws.zx_dec);
   nn::MatMulInto(decoder_.InputWeight(), store_.Value("decoder.d0"), ws.zx_d0);
+  encoder_.RecurrentPanelInto(ws.enc_wh_t);
+  decoder_.RecurrentPanelInto(ws.dec_wh_t);
 
-  // Lock-stepped encoder sweep: one StepBatchInto per position, contexts
+  // Lock-stepped encoder sweep: one StepInto per position, contexts
   // scattered to column g·n+j (graph g, position j).
   ws.state.h.Fill(0.0f);
   ws.state.c.Fill(0.0f);
@@ -225,8 +147,8 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
     for (int g = 0; g < batch; ++g) {
       ws.zx_cols[g] = g * n + ws.topos[g].order[j];
     }
-    encoder_.StepBatchInto(ws.zx_enc, ws.zx_cols.data(), batch, ws.gates,
-                           ws.state);
+    encoder_.StepInto(ws.zx_enc, ws.zx_cols.data(), batch, ws.enc_wh_t,
+                      ws.gates, ws.state);
     const float* h = ws.state.h.Data();
     for (int i = 0; i < d; ++i) {
       const float* hrow = h + std::int64_t{i} * batch;
@@ -238,7 +160,7 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
 
   // Decoder bookkeeping, packed position-indexed; the encoder's final
   // (d, B) state carries over as the decoder's initial state in place.
-  std::fill(ws.picked.begin(), ws.picked.begin() + total, std::uint8_t{0});
+  std::fill(ws.picked.begin(), ws.picked.end(), std::uint8_t{0});
   for (int g = 0; g < batch; ++g) {
     for (int j = 0; j < n; ++j) {
       ws.unpicked_parents[g * n + j] =
@@ -250,21 +172,18 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
   const nn::Tensor* zx = &ws.zx_d0;  // first input: shared d0 projection
   for (int g = 0; g < batch; ++g) ws.zx_cols[g] = 0;
   for (int t = 0; t < n; ++t) {
-    cancel.ThrowIfCancelled("rl batch decode step");
-    decoder_.StepBatchInto(*zx, ws.zx_cols.data(), batch, ws.gates, ws.state);
-    for (int g = 0; g < batch; ++g) {
-      const int c0 = g * n;
-      for (int j = 0; j < n; ++j) {
-        ws.valid[c0 + j] =
-            !ws.picked[c0 + j] &&
-                    (config_.masking == MaskingMode::kVisitedOnly ||
-                     ws.unpicked_parents[c0 + j] == 0)
-                ? 1
-                : 0;
-      }
+    cancel.ThrowIfCancelled("rl decode step");
+    decoder_.StepInto(*zx, ws.zx_cols.data(), batch, ws.dec_wh_t, ws.gates,
+                      ws.state);
+    for (int c = 0; c < total; ++c) {
+      ws.valid[c] = !ws.picked[c] &&
+                            (config_.masking == MaskingMode::kVisitedOnly ||
+                             ws.unpicked_parents[c] == 0)
+                        ? 1
+                        : 0;
     }
-    attention_.PointerLogitsBatchInto(ws.contexts, ws.refs, ws.state.h,
-                                      ws.valid, n, batch, ws.attn, ws.logits);
+    attention_.PointerLogitsInto(ws.contexts, ws.refs, ws.state.h, ws.valid,
+                                 n, batch, ws.attn, ws.logits);
     for (int g = 0; g < batch; ++g) {
       const int c0 = g * n;
       nn::MaskedSoftmaxSliceInto(ws.logits, ws.valid, c0, n, ws.probs);
@@ -280,11 +199,6 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
     zx = &ws.zx_dec;
   }
   return ws.sequences;
-}
-
-const std::vector<graph::NodeId>& PtrNetAgent::DecodeSampled(
-    const graph::Dag& dag, std::mt19937_64& rng, DecodeWorkspace& ws) const {
-  return DecodeImpl(dag, &rng, ws);
 }
 
 PtrNetAgent::SampleResult PtrNetAgent::SampleWithTape(const graph::Dag& dag,

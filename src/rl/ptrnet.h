@@ -8,8 +8,9 @@
 // parameter (as in the paper).
 //
 // Two decoding paths:
-//  * greedy/sampled inference without gradients (works on graphs of any
-//    size — the generalizability claim);
+//  * greedy inference without gradients, one lock-stepped decode for one
+//    graph or a same-size group (works on graphs of any size — the
+//    generalizability claim);
 //  * tape-recorded sampling for REINFORCE training, returning the summed
 //    log-probability node of the sampled sequence.
 #pragma once
@@ -27,7 +28,6 @@
 #include "nn/lstm.h"
 #include "nn/params.h"
 #include "nn/tape.h"
-#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/embedding.h"
 
@@ -64,42 +64,37 @@ class PtrNetAgent {
   [[nodiscard]] std::vector<graph::NodeId> DecodeGreedy(
       const graph::Dag& dag) const;
 
-  /// Stochastic decode without gradients (used for rollout evaluation).
-  [[nodiscard]] std::vector<graph::NodeId> DecodeSampled(
-      const graph::Dag& dag, std::mt19937_64& rng) const;
-
-  // Workspace overloads — the serving hot path.  All decode buffers live in
-  // `ws` (one per thread; see decode_workspace.h), so a steady-state call
-  // performs zero heap allocations.  The returned reference aliases
-  // `ws.sequence` and is valid until the next decode on the same workspace.
-  /// `cancel` (optional) is polled once per decode step; a fired token
-  /// unwinds with core::CancelledError before the step's recurrence runs.
+  /// Workspace overload — the serving hot path: DecodeGreedyBatch on a
+  /// one-graph span.  All decode buffers live in `ws` (one per thread; see
+  /// decode_workspace.h), so a steady-state call performs zero heap
+  /// allocations.  The returned reference aliases `ws.sequences[0]` and is
+  /// valid until the next decode on the same workspace.  `cancel`
+  /// (optional) is polled once per decode step; a fired token unwinds with
+  /// core::CancelledError before the step's recurrence runs.
   [[nodiscard]] const std::vector<graph::NodeId>& DecodeGreedy(
       const graph::Dag& dag, DecodeWorkspace& ws,
       const core::CancelToken& cancel = {}) const;
-  [[nodiscard]] const std::vector<graph::NodeId>& DecodeSampled(
-      const graph::Dag& dag, std::mt19937_64& rng, DecodeWorkspace& ws) const;
 
-  /// Batched greedy decode: lock-steps every graph in `dags` — all of
-  /// which must have the SAME node count (std::invalid_argument otherwise;
-  /// group by size first, see RlEngine::ScheduleBatch) — so the per-step
-  /// recurrences run as one GEMM across the batch.  B = 1 degenerates to a
-  /// (slightly wider-buffered) single decode.
+  /// The inference decode: lock-steps every graph in `dags` — all of which
+  /// must be non-null with the SAME node count (std::invalid_argument
+  /// otherwise; group by size first, see RlEngine::ScheduleBatch) — so the
+  /// per-step recurrences run as one product across the batch: the k-major
+  /// panel GEMVs at B = 1, a row-pair GEMM at B >= 2 (nn::DecodeProductInto).
   ///
-  /// The result is bit-identical to B independent DecodeGreedy calls:
-  /// every batched kernel replicates the single-graph per-element
-  /// accumulation order (see StepBatchInto / PointerLogitsBatchInto).
+  /// Every graph's result is bit-identical to a B = 1 decode of it and to
+  /// rl::ReferenceDecodeGreedy: each kernel keeps the allocating path's
+  /// per-element accumulation order (see LstmCell::StepInto /
+  /// PointerAttention::PointerLogitsInto).
   ///
   /// Returns a reference to ws.sequences; entries [0, dags.size()) hold
   /// this call's results (later entries may be stale from a larger batch)
   /// and stay valid until the next decode on the same workspace.
   ///
-  /// `cancel` (optional) is polled once per decode step, as in
-  /// DecodeGreedy; a fired token unwinds the whole batch with
-  /// core::CancelledError.
+  /// `cancel` (optional) is polled once per decode step; a fired token
+  /// unwinds the whole batch with core::CancelledError.
   [[nodiscard]] const std::vector<std::vector<graph::NodeId>>&
   DecodeGreedyBatch(std::span<const graph::Dag* const> dags,
-                    BatchDecodeWorkspace& ws,
+                    DecodeWorkspace& ws,
                     const core::CancelToken& cancel = {}) const;
 
   /// Tape-recorded stochastic decode for training.
@@ -119,16 +114,6 @@ class PtrNetAgent {
   void Load(const std::string& path) { store_.Load(path); }
 
  private:
-  /// Shared fused inference decode; `rng` null selects greedy argmax.
-  /// Returns a reference to ws.sequence.
-  [[nodiscard]] const std::vector<graph::NodeId>& DecodeImpl(
-      const graph::Dag& dag, std::mt19937_64* rng, DecodeWorkspace& ws,
-      const core::CancelToken& cancel = {}) const;
-
-  /// Valid-node mask at one decode step (position-indexed), written into
-  /// ws.valid.
-  void StepMaskInto(DecodeWorkspace& ws) const;
-
   PtrNetConfig config_;
   nn::ParamStore store_;
   std::mt19937_64 init_rng_;

@@ -1,7 +1,6 @@
 #include "rl/reference_decode.h"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "graph/topology.h"
 #include "nn/params.h"
@@ -14,23 +13,6 @@ namespace {
 // Verbatim copies of the pre-optimization helpers (ptrnet.cc / lstm.cc /
 // attention.cc as of the allocate-per-op implementation).  Do not "clean
 // up": bit-identity with the fused path is the whole point.
-
-int SampleIndex(const nn::Tensor& probs, std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  double r = unit(rng);
-  int last_valid = -1;
-  for (int j = 0; j < probs.Cols(); ++j) {
-    const double p = probs.At(0, j);
-    if (p <= 0.0) continue;
-    last_valid = j;
-    r -= p;
-    if (r <= 0.0) return j;
-  }
-  if (last_valid < 0) {
-    throw std::logic_error("SampleIndex: degenerate distribution");
-  }
-  return last_valid;
-}
 
 int ArgmaxIndex(const nn::Tensor& probs) {
   int best = -1;
@@ -127,10 +109,11 @@ std::vector<bool> StepMask(MaskingMode masking, const std::vector<bool>& picked,
   return valid;
 }
 
-/// The original PtrNetAgent::DecodeImpl.
-std::vector<graph::NodeId> DecodeImpl(const PtrNetAgent& agent,
-                                      const graph::Dag& dag,
-                                      std::mt19937_64* rng) {
+}  // namespace
+
+/// The original greedy PtrNetAgent decode.
+std::vector<graph::NodeId> ReferenceDecodeGreedy(const PtrNetAgent& agent,
+                                                 const graph::Dag& dag) {
   const nn::ParamStore& store = agent.Params();
   const PtrNetConfig& config = agent.Config();
   const int d = config.hidden_dim;
@@ -172,8 +155,7 @@ std::vector<graph::NodeId> DecodeImpl(const PtrNetAgent& agent,
     const nn::Tensor logits =
         PointerLogits(store, C, glimpse_ref, pointer_ref, dec.h, valid, d);
     const nn::Tensor probs = nn::MaskedSoftmax(logits, valid);
-    const int j =
-        rng == nullptr ? ArgmaxIndex(probs) : SampleIndex(probs, *rng);
+    const int j = ArgmaxIndex(probs);
     const graph::NodeId v = topo.order[j];
     picked[j] = true;
     for (const graph::NodeId c : dag.Children(v)) {
@@ -183,19 +165,6 @@ std::vector<graph::NodeId> DecodeImpl(const PtrNetAgent& agent,
     d_input = nn::SliceCols(x_all, v, v + 1);
   }
   return sequence;
-}
-
-}  // namespace
-
-std::vector<graph::NodeId> ReferenceDecodeGreedy(const PtrNetAgent& agent,
-                                                 const graph::Dag& dag) {
-  return DecodeImpl(agent, dag, nullptr);
-}
-
-std::vector<graph::NodeId> ReferenceDecodeSampled(const PtrNetAgent& agent,
-                                                  const graph::Dag& dag,
-                                                  std::mt19937_64& rng) {
-  return DecodeImpl(agent, dag, &rng);
 }
 
 }  // namespace respect::rl

@@ -1,15 +1,15 @@
 // Frozen pre-optimization PtrNet decode — the allocate-per-op inference path
 // exactly as it existed before the fused zero-allocation rewrite.
 //
-// Kept on purpose, not dead code: the optimized DecodeGreedy/DecodeSampled
-// must produce BIT-IDENTICAL sequences to this implementation (guarded by
-// tests/decode_parity_test.cc), and bench_micro reports the before/after
+// Kept on purpose, not dead code: the optimized DecodeGreedy and
+// DecodeGreedyBatch must produce BIT-IDENTICAL sequences to this
+// implementation (guarded by tests/decode_parity_test.cc and
+// tests/batch_decode_test.cc), and bench_micro reports the before/after
 // decode throughput against it.  It re-derives every step from the agent's
 // ParamStore through the allocating nn value ops, so any arithmetic drift in
 // the fused kernels shows up as a sequence mismatch.
 #pragma once
 
-#include <random>
 #include <vector>
 
 #include "graph/dag.h"
@@ -20,10 +20,5 @@ namespace respect::rl {
 /// Greedy argmax decode via the pre-optimization path.
 [[nodiscard]] std::vector<graph::NodeId> ReferenceDecodeGreedy(
     const PtrNetAgent& agent, const graph::Dag& dag);
-
-/// Stochastic decode via the pre-optimization path; consumes `rng` exactly
-/// like PtrNetAgent::DecodeSampled.
-[[nodiscard]] std::vector<graph::NodeId> ReferenceDecodeSampled(
-    const PtrNetAgent& agent, const graph::Dag& dag, std::mt19937_64& rng);
 
 }  // namespace respect::rl

@@ -30,7 +30,7 @@ RlScheduler::Result RlScheduler::ScheduleRaw(
 
 std::vector<RlScheduler::Result> RlScheduler::ScheduleRawBatch(
     std::span<const graph::Dag* const> dags,
-    const sched::PipelineConstraints& constraints, BatchDecodeWorkspace& ws,
+    const sched::PipelineConstraints& constraints, DecodeWorkspace& ws,
     const core::CancelToken& cancel) const {
   const auto start = std::chrono::steady_clock::now();
   const auto& sequences = agent_.DecodeGreedyBatch(dags, ws, cancel);

@@ -67,15 +67,15 @@ class RlScheduler {
 
   /// Batched ScheduleRaw over same-node-count graphs: one lock-stepped
   /// greedy decode (PtrNetAgent::DecodeGreedyBatch) followed by per-graph
-  /// ρ packing.  Results are index-aligned with `dags` and, on the scalar
-  /// path, bit-identical to per-graph ScheduleRaw calls.  Each result's
+  /// ρ packing.  Results are index-aligned with `dags` and bit-identical to
+  /// per-graph ScheduleRaw calls.  Each result's
   /// solve_seconds is the batch total amortized over the batch (decode
   /// work is shared, so per-graph attribution is inherently amortized).
   /// `cancel` is polled once per lock-stepped decode step, as in
   /// ScheduleRaw; a fired token unwinds the whole batch.
   [[nodiscard]] std::vector<Result> ScheduleRawBatch(
       std::span<const graph::Dag* const> dags,
-      const sched::PipelineConstraints& constraints, BatchDecodeWorkspace& ws,
+      const sched::PipelineConstraints& constraints, DecodeWorkspace& ws,
       const core::CancelToken& cancel = {}) const;
 
  private:

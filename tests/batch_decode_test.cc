@@ -1,15 +1,17 @@
-// Guards for the batched multi-graph decode path:
-//  * DecodeGreedyBatch is bit-identical to sequential single-graph
-//    decodes (deg 2-6, both MaskingModes, mixed batch sizes
-//    including B=1), and the same workspace survives different
-//    (nodes, batch, hidden) shapes; a fired CancelToken unwinds the batch
-//    decode and leaves its workspace reusable;
+// Guards for the lock-stepped decode (DecodeGreedyBatch; a
+// single-graph DecodeGreedy is its B = 1 case):
+//  * DecodeGreedyBatch is bit-identical to sequential one-graph decodes
+//    (deg 2-6, both MaskingModes, batch sizes 1, 3 and 8) and to the frozen
+//    reference, and the same workspace survives different (nodes, batch,
+//    hidden) shapes; empty, null and mixed-size inputs are rejected; a fired
+//    CancelToken unwinds the decode and leaves its workspace reusable;
 //  * the compiler-level batch path (CompileBatch size-grouping, CompileGroup)
 //    returns element-wise the same schedules as sequential Compile() calls,
 //    and SolveStats reports the batch/single split correctly — stragglers
-//    fall back to the single-graph path;
-//  * a steady-state batched decode on a warm BatchDecodeWorkspace performs
-//    ZERO heap allocations (counted via a replaced global operator new).
+//    are decoded one at a time;
+//  * a steady-state decode on a warm DecodeWorkspace performs ZERO heap
+//    allocations, also when B = 1 decodes and groups interleave on it
+//    (counted via a replaced global operator new).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,7 +25,6 @@
 #include "core/thread_pool.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
-#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/reference_decode.h"
@@ -80,7 +81,7 @@ TEST(BatchDecodeTest, BatchMatchesSequentialAcrossComplexities) {
   for (const rl::MaskingMode masking :
        {rl::MaskingMode::kReadySet, rl::MaskingMode::kVisitedOnly}) {
     const rl::PtrNetAgent agent(NetConfig(masking));
-    rl::BatchDecodeWorkspace batch_ws;
+    rl::DecodeWorkspace batch_ws;
     rl::DecodeWorkspace single_ws;
     std::mt19937_64 rng(101);
     for (int deg = 2; deg <= 6; ++deg) {
@@ -102,7 +103,7 @@ TEST(BatchDecodeTest, BatchMatchesReferenceAcrossSizes) {
   // Against the frozen pre-optimization reference, across node counts and
   // shrinking/growing workspace reuse (60 -> 12 -> 45).
   const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
-  rl::BatchDecodeWorkspace ws;
+  rl::DecodeWorkspace ws;
   std::mt19937_64 rng(131);
   for (const int nodes : {60, 12, 45}) {
     const auto dags = SampleSameSizeDags(4, nodes, 3, rng);
@@ -127,7 +128,7 @@ TEST(BatchDecodeTest, WorkspaceServesDifferentHiddenSizes) {
   const auto dags = SampleSameSizeDags(3, 25, 4, rng);
   const auto ptrs = Pointers(dags);
 
-  rl::BatchDecodeWorkspace ws;
+  rl::DecodeWorkspace ws;
   for (const rl::PtrNetAgent* agent : {&agent_big, &agent_small, &agent_big}) {
     const auto& sequences =
         agent->DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
@@ -142,12 +143,17 @@ TEST(BatchDecodeTest, RejectsMixedNodeCounts) {
   std::mt19937_64 rng(151);
   const graph::Dag a = graph::SampleTrainingDag(20, rng);
   const graph::Dag b = graph::SampleTrainingDag(30, rng);
-  const std::vector<const graph::Dag*> ptrs = {&a, &b};
-  rl::BatchDecodeWorkspace ws;
-  EXPECT_THROW(
-      (void)agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs),
-                                    ws),
-      std::invalid_argument);
+  rl::DecodeWorkspace ws;
+  // Mixed sizes, and null entries first (read before any node count) and
+  // in the middle.
+  for (const std::vector<const graph::Dag*>& ptrs :
+       {std::vector<const graph::Dag*>{&a, &b},
+        std::vector<const graph::Dag*>{nullptr, &a},
+        std::vector<const graph::Dag*>{&a, nullptr, &a}}) {
+    EXPECT_THROW((void)agent.DecodeGreedyBatch(
+                     std::span<const graph::Dag* const>(ptrs), ws),
+                 std::invalid_argument);
+  }
 }
 
 TEST(BatchDecodeTest, FiredTokenUnwindsTheBatchDecode) {
@@ -158,12 +164,12 @@ TEST(BatchDecodeTest, FiredTokenUnwindsTheBatchDecode) {
   const core::CancelToken cancel = core::CancelToken::Manual();
   cancel.Cancel();
 
-  rl::BatchDecodeWorkspace ws;
+  rl::DecodeWorkspace ws;
   EXPECT_THROW((void)agent.DecodeGreedyBatch(
                    std::span<const graph::Dag* const>(ptrs), ws, cancel),
                core::CancelledError);
   // The unwound workspace still decodes exactly like a fresh one.
-  rl::BatchDecodeWorkspace fresh;
+  rl::DecodeWorkspace fresh;
   const auto expected =
       agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), fresh);
   const auto& reused =
@@ -177,7 +183,7 @@ TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
   const auto dags = SampleSameSizeDags(8, 50, 3, rng);
   const auto ptrs = Pointers(dags);
 
-  rl::BatchDecodeWorkspace ws;
+  rl::DecodeWorkspace ws;
   const auto cold = agent.DecodeGreedyBatch(
       std::span<const graph::Dag* const>(ptrs), ws);  // warms every buffer
   ASSERT_EQ(cold.size(), 8u);
@@ -202,6 +208,30 @@ TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
   (void)agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
   const std::uint64_t after2 = g_alloc_count.load();
   EXPECT_EQ(after2 - before2, 0u);
+
+  // One warm workspace serves single decodes and groups interleaved
+  // (RlEngine's thread_local does): B = 1, B = 8, B = 1, still without an
+  // allocation, and each sequence equals the reference.
+  std::vector<std::vector<graph::NodeId>> expected;
+  for (const graph::Dag& dag : dags) {
+    expected.push_back(rl::ReferenceDecodeGreedy(agent, dag));
+  }
+  std::vector<std::vector<graph::NodeId>> got(dags.size() + 2);
+  for (auto& sequence : got) sequence.reserve(50);
+  const std::uint64_t before3 = g_alloc_count.load();
+  got[0] = agent.DecodeGreedy(dags[0], ws);
+  const auto& group =
+      agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
+  for (std::size_t g = 0; g < dags.size(); ++g) got[g + 1] = group[g];
+  got[dags.size() + 1] = agent.DecodeGreedy(dags[7], ws);
+  const std::uint64_t after3 = g_alloc_count.load();
+  EXPECT_EQ(after3 - before3, 0u)
+      << "interleaved decodes allocated " << (after3 - before3) << " times";
+  EXPECT_EQ(got[0], expected[0]);
+  for (std::size_t g = 0; g < dags.size(); ++g) {
+    EXPECT_EQ(got[g + 1], expected[g]) << "g=" << g;
+  }
+  EXPECT_EQ(got[dags.size() + 1], expected[7]);
 }
 
 TEST(BatchScheduleTest, ScheduleRawBatchMatchesSequential) {
@@ -212,7 +242,7 @@ TEST(BatchScheduleTest, ScheduleRawBatchMatchesSequential) {
   sched::PipelineConstraints constraints;
   constraints.num_stages = 4;
 
-  rl::BatchDecodeWorkspace ws;
+  rl::DecodeWorkspace ws;
   const auto batched = scheduler.ScheduleRawBatch(
       std::span<const graph::Dag* const>(ptrs), constraints, ws);
   ASSERT_EQ(batched.size(), 5u);

@@ -1,11 +1,14 @@
-// Guards for the fused zero-allocation inference path:
-//  * the optimized DecodeGreedy/DecodeSampled produce bit-identical
-//    sequences to the frozen pre-optimization reference implementation
-//    (rl/reference_decode.h) across sampled graph complexities (deg 2-6)
-//    and both MaskingModes;
-//  * the k-major recurrent GEMVs keep that parity at hidden sizes that are
-//    not multiples of four (the Axpy k-tail) and with exact ±0 weights
-//    planted in every panel-swept matrix, on the single and batched paths;
+// Guards for the fused zero-allocation inference decode (one entry point,
+// DecodeGreedyBatch, with DecodeGreedy as its one-graph case):
+//  * DecodeGreedy produces bit-identical sequences to the frozen
+//    pre-optimization reference implementation (rl/reference_decode.h)
+//    across sampled graph complexities (deg 2-6) and both MaskingModes;
+//  * both branches of the decode-step kernels — the k-major panel GEMVs at
+//    B = 1 and the row-pair GEMM at B >= 2 — match the allocating Step /
+//    PointerLogits value for value, at hidden sizes that are not multiples
+//    of four (the Axpy k-tail) and with exact ±0 weights planted in every
+//    panel-swept matrix; whole decodes keep reference parity with those
+//    zeros at B = 1 and B = 3;
 //  * a steady-state decode on a warm DecodeWorkspace performs ZERO heap
 //    allocations (counted via a replaced global operator new);
 //  * repair runs exactly once on both the standalone-scheduler path and the
@@ -25,7 +28,6 @@
 #include "graph/sampler.h"
 #include "nn/attention.h"
 #include "nn/lstm.h"
-#include "rl/batch_decode_workspace.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/reference_decode.h"
@@ -87,31 +89,6 @@ TEST(DecodeParityTest, GreedyMatchesReferenceAcrossComplexities) {
   }
 }
 
-TEST(DecodeParityTest, SampledMatchesReferenceRngStream) {
-  // Same seed on both paths: sequences only match if every probability is
-  // bit-identical AND the rng is consumed identically.
-  for (const rl::MaskingMode masking :
-       {rl::MaskingMode::kReadySet, rl::MaskingMode::kVisitedOnly}) {
-    const rl::PtrNetAgent agent(NetConfig(masking));
-    rl::DecodeWorkspace ws;
-    std::mt19937_64 graph_rng(23);
-    for (int deg = 2; deg <= 6; ++deg) {
-      graph::SamplerConfig sampler;
-      sampler.max_in_degree = deg;
-      sampler.num_nodes = 25;
-      const graph::Dag dag = graph::SampleDag(sampler, graph_rng);
-      std::mt19937_64 rng_ref(1000 + deg), rng_new(1000 + deg),
-          rng_ws(1000 + deg);
-      const auto expected = rl::ReferenceDecodeSampled(agent, dag, rng_ref);
-      EXPECT_EQ(agent.DecodeSampled(dag, rng_new), expected) << "deg=" << deg;
-      EXPECT_EQ(agent.DecodeSampled(dag, rng_ws, ws), expected)
-          << "workspace deg=" << deg;
-      // Identical rng consumption: the generators must end in lock-step.
-      EXPECT_EQ(rng_ref(), rng_new());
-    }
-  }
-}
-
 TEST(DecodeParityTest, OddHiddenSizesMatchReference) {
   // 23 and 66 leave a k-tail of 3 and 2 after the four-row panel sweeps.
   for (const int hidden : {23, 66}) {
@@ -128,12 +105,6 @@ TEST(DecodeParityTest, OddHiddenSizesMatchReference) {
       const auto expected = rl::ReferenceDecodeGreedy(agent, dag);
       EXPECT_EQ(agent.DecodeGreedy(dag), expected) << "d=" << hidden;
       EXPECT_EQ(agent.DecodeGreedy(dag, ws), expected) << "d=" << hidden;
-
-      std::mt19937_64 rng_ref(300 + deg), rng_ws(300 + deg);
-      EXPECT_EQ(agent.DecodeSampled(dag, rng_ws, ws),
-                rl::ReferenceDecodeSampled(agent, dag, rng_ref))
-          << "sampled d=" << hidden;
-      EXPECT_EQ(rng_ref(), rng_ws());
     }
   }
 }
@@ -162,58 +133,96 @@ bool SameBits(const float* a, const float* b, int n) {
   return std::memcmp(a, b, sizeof(float) * static_cast<std::size_t>(n)) == 0;
 }
 
+/// Exact bit comparison of column `g` of the packed (rows, B) `packed`
+/// against the (rows, 1) `column`.
+bool SameColumnBits(const nn::Tensor& column, const nn::Tensor& packed,
+                    int g) {
+  for (int k = 0; k < column.Rows(); ++k) {
+    if (!SameBits(column.Data() + k,
+                  packed.Data() + std::int64_t{k} * packed.Cols() + g, 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
-  // Sequence parity is coarse (an argmax rarely flips), so the two k-major
-  // kernels are also checked value by value against the MatMul-based
-  // allocating path, with and without planted zeros.
+  // Sequence parity is coarse (an argmax rarely flips), so both branches of
+  // the decode-step kernels — the k-major panel GEMVs at B = 1 and the
+  // row-pair GEMM at B = 3 — are also checked value by value, column by
+  // column, against the MatMul-based allocating path, with and without
+  // planted zeros.
   for (const int hidden : {23, 64, 66}) {
     for (const bool zeros : {false, true}) {
-      std::mt19937_64 rng(81);
-      nn::ParamStore store;
-      const nn::LstmCell cell(store, "lstm", hidden, hidden, rng);
-      const nn::PointerAttention attention(store, "attention", hidden, rng);
-      if (zeros) {
-        for (const std::string name :
-             {"lstm.Wh", "attention.Wq_g", "attention.Wq_p"}) {
-          PlantZeros(store.Value(name), rng);
+      for (const int batch : {1, 3}) {
+        std::mt19937_64 rng(81);
+        nn::ParamStore store;
+        const nn::LstmCell cell(store, "lstm", hidden, hidden, rng);
+        const nn::PointerAttention attention(store, "attention", hidden, rng);
+        if (zeros) {
+          for (const std::string name :
+               {"lstm.Wh", "attention.Wq_g", "attention.Wq_p"}) {
+            PlantZeros(store.Value(name), rng);
+          }
         }
-      }
 
-      nn::LstmCell::State slow = cell.InitialState();
-      nn::LstmCell::State fast = cell.InitialState();
-      nn::Tensor panel, gates(4 * hidden, 1);
-      cell.RecurrentPanelInto(panel);
-      for (int step = 0; step < 5; ++step) {
-        const nn::Tensor x = nn::Tensor::Xavier(hidden, 1, rng);
-        const nn::Tensor zx = nn::MatMul(cell.InputWeight(), x);
-        slow = cell.Step(x, slow);
-        cell.StepInto(zx, 0, panel, gates, fast);
-        ASSERT_TRUE(SameBits(slow.h.Data(), fast.h.Data(), hidden))
-            << "h d=" << hidden << " zeros=" << zeros << " step=" << step;
-        ASSERT_TRUE(SameBits(slow.c.Data(), fast.c.Data(), hidden))
-            << "c d=" << hidden << " zeros=" << zeros << " step=" << step;
-      }
+        std::vector<nn::LstmCell::State> slow(batch, cell.InitialState());
+        nn::LstmCell::State fast{nn::Tensor(hidden, batch),
+                                 nn::Tensor(hidden, batch)};
+        nn::Tensor panel, gates(4 * hidden, batch), zx(4 * hidden, batch);
+        std::vector<int> zx_cols(batch);
+        cell.RecurrentPanelInto(panel);
+        for (int step = 0; step < 5; ++step) {
+          for (int g = 0; g < batch; ++g) {
+            const nn::Tensor x = nn::Tensor::Xavier(hidden, 1, rng);
+            const nn::Tensor zx_g = nn::MatMul(cell.InputWeight(), x);
+            for (int i = 0; i < 4 * hidden; ++i) zx.At(i, g) = zx_g.At(i, 0);
+            zx_cols[g] = g;
+            slow[g] = cell.Step(x, slow[g]);
+          }
+          cell.StepInto(zx, zx_cols.data(), batch, panel, gates, fast);
+          for (int g = 0; g < batch; ++g) {
+            ASSERT_TRUE(SameColumnBits(slow[g].h, fast.h, g))
+                << "h d=" << hidden << " zeros=" << zeros << " B=" << batch
+                << " step=" << step << " g=" << g;
+            ASSERT_TRUE(SameColumnBits(slow[g].c, fast.c, g))
+                << "c d=" << hidden << " zeros=" << zeros << " B=" << batch
+                << " step=" << step << " g=" << g;
+          }
+        }
 
-      const int nodes = 17;
-      const nn::Tensor contexts = nn::Tensor::Xavier(hidden, nodes, rng);
-      const auto refs = attention.Precompute(contexts);
-      std::vector<bool> valid(nodes);
-      std::vector<std::uint8_t> valid_bytes(nodes);
-      for (int j = 0; j < nodes; ++j) {
-        valid[j] = j % 3 != 1;
-        valid_bytes[j] = valid[j] ? 1 : 0;
-      }
-      nn::PointerAttention::Scratch scratch;
-      scratch.Reserve(hidden, nodes);
-      nn::Tensor logits(1, nodes);
-      const nn::Tensor expected =
-          attention.PointerLogits(contexts, refs, slow.h, valid);
-      attention.PointerLogitsInto(contexts, refs, slow.h, valid_bytes,
-                                  scratch, logits);
-      for (int j = 0; j < nodes; ++j) {
-        if (!valid[j]) continue;
-        EXPECT_TRUE(SameBits(expected.Data() + j, logits.Data() + j, 1))
-            << "logit " << j << " d=" << hidden << " zeros=" << zeros;
+        // Graph g's contexts are columns g·nodes .. of the packed matrix,
+        // with a per-graph validity pattern.
+        const int nodes = 17;
+        const int total = nodes * batch;
+        const nn::Tensor packed = nn::Tensor::Xavier(hidden, total, rng);
+        std::vector<std::uint8_t> valid_bytes(total);
+        for (int c = 0; c < total; ++c) {
+          valid_bytes[c] = (c % nodes + c / nodes) % 3 != 1 ? 1 : 0;
+        }
+        nn::PointerAttention::Scratch scratch;
+        scratch.Reserve(hidden, nodes, batch);
+        nn::Tensor logits(1, total);
+        attention.PointerLogitsInto(packed, attention.Precompute(packed),
+                                    fast.h, valid_bytes, nodes, batch,
+                                    scratch, logits);
+        for (int g = 0; g < batch; ++g) {
+          const nn::Tensor contexts =
+              nn::SliceCols(packed, g * nodes, (g + 1) * nodes);
+          std::vector<bool> valid(nodes);
+          for (int j = 0; j < nodes; ++j) {
+            valid[j] = valid_bytes[g * nodes + j] != 0;
+          }
+          const nn::Tensor expected = attention.PointerLogits(
+              contexts, attention.Precompute(contexts), slow[g].h, valid);
+          for (int j = 0; j < nodes; ++j) {
+            if (!valid[j]) continue;
+            EXPECT_TRUE(SameBits(expected.Data() + j,
+                                 logits.Data() + g * nodes + j, 1))
+                << "logit " << j << " d=" << hidden << " zeros=" << zeros
+                << " B=" << batch << " g=" << g;
+          }
+        }
       }
     }
   }
@@ -246,7 +255,7 @@ TEST(DecodeParityTest, PlantedZeroWeightsMatchReference) {
     for (const graph::Dag& dag : dags) ptrs.push_back(&dag);
 
     rl::DecodeWorkspace ws;
-    rl::BatchDecodeWorkspace batch_ws;
+    rl::DecodeWorkspace batch_ws;
     const auto& batched = agent.DecodeGreedyBatch(
         std::span<const graph::Dag* const>(ptrs), batch_ws);
     for (std::size_t g = 0; g < dags.size(); ++g) {
@@ -256,11 +265,6 @@ TEST(DecodeParityTest, PlantedZeroWeightsMatchReference) {
       EXPECT_EQ(agent.DecodeGreedy(dags[g], ws), expected)
           << "workspace d=" << hidden << " g=" << g;
       EXPECT_EQ(batched[g], expected) << "batch d=" << hidden << " g=" << g;
-
-      std::mt19937_64 rng_ref(500 + g), rng_ws(500 + g);
-      EXPECT_EQ(agent.DecodeSampled(dags[g], rng_ws, ws),
-                rl::ReferenceDecodeSampled(agent, dags[g], rng_ref))
-          << "sampled d=" << hidden << " g=" << g;
     }
   }
 }
@@ -281,13 +285,12 @@ TEST(DecodeParityTest, SteadyStateDecodeIsAllocationFree) {
       << "steady-state decode allocated " << (after - before) << " times";
   EXPECT_EQ(seq, cold);
 
-  // Still allocation-free for the stochastic decode and after a smaller
-  // graph (buffers shrink logically but keep their capacity).
+  // Still allocation-free after a smaller graph (buffers shrink logically
+  // but keep their capacity).
   const graph::Dag small = graph::SampleTrainingDag(40, rng);
   (void)agent.DecodeGreedy(dag, ws);
   const std::uint64_t before2 = g_alloc_count.load();
-  std::mt19937_64 sample_rng(7);
-  (void)agent.DecodeSampled(small, sample_rng, ws);
+  (void)agent.DecodeGreedy(small, ws);
   (void)agent.DecodeGreedy(dag, ws);
   const std::uint64_t after2 = g_alloc_count.load();
   EXPECT_EQ(after2 - before2, 0u);

@@ -172,19 +172,28 @@ TEST(TensorTest, IntoVariantsMatchAllocatingOps) {
   }
 }
 
-TEST(TensorTest, MaskedSoftmaxIntoMatchesBoolMaskVariant) {
-  const Tensor logits = Fill(1, 4, {0.5f, -1.0f, 2.0f, 0.0f});
-  const std::vector<bool> mask_bool = {true, false, true, true};
-  const std::vector<std::uint8_t> mask_u8 = {1, 0, 1, 1};
-  const Tensor ref = MaskedSoftmax(logits, mask_bool);
-  Tensor out(1, 4);
+TEST(TensorTest, MaskedSoftmaxSliceIntoMatchesBoolMaskVariant) {
+  // Two 4-wide slices packed side by side; each must equal MaskedSoftmax on
+  // its own slice, and neither may touch the other's columns.
+  const Tensor logits =
+      Fill(1, 8, {0.5f, -1.0f, 2.0f, 0.0f, 1.5f, 0.25f, -3.0f, 4.0f});
+  const std::vector<std::uint8_t> mask_u8 = {1, 0, 1, 1, 0, 1, 1, 0};
+  Tensor out(1, 8);
   out.Fill(9.0f);  // stale contents must not leak through
-  MaskedSoftmaxInto(logits, mask_u8, out);
-  for (int j = 0; j < 4; ++j) EXPECT_EQ(out.At(0, j), ref.At(0, j));
+  MaskedSoftmaxSliceInto(logits, mask_u8, 0, 4, out);
+  for (int j = 4; j < 8; ++j) EXPECT_EQ(out.At(0, j), 9.0f);
+  MaskedSoftmaxSliceInto(logits, mask_u8, 4, 4, out);
+  for (const int c0 : {0, 4}) {
+    std::vector<bool> mask_bool(4);
+    for (int j = 0; j < 4; ++j) mask_bool[j] = mask_u8[c0 + j] != 0;
+    const Tensor ref = MaskedSoftmax(SliceCols(logits, c0, c0 + 4), mask_bool);
+    for (int j = 0; j < 4; ++j) EXPECT_EQ(out.At(0, c0 + j), ref.At(0, j));
+  }
   EXPECT_EQ(out.At(0, 1), 0.0f);
 
-  const std::vector<std::uint8_t> none = {0, 0, 0, 0};
-  EXPECT_THROW(MaskedSoftmaxInto(logits, none, out), std::invalid_argument);
+  const std::vector<std::uint8_t> none(8, 0);
+  EXPECT_THROW(MaskedSoftmaxSliceInto(logits, none, 0, 4, out),
+               std::invalid_argument);
 }
 
 TEST(TensorTest, ResizeReusesStorageGrowOnly) {
