@@ -37,10 +37,9 @@ int main() {
     for (const models::ModelName name : models::TableIModels()) {
       const graph::Dag dag = models::BuildModel(name);
 
-      const auto compiled =
-          compiler.Compile(dag, stages, Method::kEdgeTpuCompiler);
-      const auto exact = compiler.Compile(dag, stages, Method::kExactIlp);
-      const auto respect_rl = compiler.Compile(dag, stages, Method::kRespectRl);
+      const auto compiled = compiler.Compile(dag, stages, "EdgeTPUCompiler");
+      const auto exact = compiler.Compile(dag, stages, "ExactILP");
+      const auto respect_rl = compiler.Compile(dag, stages, "RESPECT");
 
       const double base =
           tpu::SimulatePipeline(compiled.package, sim).per_inference_us;

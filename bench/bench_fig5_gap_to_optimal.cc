@@ -25,8 +25,8 @@ int main() {
     int count = 0;
     for (const models::ModelName name : models::Fig5Models()) {
       const graph::Dag dag = models::BuildModel(name);
-      const auto exact = compiler.Compile(dag, stages, Method::kExactIlp);
-      const auto rl = compiler.Compile(dag, stages, Method::kRespectRl);
+      const auto exact = compiler.Compile(dag, stages, "ExactILP");
+      const auto rl = compiler.Compile(dag, stages, "RESPECT");
 
       const double opt_mb =
           static_cast<double>(exact.peak_stage_param_bytes) / 1048576.0;

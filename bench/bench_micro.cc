@@ -281,7 +281,7 @@ void BM_CompileBatchThroughput(benchmark::State& state) {
   core::ThreadPool pool(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        compiler->CompileBatch(pointers, 4, Method::kAnnealing, pool));
+        compiler->CompileBatch(pointers, 4, "Annealing", pool));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(pointers.size()));
@@ -306,7 +306,7 @@ void BM_CompileServiceColdSolve(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   for (auto _ : state) {
     service->ClearCache();  // negligible against the solve it forces
     benchmark::DoNotOptimize(service->Compile(request));
@@ -320,7 +320,7 @@ void BM_CompileServiceWarmCache(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   benchmark::DoNotOptimize(service->Compile(request));
   for (auto _ : state) {
     benchmark::DoNotOptimize(service->Compile(request));
@@ -341,7 +341,7 @@ void BM_TraceOverheadDisarmed(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   obs::Tracer::Global().Stop();  // belt-and-braces: a prior armed run
   benchmark::DoNotOptimize(service->Compile(request));
   for (auto _ : state) {
@@ -356,7 +356,7 @@ void BM_TraceOverheadArmed(benchmark::State& state) {
       new serve::CompileService(BatchBenchOptions());
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   obs::Tracer::Global().Start();
   benchmark::DoNotOptimize(service->Compile(request));
   std::int64_t since_drain = 0;
@@ -393,7 +393,7 @@ void BM_CompileServiceDiskWarmStart(benchmark::State& state) {
   }();
   const serve::CompileRequest request{.dag = BatchDags()[0],
                                       .num_stages = 4,
-                                      .engine = Method::kAnnealing};
+                                      .engine = "Annealing"};
   benchmark::DoNotOptimize(service->Compile(request));  // populate
   service->FlushStore();                                // spill landed
   for (auto _ : state) {
@@ -432,7 +432,7 @@ void BM_FleetWarmFetch(benchmark::State& state) {
           client(server.Address()) {
       const serve::CompileRequest request{.dag = BatchDags()[0],
                                           .num_stages = 4,
-                                          .engine = Method::kAnnealing};
+                                          .engine = "Annealing"};
       benchmark::DoNotOptimize(service.Compile(request));
       service.FlushStore();  // the spill the fetches serve
       key = service.KeyFor(request);
@@ -473,7 +473,7 @@ void BM_DegradedFallbackLatency(benchmark::State& state) {
   const serve::CompileRequest request{
       .dag = BatchDags()[0],
       .num_stages = 4,
-      .engine = Method::kAnnealing,
+      .engine = "Annealing",
       .cache_policy = serve::CachePolicy::kBypass};
   for (auto _ : state) {
     benchmark::DoNotOptimize(service->Compile(request));
@@ -488,7 +488,7 @@ std::vector<serve::CompileRequest> BatchRequests(serve::Priority priority,
   for (const graph::Dag& dag : BatchDags()) {
     requests.push_back(serve::CompileRequest{.dag = dag,
                                              .num_stages = 4,
-                                             .engine = Method::kAnnealing,
+                                             .engine = "Annealing",
                                              .priority = priority,
                                              .cache_policy = policy});
   }
@@ -530,7 +530,7 @@ void BM_MissStormRefill(benchmark::State& state) {
   std::vector<serve::CompileRequest> storm;
   for (const graph::Dag& dag : BatchDags()) {
     storm.push_back(serve::CompileRequest{
-        .dag = dag, .num_stages = 4, .engine = Method::kRespectRl});
+        .dag = dag, .num_stages = 4, .engine = "RESPECT"});
   }
   bool flip = false;
   for (auto _ : state) {
@@ -560,7 +560,7 @@ void MixedPriorityLoad(benchmark::State& state, bool fifo_queue) {
   const serve::CompileRequest interactive{
       .dag = BatchDags()[0],
       .num_stages = 4,
-      .engine = Method::kAnnealing,
+      .engine = "Annealing",
       .priority = serve::Priority::kInteractive,
       .cache_policy = serve::CachePolicy::kBypass};
   for (auto _ : state) {
@@ -626,7 +626,7 @@ void BM_TenantFairness(benchmark::State& state) {
                     .dag = BatchDags()[(t * kPerTenant + r) %
                                        BatchDags().size()],
                     .num_stages = 4,
-                    .engine = Method::kAnnealing,
+                    .engine = "Annealing",
                     .priority = serve::Priority::kNormal,
                     .cache_policy = serve::CachePolicy::kBypass,
                     .tenant = tenants[t].first})});

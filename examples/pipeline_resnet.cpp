@@ -31,10 +31,9 @@ int main(int argc, char** argv) {
   options.compiler.refinement_rounds = 12;  // keep the demo snappy
   PipelineCompiler compiler(options);
 
-  const CompileResult respect_result =
-      compiler.Compile(dag, stages, Method::kRespectRl);
+  const CompileResult respect_result = compiler.Compile(dag, stages, "RESPECT");
   const CompileResult baseline =
-      compiler.Compile(dag, stages, Method::kEdgeTpuCompiler);
+      compiler.Compile(dag, stages, "EdgeTPUCompiler");
 
   // Persist the deployable artifact (the stand-in for n .tflite files).
   const std::string package_path = "resnet101_pipeline.bin";

@@ -53,8 +53,7 @@ int main() {
   }
 
   // Show the RESPECT stage assignment in detail.
-  const CompileResult respect_result =
-      compiler.Compile(dag, 3, Method::kRespectRl);
+  const CompileResult respect_result = compiler.Compile(dag, 3, "RESPECT");
   std::printf("\nRESPECT stage assignment:\n");
   for (graph::NodeId v = 0; v < dag.NodeCount(); ++v) {
     std::printf("  %-8s -> Edge TPU %d\n", dag.Attr(v).name.c_str(),

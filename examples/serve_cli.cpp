@@ -558,9 +558,8 @@ int RunChaosDemo(const CompilerOptions& options,
                  serve::ServiceOptions service_options,
                  const std::vector<graph::Dag>& zoo, int requests, int stages,
                  const std::string& engine, int deadline_ms) {
-  const std::string canonical(
-      engines::EngineRegistry::Global().Resolve(serve::EngineRef(engine))
-          .name);
+  const std::string canonical =
+      engines::EngineRegistry::Global().Resolve(engine).name;
   if (service_options.num_threads <= 0) service_options.num_threads = 2;
   service_options.fallback_chain = {"list", "greedy"};
   if (service_options.default_solve_budget_seconds <= 0.0) {
@@ -1531,8 +1530,7 @@ int main(int argc, char** argv) {
       serve::CompileRequest request{
           .dag = zoo[pick],
           .num_stages = stages,
-          .engine = (r % 4 == 3) ? serve::EngineRef("respect")
-                                 : serve::EngineRef(engine),
+          .engine = (r % 4 == 3) ? std::string("respect") : engine,
           .priority = priority,
           .deadline = deadline_for(true),
           .profile = profile,

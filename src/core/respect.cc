@@ -102,6 +102,7 @@ engines::EngineContext PipelineCompiler::MakeEngineContext() const {
 }
 
 std::vector<CompileResult> PipelineCompiler::Solve(
+    [[maybe_unused]] std::string_view engine_name,
     const engines::SchedulerEngine& engine,
     std::span<const graph::Dag* const> dags,
     const sched::PipelineConstraints& constraints,
@@ -113,7 +114,7 @@ std::vector<CompileResult> PipelineCompiler::Solve(
   }
   // Chaos tooling can stall or fail one engine ("engine.solve.RESPECT") or
   // every solve ("engine.solve").
-  RESPECT_FAILPOINT_TAGGED("engine.solve", engine.Name());
+  RESPECT_FAILPOINT_TAGGED("engine.solve", engine_name);
   engines::EngineBudget budget;
   budget.max_expansions = options_.exact_max_expansions;
   budget.time_limit_seconds = options_.exact_time_limit_seconds;
@@ -136,32 +137,31 @@ std::vector<CompileResult> PipelineCompiler::Solve(
 }
 
 CompileResult PipelineCompiler::Compile(const graph::Dag& dag, int num_stages,
-                                        const engines::EngineRef& engine,
+                                        std::string_view engine,
                                         const tpu::DeviceProfile& profile,
                                         const core::CancelToken& cancel) const {
   const graph::Dag* const one[] = {&dag};
   return std::move(
-      Solve(*engines::EngineRegistry::Global().Create(engine,
-                                                      MakeEngineContext()),
-            one, ConstraintsFor(num_stages, profile), cancel, nullptr)
-          .front());
+      CompileGroup(one, num_stages, engine, profile, cancel).front());
 }
 
 std::vector<CompileResult> PipelineCompiler::CompileGroup(
     std::span<const graph::Dag* const> dags, int num_stages,
-    const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+    std::string_view engine, const tpu::DeviceProfile& profile,
     const core::CancelToken& cancel, engines::SolveStats* stats) const {
-  return Solve(
-      *engines::EngineRegistry::Global().Create(engine, MakeEngineContext()),
-      dags, ConstraintsFor(num_stages, profile), cancel, stats);
+  const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+  const std::string& name = registry.Resolve(engine).name;
+  return Solve(name, *registry.Create(name, MakeEngineContext()), dags,
+               ConstraintsFor(num_stages, profile), cancel, stats);
 }
 
 std::vector<CompileResult> PipelineCompiler::CompileBatch(
     std::span<const graph::Dag* const> dags, int num_stages,
-    const engines::EngineRef& engine_ref, core::ThreadPool& pool,
+    std::string_view engine_name, core::ThreadPool& pool,
     engines::SolveStats* stats) const {
-  const auto engine = engines::EngineRegistry::Global().Create(
-      engine_ref, MakeEngineContext());
+  const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+  const std::string& name = registry.Resolve(engine_name).name;
+  const auto engine = registry.Create(name, MakeEngineContext());
   // Fan tasks (not graphs) across the pool: a batch-capable engine gets one
   // task per same-size chunk, so chunks of one storm still run concurrently
   // on different workers; any other engine gets one task per graph.
@@ -181,7 +181,7 @@ std::vector<CompileResult> PipelineCompiler::CompileBatch(
     chunk.reserve(indices.size());
     for (const std::size_t i : indices) chunk.push_back(dags[i]);
     std::vector<CompileResult> solved =
-        Solve(*engine, chunk, constraints, {}, &task_stats[t]);
+        Solve(name, *engine, chunk, constraints, {}, &task_stats[t]);
     for (std::size_t k = 0; k < indices.size(); ++k) {
       results[indices[k]] = std::move(solved[k]);
     }

@@ -1,22 +1,21 @@
 // RESPECT public API — the one-stop façade a downstream user consumes.
 //
 //   respect::PipelineCompiler compiler(options);
-//   auto result = compiler.Compile(dag, /*num_stages=*/4,
-//                                  respect::Method::kRespectRl);
+//   auto result = compiler.Compile(dag, /*num_stages=*/4, "RESPECT");
 //   auto sim = respect::tpu::SimulatePipeline(result.package);
 //
 // Three compile calls cover every shape of work: Compile (one graph),
 // CompileBatch (many graphs across a caller-owned thread pool, results
 // identical to the sequential path) and CompileGroup (many graphs inline on
-// the calling thread).  Each takes an engines::EngineRef, so a Method value,
-// a canonical engine name or a CLI alias all work.  All three resolve the
-// engine through the SchedulerEngine registry (engines/registry.h — the RL
-// agent, the exact branch-and-bound, the Edge TPU compiler substitute, the
-// classic heuristics, or anything registered at runtime) and run one private
-// Solve helper: validate, solve, repair the schedule and package it for
+// the calling thread).  Each names its engine by the registry entry's
+// canonical name or CLI alias (engines/registry.h — the RL agent, the exact
+// branch-and-bound, the Edge TPU compiler substitute, the classic
+// heuristics, or anything registered at runtime) and runs one private Solve
+// helper: validate, solve, repair the schedule and package it for
 // deployment (quantization + segment extraction).  The compile calls are
-// const and engines are stateless, so one compiler may serve many threads.  EnsureTrainedAgent implements the train-or-load weight cache
-// used by the examples and benchmarks.
+// const and engines are stateless, so one compiler may serve many threads.
+// EnsureTrainedAgent implements the train-or-load weight cache used by the
+// examples and benchmarks.
 #pragma once
 
 #include <cstdint>
@@ -24,11 +23,11 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/cancel.h"
 #include "deploy/package.h"
-#include "engines/method.h"
 #include "engines/registry.h"
 #include "graph/dag.h"
 #include "heuristics/edgetpu_compiler.h"
@@ -92,18 +91,18 @@ class PipelineCompiler {
   PipelineCompiler& operator=(const PipelineCompiler&) = delete;
 
   /// Compiles `dag` onto `num_stages` pipeline stages with the engine
-  /// `engine` names — a Method value, a canonical name or a CLI alias,
-  /// including engines registered at runtime.  The engine receives
-  /// `profile` through sched::PipelineConstraints; for non-default profiles
-  /// the repaired schedule additionally runs the deterministic device-aware
-  /// rebalance (sched::RebalanceForProfile) before packaging.  `cancel`
+  /// `engine` names — a canonical name or a CLI alias, including engines
+  /// registered at runtime.  The engine receives `profile` through
+  /// sched::PipelineConstraints; for non-default profiles the repaired
+  /// schedule additionally runs the deterministic device-aware rebalance
+  /// (sched::RebalanceForProfile) before packaging.  `cancel`
   /// carries a cooperative cancellation token into the engine's inner loops
   /// (the serving layer's per-request solve budget): a fired token unwinds
   /// with core::CancelledError, never a partial schedule.  Throws
   /// std::invalid_argument for an unknown engine or num_stages < 1, and
   /// std::logic_error for an invalid graph.
   [[nodiscard]] CompileResult Compile(
-      const graph::Dag& dag, int num_stages, const engines::EngineRef& engine,
+      const graph::Dag& dag, int num_stages, std::string_view engine,
       const tpu::DeviceProfile& profile = tpu::DefaultProfile(),
       const core::CancelToken& cancel = {}) const;
 
@@ -121,7 +120,7 @@ class PipelineCompiler {
   /// (optional, may be null) accumulates the batch/single split.
   [[nodiscard]] std::vector<CompileResult> CompileBatch(
       std::span<const graph::Dag* const> dags, int num_stages,
-      const engines::EngineRef& engine, core::ThreadPool& pool,
+      std::string_view engine, core::ThreadPool& pool,
       engines::SolveStats* stats = nullptr) const;
 
   /// Compiles a group of graphs INLINE on the calling thread through the
@@ -136,7 +135,7 @@ class PipelineCompiler {
   /// core::CancelledError (the RL decode polls it once per step).
   [[nodiscard]] std::vector<CompileResult> CompileGroup(
       std::span<const graph::Dag* const> dags, int num_stages,
-      const engines::EngineRef& engine, const tpu::DeviceProfile& profile,
+      std::string_view engine, const tpu::DeviceProfile& profile,
       const core::CancelToken& cancel = {},
       engines::SolveStats* stats = nullptr) const;
 
@@ -174,11 +173,12 @@ class PipelineCompiler {
   [[nodiscard]] std::shared_ptr<rl::RlScheduler> MakeConfiguredRl() const;
 
   /// The one compile body behind every entry point: validates each graph,
-  /// rejects num_stages < 1, fires the engine.solve failpoint, solves under
+  /// rejects num_stages < 1, fires the engine.solve failpoint tagged with
+  /// `engine_name` (the registration's canonical name), solves under
   /// the options' budget plus `cancel` (Schedule for one graph,
   /// ScheduleBatch for more), then repairs and packages each schedule.
   [[nodiscard]] std::vector<CompileResult> Solve(
-      const engines::SchedulerEngine& engine,
+      std::string_view engine_name, const engines::SchedulerEngine& engine,
       std::span<const graph::Dag* const> dags,
       const sched::PipelineConstraints& constraints,
       const core::CancelToken& cancel, engines::SolveStats* stats) const;

@@ -5,8 +5,8 @@ namespace respect::engines {
 
 class EngineRegistry;
 
-/// Registers the built-in engines (one per Method enum value).  Called once
-/// by EngineRegistry::Global(); call it yourself only on a private registry.
+/// Registers the eight built-in engines.  Called once by
+/// EngineRegistry::Global(); call it yourself only on a private registry.
 void RegisterBuiltinEngines(EngineRegistry& registry);
 
 }  // namespace respect::engines

@@ -1,6 +1,8 @@
 // The SchedulerEngine interface — one interchangeable scheduling backend.
+// An engine has no name of its own: it is known by the EngineRegistry entry
+// whose factory created it (registry.h).
 //
-// Every engine is a stateless adapter: Schedule() is const, takes the graph,
+// Every engine is stateless: Schedule() is const, takes the graph,
 // the pipeline constraints and a per-call budget, and returns a schedule plus
 // the engine-only solve time.  Statelessness is what makes the batch
 // compilation path safe: one engine instance may serve many threads, and two
@@ -16,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -101,7 +102,7 @@ struct SolveStats {
 };
 
 /// Runs `solve` and packs its schedule with the measured solve time —
-/// shared by every adapter whose backend does not report its own timing.
+/// shared by every engine whose backend does not report its own timing.
 template <typename Solve>
 EngineResult TimedSolve(Solve&& solve) {
   const auto start = std::chrono::steady_clock::now();
@@ -116,9 +117,6 @@ EngineResult TimedSolve(Solve&& solve) {
 class SchedulerEngine {
  public:
   virtual ~SchedulerEngine() = default;
-
-  /// Canonical engine name; matches the registry entry it was created from.
-  [[nodiscard]] virtual std::string_view Name() const = 0;
 
   /// Schedules `dag` onto `constraints.num_stages` pipeline stages.  Must be
   /// deterministic for fixed inputs and safe to call concurrently.

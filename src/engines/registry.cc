@@ -36,11 +36,6 @@ void EngineRegistry::Register(EngineRegistration registration) {
                                   "' collides with registered engine '" +
                                   existing.name + "'");
     }
-    if (registration.method && existing.method == registration.method) {
-      throw std::invalid_argument("engine '" + registration.name +
-                                  "' reuses the Method enum value of '" +
-                                  existing.name + "'");
-    }
   }
   registrations_.push_back(std::move(registration));
 }
@@ -61,35 +56,23 @@ const EngineRegistration* EngineRegistry::Find(
   return nullptr;
 }
 
-const EngineRegistration* EngineRegistry::Find(Method method) const {
-  for (const EngineRegistration& registration : registrations_) {
-    if (registration.method == method) return &registration;
-  }
-  return nullptr;
-}
-
-const EngineRegistration& EngineRegistry::Resolve(const EngineRef& ref) const {
-  if (ref.IsEmpty()) {
+const EngineRegistration& EngineRegistry::Resolve(
+    std::string_view name_or_alias) const {
+  if (name_or_alias.empty()) {
     throw std::invalid_argument(
-        "no engine specified (EngineRef is empty; set a name, alias, or "
-        "Method value)");
+        "no engine specified (set a canonical name or alias)");
   }
-  const EngineRegistration* registration = nullptr;
-  if (const auto* method = std::get_if<Method>(&ref.ref_)) {
-    registration = Find(*method);
-  } else if (const auto* name = std::get_if<std::string>(&ref.ref_)) {
-    registration = Find(std::string_view(*name));
-  }
+  const EngineRegistration* registration = Find(name_or_alias);
   if (registration == nullptr) {
     throw std::invalid_argument("unknown scheduling engine '" +
-                                ref.Spelling() + "'");
+                                std::string(name_or_alias) + "'");
   }
   return *registration;
 }
 
 std::unique_ptr<SchedulerEngine> EngineRegistry::Create(
-    const EngineRef& ref, const EngineContext& context) const {
-  const EngineRegistration& registration = Resolve(ref);
+    std::string_view name_or_alias, const EngineContext& context) const {
+  const EngineRegistration& registration = Resolve(name_or_alias);
   std::unique_ptr<SchedulerEngine> engine = registration.factory(context);
   if (engine == nullptr) {
     throw std::runtime_error("factory of engine '" + registration.name +
@@ -107,30 +90,4 @@ std::vector<std::string> EngineRegistry::Names() const {
   return names;
 }
 
-std::string EngineRef::Spelling() const {
-  if (const auto* name = std::get_if<std::string>(&ref_)) return *name;
-  if (const auto* method = std::get_if<Method>(&ref_)) {
-    return std::string(MethodName(*method));
-  }
-  return "<unset>";
-}
-
 }  // namespace respect::engines
-
-namespace respect {
-
-std::string_view MethodName(Method method) {
-  const engines::EngineRegistration* registration =
-      engines::EngineRegistry::Global().Find(method);
-  return registration != nullptr ? std::string_view(registration->name)
-                                 : std::string_view("Unknown");
-}
-
-std::optional<Method> MethodFromName(std::string_view name) {
-  const engines::EngineRegistration* registration =
-      engines::EngineRegistry::Global().Find(name);
-  if (registration == nullptr) return std::nullopt;
-  return registration->method;
-}
-
-}  // namespace respect

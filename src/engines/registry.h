@@ -1,19 +1,14 @@
-// Engine registry — the single source of truth mapping engine names, CLI
-// aliases and Method enum values to factories.
+// Engine registry — the single source of truth mapping engine names and
+// CLI aliases to factories.  An engine is its registry entry: callers name
+// it by the canonical name or the alias, both plain strings.
 //
 // Built-in engines are registered the first time Global() is called; user
 // code may register additional engines at startup:
 //
 //   engines::EngineRegistry::Global().Register({
 //       .name = "MyEngine", .alias = "mine", .description = "...",
-//       .method = std::nullopt,
 //       .factory = [](const engines::EngineContext&) { ... }});
 //   auto result = compiler.Compile(dag, 4, "MyEngine");
-//
-// Every lookup that instantiates or resolves an engine takes an EngineRef
-// (engine_ref.h), so the canonical name, the alias and the Method value are
-// interchangeable wherever an engine is named: Resolve finds the entry and
-// Create runs its factory.
 //
 // Registration is not synchronized: register engines during startup, before
 // handing the registry to concurrent compile paths.  Lookups are const and
@@ -23,29 +18,23 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "engines/engine.h"
-#include "engines/engine_ref.h"
-#include "engines/method.h"
 
 namespace respect::engines {
 
 using EngineFactory =
     std::function<std::unique_ptr<SchedulerEngine>(const EngineContext&)>;
 
-/// One registry entry.  `name` is the canonical spelling (what MethodName
-/// returns); `alias` is the short CLI spelling.  `method` is set for the
-/// built-in engines addressable through the Method enum and empty for
-/// engines registered at runtime.
+/// One registry entry.  `name` is the canonical spelling (what cache keys,
+/// responses and failpoint tags carry); `alias` is the short CLI spelling.
 struct EngineRegistration {
   std::string name;
   std::string alias;
   std::string description;
-  std::optional<Method> method;
   EngineFactory factory;
 
   /// True when the engine reads EngineContext::rl — i.e. its output depends
@@ -70,20 +59,18 @@ class EngineRegistry {
   /// Finds by canonical name or alias (exact match); null when absent.
   [[nodiscard]] const EngineRegistration* Find(
       std::string_view name_or_alias) const;
-  [[nodiscard]] const EngineRegistration* Find(Method method) const;
 
-  /// Looks up whatever an EngineRef spells — canonical name, alias, or
-  /// Method value — and throws std::invalid_argument (naming the caller's
-  /// spelling) when the ref is empty or unknown.  Deliberately not a Find
-  /// overload: EngineRef converts implicitly from strings, which would make
-  /// Find(std::string) ambiguous.  The returned reference stays valid for
-  /// the process lifetime (entries are never relocated or removed).
-  [[nodiscard]] const EngineRegistration& Resolve(const EngineRef& ref) const;
+  /// Like Find, but throws std::invalid_argument (naming the caller's
+  /// spelling) when `name_or_alias` is empty or unknown.  The returned
+  /// reference stays valid for the process lifetime (entries are never
+  /// relocated or removed).
+  [[nodiscard]] const EngineRegistration& Resolve(
+      std::string_view name_or_alias) const;
 
-  /// Instantiates the engine `ref` spells (any spelling Resolve accepts).
-  /// Throws std::invalid_argument when the ref is empty or unknown.
+  /// Instantiates the engine `name_or_alias` names (any spelling Resolve
+  /// accepts).  Throws std::invalid_argument when it is empty or unknown.
   [[nodiscard]] std::unique_ptr<SchedulerEngine> Create(
-      const EngineRef& ref, const EngineContext& context) const;
+      std::string_view name_or_alias, const EngineContext& context) const;
 
   /// All entries, in registration order (built-ins first).
   [[nodiscard]] const std::deque<EngineRegistration>& Registrations() const {
@@ -95,21 +82,9 @@ class EngineRegistry {
 
  private:
   // Deque, not vector: Register() must never relocate existing entries, so
-  // pointers from Find() and string_views from MethodName() stay valid
-  // across later registrations.
+  // pointers from Find() and views of their names stay valid across later
+  // registrations.
   std::deque<EngineRegistration> registrations_;
 };
 
 }  // namespace respect::engines
-
-namespace respect {
-
-/// Canonical name of a built-in method, resolved through the registry.
-[[nodiscard]] std::string_view MethodName(Method method);
-
-/// Inverse lookup accepting either the canonical name or the CLI alias;
-/// empty for unknown strings and for runtime-registered engines that have no
-/// enum value.
-[[nodiscard]] std::optional<Method> MethodFromName(std::string_view name);
-
-}  // namespace respect

@@ -18,8 +18,6 @@ class RlEngine : public SchedulerEngine {
   /// A null `rl` builds a fresh default-configured (untrained) agent.
   explicit RlEngine(std::shared_ptr<const rl::RlScheduler> rl);
 
-  [[nodiscard]] std::string_view Name() const override { return "RESPECT"; }
-
   [[nodiscard]] EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const EngineBudget& budget) const override;

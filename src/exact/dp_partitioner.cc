@@ -2,52 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "graph/topology.h"
+#include "sched/rho.h"
 
 namespace respect::exact {
-namespace {
-
-/// Minimum number of segments with per-segment weight <= bound (greedy).
-/// Returns num_items+1 when a single item exceeds the bound.
-int GreedySegments(const std::vector<std::int64_t>& weights,
-                   std::int64_t bound) {
-  int segments = 1;
-  std::int64_t load = 0;
-  for (const std::int64_t w : weights) {
-    if (w > bound) return static_cast<int>(weights.size()) + 1;
-    if (load + w > bound) {
-      ++segments;
-      load = w;
-    } else {
-      load += w;
-    }
-  }
-  return segments;
-}
-
-}  // namespace
-
-std::int64_t MinBottleneck(const std::vector<std::int64_t>& weights,
-                           int num_stages) {
-  if (weights.empty() || num_stages < 1) {
-    throw std::invalid_argument("MinBottleneck: empty input");
-  }
-  std::int64_t lo = *std::max_element(weights.begin(), weights.end());
-  std::int64_t hi = std::accumulate(weights.begin(), weights.end(),
-                                    std::int64_t{0});
-  while (lo < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (GreedySegments(weights, mid) <= num_stages) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
-}
 
 DpResult PartitionTopoOrder(const graph::Dag& dag,
                             const std::vector<graph::NodeId>& order,
@@ -64,7 +24,8 @@ DpResult PartitionTopoOrder(const graph::Dag& dag,
   std::vector<std::int64_t> weights(n);
   for (int i = 0; i < n; ++i) weights[i] = dag.Attr(order[i]).param_bytes;
 
-  const std::int64_t bottleneck = MinBottleneck(weights, num_stages);
+  const std::int64_t bottleneck =
+      sched::MinBottleneckBound(weights, num_stages);
 
   // cross[p] = bytes crossing a cut placed between positions p-1 and p:
   // every producer at position < p whose last consumer sits at >= p.
@@ -83,8 +44,6 @@ DpResult PartitionTopoOrder(const graph::Dag& dag,
     }
   }
   std::vector<std::int64_t> cross(n + 1, 0);
-  for (int p = 1; p <= n; ++p) cross[p] = cross[p - 1] + diff[p];
-  // Re-accumulate: cross[p] must be the sum of diff[1..p].
   std::int64_t acc = 0;
   for (int p = 0; p <= n; ++p) {
     acc += diff[p];

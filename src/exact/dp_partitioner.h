@@ -36,10 +36,4 @@ struct DpResult {
 [[nodiscard]] DpResult PartitionDefaultOrder(const graph::Dag& dag,
                                              int num_stages);
 
-/// The smallest bottleneck B such that `order` can be cut into at most
-/// `num_stages` segments each weighing <= B (greedy feasibility check).
-/// Exposed for tests and for the B&B lower bound.
-[[nodiscard]] std::int64_t MinBottleneck(const std::vector<std::int64_t>& weights,
-                                         int num_stages);
-
 }  // namespace respect::exact

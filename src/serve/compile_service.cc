@@ -58,9 +58,7 @@ std::unique_ptr<core::ThreadPool> MakeServicePool(
   queue_options.aging_seconds = options.queue_aging_seconds;
   queue_options.max_batch_inflight = options.max_batch_inflight;
   queue_options.max_lane_depth = options.max_lane_depth;
-  queue_options.default_tenant_weight = options.default_tenant_weight;
   queue_options.tenant_weights = options.tenant_weights;
-  queue_options.default_tenant_quota = options.default_tenant_quota;
   queue_options.tenant_quotas = options.tenant_quotas;
   return std::make_unique<core::ThreadPool>(
       num_threads, std::make_unique<RequestQueue>(queue_options));
@@ -84,7 +82,7 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
     memory_ttl_ = std::chrono::duration_cast<SteadyClock::duration>(
         std::chrono::duration<double>(options.cache_ttl_seconds));
   }
-  if (options.lfu_admission && options.cache_capacity > 0) {
+  if (options.cache_capacity > 0) {
     admission_ =
         std::make_unique<store::TinyLfuAdmission>(options.cache_capacity);
   }
@@ -99,7 +97,7 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
   fallback_chain_.reserve(options.fallback_chain.size());
   for (const std::string& name : options.fallback_chain) {
     const std::string_view canonical =
-        engines::EngineRegistry::Global().Resolve(EngineRef(name)).name;
+        engines::EngineRegistry::Global().Resolve(name).name;
     if (std::find(fallback_chain_.begin(), fallback_chain_.end(), canonical) ==
         fallback_chain_.end()) {
       fallback_chain_.push_back(canonical);
@@ -144,7 +142,7 @@ std::size_t CompileService::LaneIndex(Priority priority) {
 }
 
 CompileService::RequestKey CompileService::MakeKey(
-    const graph::Dag& dag, int num_stages, const EngineRef& engine,
+    const graph::Dag& dag, int num_stages, std::string_view engine,
     std::string_view profile_name) const {
   const engines::EngineRegistration& registration =
       engines::EngineRegistry::Global().Resolve(engine);
@@ -509,8 +507,7 @@ void CompileService::Publish(const ColdSolve& solve,
   std::optional<RequestKey> fallback_key;
   if (solve.degraded) {
     fallback_key = MakeKey(solve.request->dag, solve.request->num_stages,
-                           EngineRef(std::string(solve.engine_used)),
-                           key.profile.name);
+                           solve.engine_used, key.profile.name);
   }
   const RequestKey& cache_key = fallback_key ? *fallback_key : key;
   {

@@ -1,7 +1,7 @@
 // CompileService — the serving front end over PipelineCompiler.
 //
 // The API is built around two first-class types (serve/request.h):
-// CompileRequest — dag, num_stages, engine (any spelling via EngineRef),
+// CompileRequest — dag, num_stages, engine (registry name or alias),
 // priority lane, optional absolute deadline, cache policy — and
 // CompileResponse — the shared result plus provenance (cache outcome,
 // queue-wait and solve seconds, canonical engine name, key hex).
@@ -37,10 +37,10 @@
 // as CacheOutcome::kDiskHit and promoted into memory subject to admission.
 // Successful solves spill to disk as background writeback tasks on the
 // service's pool, so a restart against the same directory warm-starts
-// without re-running a single engine solve.  TinyLFU admission (on by
-// default) keeps one-hit-wonder scans from flushing hot memory entries;
-// cache_ttl_seconds bounds the age of both tiers, enforced lazily on
-// probe.
+// without re-running a single engine solve.  TinyLFU admission (always
+// on with a non-zero capacity) keeps one-hit-wonder scans from flushing
+// hot memory entries; cache_ttl_seconds bounds the age of both tiers,
+// enforced lazily on probe.
 //
 // Every cold miss, whatever its entry point, takes one path: claim (or
 // join) the single-flight slot, probe disk then peers, solve through the
@@ -130,34 +130,22 @@ struct ServiceOptions {
   /// expiry so the TTL survives restarts.
   double cache_ttl_seconds = 0.0;
 
-  /// Frequency-aware admission (store::TinyLfuAdmission): when the memory
-  /// cache is full, a cold insert only evicts the LRU victim if the new
-  /// key's estimated access frequency is at least the victim's, so scan
-  /// traffic cannot flush hot entries.  Disable for pure-LRU behavior.
-  bool lfu_admission = true;
-
-  /// Fair-queueing weight of tenants absent from tenant_weights (see
+  /// Per-tenant fair-queueing weights ("" is the shared default tenant; see
   /// serve::RequestQueue): inside each priority lane, backlogged tenants
   /// receive service proportional to their weight, so one tenant's flood
-  /// deepens its own sub-queue instead of starving the others.  Ignored by
-  /// the fifo_queue baseline.
-  double default_tenant_weight = 1.0;
-
-  /// Per-tenant fair-queueing weights ("" is the shared default tenant).
+  /// deepens its own sub-queue instead of starving the others.  Tenants
+  /// absent from the map weigh 1.  Ignored by the fifo_queue baseline.
   std::map<std::string, double> tenant_weights;
 
-  /// Concurrency quota of tenants absent from tenant_quotas: how many of
-  /// one tenant's requests may *run* at once across all lanes; <= 0 means
-  /// unlimited.  Ignored by the fifo_queue baseline.
-  int default_tenant_quota = 0;
-
-  /// Per-tenant concurrency quotas (<= 0 entries mean unlimited).
+  /// Per-tenant concurrency quotas: how many of one tenant's requests may
+  /// *run* at once across all lanes.  Tenants absent from the map, and
+  /// entries <= 0, are unlimited.  Ignored by the fifo_queue baseline.
   std::map<std::string, int> tenant_quotas;
 
   /// Ordered engines tried after the preferred engine blows its solve
-  /// budget, throws, or sits behind an open circuit breaker.  Any EngineRef
-  /// spelling; resolved to canonical names at construction (unknown names
-  /// throw std::invalid_argument there, not under traffic).  Empty = no
+  /// budget, throws, or sits behind an open circuit breaker.  Canonical
+  /// names or aliases, resolved to canonical names at construction (unknown
+  /// names throw std::invalid_argument there, not under traffic).  Empty = no
   /// fallback: a blown budget surfaces as DeadlineExceeded.  A response
   /// served by a fallback is tagged degraded and cached under the fallback
   /// engine's own key, never the preferred engine's.
@@ -481,7 +469,7 @@ class CompileService {
   /// throws std::invalid_argument (same contract as an unknown engine), so
   /// such a request never reaches a flight or a breaker.
   [[nodiscard]] RequestKey MakeKey(const graph::Dag& dag, int num_stages,
-                                   const EngineRef& engine,
+                                   std::string_view engine,
                                    std::string_view profile_name) const;
   [[nodiscard]] Shard& ShardFor(const graph::CanonicalHash& hash);
 

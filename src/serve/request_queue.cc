@@ -32,23 +32,18 @@ Clock::time_point RequestQueue::Now() const {
 
 double RequestQueue::WeightFor(const std::string& flow) const {
   const auto it = options_.tenant_weights.find(flow);
-  const double weight =
-      it != options_.tenant_weights.end() ? it->second
-                                          : options_.default_tenant_weight;
+  const double weight = it != options_.tenant_weights.end() ? it->second : 1.0;
   return std::max(weight, 1e-6);
 }
 
 int RequestQueue::QuotaFor(const std::string& flow) const {
   const auto it = options_.tenant_quotas.find(flow);
-  const int quota = it != options_.tenant_quotas.end()
-                        ? it->second
-                        : options_.default_tenant_quota;
+  const int quota = it != options_.tenant_quotas.end() ? it->second : 0;
   return std::max(quota, 0);  // <= 0 means unlimited
 }
 
 bool RequestQueue::HasQuotas() const {
-  return options_.default_tenant_quota > 0 ||
-         !options_.tenant_quotas.empty();
+  return !options_.tenant_quotas.empty();
 }
 
 bool RequestQueue::FlowBlocked(const std::string& flow) const {

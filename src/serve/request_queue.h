@@ -44,8 +44,8 @@
 // re-examines the queue right after, which is what resumes a capped
 // backlog — no pool cooperation needed.
 //
-// Tenant quotas.  Options::tenant_quotas / default_tenant_quota bound how
-// many of one tenant's tasks may run concurrently, the same way: a flow at
+// Tenant quotas.  Options::tenant_quotas bounds how many of one tenant's
+// tasks may run concurrently, the same way: a flow at
 // its quota is skipped by Pop() and its backlog hidden from Size() (its
 // expired heads stay visible), and the slot releases when the finishing
 // worker completes the wrapped task.  Quotas are per tenant across all
@@ -98,19 +98,14 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
     /// Defaults to std::chrono::steady_clock::now.
     std::function<std::chrono::steady_clock::time_point()> clock;
 
-    /// Fair-queueing weight of tenants absent from tenant_weights.
-    /// Non-positive weights are clamped to a tiny positive value.
-    double default_tenant_weight = 1.0;
-
     /// Per-tenant fair-queueing weights: a weight-2 tenant receives twice
     /// the service share of a weight-1 tenant while both are backlogged.
+    /// Absent tenants weigh 1; non-positive weights are clamped to a tiny
+    /// positive value.
     std::map<std::string, double> tenant_weights;
 
-    /// Concurrency quota of tenants absent from tenant_quotas; <= 0 means
+    /// Per-tenant concurrency quotas; absent tenants and entries <= 0 are
     /// unlimited.
-    int default_tenant_quota = 0;
-
-    /// Per-tenant concurrency quotas (<= 0 entries mean unlimited).
     std::map<std::string, int> tenant_quotas;
   };
 

@@ -25,6 +25,7 @@
 #include <string>
 #include <system_error>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cancel.h"
@@ -84,7 +85,7 @@ graph::Dag SampleDag(int nodes, std::uint64_t seed) {
 }
 
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
-                    int num_stages, serve::EngineRef engine,
+                    int num_stages, std::string engine,
                     CachePolicy policy = CachePolicy::kUse) {
   return service.Compile(CompileRequest{.dag = dag,
                                         .num_stages = num_stages,
@@ -129,8 +130,6 @@ class StallPollEngine : public engines::SchedulerEngine {
     return solves;
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "StallPoll"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget& budget) const override {
@@ -158,8 +157,6 @@ class FlakyEngine : public engines::SchedulerEngine {
     return attempts;
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "Flaky"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -178,12 +175,12 @@ void EnsureChaosEngines() {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("StallPoll")) {
     registry.Register({"StallPoll", "", "test-only cancellable slow engine",
-                       {}, [](const engines::EngineContext&) {
+                       [](const engines::EngineContext&) {
                          return std::make_unique<StallPollEngine>();
                        }});
   }
   if (!registry.Contains("Flaky")) {
-    registry.Register({"Flaky", "", "test-only switchable failing engine", {},
+    registry.Register({"Flaky", "", "test-only switchable failing engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<FlakyEngine>();
                        }});
@@ -310,13 +307,21 @@ TEST(FailpointTest, BadActionsAndSpecsAreRejected) {
 }
 
 TEST(FailpointTest, EngineSolveSiteIsTaggedPerEngine) {
+  EnsureChaosEngines();
   const PipelineCompiler compiler(FastOptions());
   const graph::Dag dag = SampleDag(24, 13);
-  const ScopedFailpoint fp("engine.solve.ListScheduling", "error");
-  EXPECT_THROW((void)compiler.Compile(dag, 4, "list"), FailpointError);
-  // Other engines pass the untagged site untouched.
-  EXPECT_NO_THROW((void)compiler.Compile(dag, 4, "greedy"));
-  EXPECT_GE(core::failpoint::HitCount("engine.solve.ListScheduling"), 1u);
+  // The tag is the registration's canonical name, whatever the spelling,
+  // for built-in and runtime-registered engines alike.
+  for (const auto& [spelling, name] :
+       {std::pair{"list", "ListScheduling"}, std::pair{"Flaky", "Flaky"}}) {
+    const std::string site = std::string("engine.solve.") + name;
+    const ScopedFailpoint fp(site, "error");
+    EXPECT_THROW((void)compiler.Compile(dag, 4, spelling), FailpointError)
+        << spelling;
+    // Other engines pass the untagged site untouched.
+    EXPECT_NO_THROW((void)compiler.Compile(dag, 4, "greedy"));
+    EXPECT_GE(core::failpoint::HitCount(site), 1u) << spelling;
+  }
 }
 
 TEST(FailpointTest, EngineSolveSiteFiresForGroupedBatchChunks) {
@@ -1035,8 +1040,6 @@ class GateEngine : public engines::SchedulerEngine {
     Cv().wait(lock, [] { return entered_ > 0; });
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "Gate"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -1095,7 +1098,7 @@ class EntryPointContractTest : public ::testing::TestWithParam<EntryPoint> {
     EnsureChaosEngines();
     engines::EngineRegistry& registry = engines::EngineRegistry::Global();
     if (!registry.Contains("Gate")) {
-      registry.Register({"Gate", "", "test-only engine blocked on a gate", {},
+      registry.Register({"Gate", "", "test-only engine blocked on a gate",
                          [](const engines::EngineContext&) {
                            return std::make_unique<GateEngine>();
                          }});

@@ -2,7 +2,7 @@
 // registered engine must produce valid schedules across the paper's graph
 // complexity sweep (deg(V) ∈ {2..6}), CompileBatch must match the sequential
 // path bit-for-bit, and the registry must behave as the single source of
-// truth for names, aliases and Method values.
+// truth for names and aliases.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 
 #include "core/respect.h"
 #include "core/thread_pool.h"
+#include "engines/builtin.h"
 #include "engines/registry.h"
 #include "graph/sampler.h"
 #include "sched/device_aware.h"
@@ -35,30 +36,36 @@ CompilerOptions FastOptions() {
   return options;
 }
 
-TEST(EngineRegistryTest, ServesEveryBuiltinMethod) {
-  engines::EngineRegistry& registry = engines::EngineRegistry::Global();
-  EXPECT_GE(registry.Registrations().size(), kAllMethods.size());
-  for (const Method method : kAllMethods) {
-    const engines::EngineRegistration* registration = registry.Find(method);
-    ASSERT_NE(registration, nullptr);
-    EXPECT_EQ(registration->method, method);
-    EXPECT_EQ(registration->name, MethodName(method));
+/// Canonical names of the built-in engines, read off a private registry so
+/// engines this binary registers at runtime stay out.
+std::vector<std::string> BuiltinEngineNames() {
+  engines::EngineRegistry builtins;
+  engines::RegisterBuiltinEngines(builtins);
+  return builtins.Names();
+}
 
-    // Name, alias and enum all resolve to the same entry.
-    EXPECT_EQ(registry.Find(registration->name), registration);
+TEST(EngineRegistryTest, ServesEveryBuiltinEngine) {
+  engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+  const std::vector<std::string> builtins = BuiltinEngineNames();
+  EXPECT_EQ(builtins.size(), 8u);
+  EXPECT_GE(registry.Registrations().size(), builtins.size());
+  for (const std::string& name : builtins) {
+    const engines::EngineRegistration* registration = registry.Find(name);
+    ASSERT_NE(registration, nullptr);
+    EXPECT_EQ(registration->name, name);
+
+    // Name and alias resolve to the same entry.
     EXPECT_EQ(registry.Find(registration->alias), registration);
-    EXPECT_EQ(MethodFromName(registration->name), method);
-    EXPECT_EQ(MethodFromName(registration->alias), method);
+    EXPECT_EQ(&registry.Resolve(registration->name), registration);
+    EXPECT_EQ(&registry.Resolve(registration->alias), registration);
   }
 }
 
-TEST(EngineRegistryTest, CreateReturnsEngineWithMatchingName) {
+TEST(EngineRegistryTest, CreateInstantiatesEveryBuiltinEngine) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   const engines::EngineContext context;  // null RL snapshot is allowed
-  for (const Method method : kAllMethods) {
-    const auto engine = registry.Create(method, context);
-    ASSERT_NE(engine, nullptr);
-    EXPECT_EQ(engine->Name(), MethodName(method));
+  for (const std::string& name : BuiltinEngineNames()) {
+    EXPECT_NE(registry.Create(name, context), nullptr) << name;
   }
 }
 
@@ -66,7 +73,6 @@ TEST(EngineRegistryTest, UnknownLookupsFail) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   EXPECT_FALSE(registry.Contains("NoSuchEngine"));
   EXPECT_EQ(registry.Find("NoSuchEngine"), nullptr);
-  EXPECT_EQ(MethodFromName("NoSuchEngine"), std::nullopt);
   EXPECT_THROW((void)registry.Create("NoSuchEngine", {}),
                std::invalid_argument);
 }
@@ -75,27 +81,23 @@ TEST(EngineRegistryTest, RejectsCollidingRegistrations) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   const auto dummy = [](const engines::EngineContext&)
       -> std::unique_ptr<engines::SchedulerEngine> { return nullptr; };
-  // Canonical-name, alias, cross (name vs alias) and enum collisions.
-  EXPECT_THROW(registry.Register({"RESPECT", "x1", "", {}, dummy}),
+  // Canonical-name, alias and cross (name vs alias) collisions.
+  EXPECT_THROW(registry.Register({"RESPECT", "x1", "", dummy}),
                std::invalid_argument);
-  EXPECT_THROW(registry.Register({"X1", "respect", "", {}, dummy}),
+  EXPECT_THROW(registry.Register({"X1", "respect", "", dummy}),
                std::invalid_argument);
-  EXPECT_THROW(registry.Register({"respect", "x2", "", {}, dummy}),
+  EXPECT_THROW(registry.Register({"respect", "x2", "", dummy}),
                std::invalid_argument);
-  EXPECT_THROW(
-      registry.Register({"X2", "x3", "", Method::kRespectRl, dummy}),
-      std::invalid_argument);
-  EXPECT_THROW(registry.Register({"", "x4", "", {}, dummy}),
+  EXPECT_THROW(registry.Register({"", "x4", "", dummy}),
                std::invalid_argument);
-  EXPECT_THROW(registry.Register({"X5", "x5", "", {}, nullptr}),
+  EXPECT_THROW(registry.Register({"X5", "x5", "", nullptr}),
                std::invalid_argument);
 }
 
-// A runtime-registered engine (no Method enum value) is served through the
-// name-based Compile path like any built-in.
+// A runtime-registered engine is served through the name-based Compile path
+// like any built-in.
 class EverythingStageZeroEngine : public engines::SchedulerEngine {
  public:
-  [[nodiscard]] std::string_view Name() const override { return "StageZero"; }
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -109,13 +111,11 @@ class EverythingStageZeroEngine : public engines::SchedulerEngine {
 TEST(EngineRegistryTest, RuntimeRegisteredEngineCompiles) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("StageZero")) {
-    registry.Register({"StageZero", "zero", "test-only plug-in engine", {},
+    registry.Register({"StageZero", "zero", "test-only plug-in engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<EverythingStageZeroEngine>();
                        }});
   }
-  EXPECT_EQ(MethodFromName("StageZero"), std::nullopt);
-
   PipelineCompiler compiler(FastOptions());
   std::mt19937_64 rng(11);
   const graph::Dag dag = graph::SampleTrainingDag(24, rng);
@@ -131,7 +131,7 @@ TEST(EngineRegistryTest, EmptyQueryNeverMatchesAliaslessEngines) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("NoAlias")) {
     registry.Register({"NoAlias", "", "engine registered without an alias",
-                       {}, [](const engines::EngineContext&) {
+                       [](const engines::EngineContext&) {
                          return std::make_unique<EverythingStageZeroEngine>();
                        }});
   }
@@ -144,14 +144,14 @@ TEST(EngineRegistryTest, EmptyQueryNeverMatchesAliaslessEngines) {
 TEST(EngineRegistryTest, LookupResultsStayValidAcrossRegistrations) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   const engines::EngineRegistration* before = registry.Find("RESPECT");
-  const std::string_view name_before = MethodName(Method::kRespectRl);
+  const std::string_view name_before = before->name;
   ASSERT_NE(before, nullptr);
 
   // Enough registrations to force reallocation in a contiguous container.
   for (int i = 0; i < 32; ++i) {
     const std::string name = "Stability" + std::to_string(i);
     if (registry.Contains(name)) continue;
-    registry.Register({name, "", "registration-stability filler", {},
+    registry.Register({name, "", "registration-stability filler",
                        [](const engines::EngineContext&) {
                          return std::make_unique<EverythingStageZeroEngine>();
                        }});
@@ -233,12 +233,13 @@ INSTANTIATE_TEST_SUITE_P(
 /// hardware.  (For engines that ignore the profile, the façade's
 /// RebalanceForProfile post-pass provides the adaptation; the annealer
 /// additionally swaps to the device-aware objective.)
-class HeterogeneousProfileTest : public ::testing::TestWithParam<Method> {};
+class HeterogeneousProfileTest
+    : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(HeterogeneousProfileTest, ProfileAwareCompileNeverLosesToUniform) {
   PipelineCompiler compiler(FastOptions());
   const tpu::DeviceProfile profile = *tpu::FindProfile("coral-x2fast");
-  const std::string_view engine = MethodName(GetParam());
+  const std::string& engine = GetParam();
   // The façade quantizes packages (uint8 from float32), so schedule-level
   // service estimates scale graph bytes by the same 1/4.
   constexpr double kBytesScale = 0.25;
@@ -267,9 +268,9 @@ TEST_P(HeterogeneousProfileTest, ProfileAwareCompileNeverLosesToUniform) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, HeterogeneousProfileTest,
-                         ::testing::ValuesIn(kAllMethods),
-                         [](const ::testing::TestParamInfo<Method>& info) {
-                           return std::string(MethodName(info.param));
+                         ::testing::ValuesIn(BuiltinEngineNames()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
                          });
 
 TEST(HeterogeneousProfileTest, FasterFrontStageAttractsMoreWork) {
@@ -289,7 +290,7 @@ TEST(HeterogeneousProfileTest, FasterFrontStageAttractsMoreWork) {
 
   PipelineCompiler compiler(FastOptions());
   const tpu::DeviceProfile profile = *tpu::FindProfile("coral-x2fast");
-  const std::string_view engine = MethodName(Method::kGreedyBalance);
+  const std::string_view engine = "GreedyBalance";
   const CompileResult uniform = compiler.Compile(dag, 2, engine);
   const CompileResult adapted = compiler.Compile(dag, 2, engine, profile);
 
@@ -318,7 +319,7 @@ TEST(PipelineCompilerTest, ReplaceRlSwapsSnapshotCopyOnWrite) {
 
   std::mt19937_64 rng(29);
   const graph::Dag dag = graph::SampleTrainingDag(20, rng);
-  const CompileResult result = compiler.Compile(dag, 4, Method::kRespectRl);
+  const CompileResult result = compiler.Compile(dag, 4, "RESPECT");
   sched::PipelineConstraints constraints;
   constraints.num_stages = 4;
   EXPECT_TRUE(ValidateSchedule(dag, result.schedule, constraints).ok);
@@ -349,19 +350,18 @@ TEST(CompileBatchTest, ParallelMatchesSequential) {
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
   core::ThreadPool pool(4);
 
-  for (const Method method :
-       {Method::kRespectRl, Method::kExactIlp, Method::kListScheduling,
-        Method::kAnnealing, Method::kGreedyBalance}) {
+  for (const std::string_view engine : {"RESPECT", "ExactILP", "ListScheduling",
+                                        "Annealing", "GreedyBalance"}) {
     const std::vector<CompileResult> parallel =
-        compiler.CompileBatch(pointers, 4, method, pool);
-    ASSERT_EQ(parallel.size(), dags.size()) << MethodName(method);
+        compiler.CompileBatch(pointers, 4, engine, pool);
+    ASSERT_EQ(parallel.size(), dags.size()) << engine;
     for (std::size_t i = 0; i < dags.size(); ++i) {
-      const CompileResult sequential = compiler.Compile(dags[i], 4, method);
+      const CompileResult sequential = compiler.Compile(dags[i], 4, engine);
       EXPECT_EQ(parallel[i].schedule.stage, sequential.schedule.stage)
-          << MethodName(method) << " dag " << i;
+          << engine << " dag " << i;
       EXPECT_EQ(parallel[i].peak_stage_param_bytes,
                 sequential.peak_stage_param_bytes)
-          << MethodName(method) << " dag " << i;
+          << engine << " dag " << i;
     }
   }
 }
@@ -375,7 +375,7 @@ TEST(CompileBatchTest, RepeatedParallelRunsAreDeterministic) {
   core::ThreadPool four(4);
   core::ThreadPool three(3);
   const auto first =
-      compiler.CompileBatch(pointers, 4, Method::kAnnealing, four);
+      compiler.CompileBatch(pointers, 4, "Annealing", four);
   const auto second = compiler.CompileBatch(pointers, 4, "anneal", three);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -391,7 +391,7 @@ TEST(CompileBatchTest, BackToBackBatchesOnOnePoolAgree) {
   // Back-to-back batches on the same pool (the serving-loop shape).
   core::ThreadPool pool(4);
   const auto first =
-      compiler.CompileBatch(pointers, 4, Method::kListScheduling, pool);
+      compiler.CompileBatch(pointers, 4, "ListScheduling", pool);
   const auto second = compiler.CompileBatch(pointers, 4, "list", pool);
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
@@ -407,7 +407,7 @@ TEST(CompileBatchTest, WorkerExceptionsReachTheCaller) {
   const std::vector<const graph::Dag*> pointers = Pointers(dags);
   core::ThreadPool pool(2);
   EXPECT_THROW(
-      (void)compiler.CompileBatch(pointers, 64, Method::kGreedyBalance, pool),
+      (void)compiler.CompileBatch(pointers, 64, "GreedyBalance", pool),
       std::exception);
 }
 

@@ -57,22 +57,6 @@ ObjectiveValue BruteForceBest(const graph::Dag& dag, int stages) {
   return best;
 }
 
-TEST(MinBottleneckTest, KnownInstances) {
-  EXPECT_EQ(MinBottleneck({1, 1, 1, 1}, 2), 2);
-  EXPECT_EQ(MinBottleneck({5, 1, 1, 1}, 2), 5);
-  EXPECT_EQ(MinBottleneck({3, 3, 3}, 3), 3);
-  EXPECT_EQ(MinBottleneck({10}, 1), 10);
-  EXPECT_EQ(MinBottleneck({2, 2, 2, 2, 2, 2}, 3), 4);
-}
-
-TEST(MinBottleneckTest, SingleStageIsTotal) {
-  EXPECT_EQ(MinBottleneck({4, 7, 2}, 1), 13);
-}
-
-TEST(MinBottleneckTest, RejectsEmpty) {
-  EXPECT_THROW((void)MinBottleneck({}, 2), std::invalid_argument);
-}
-
 TEST(DpPartitionerTest, ChainExactness) {
   graph::Dag dag("chain");
   const std::int64_t weights[] = {5, 3, 8, 2, 4, 6};

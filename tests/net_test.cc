@@ -182,7 +182,7 @@ TEST(WireCodecTest, CompileRequestRoundTripsEveryField) {
   EXPECT_TRUE(decoded.no_forward);
   EXPECT_EQ(graph::HashDag(out.dag), graph::HashDag(request.dag));
   EXPECT_EQ(out.num_stages, 5);
-  EXPECT_EQ(out.engine.Spelling(), "anneal");
+  EXPECT_EQ(out.engine, "anneal");
   EXPECT_EQ(out.priority, Priority::kBatch);
   EXPECT_EQ(out.cache_policy, CachePolicy::kRefresh);
   EXPECT_EQ(out.profile, "");
@@ -203,7 +203,7 @@ TEST(WireCodecTest, CompileRequestRoundTripsEveryField) {
   bare.dag = SampleDag(8, 3);
   const net::WireCompileRequest bare_out =
       net::DecodeCompileRequest(net::EncodeCompileRequest(bare, false));
-  EXPECT_TRUE(bare_out.request.engine.IsEmpty());
+  EXPECT_TRUE(bare_out.request.engine.empty());
   EXPECT_FALSE(bare_out.request.deadline.has_value());
   EXPECT_FALSE(bare_out.no_forward);
 }
@@ -454,7 +454,7 @@ TEST(FleetServerTest, TypedErrorsSurviveTheHop) {
   FleetClient client(server.Address());
 
   CompileRequest unknown_engine = AnnealRequest(SampleDag(10, 52));
-  unknown_engine.engine = serve::EngineRef("no-such-engine");
+  unknown_engine.engine = "no-such-engine";
   EXPECT_THROW((void)client.Compile(unknown_engine), std::invalid_argument);
 
   CompileRequest expired = AnnealRequest(SampleDag(10, 53));
@@ -464,7 +464,7 @@ TEST(FleetServerTest, TypedErrorsSurviveTheHop) {
   // Rejected at admission: before the check, a zero stage count crashed
   // the list scheduler and took the whole shard down.
   CompileRequest no_stages = AnnealRequest(SampleDag(10, 55));
-  no_stages.engine = serve::EngineRef("list");
+  no_stages.engine = "list";
   no_stages.num_stages = 0;
   EXPECT_THROW((void)client.Compile(no_stages), std::invalid_argument);
 

@@ -113,6 +113,12 @@ TEST(MinBottleneckBoundTest, ExactBoundsOnSmallInputs) {
   EXPECT_EQ(MinBottleneckBound({1, 2, 3, 4}, 2), 6);  // best cut: {1,2,3}|{4}
   EXPECT_EQ(MinBottleneckBound({1, 2, 3, 4}, 4), 4);
   EXPECT_EQ(MinBottleneckBound({0, 0, 0}, 2), 0);
+  EXPECT_EQ(MinBottleneckBound({1, 1, 1, 1}, 2), 2);
+  EXPECT_EQ(MinBottleneckBound({5, 1, 1, 1}, 2), 5);
+  EXPECT_EQ(MinBottleneckBound({3, 3, 3}, 3), 3);
+  EXPECT_EQ(MinBottleneckBound({10}, 1), 10);
+  EXPECT_EQ(MinBottleneckBound({2, 2, 2, 2, 2, 2}, 3), 4);
+  EXPECT_EQ(MinBottleneckBound({4, 7, 2}, 1), 13);
 }
 
 TEST(ScheduleToSequenceTest, SortsByStageThenTopo) {

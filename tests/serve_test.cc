@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/respect.h"
+#include "engines/builtin.h"
 #include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
@@ -52,9 +53,17 @@ graph::Dag SampleDag(int nodes, std::uint64_t seed) {
   return graph::SampleTrainingDag(nodes, rng);
 }
 
+/// Canonical names of the built-in engines, read off a private registry so
+/// engines this binary registers at runtime stay out.
+std::vector<std::string> BuiltinEngineNames() {
+  engines::EngineRegistry builtins;
+  engines::RegisterBuiltinEngines(builtins);
+  return builtins.Names();
+}
+
 /// Shorthand for the common synchronous request shape.
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
-                    int num_stages, serve::EngineRef engine,
+                    int num_stages, std::string engine,
                     CachePolicy policy = CachePolicy::kUse) {
   return service.Compile(CompileRequest{.dag = dag,
                                         .num_stages = num_stages,
@@ -116,16 +125,12 @@ TEST(CanonicalHashTest, HasherIsStreamingForBytesOnly) {
   EXPECT_NE(number.Finish(), one.Finish());
 }
 
-TEST(EngineRefTest, ResolvesEverySpellingToOneRegistration) {
+TEST(EngineResolveTest, ResolvesAliasAndNameToOneRegistration) {
   const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   const engines::EngineRegistration& by_name = registry.Resolve("Annealing");
   EXPECT_EQ(&registry.Resolve("anneal"), &by_name);
-  EXPECT_EQ(&registry.Resolve(Method::kAnnealing), &by_name);
   EXPECT_THROW((void)registry.Resolve("NoSuchEngine"), std::invalid_argument);
-  EXPECT_THROW((void)registry.Resolve(serve::EngineRef{}),
-               std::invalid_argument);
-  EXPECT_EQ(serve::EngineRef{}.Spelling(), "<unset>");
-  EXPECT_EQ(serve::EngineRef(Method::kAnnealing).Spelling(), "Annealing");
+  EXPECT_THROW((void)registry.Resolve(""), std::invalid_argument);
 }
 
 TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
@@ -133,10 +138,10 @@ TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
   PipelineCompiler cold(FastOptions());
   const graph::Dag dag = SampleDag(24, 7);
 
-  for (const Method method : kAllMethods) {
-    const std::string name(MethodName(method));
-    const CompileResponse first = Ask(service, dag, 4, method);
-    const CompileResponse second = Ask(service, dag, 4, method);
+  const std::vector<std::string> builtins = BuiltinEngineNames();
+  for (const std::string& name : builtins) {
+    const CompileResponse first = Ask(service, dag, 4, name);
+    const CompileResponse second = Ask(service, dag, 4, name);
     // Pointer equality proves the second answer came from the cache.
     EXPECT_EQ(first.result, second.result) << name;
     EXPECT_EQ(first.outcome, CacheOutcome::kMiss) << name;
@@ -146,24 +151,22 @@ TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
     EXPECT_EQ(first.engine_name, name);
     EXPECT_EQ(first.key_hex.size(), 32u);
     EXPECT_EQ(first.key_hex, second.key_hex);
-    ExpectSameResult(*first.result, cold.Compile(dag, 4, method), name);
+    ExpectSameResult(*first.result, cold.Compile(dag, 4, name), name);
   }
   const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, kAllMethods.size());
-  EXPECT_EQ(metrics.hits, kAllMethods.size());
-  EXPECT_EQ(metrics.cache_size, kAllMethods.size());
+  EXPECT_EQ(metrics.misses, builtins.size());
+  EXPECT_EQ(metrics.hits, builtins.size());
+  EXPECT_EQ(metrics.cache_size, builtins.size());
 }
 
-TEST(CompileServiceTest, AliasNameAndMethodShareOneEntry) {
+TEST(CompileServiceTest, AliasAndNameShareOneEntry) {
   serve::CompileService service(FastOptions());
   const graph::Dag dag = SampleDag(20, 9);
   const CompileResponse by_alias = Ask(service, dag, 4, "anneal");
   const CompileResponse by_name = Ask(service, dag, 4, "Annealing");
-  const CompileResponse by_method = Ask(service, dag, 4, Method::kAnnealing);
   EXPECT_EQ(by_alias.result, by_name.result);
-  EXPECT_EQ(by_alias.result, by_method.result);
   EXPECT_EQ(service.Metrics().misses, 1u);
-  EXPECT_EQ(service.Metrics().hits, 2u);
+  EXPECT_EQ(service.Metrics().hits, 1u);
 }
 
 TEST(CompileServiceTest, KeyCoversStagesAndGraphContent) {
@@ -273,10 +276,10 @@ TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
   const graph::Dag dag = SampleDag(24, 13);
 
   EXPECT_EQ(service.Compiler().RlVersion(), 0u);
-  const CompileResponse rl_before = Ask(service, dag, 4, Method::kRespectRl);
+  const CompileResponse rl_before = Ask(service, dag, 4, "RESPECT");
   const CompileResponse list_before =
-      Ask(service, dag, 4, Method::kListScheduling);
-  const CompileResponse ilp_before = Ask(service, dag, 4, Method::kExactIlp);
+      Ask(service, dag, 4, "ListScheduling");
+  const CompileResponse ilp_before = Ask(service, dag, 4, "ExactILP");
 
   service.ReplaceRl(std::make_shared<rl::RlScheduler>(FastOptions().net));
   EXPECT_EQ(service.Compiler().RlVersion(), 1u);
@@ -284,11 +287,11 @@ TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
 
   // Deterministic engines stay warm (same shared object), the RL entry is
   // recomputed (fresh object, one extra miss).
-  EXPECT_EQ(Ask(service, dag, 4, Method::kListScheduling).result,
+  EXPECT_EQ(Ask(service, dag, 4, "ListScheduling").result,
             list_before.result);
-  EXPECT_EQ(Ask(service, dag, 4, Method::kExactIlp).result,
+  EXPECT_EQ(Ask(service, dag, 4, "ExactILP").result,
             ilp_before.result);
-  const CompileResponse rl_after = Ask(service, dag, 4, Method::kRespectRl);
+  const CompileResponse rl_after = Ask(service, dag, 4, "RESPECT");
   EXPECT_NE(rl_after.result, rl_before.result);
   EXPECT_NE(rl_after.key_hex, rl_before.key_hex);  // version is in the key
   const serve::ServiceMetrics metrics = service.Metrics();
@@ -340,10 +343,6 @@ class CountingSlowEngine : public engines::SchedulerEngine {
     return solves;
   }
 
-  [[nodiscard]] std::string_view Name() const override {
-    return "CountingSlow";
-  }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -359,7 +358,7 @@ class CountingSlowEngine : public engines::SchedulerEngine {
 TEST(CompileServiceTest, SingleFlightCollapsesConcurrentIdenticalRequests) {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("CountingSlow")) {
-    registry.Register({"CountingSlow", "", "test-only counting engine", {},
+    registry.Register({"CountingSlow", "", "test-only counting engine",
                        [](const engines::EngineContext&) {
                          return std::make_unique<CountingSlowEngine>();
                        }});
@@ -429,7 +428,7 @@ TEST(CompileServiceTest, SubmitWaitSharesTheSyncCache) {
   EXPECT_EQ(async_a.result, async_b.result);
   EXPECT_GE(async_a.queue_wait_seconds, 0.0);
   // The sync path hits the entry the async path populated.
-  EXPECT_EQ(Ask(service, dag, 4, Method::kGreedyBalance).result,
+  EXPECT_EQ(Ask(service, dag, 4, "GreedyBalance").result,
             async_a.result);
   EXPECT_EQ(service.Metrics().misses, 1u);
 
@@ -530,7 +529,7 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   const graph::Dag a = SampleDag(24, 33);
   const graph::Dag b = SampleDag(24, 35);
   const auto batch_of = [](std::span<const graph::Dag* const> dags,
-                           int num_stages, serve::EngineRef engine) {
+                           int num_stages, const std::string& engine) {
     std::vector<CompileRequest> requests;
     for (const graph::Dag* dag : dags) {
       requests.push_back(CompileRequest{.dag = *dag,
@@ -553,7 +552,7 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   // Batch results equal the sync path's, and a repeat batch is all-warm.
   EXPECT_EQ(Ask(service, a, 4, "list").result, responses[0].result);
   const auto warm =
-      service.CompileBatch(batch_of(batch, 4, Method::kListScheduling));
+      service.CompileBatch(batch_of(batch, 4, "ListScheduling"));
   EXPECT_EQ(warm[0].result, responses[0].result);
   EXPECT_EQ(warm[1].result, responses[1].result);
   for (const auto& response : warm) {
@@ -727,7 +726,7 @@ TEST(CompileServiceTest, UnknownEngineThrowsBeforeTouchingTheCache) {
   const graph::Dag dag = SampleDag(10, 31);
   EXPECT_THROW((void)Ask(service, dag, 4, "NoSuchEngine"),
                std::invalid_argument);
-  EXPECT_THROW((void)Ask(service, dag, 4, serve::EngineRef{}),
+  EXPECT_THROW((void)Ask(service, dag, 4, ""),
                std::invalid_argument);
   const serve::ServiceMetrics metrics = service.Metrics();
   EXPECT_EQ(metrics.misses, 0u);
@@ -783,8 +782,6 @@ class RecordingEngine : public engines::SchedulerEngine {
     }
   }
 
-  [[nodiscard]] std::string_view Name() const override { return "Recording"; }
-
   [[nodiscard]] engines::EngineResult Schedule(
       const graph::Dag& dag, const sched::PipelineConstraints& constraints,
       const engines::EngineBudget&) const override {
@@ -807,7 +804,6 @@ void EnsureRecordingEngine() {
   engines::EngineRegistry& registry = engines::EngineRegistry::Global();
   if (!registry.Contains("Recording")) {
     registry.Register({"Recording", "", "test-only order-recording engine",
-                       {},
                        [](const engines::EngineContext&) {
                          return std::make_unique<RecordingEngine>();
                        }});
