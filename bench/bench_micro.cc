@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for every substrate: graph analyses,
 // samplers, exact solvers, the backend compiler, NN forward/backward, PtrNet
 // decode, the pipeline simulator, per-engine solve times enumerated from the
-// SchedulerEngine registry, and CompileBatch throughput across thread counts.
+// SchedulerEngine registry, and the CompileService serving paths.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/respect.h"
-#include "core/thread_pool.h"
 #include "deploy/package.h"
 #include "engines/registry.h"
 #include "exact/bnb_scheduler.h"
@@ -29,10 +28,10 @@
 #include "nn/tape.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
-#include "rl/reference_decode.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
 #include "serve/store/spill_codec.h"
+#include "tests/support/reference_decode.h"
 #include "tpu/sim.h"
 
 namespace {
@@ -263,37 +262,6 @@ const std::vector<graph::Dag>& BatchDags() {
   return *dags;
 }
 
-std::vector<const graph::Dag*> BatchPointers() {
-  std::vector<const graph::Dag*> pointers;
-  for (const graph::Dag& dag : BatchDags()) pointers.push_back(&dag);
-  return pointers;
-}
-
-/// The tentpole throughput benchmark: one batch of 8 sampled DAGs compiled
-/// with `state.range(0)` worker threads.  Arg(1) is the sequential baseline;
-/// Arg(4) must show the >= 2x wall-clock speedup the batch path exists for.
-/// The pool lives outside the timed loop (the serving-loop shape), so this
-/// measures steady-state throughput, not thread spawn/join.
-void BM_CompileBatchThroughput(benchmark::State& state) {
-  static const PipelineCompiler* compiler =
-      new PipelineCompiler(BatchBenchOptions());
-  const std::vector<const graph::Dag*> pointers = BatchPointers();
-  core::ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compiler->CompileBatch(pointers, 4, "Annealing", pool));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(pointers.size()));
-}
-BENCHMARK(BM_CompileBatchThroughput)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
 /// CompileService on a repeated-request stream, cold vs. warm.  Cold clears
 /// the cache every iteration, so each request pays the full engine solve;
 /// warm answers every iteration from the content-addressed cache (hash +
@@ -496,8 +464,7 @@ std::vector<serve::CompileRequest> BatchRequests(serve::Priority priority,
 }
 
 /// Batch-aware caching: a warm CompileBatch through the service answers the
-/// whole batch from the shared cache (cf. BM_CompileBatchThroughput, which
-/// re-solves every graph every time).
+/// whole batch from the shared cache without a single solve.
 void BM_CompileServiceBatchWarm(benchmark::State& state) {
   static serve::CompileService* service =
       new serve::CompileService(BatchBenchOptions());
@@ -546,14 +513,12 @@ BENCHMARK(BM_MissStormRefill)->Unit(benchmark::kMillisecond);
 /// Interactive latency under a batch flood: each iteration submits the full
 /// 8-graph batch on the batch lane with cache bypass (every one a real
 /// solve occupying the 2 workers), then one interactive request, and the
-/// manual time is submit-to-complete for the interactive request alone.
-/// Run with /fifo vs /lanes to see what the deadline-aware queue buys: on
-/// the FIFO baseline the interactive request waits out the whole flood; on
-/// the lane queue it overtakes everything still queued.
-void MixedPriorityLoad(benchmark::State& state, bool fifo_queue) {
+/// manual time is submit-to-complete for the interactive request alone —
+/// it overtakes everything still queued, so it waits for at most the solves
+/// already running.
+void BM_MixedPriorityLoad_Lanes(benchmark::State& state) {
   serve::ServiceOptions options;
   options.num_threads = 2;
-  options.fifo_queue = fifo_queue;
   serve::CompileService service(BatchBenchOptions(), options);
   const std::vector<serve::CompileRequest> flood = BatchRequests(
       serve::Priority::kBatch, serve::CachePolicy::kBypass);
@@ -579,16 +544,6 @@ void MixedPriorityLoad(benchmark::State& state, bool fifo_queue) {
   }
 }
 
-void BM_MixedPriorityLoad_Fifo(benchmark::State& state) {
-  MixedPriorityLoad(state, /*fifo_queue=*/true);
-}
-BENCHMARK(BM_MixedPriorityLoad_Fifo)
-    ->UseManualTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_MixedPriorityLoad_Lanes(benchmark::State& state) {
-  MixedPriorityLoad(state, /*fifo_queue=*/false);
-}
 BENCHMARK(BM_MixedPriorityLoad_Lanes)
     ->UseManualTime()
     ->Unit(benchmark::kMillisecond);

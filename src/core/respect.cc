@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "core/failpoint.h"
-#include "core/thread_pool.h"
-#include "engines/rl_engine.h"
 #include "sched/device_aware.h"
 #include "sched/postprocess.h"
 
@@ -153,43 +151,6 @@ std::vector<CompileResult> PipelineCompiler::CompileGroup(
   const std::string& name = registry.Resolve(engine).name;
   return Solve(name, *registry.Create(name, MakeEngineContext()), dags,
                ConstraintsFor(num_stages, profile), cancel, stats);
-}
-
-std::vector<CompileResult> PipelineCompiler::CompileBatch(
-    std::span<const graph::Dag* const> dags, int num_stages,
-    std::string_view engine_name, core::ThreadPool& pool,
-    engines::SolveStats* stats) const {
-  const engines::EngineRegistry& registry = engines::EngineRegistry::Global();
-  const std::string& name = registry.Resolve(engine_name).name;
-  const auto engine = registry.Create(name, MakeEngineContext());
-  // Fan tasks (not graphs) across the pool: a batch-capable engine gets one
-  // task per same-size chunk, so chunks of one storm still run concurrently
-  // on different workers; any other engine gets one task per graph.
-  std::vector<std::vector<std::size_t>> tasks;
-  if (engine->SupportsBatch()) {
-    tasks = engines::ChunkBySize(dags);
-  } else {
-    for (std::size_t i = 0; i < dags.size(); ++i) tasks.push_back({i});
-  }
-  const sched::PipelineConstraints constraints =
-      ConstraintsFor(num_stages, tpu::DefaultProfile());
-  std::vector<CompileResult> results(dags.size());
-  std::vector<engines::SolveStats> task_stats(tasks.size());
-  core::ParallelFor(pool, tasks.size(), [&](std::size_t t) {
-    const std::vector<std::size_t>& indices = tasks[t];
-    std::vector<const graph::Dag*> chunk;
-    chunk.reserve(indices.size());
-    for (const std::size_t i : indices) chunk.push_back(dags[i]);
-    std::vector<CompileResult> solved =
-        Solve(name, *engine, chunk, constraints, {}, &task_stats[t]);
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      results[indices[k]] = std::move(solved[k]);
-    }
-  });
-  if (stats != nullptr) {
-    for (const engines::SolveStats& s : task_stats) stats->Merge(s);
-  }
-  return results;
 }
 
 bool EnsureTrainedAgent(rl::RlScheduler& scheduler, const std::string& path,

@@ -4,15 +4,15 @@
 //   auto result = compiler.Compile(dag, /*num_stages=*/4, "RESPECT");
 //   auto sim = respect::tpu::SimulatePipeline(result.package);
 //
-// Three compile calls cover every shape of work: Compile (one graph),
-// CompileBatch (many graphs across a caller-owned thread pool, results
-// identical to the sequential path) and CompileGroup (many graphs inline on
-// the calling thread).  Each names its engine by the registry entry's
-// canonical name or CLI alias (engines/registry.h — the RL agent, the exact
-// branch-and-bound, the Edge TPU compiler substitute, the classic
-// heuristics, or anything registered at runtime) and runs one private Solve
-// helper: validate, solve, repair the schedule and package it for
-// deployment (quantization + segment extraction).  The compile calls are
+// Two compile calls cover every shape of work: Compile (one graph) and
+// CompileGroup (many graphs inline on the calling thread).  Spreading many
+// graphs across a thread pool, with a cache in front, is the serving layer's
+// serve::CompileService::CompileBatch.  Each call names its engine by the
+// registry entry's canonical name or CLI alias (engines/registry.h — the RL
+// agent, the exact branch-and-bound, the Edge TPU compiler substitute, the
+// classic heuristics, or anything registered at runtime) and runs one
+// private Solve helper: validate, solve, repair the schedule and package it
+// for deployment (quantization + segment extraction).  The compile calls are
 // const and engines are stateless, so one compiler may serve many threads.
 // EnsureTrainedAgent implements the train-or-load weight cache used by the
 // examples and benchmarks.
@@ -35,10 +35,6 @@
 #include "rl/trainer.h"
 #include "sched/schedule.h"
 #include "tpu/device_profile.h"
-
-namespace respect::core {
-class ThreadPool;
-}  // namespace respect::core
 
 namespace respect {
 
@@ -106,23 +102,6 @@ class PipelineCompiler {
       const tpu::DeviceProfile& profile = tpu::DefaultProfile(),
       const core::CancelToken& cancel = {}) const;
 
-  /// Compiles every graph of the batch on `pool` (serving loops reuse one
-  /// pool across batches).  Engines are stateless and the RL weights are a
-  /// shared immutable snapshot, so the results are element-wise identical
-  /// to calling Compile() in a loop — except when a wall-clock budget cuts
-  /// a solve short (ExactILP with exact_time_limit_seconds > 0): CPU
-  /// contention changes how far such a solve gets, so its incumbent may
-  /// differ between runs.  Expansion caps are deterministic; use those when
-  /// bit-identical batches matter.  When the engine supports batched
-  /// solving (RlEngine's lock-stepped decode), the graphs are split by
-  /// engines::ChunkBySize and every same-size chunk of >= 2 is one task
-  /// through the batch path; otherwise each graph is one task.  `stats`
-  /// (optional, may be null) accumulates the batch/single split.
-  [[nodiscard]] std::vector<CompileResult> CompileBatch(
-      std::span<const graph::Dag* const> dags, int num_stages,
-      std::string_view engine, core::ThreadPool& pool,
-      engines::SolveStats* stats = nullptr) const;
-
   /// Compiles a group of graphs INLINE on the calling thread through the
   /// engine's ScheduleBatch — same-node-count groups of >= 2 take the
   /// lock-stepped batch decode when the engine supports it.  This is the
@@ -142,7 +121,7 @@ class PipelineCompiler {
   /// Snapshot of the current RL scheduler for training / weight loading
   /// (the train-then-serve flow of the benches and examples).  The returned
   /// shared_ptr keeps the object alive across a concurrent ReplaceRl, but
-  /// mutating it while Compile/CompileBatch calls are in flight is a data
+  /// mutating it while Compile/CompileGroup calls are in flight is a data
   /// race — to retrain under traffic, train a fresh scheduler and swap it
   /// in with ReplaceRl().  Const access yields a const snapshot, so
   /// const-only holders (the thread-safe serving interface) cannot mutate
@@ -152,7 +131,7 @@ class PipelineCompiler {
 
   /// Copy-on-write weight update: subsequent compiles snapshot `rl`;
   /// in-flight compiles keep reading the snapshot they started with.  Safe
-  /// to call while Compile/CompileBatch calls are running.  Null resets to
+  /// to call while Compile/CompileGroup calls are running.  Null resets to
   /// the constructor's configured state (options.net + options.weights_path).
   /// Every call bumps RlVersion().
   void ReplaceRl(std::shared_ptr<rl::RlScheduler> rl);

@@ -2,16 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <exception>
 #include <utility>
 
 namespace respect::core {
 namespace {
-
-/// The pool the current thread is a worker of, if any — lets ParallelFor
-/// detect nested use on the same pool and degrade to inline execution
-/// instead of deadlocking on its own worker slot.
-thread_local const ThreadPool* current_worker_pool = nullptr;
 
 /// The default policy: strict submission order, attributes ignored.
 class FifoTaskQueue final : public ThreadPool::TaskQueue {
@@ -67,14 +61,8 @@ void ThreadPool::Submit(Task task, TaskAttrs attrs) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     queue_->Push(std::move(task), std::move(attrs));
-    ++in_flight_;
   }
   work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 int ThreadPool::DefaultThreadCount() {
@@ -82,7 +70,6 @@ int ThreadPool::DefaultThreadCount() {
 }
 
 void ThreadPool::WorkerLoop() {
-  current_worker_pool = this;
   for (;;) {
     Task task;
     {
@@ -92,80 +79,11 @@ void ThreadPool::WorkerLoop() {
       task = queue_->Pop();
     }
     // A throwing task must not tear down the process (std::terminate) or
-    // wedge Wait() by skipping the in_flight_ decrement.  Raw Submit offers
-    // no channel to report the error; ParallelFor catches and rethrows on
-    // the caller side before this backstop is reached.
+    // the worker: Submit offers no channel to report the error.
     try {
       task();
     } catch (...) {
     }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-
-  // Nested call from one of this pool's own workers: waiting would occupy
-  // the worker slot the subtasks need (guaranteed deadlock on a 1-thread
-  // pool), so run inline — with the same run-every-index-then-rethrow
-  // semantics as the pooled path.
-  if (current_worker_pool == &pool) {
-    std::vector<std::exception_ptr> errors(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      try {
-        fn(i);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-    return;
-  }
-
-  // Completion is tracked per call, not via pool-wide idleness (Wait()), so
-  // concurrent ParallelFor calls sharing one pool never block on each
-  // other's tasks.
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::size_t remaining = n;
-  std::vector<std::exception_ptr> errors(n);
-
-  std::size_t submitted = 0;
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      pool.Submit([&, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-        const std::lock_guard<std::mutex> lock(mutex);
-        --remaining;
-        done_cv.notify_all();
-      });
-      ++submitted;
-    }
-  } catch (...) {
-    // Submit itself threw (e.g. bad_alloc) after some tasks went out.  The
-    // stack locals they capture must outlive them: drain the submitted
-    // tasks before letting the exception unwind this frame.
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return remaining == n - submitted; });
-    throw;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
   }
 }
 

@@ -1,12 +1,11 @@
-// A small fixed-size worker pool for the batch compilation and serving
-// paths.
+// A small fixed-size worker pool for the serving paths.
 //
 // The pool owns the workers and the hand-off machinery (mutex, condition
-// variables, in-flight accounting); the *ordering* of pending tasks is a
-// pluggable TaskQueue policy.  The default policy is plain FIFO — the shape
-// CompileBatch needs — and the serving layer plugs in a deadline-aware
-// multi-lane queue (serve::RequestQueue) without the pool knowing anything
-// about priorities.
+// variable); the *ordering* of pending tasks is a pluggable TaskQueue
+// policy.  The default policy is plain FIFO — what net::FleetServer's
+// connection pool uses — and serve::CompileService plugs in a
+// deadline-aware multi-lane queue (serve::RequestQueue) without the pool
+// knowing anything about priorities.
 #pragma once
 
 #include <chrono>
@@ -54,7 +53,7 @@ class ThreadPool {
     /// Marks the entry as load-sheddable: a bounded policy queue may refuse
     /// it at Push time by throwing (the exception propagates out of
     /// Submit(); nothing is enqueued).  Default false so bookkeeping tasks
-    /// (writebacks, batch groups, ParallelFor bodies) are never shed.
+    /// (writebacks, batch groups) are never shed.
     bool sheddable = false;
 
     /// Observability trace id of the request flow this task belongs to
@@ -115,17 +114,12 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task; it may start running before Submit returns.  A task
-  /// that throws is swallowed (there is no channel to report it) — use
-  /// ParallelFor when exceptions must reach the caller.
+  /// that throws is swallowed (there is no channel to report it), so tasks
+  /// whose errors matter must hand them to their consumer themselves.
   void Submit(Task task);
 
   /// Same, with scheduling attributes for the installed TaskQueue.
   void Submit(Task task, TaskAttrs attrs);
-
-  /// Blocks until the pool is fully idle — i.e. every task from every
-  /// submitter has finished.  With multiple concurrent submitters prefer
-  /// ParallelFor, which tracks completion of its own tasks only.
-  void Wait();
 
   [[nodiscard]] int NumThreads() const {
     return static_cast<int>(workers_.size());
@@ -141,17 +135,7 @@ class ThreadPool {
   std::unique_ptr<TaskQueue> queue_;
   std::mutex mutex_;
   std::condition_variable work_cv_;  // signals workers: task queued / stop
-  std::condition_variable idle_cv_;  // signals Wait(): all work drained
-  std::size_t in_flight_ = 0;        // queued + currently running tasks
   bool stop_ = false;
 };
-
-/// Runs fn(0) .. fn(n-1) on the pool and waits for all of them.  When workers
-/// throw, the first exception (by index order) is rethrown on the caller.
-/// Safe with concurrent callers sharing one pool (completion is tracked per
-/// call), and safe to call from inside one of the pool's own tasks (the
-/// nested call runs inline rather than deadlocking on its worker slot).
-void ParallelFor(ThreadPool& pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn);
 
 }  // namespace respect::core

@@ -73,8 +73,8 @@ struct EngineResult {
 };
 
 /// How a ScheduleBatch call split its work between the batched decode path
-/// and per-graph solves.  Counters are additive, so per-group stats merge
-/// into per-call and per-service totals (see serve::ServiceMetrics).
+/// and per-graph solves.  Counters are additive; the serving layer folds them
+/// into per-service totals (see serve::ServiceMetrics).
 struct SolveStats {
   /// Graphs solved through a lock-stepped batch decode (group size >= 2).
   std::uint64_t batch_solved = 0;
@@ -92,12 +92,6 @@ struct SolveStats {
     return total == 0 ? 0.0
                       : static_cast<double>(batch_solved) /
                             static_cast<double>(total);
-  }
-
-  void Merge(const SolveStats& other) {
-    batch_solved += other.batch_solved;
-    single_solved += other.single_solved;
-    batch_groups += other.batch_groups;
   }
 };
 

@@ -11,13 +11,44 @@ namespace respect::engines {
 namespace {
 
 /// One decode workspace per thread, shared by single decodes and groups:
-/// CompileBatch workers and the CompileService pool each reuse their own
-/// buffers across requests, grown to the largest (nodes, batch) the thread
+/// CompileService workers and inline callers each reuse their own buffers
+/// across requests, grown to the largest (nodes, batch) the thread
 /// has decoded, so concurrent serving decodes stay allocation-free without
 /// sharing state.
 rl::DecodeWorkspace& ThreadWorkspace() {
   thread_local rl::DecodeWorkspace workspace;
   return workspace;
+}
+
+/// Groups the indices of `dags` by node count (lock-stepped decodes need
+/// equal lengths), in ascending node count so chunk boundaries are
+/// deterministic for a given input order, and splits each group of >= 2
+/// into balanced chunks of at most rl::kMaxDecodeBatch — sizes differ by at
+/// most one and every chunk keeps >= 2 graphs.  A node count seen once is a
+/// singleton chunk.
+std::vector<std::vector<std::size_t>> ChunkBySize(
+    std::span<const graph::Dag* const> dags) {
+  std::map<int, std::vector<std::size_t>> by_nodes;
+  for (std::size_t i = 0; i < dags.size(); ++i) {
+    by_nodes[dags[i]->NodeCount()].push_back(i);
+  }
+  std::vector<std::vector<std::size_t>> chunks;
+  for (const auto& [nodes, indices] : by_nodes) {
+    // Ceil-divide under the workspace cap; a singleton stays one chunk.
+    const std::size_t group = indices.size();
+    const std::size_t num_chunks =
+        (group + rl::kMaxDecodeBatch - 1) / rl::kMaxDecodeBatch;
+    const std::size_t base = group / num_chunks;
+    const std::size_t extra = group % num_chunks;
+    std::size_t begin = 0;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::size_t size = base + (c < extra ? 1 : 0);
+      chunks.emplace_back(indices.begin() + begin,
+                          indices.begin() + begin + size);
+      begin += size;
+    }
+  }
+  return chunks;
 }
 
 }  // namespace
@@ -71,31 +102,6 @@ std::vector<EngineResult> RlEngine::ScheduleBatch(
     }
   }
   return results;
-}
-
-std::vector<std::vector<std::size_t>> ChunkBySize(
-    std::span<const graph::Dag* const> dags) {
-  std::map<int, std::vector<std::size_t>> by_nodes;
-  for (std::size_t i = 0; i < dags.size(); ++i) {
-    by_nodes[dags[i]->NodeCount()].push_back(i);
-  }
-  std::vector<std::vector<std::size_t>> chunks;
-  for (const auto& [nodes, indices] : by_nodes) {
-    // Ceil-divide under the workspace cap; a singleton stays one chunk.
-    const std::size_t group = indices.size();
-    const std::size_t num_chunks =
-        (group + rl::kMaxDecodeBatch - 1) / rl::kMaxDecodeBatch;
-    const std::size_t base = group / num_chunks;
-    const std::size_t extra = group % num_chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t size = base + (c < extra ? 1 : 0);
-      chunks.emplace_back(indices.begin() + begin,
-                          indices.begin() + begin + size);
-      begin += size;
-    }
-  }
-  return chunks;
 }
 
 }  // namespace respect::engines

@@ -51,9 +51,6 @@ std::unique_ptr<core::ThreadPool> MakeServicePool(
   const int num_threads = options.num_threads < 1
                               ? core::ThreadPool::DefaultThreadCount()
                               : options.num_threads;
-  if (options.fifo_queue) {
-    return std::make_unique<core::ThreadPool>(num_threads);
-  }
   RequestQueue::Options queue_options;
   queue_options.aging_seconds = options.queue_aging_seconds;
   queue_options.max_batch_inflight = options.max_batch_inflight;
@@ -936,9 +933,9 @@ CompileService::Ticket CompileService::SubmitInternal(
           const double wait = std::chrono::duration<double>(
                                   SteadyClock::now() - pending->enqueue_time)
                                   .count();
-          // Belt and braces: the lane queue fails expired entries at pop
-          // time, but the FIFO baseline doesn't, and a deadline can pass
-          // between the pop decision and this first instruction.
+          // The lane queue fails entries already expired at pop time, but a
+          // deadline can still pass between the pop and this first
+          // instruction.
           if (pending->request.deadline &&
               SteadyClock::now() > *pending->request.deadline) {
             ExpireQueued(pending->request, pending->promise,

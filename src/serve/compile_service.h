@@ -106,12 +106,6 @@ struct ServiceOptions {
   /// serve::RequestQueue); <= 0 means pure strict priority.
   double queue_aging_seconds = 2.0;
 
-  /// Baseline/escape hatch: hand Submit tasks to the pool in plain FIFO
-  /// order — priority and aging are ignored, deadlines only fail fast when
-  /// a worker picks the task up (not while it queues), and
-  /// max_batch_inflight is ignored.
-  bool fifo_queue = false;
-
   /// Max batch-lane solves running concurrently (<= 0 = unlimited).  With
   /// a cap of N, an interactive request never waits behind more than N
   /// batch solves even when a batch flood fills the queue — the remaining
@@ -134,12 +128,12 @@ struct ServiceOptions {
   /// serve::RequestQueue): inside each priority lane, backlogged tenants
   /// receive service proportional to their weight, so one tenant's flood
   /// deepens its own sub-queue instead of starving the others.  Tenants
-  /// absent from the map weigh 1.  Ignored by the fifo_queue baseline.
+  /// absent from the map weigh 1.
   std::map<std::string, double> tenant_weights;
 
   /// Per-tenant concurrency quotas: how many of one tenant's requests may
   /// *run* at once across all lanes.  Tenants absent from the map, and
-  /// entries <= 0, are unlimited.  Ignored by the fifo_queue baseline.
+  /// entries <= 0, are unlimited.
   std::map<std::string, int> tenant_quotas;
 
   /// Ordered engines tried after the preferred engine blows its solve
@@ -173,7 +167,6 @@ struct ServiceOptions {
   /// <= 0 = unbounded.  A request submitted into a full lane is shed —
   /// Ticket::Wait throws Overloaded — instead of deepening the backlog; a
   /// grouped CompileBatch task is one entry, shed with all its members.
-  /// Ignored by the fifo_queue baseline.
   int max_lane_depth = 0;
 
   /// Deadline-aware admission: shed a request at Submit time (Overloaded)

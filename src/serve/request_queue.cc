@@ -60,11 +60,10 @@ void RequestQueue::Push(core::ThreadPool::Task task,
   // Depth-bound admission runs under the pool mutex, so the depth check and
   // the enqueue are atomic with respect to every other Push/Pop: the bound
   // can never be overshot by a race.  The throw propagates out of
-  // ThreadPool::Submit before any pool accounting happens.
+  // ThreadPool::Submit with nothing enqueued.
   if (attrs.sheddable && options_.max_lane_depth > 0 &&
       lane.depth.load(std::memory_order_relaxed) >=
           static_cast<std::size_t>(options_.max_lane_depth)) {
-    lane.shed.fetch_add(1, std::memory_order_relaxed);
     throw Overloaded("lane " + std::string(PriorityName(static_cast<Priority>(
                          LaneIndex(attrs.lane)))) +
                      " at depth bound " +
@@ -118,7 +117,6 @@ core::ThreadPool::Task RequestQueue::TakeEntry(Lane& lane, FlowIter it,
   }
 
   if (expired) {
-    lane.expired.fetch_add(1, std::memory_order_relaxed);
     if (entry.on_expired) return std::move(entry.on_expired);
     return [] {};  // Pop must return a runnable callable
   }
@@ -266,20 +264,6 @@ std::size_t RequestQueue::Depth(Priority lane) const {
       std::memory_order_relaxed);
 }
 
-std::uint64_t RequestQueue::Expired(Priority lane) const {
-  return lanes_[LaneIndex(static_cast<int>(lane))].expired.load(
-      std::memory_order_relaxed);
-}
-
-std::uint64_t RequestQueue::Shed(Priority lane) const {
-  return lanes_[LaneIndex(static_cast<int>(lane))].shed.load(
-      std::memory_order_relaxed);
-}
-
-std::uint64_t RequestQueue::ShutdownDrained() const {
-  return shutdown_drained_.load(std::memory_order_relaxed);
-}
-
 void RequestQueue::Shutdown() {
   // Post-join, single-threaded (the TaskQueue::Shutdown contract): workers
   // stop as soon as Size() hits zero, which strands entries hidden by the
@@ -289,7 +273,6 @@ void RequestQueue::Shutdown() {
   for (Lane& lane : lanes_) {
     for (auto& [name, flow] : lane.flows) {
       for (Entry& entry : flow.entries) {
-        shutdown_drained_.fetch_add(1, std::memory_order_relaxed);
         lane.depth.fetch_sub(1, std::memory_order_relaxed);
         --size_;
         if (entry.on_expired) {

@@ -54,7 +54,7 @@
 //
 // Threading.  Push/Pop/Size run under the owning ThreadPool's mutex (the
 // TaskQueue contract), so the lane/flow deques need no locking of their
-// own.  The depth/expired counters and the batch-running count are atomics;
+// own.  The per-lane depth and the batch-running count are atomics;
 // the per-tenant running map is guarded by its own mutex because wrapped
 // tasks decrement it from worker threads (lock order: pool mutex, then
 // running mutex — the release path takes only the running mutex).
@@ -89,7 +89,7 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
 
     /// Bound on entries resident per lane; <= 0 means unbounded.  Only
     /// entries marked TaskAttrs::sheddable are refused (Push throws
-    /// serve::Overloaded, counted in Shed()); bookkeeping tasks always
+    /// serve::Overloaded); bookkeeping tasks always
     /// enqueue.  The bound compares against the lane's total residency, so
     /// unsheddable entries consume depth but are never rejected.
     int max_lane_depth = 0;
@@ -128,18 +128,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
   /// Entries resident in `lane` right now (atomic; readable off-thread).
   [[nodiscard]] std::size_t Depth(Priority lane) const;
 
-  /// Entries of `lane` expired in-queue so far (atomic; readable
-  /// off-thread).
-  [[nodiscard]] std::uint64_t Expired(Priority lane) const;
-
-  /// Sheddable entries refused at Push because `lane` was at its depth
-  /// bound (atomic; readable off-thread).
-  [[nodiscard]] std::uint64_t Shed(Priority lane) const;
-
-  /// Entries settled by Shutdown() — on_expired run or dropped — instead
-  /// of popped by a worker (atomic; readable off-thread).
-  [[nodiscard]] std::uint64_t ShutdownDrained() const;
-
   /// Batch-lane tasks running right now (atomic; readable off-thread).
   /// Always 0 when no cap is configured — the count is only maintained
   /// when it gates something.
@@ -172,8 +160,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
     std::map<std::string, Flow> flows;  // deterministic iteration order
     double virtual_time = 0.0;
     std::atomic<std::size_t> depth{0};
-    std::atomic<std::uint64_t> expired{0};
-    std::atomic<std::uint64_t> shed{0};
   };
 
   using FlowIter = std::map<std::string, Flow>::iterator;
@@ -206,7 +192,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
   std::array<Lane, kNumPriorityLanes> lanes_;
   std::size_t size_ = 0;
   std::atomic<int> batch_running_{0};
-  std::atomic<std::uint64_t> shutdown_drained_{0};
 
   /// Tenants with a finite quota currently running tasks (see file
   /// comment for the lock order).

@@ -5,7 +5,7 @@
 //    reference, and the same workspace survives different (nodes, batch,
 //    hidden) shapes; empty, null and mixed-size inputs are rejected; a fired
 //    CancelToken unwinds the decode and leaves its workspace reusable;
-//  * the compiler-level batch path (CompileBatch size-grouping, CompileGroup)
+//  * the compiler-level group path (CompileGroup, chunked by node count)
 //    returns element-wise the same schedules as sequential Compile() calls,
 //    and SolveStats reports the batch/single split correctly — stragglers
 //    are decoded one at a time;
@@ -22,13 +22,12 @@
 
 #include "core/cancel.h"
 #include "core/respect.h"
-#include "core/thread_pool.h"
 #include "engines/engine.h"
 #include "graph/sampler.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
-#include "rl/reference_decode.h"
 #include "rl/scheduler.h"
+#include "tests/support/reference_decode.h"
 
 // ---- Global allocation counter (same funnel as decode_parity_test). ----
 
@@ -253,7 +252,7 @@ TEST(BatchScheduleTest, ScheduleRawBatchMatchesSequential) {
   }
 }
 
-TEST(BatchCompileTest, CompileBatchGroupsBySizeAndMatchesSequential) {
+TEST(BatchCompileTest, CompileGroupChunksBySizeAndMatchesSequential) {
   CompilerOptions options;
   options.net.hidden_dim = 16;
   const PipelineCompiler compiler(options);
@@ -267,10 +266,9 @@ TEST(BatchCompileTest, CompileBatchGroupsBySizeAndMatchesSequential) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
-  core::ThreadPool pool(3);
-  const auto batched = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, "RESPECT", pool,
-      &stats);
+  const auto batched = compiler.CompileGroup(
+      std::span<const graph::Dag* const>(ptrs), 4, "RESPECT",
+      tpu::DefaultProfile(), /*cancel=*/{}, &stats);
   ASSERT_EQ(batched.size(), dags.size());
   for (std::size_t i = 0; i < dags.size(); ++i) {
     const auto single = compiler.Compile(dags[i], 4, "RESPECT");
@@ -312,10 +310,9 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
   const auto ptrs = Pointers(dags);
 
   engines::SolveStats stats;
-  core::ThreadPool pool(2);
-  const auto results = compiler.CompileBatch(
-      std::span<const graph::Dag* const>(ptrs), 4, "HuLevel", pool,
-      &stats);
+  const auto results = compiler.CompileGroup(
+      std::span<const graph::Dag* const>(ptrs), 4, "HuLevel",
+      tpu::DefaultProfile(), /*cancel=*/{}, &stats);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(stats.batch_solved, 0u);
   EXPECT_EQ(stats.single_solved, 3u);

@@ -332,9 +332,9 @@ TEST(FailpointTest, EngineSolveSiteFiresForGroupedBatchChunks) {
   }
   const std::vector<const graph::Dag*> pointers = {&dags[0], &dags[1],
                                                    &dags[2]};
-  core::ThreadPool pool(2);
   const ScopedFailpoint fp("engine.solve.RESPECT", "error");
-  EXPECT_THROW((void)compiler.CompileBatch(pointers, 4, "respect", pool),
+  EXPECT_THROW((void)compiler.CompileGroup(pointers, 4, "respect",
+                                           tpu::DefaultProfile()),
                FailpointError);
 }
 
@@ -691,6 +691,31 @@ TEST(RequestQueueChaosTest, QueuePopFailpointFiresOnTheWorkerSide) {
   EXPECT_EQ(queue.Size(), 0u);
 }
 
+TEST(RequestQueueChaosTest, DeadlineLapsingAfterThePopFailsBeforeTheSolve) {
+  // The entry is live when the idle worker pops it; the injected stall runs
+  // between the pop and the task body, past the deadline.  The service's
+  // post-pop re-check must fail it before any solve starts.
+  EnsureChaosEngines();
+  serve::ServiceOptions svc;
+  svc.num_threads = 1;
+  serve::CompileService service(FastOptions(), svc);
+  const ScopedFailpoint fp("queue.pop", "delay(80)");
+
+  CompileRequest request;
+  request.dag = SampleDag(20, 81);
+  request.num_stages = 4;
+  request.engine = "list";
+  request.deadline = serve::DeadlineIn(0.03);
+  const auto ticket = service.Submit(std::move(request));
+  EXPECT_THROW((void)ticket.Wait(), DeadlineExceeded);
+
+  const auto metrics = service.Metrics();
+  EXPECT_EQ(metrics.misses, 0u);
+  EXPECT_EQ(metrics.deadline_expired, 1u);
+  EXPECT_EQ(metrics.lanes[static_cast<std::size_t>(Priority::kNormal)].expired,
+            1u);
+}
+
 // ── Fleet network fault injection ────────────────────────────────────────
 
 TEST(NetChaosTest, InjectedWriteFailureIsTypedAndTheLinkRecovers) {
@@ -821,7 +846,6 @@ TEST(RequestQueueChaosTest, ShutdownSettlesEveryResidentEntryExactlyOnce) {
   queue.Shutdown();
   EXPECT_EQ(expired_a.load(), 1);
   EXPECT_EQ(expired_b.load(), 1);
-  EXPECT_EQ(queue.ShutdownDrained(), 3u);
   EXPECT_EQ(queue.Size(), 0u);
   EXPECT_EQ(queue.Depth(Priority::kInteractive), 0u);
   EXPECT_EQ(queue.Depth(Priority::kBatch), 0u);

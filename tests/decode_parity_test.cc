@@ -1,8 +1,9 @@
 // Guards for the fused zero-allocation inference decode (one entry point,
 // DecodeGreedyBatch, with DecodeGreedy as its one-graph case):
 //  * DecodeGreedy produces bit-identical sequences to the frozen
-//    pre-optimization reference implementation (rl/reference_decode.h)
-//    across sampled graph complexities (deg 2-6) and both MaskingModes;
+//    pre-optimization reference implementation
+//    (tests/support/reference_decode.h) across sampled graph complexities
+//    (deg 2-6) and both MaskingModes;
 //  * both branches of the decode-step kernels — the k-major panel GEMVs at
 //    B = 1 and the row-pair GEMM at B >= 2 — match the allocating Step /
 //    PointerLogits value for value, at hidden sizes that are not multiples
@@ -30,9 +31,9 @@
 #include "nn/lstm.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
-#include "rl/reference_decode.h"
 #include "rl/scheduler.h"
 #include "sched/postprocess.h"
+#include "tests/support/reference_decode.h"
 
 // ---- Global allocation counter.  Every operator new in this binary funnels
 // through malloc with a counter bump, so the zero-allocation guard below can

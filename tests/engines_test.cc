@@ -1,17 +1,21 @@
 // The SchedulerEngine registry and the batch compilation path: every
 // registered engine must produce valid schedules across the paper's graph
-// complexity sweep (deg(V) ∈ {2..6}), CompileBatch must match the sequential
-// path bit-for-bit, and the registry must behave as the single source of
-// truth for names and aliases.
+// complexity sweep (deg(V) ∈ {2..6}), CompileService::CompileBatch must match
+// the sequential PipelineCompiler::Compile bit-for-bit, and the registry must
+// behave as the single source of truth for names and aliases.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <memory>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/respect.h"
@@ -20,6 +24,8 @@
 #include "engines/registry.h"
 #include "graph/sampler.h"
 #include "sched/device_aware.h"
+#include "serve/compile_service.h"
+#include "serve/request.h"
 
 namespace respect {
 namespace {
@@ -162,23 +168,6 @@ TEST(EngineRegistryTest, LookupResultsStayValidAcrossRegistrations) {
   EXPECT_EQ(registry.Find("RESPECT"), before);
   EXPECT_EQ(before->name, "RESPECT");
   EXPECT_EQ(name_before, "RESPECT");
-}
-
-TEST(ThreadPoolTest, ConcurrentParallelForCallsDoNotBlockEachOther) {
-  // Two callers sharing one pool: each ParallelFor must return once its own
-  // tasks finish, even while the other keeps the pool busy.
-  core::ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::thread other([&] {
-    for (int round = 0; round < 4; ++round) {
-      core::ParallelFor(pool, 16, [&](std::size_t) { total.fetch_add(1); });
-    }
-  });
-  for (int round = 0; round < 4; ++round) {
-    core::ParallelFor(pool, 16, [&](std::size_t) { total.fetch_add(1); });
-  }
-  other.join();
-  EXPECT_EQ(total.load(), 2 * 4 * 16);
 }
 
 // Every registered engine must schedule the paper's full complexity sweep.
@@ -335,31 +324,48 @@ std::vector<graph::Dag> SampleBatch(int count, std::uint64_t seed) {
   return dags;
 }
 
-std::vector<const graph::Dag*> Pointers(const std::vector<graph::Dag>& dags) {
-  std::vector<const graph::Dag*> pointers;
-  pointers.reserve(dags.size());
-  for (const graph::Dag& dag : dags) pointers.push_back(&dag);
-  return pointers;
+/// One request per graph, in input order.
+std::vector<serve::CompileRequest> Requests(
+    const std::vector<graph::Dag>& dags, int num_stages,
+    std::string_view engine,
+    serve::CachePolicy policy = serve::CachePolicy::kUse) {
+  std::vector<serve::CompileRequest> requests;
+  requests.reserve(dags.size());
+  for (const graph::Dag& dag : dags) {
+    serve::CompileRequest request;
+    request.dag = dag;
+    request.num_stages = num_stages;
+    request.engine = std::string(engine);
+    request.cache_policy = policy;
+    requests.push_back(std::move(request));
+  }
+  return requests;
 }
 
-// Acceptance criterion: CompileBatch over >= 8 sampled DAGs with 4 threads
-// produces schedules identical to the sequential path.
+serve::ServiceOptions ServiceWithThreads(int num_threads) {
+  serve::ServiceOptions options;
+  options.num_threads = num_threads;
+  return options;
+}
+
+// Acceptance criterion: CompileService::CompileBatch over >= 8 sampled DAGs
+// with 4 threads produces schedules identical to the sequential path.
 TEST(CompileBatchTest, ParallelMatchesSequential) {
   PipelineCompiler compiler(FastOptions());
+  serve::CompileService service(FastOptions(), ServiceWithThreads(4));
   const std::vector<graph::Dag> dags = SampleBatch(10, 7);
-  const std::vector<const graph::Dag*> pointers = Pointers(dags);
-  core::ThreadPool pool(4);
 
   for (const std::string_view engine : {"RESPECT", "ExactILP", "ListScheduling",
                                         "Annealing", "GreedyBalance"}) {
-    const std::vector<CompileResult> parallel =
-        compiler.CompileBatch(pointers, 4, engine, pool);
+    const std::vector<serve::CompileResponse> parallel =
+        service.CompileBatch(Requests(dags, 4, engine));
     ASSERT_EQ(parallel.size(), dags.size()) << engine;
     for (std::size_t i = 0; i < dags.size(); ++i) {
       const CompileResult sequential = compiler.Compile(dags[i], 4, engine);
-      EXPECT_EQ(parallel[i].schedule.stage, sequential.schedule.stage)
+      ASSERT_NE(parallel[i].result, nullptr) << engine << " dag " << i;
+      EXPECT_EQ(parallel[i].result->schedule.stage, sequential.schedule.stage)
           << engine << " dag " << i;
-      EXPECT_EQ(parallel[i].peak_stage_param_bytes,
+      EXPECT_EQ(parallel[i].result->peak_stage_param_bytes,
                 sequential.peak_stage_param_bytes)
           << engine << " dag " << i;
     }
@@ -367,56 +373,49 @@ TEST(CompileBatchTest, ParallelMatchesSequential) {
 }
 
 TEST(CompileBatchTest, RepeatedParallelRunsAreDeterministic) {
-  PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(8, 13);
-  const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
   // Two pools of different sizes: the split across workers must not matter.
-  core::ThreadPool four(4);
-  core::ThreadPool three(3);
-  const auto first =
-      compiler.CompileBatch(pointers, 4, "Annealing", four);
-  const auto second = compiler.CompileBatch(pointers, 4, "anneal", three);
+  serve::CompileService four(FastOptions(), ServiceWithThreads(4));
+  serve::CompileService three(FastOptions(), ServiceWithThreads(3));
+  const auto first = four.CompileBatch(Requests(dags, 4, "Annealing"));
+  const auto second = three.CompileBatch(Requests(dags, 4, "anneal"));
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].schedule.stage, second[i].schedule.stage) << i;
+    EXPECT_EQ(first[i].result->schedule.stage,
+              second[i].result->schedule.stage)
+        << i;
   }
 }
 
 TEST(CompileBatchTest, BackToBackBatchesOnOnePoolAgree) {
-  PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(8, 23);
-  const std::vector<const graph::Dag*> pointers = Pointers(dags);
 
-  // Back-to-back batches on the same pool (the serving-loop shape).
-  core::ThreadPool pool(4);
-  const auto first =
-      compiler.CompileBatch(pointers, 4, "ListScheduling", pool);
-  const auto second = compiler.CompileBatch(pointers, 4, "list", pool);
+  // Back-to-back batches on the same pool (the serving-loop shape).  The
+  // cache is bypassed so the second batch solves again instead of hitting.
+  serve::CompileService service(FastOptions(), ServiceWithThreads(4));
+  const auto first = service.CompileBatch(
+      Requests(dags, 4, "ListScheduling", serve::CachePolicy::kBypass));
+  const auto second = service.CompileBatch(
+      Requests(dags, 4, "list", serve::CachePolicy::kBypass));
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].schedule.stage, second[i].schedule.stage) << i;
+    EXPECT_EQ(first[i].outcome, serve::CacheOutcome::kBypass) << i;
+    EXPECT_EQ(second[i].outcome, serve::CacheOutcome::kBypass) << i;
+    EXPECT_EQ(first[i].result->schedule.stage,
+              second[i].result->schedule.stage)
+        << i;
   }
 }
 
 TEST(CompileBatchTest, WorkerExceptionsReachTheCaller) {
-  PipelineCompiler compiler(FastOptions());
   const std::vector<graph::Dag> dags = SampleBatch(2, 17);
   // 30-node graphs cannot fill 64 stages; the failure must not be swallowed
   // by the pool.
-  const std::vector<const graph::Dag*> pointers = Pointers(dags);
-  core::ThreadPool pool(2);
+  serve::CompileService service(FastOptions(), ServiceWithThreads(2));
   EXPECT_THROW(
-      (void)compiler.CompileBatch(pointers, 64, "GreedyBalance", pool),
+      (void)service.CompileBatch(Requests(dags, 64, "GreedyBalance")),
       std::exception);
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  core::ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  core::ParallelFor(pool, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
 TEST(ThreadPoolTest, TasksOverlapAcrossWorkers) {
@@ -424,38 +423,35 @@ TEST(ThreadPoolTest, TasksOverlapAcrossWorkers) {
   // jitter): with 8 sleeping tasks on 4 workers, at least two tasks must be
   // observed in flight at once — a serializing pool would peak at 1.  Sleep
   // overlap holds even on single-core machines.
-  core::ThreadPool pool(4);
+  constexpr int kTasks = 8;
   std::atomic<int> active{0};
   std::atomic<int> peak{0};
-  core::ParallelFor(pool, 8, [&](std::size_t) {
-    const int now = active.fetch_add(1) + 1;
-    int prev = peak.load();
-    while (now > prev && !peak.compare_exchange_weak(prev, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    active.fetch_sub(1);
-  });
+  std::latch done(kTasks);
+  core::ThreadPool pool(4);  // joins its workers before the state above dies
+  for (int t = 0; t < kTasks; ++t) {
+    pool.Submit([&] {
+      const int now = active.fetch_add(1) + 1;
+      int prev = peak.load();
+      while (now > prev && !peak.compare_exchange_weak(prev, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      active.fetch_sub(1);
+      done.count_down();
+    });
+  }
+  done.wait();
   EXPECT_GE(peak.load(), 2);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
-  // A 1-thread pool makes blocking nested use a guaranteed deadlock; the
-  // nested call must degrade to inline execution.
-  core::ThreadPool pool(1);
-  std::atomic<int> inner_total{0};
-  core::ParallelFor(pool, 3, [&](std::size_t) {
-    core::ParallelFor(pool, 4, [&](std::size_t) { inner_total.fetch_add(1); });
-  });
-  EXPECT_EQ(inner_total.load(), 12);
-}
-
 TEST(ThreadPoolTest, ThrowingSubmitTaskDoesNotWedgeThePool) {
-  core::ThreadPool pool(2);
-  std::atomic<int> ran{0};
+  // One worker: the task after the throwing one can only run if the worker
+  // survived the throw.
+  std::promise<void> ran;
+  core::ThreadPool pool(1);  // joins its worker before `ran` dies
   pool.Submit([] { throw std::runtime_error("dropped"); });
-  pool.Submit([&] { ran.fetch_add(1); });
-  pool.Wait();  // must return despite the throwing task
-  EXPECT_EQ(ran.load(), 1);
+  pool.Submit([&] { ran.set_value(); });
+  EXPECT_EQ(ran.get_future().wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
 }
 
 TEST(ThreadPoolTest, ClampsThreadCount) {

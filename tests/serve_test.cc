@@ -969,34 +969,5 @@ TEST(CompileServiceQueueTest, BatchCapKeepsAWorkerFreeForInteractive) {
   EXPECT_EQ(service.Metrics().lanes[batch].started, 3u);
 }
 
-// The FIFO baseline still fails lapsed deadlines (at task start rather
-// than at pop time) — the escape hatch must not silently drop the deadline
-// contract.
-TEST(CompileServiceQueueTest, FifoQueueStillFailsLapsedDeadlines) {
-  EnsureRecordingEngine();
-  serve::ServiceOptions options;
-  options.num_threads = 1;
-  options.fifo_queue = true;
-  serve::CompileService service(FastOptions(), options);
-
-  auto blocker = service.Submit(
-      QueuedRequest(NamedDag(67, "hold-blocker"), Priority::kNormal));
-  RecordingEngine::WaitForSolves(1);
-
-  CompileRequest doomed =
-      QueuedRequest(NamedDag(69, "doomed"), Priority::kInteractive);
-  doomed.deadline = serve::DeadlineIn(0.02);
-  auto doomed_ticket = service.Submit(std::move(doomed));
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  RecordingEngine::Release();
-
-  EXPECT_THROW((void)doomed_ticket.Wait(), DeadlineExceeded);
-  (void)blocker.Wait();
-  for (const std::string& name : RecordingEngine::Order()) {
-    EXPECT_NE(name, "doomed");
-  }
-  EXPECT_EQ(service.Metrics().deadline_expired, 1u);
-}
-
 }  // namespace
 }  // namespace respect

@@ -1,4 +1,4 @@
-#include "rl/reference_decode.h"
+#include "tests/support/reference_decode.h"
 
 #include <cmath>
 

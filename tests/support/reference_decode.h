@@ -7,7 +7,8 @@
 // tests/batch_decode_test.cc), and bench_micro reports the before/after
 // decode throughput against it.  It re-derives every step from the agent's
 // ParamStore through the allocating nn value ops, so any arithmetic drift in
-// the fused kernels shows up as a sequence mismatch.
+// the fused kernels shows up as a sequence mismatch.  Being test-only, it
+// lives outside librespect, in the respect_test_support library.
 #pragma once
 
 #include <vector>
