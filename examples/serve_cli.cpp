@@ -569,7 +569,6 @@ int RunChaosDemo(const CompilerOptions& options,
   service_options.breaker_open_seconds = 0.5;
   service_options.max_lane_depth = 8;
 
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
   // The default fault mix; a --failpoint=SPEC on the command line adds to
   // (or, for the same sites, overrides) these.  The engine fault count
   // matches the breaker threshold exactly: the first wave absorbs the whole
@@ -588,10 +587,6 @@ int RunChaosDemo(const CompilerOptions& options,
               "serve.writeback=error(x2) queue.pop=delay(1ms,x16)\n",
               requests, zoo.size(), stages, canonical.c_str(),
               canonical.c_str(), static_cast<unsigned long long>(injected));
-#else
-  std::printf("chaos demo: built with RESPECT_FAILPOINTS=OFF — nothing to "
-              "arm; running the stream fault-free\n");
-#endif
 
   serve::CompileService service(options, service_options);
   std::mt19937_64 rng(53);
@@ -660,9 +655,7 @@ int RunChaosDemo(const CompilerOptions& options,
       std::this_thread::sleep_for(std::chrono::milliseconds(600));
     }
   }
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
   core::failpoint::ClearAll();
-#endif
 
   std::printf("  settled %d/%d: %d valid (%d degraded), %d deadline, "
               "%d overloaded, %d UNTYPED\n",
@@ -1376,18 +1369,12 @@ int main(int argc, char** argv) {
   }
 
   if (!failpoints.empty()) {
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
     if (!respect::core::failpoint::ConfigureFromSpec(failpoints)) {
       std::fprintf(stderr, "error: malformed --failpoint spec '%s'\n",
                    failpoints.c_str());
       return Usage(argv[0]);
     }
     std::printf("failpoints armed: %s\n", failpoints.c_str());
-#else
-    std::fprintf(stderr, "error: --failpoint requires a build with "
-                 "RESPECT_FAILPOINTS=ON\n");
-    return 1;
-#endif
   }
 
   // Arm the tracer before any service exists so admission mints trace ids

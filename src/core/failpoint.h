@@ -12,8 +12,7 @@
 // or from a CLI spec string: "store.write=error;queue.pop=delay(5)".
 //
 // Cost model: when no site is configured anywhere, a failpoint is one
-// relaxed atomic load.  When RESPECT_FAILPOINTS is compiled out (CMake
-// -DRESPECT_FAILPOINTS=OFF) the macro expands to nothing.
+// relaxed atomic load.
 //
 // Actions:
 //   off         — count the visit, inject nothing (for assertions).
@@ -88,7 +87,6 @@ class ScopedFailpoint {
 
 }  // namespace respect::core::failpoint
 
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
 #define RESPECT_FAILPOINT(site)                     \
   do {                                              \
     if (::respect::core::failpoint::Armed()) {      \
@@ -101,11 +99,3 @@ class ScopedFailpoint {
       ::respect::core::failpoint::EvaluateTagged(site, tag); \
     }                                                        \
   } while (false)
-#else
-#define RESPECT_FAILPOINT(site) \
-  do {                          \
-  } while (false)
-#define RESPECT_FAILPOINT_TAGGED(site, tag) \
-  do {                                      \
-  } while (false)
-#endif

@@ -45,9 +45,8 @@ class ThreadPool {
 
     /// Fair-queueing flow this task belongs to (the serving layer passes
     /// the tenant id).  Policy queues may schedule flows weighted-fair
-    /// inside a lane and enforce per-flow concurrency quotas; the FIFO
-    /// default and empty flows ("" = the shared default flow) behave as if
-    /// the field did not exist.
+    /// inside a lane; the FIFO default and empty flows ("" = the shared
+    /// default flow) behave as if the field did not exist.
     std::string flow;
 
     /// Marks the entry as load-sheddable: a bounded policy queue may refuse

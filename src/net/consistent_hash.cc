@@ -8,9 +8,7 @@
 
 namespace respect::net {
 
-ConsistentHashRing::ConsistentHashRing(std::vector<std::string> members,
-                                       int virtual_nodes) {
-  const int vnodes = std::max(1, virtual_nodes);
+ConsistentHashRing::ConsistentHashRing(std::vector<std::string> members) {
   members_.reserve(members.size());
   for (std::string& member : members) {
     if (std::find(members_.begin(), members_.end(), member) !=
@@ -19,9 +17,9 @@ ConsistentHashRing::ConsistentHashRing(std::vector<std::string> members,
     }
     members_.push_back(std::move(member));
   }
-  ring_.reserve(members_.size() * static_cast<std::size_t>(vnodes));
+  ring_.reserve(members_.size() * kVirtualNodes);
   for (std::uint32_t index = 0; index < members_.size(); ++index) {
-    for (int vnode = 0; vnode < vnodes; ++vnode) {
+    for (int vnode = 0; vnode < kVirtualNodes; ++vnode) {
       graph::CanonicalHasher h;
       h.Update("respect-fleet-ring-v1");
       h.Update(members_[index]);

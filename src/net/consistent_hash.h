@@ -1,7 +1,7 @@
 // Consistent-hash ring over fleet member addresses — the routing rule that
 // gives every content-addressed request key one home shard.
 //
-// Each member contributes `virtual_nodes` points on a 64-bit ring (the
+// Each member contributes kVirtualNodes points on a 64-bit ring (the
 // graph::CanonicalHasher digest of member + vnode index, taking .lo — the
 // same well-mixed half the request key routes on); a key's owner is the
 // member holding the first point at or clockwise after key.lo.  Properties
@@ -24,15 +24,13 @@ namespace respect::net {
 
 class ConsistentHashRing {
  public:
-  inline static constexpr int kDefaultVirtualNodes = 64;
+  inline static constexpr int kVirtualNodes = 64;
 
   /// An empty ring owns nothing (OwnerOf throws).
   ConsistentHashRing() = default;
 
-  /// Builds the ring from member addresses.  Duplicate members collapse;
-  /// virtual_nodes is clamped to >= 1.
-  explicit ConsistentHashRing(std::vector<std::string> members,
-                              int virtual_nodes = kDefaultVirtualNodes);
+  /// Builds the ring from member addresses.  Duplicate members collapse.
+  explicit ConsistentHashRing(std::vector<std::string> members);
 
   [[nodiscard]] bool Empty() const { return ring_.empty(); }
   [[nodiscard]] const std::vector<std::string>& Members() const {

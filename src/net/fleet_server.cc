@@ -42,10 +42,8 @@ FleetServer::FleetServer(serve::CompileService& service,
   if (!options_.members.empty()) {
     SetMembers(options_.members, options_.self_address);
   }
-  if (options_.peer_warm) {
-    service_.SetPeerFetch(
-        [this](const graph::CanonicalHash& key) { return PeerFetch(key); });
-  }
+  service_.SetPeerFetch(
+      [this](const graph::CanonicalHash& key) { return PeerFetch(key); });
   pool_ = std::make_unique<core::ThreadPool>(std::max(1, options_.num_threads));
   accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
@@ -62,8 +60,7 @@ std::string FleetServer::Address() const {
 
 void FleetServer::SetMembers(std::vector<std::string> members,
                              std::string self_address) {
-  auto ring = std::make_shared<const ConsistentHashRing>(
-      std::move(members), options_.virtual_nodes);
+  auto ring = std::make_shared<const ConsistentHashRing>(std::move(members));
   const std::lock_guard<std::mutex> lock(ring_mutex_);
   ring_ = std::move(ring);
   self_ = std::move(self_address);
@@ -78,7 +75,7 @@ void FleetServer::Stop() {
   if (stop_.exchange(true)) return;
   // Uninstall the hook first: after Stop returns, no service thread may
   // call back into this (soon-to-be-destroyed) server.
-  if (options_.peer_warm) service_.SetPeerFetch(nullptr);
+  service_.SetPeerFetch(nullptr);
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     // Unstick handlers blocked in RecvFrame; they observe the shutdown as
@@ -132,7 +129,6 @@ bool TrySendError(Socket& conn, WireErrorKind kind, const char* message) {
 }  // namespace
 
 void FleetServer::ServeConnection(const std::shared_ptr<Socket>& conn) {
-  if (options_.idle_timeout_ms > 0) conn->SetIoTimeout(options_.idle_timeout_ms);
   while (!stop_.load(std::memory_order_relaxed)) {
     FrameType type = FrameType::kPing;
     std::string payload;
@@ -148,7 +144,7 @@ void FleetServer::ServeConnection(const std::shared_ptr<Socket>& conn) {
                    "malformed frame; closing connection");
       return;
     } catch (const NetError&) {
-      return;  // clean close, reset, idle timeout, or Stop's shutdown
+      return;  // clean close, reset, or Stop's shutdown
     }
     try {
       HandleFrame(*conn, type, payload);

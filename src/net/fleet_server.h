@@ -72,23 +72,14 @@ struct FleetServerOptions {
   std::vector<std::string> members;
   std::string self_address;
 
-  int virtual_nodes = ConsistentHashRing::kDefaultVirtualNodes;
-
   /// Relay non-owned cold requests to their home shard (else: always serve
   /// locally, which forfeits fleet-wide dedup but never pays a hop).
   bool forward_to_owner = true;
-
-  /// Install the peer spill-fetch hook on the service.
-  bool peer_warm = true;
 
   /// Per peer-RPC I/O bound (forward + fetch).  Also the liveness
   /// backstop: mutual peer traffic can never deadlock, only time out and
   /// degrade.
   int io_timeout_ms = 10000;
-
-  /// Read timeout on accepted connections; <= 0 = block until the client
-  /// closes (Stop still unsticks handlers via socket shutdown).
-  int idle_timeout_ms = 0;
 
   /// Stamped as the chrometrace `pid` on this shard's kTraceDump replies,
   /// so a merged fleet trace shows one process row per shard.

@@ -77,15 +77,6 @@ Counter& Registry::GetCounter(std::string name, std::string help) {
   return counters_.back().metric;
 }
 
-Gauge& Registry::GetGauge(std::string name, std::string help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& entry : gauges_) {
-    if (entry.name == name) return entry.metric;
-  }
-  gauges_.emplace_back(std::move(name), std::move(help));
-  return gauges_.back().metric;
-}
-
 Histogram& Registry::GetHistogram(std::string name, std::string help,
                                   std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -113,10 +104,6 @@ void Registry::RenderPrometheus(std::ostream& os) const {
   for (const auto& entry : counters_) {
     WriteHeader(os, entry.name, entry.help, "counter");
     os << entry.name << ' ' << entry.metric.load() << '\n';
-  }
-  for (const auto& entry : gauges_) {
-    WriteHeader(os, entry.name, entry.help, "gauge");
-    os << entry.name << ' ' << entry.metric.Value() << '\n';
   }
   for (const auto& entry : histograms_) {
     WriteHeader(os, entry.name, entry.help, "histogram");

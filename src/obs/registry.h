@@ -1,5 +1,5 @@
-// Unified metrics registry: counters, gauges, and fixed-bucket latency
-// histograms with Prometheus text exposition.
+// Unified metrics registry: counters and fixed-bucket latency histograms
+// with Prometheus text exposition.
 //
 // Design constraints, in order:
 //  1. Zero call-site churn.  The serve/store/net layers already increment
@@ -55,24 +55,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins gauge (doubles, e.g. queue depth or utilization).
-class Gauge {
- public:
-  Gauge() = default;
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(double v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
-  double Value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 /// Fixed-upper-bound latency histogram (cumulative buckets, Prometheus
 /// style) with interpolated quantile extraction.  Observe is lock-free;
 /// Quantile/Count/Sum read relaxed snapshots (monitoring-grade accuracy).
@@ -108,7 +90,7 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Named metric registry.  GetCounter/GetGauge/GetHistogram are idempotent:
+/// Named metric registry.  GetCounter/GetHistogram are idempotent:
 /// the first call registers, later calls return the same instance (help text
 /// from the first registration wins).  All returned references stay valid
 /// for the registry's lifetime.
@@ -119,7 +101,6 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   Counter& GetCounter(std::string name, std::string help = "");
-  Gauge& GetGauge(std::string name, std::string help = "");
   /// Empty `bounds` selects Histogram::LatencyBoundsSeconds().
   Histogram& GetHistogram(std::string name, std::string help = "",
                           std::vector<double> bounds = {});
@@ -142,7 +123,6 @@ class Registry {
 
   mutable std::mutex mu_;
   std::deque<Entry<Counter>> counters_;
-  std::deque<Entry<Gauge>> gauges_;
   std::deque<Entry<Histogram>> histograms_;
 };
 

@@ -13,8 +13,7 @@
 //
 // Cost model (the core::failpoint discipline): when the tracer is stopped,
 // OBS_SPAN is one relaxed atomic load in the constructor and one branch in
-// the destructor.  When RESPECT_OBS is compiled out (CMake -DRESPECT_OBS=OFF)
-// the macro expands to nothing.
+// the destructor.
 //
 // Threading: each thread owns one single-producer ring; the emitting thread
 // is the only writer, and Drain() is the only consumer (release/acquire on
@@ -113,8 +112,8 @@ class ScopedTraceId {
   std::uint64_t previous_;
 };
 
-/// RAII span.  Use through OBS_SPAN / OBS_SPAN_DETAIL, not directly: the
-/// macro is what compiles away under -DRESPECT_OBS=OFF.
+/// RAII span.  Use through OBS_SPAN / OBS_SPAN_DETAIL, which name the
+/// scoped object.
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name) noexcept
@@ -151,7 +150,6 @@ void RecordInstant(const char* name, const char* detail = nullptr,
 
 }  // namespace respect::obs
 
-#if defined(RESPECT_OBS) && RESPECT_OBS
 #define RESPECT_OBS_CONCAT_INNER(a, b) a##b
 #define RESPECT_OBS_CONCAT(a, b) RESPECT_OBS_CONCAT_INNER(a, b)
 /// Opens a span named `site` (a string literal) for the enclosing scope.
@@ -162,11 +160,3 @@ void RecordInstant(const char* name, const char* detail = nullptr,
   ::respect::obs::ScopedSpan RESPECT_OBS_CONCAT(obs_span_, __LINE__) {    \
     (site), (detail_ptr), static_cast<std::uint32_t>(detail_len)          \
   }
-#else
-#define OBS_SPAN(site) \
-  do {                 \
-  } while (false)
-#define OBS_SPAN_DETAIL(site, detail_ptr, detail_len) \
-  do {                                                \
-  } while (false)
-#endif

@@ -56,7 +56,6 @@ std::unique_ptr<core::ThreadPool> MakeServicePool(
   queue_options.max_batch_inflight = options.max_batch_inflight;
   queue_options.max_lane_depth = options.max_lane_depth;
   queue_options.tenant_weights = options.tenant_weights;
-  queue_options.tenant_quotas = options.tenant_quotas;
   return std::make_unique<core::ThreadPool>(
       num_threads, std::make_unique<RequestQueue>(queue_options));
 }
@@ -84,7 +83,6 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
         std::make_unique<store::TinyLfuAdmission>(options.cache_capacity);
   }
   default_solve_budget_seconds_ = options.default_solve_budget_seconds;
-  deadline_admission_ = options.deadline_admission;
   breaker_options_.failure_threshold = options.breaker_failure_threshold;
   breaker_options_.open_seconds = options.breaker_open_seconds;
   breaker_options_.clock = options.breaker_clock;
@@ -297,16 +295,6 @@ double CompileService::BudgetFor(const CompileRequest& request) const {
                                             : default_solve_budget_seconds_;
 }
 
-void CompileService::RecordSolve(double seconds) {
-  solve_hist_.Observe(seconds);
-  // Load-compute-store EWMA: a lost race skews the admission estimate by
-  // one sample, which it tolerates by construction.
-  const double prev = ewma_solve_seconds_.load(std::memory_order_relaxed);
-  ewma_solve_seconds_.store(
-      prev == 0.0 ? seconds : 0.8 * prev + 0.2 * seconds,
-      std::memory_order_relaxed);
-}
-
 void CompileService::SolveCold(std::span<ColdSolve> solves) {
   OBS_SPAN("serve.solve");
   std::vector<ColdSolve*> group;
@@ -411,7 +399,7 @@ void CompileService::SolveGroup(std::span<ColdSolve* const> group) {
           solve.solve_seconds = amortized;
           solve.engine_used = engine;
           solve.grouped = true;
-          RecordSolve(amortized);
+          solve_hist_.Observe(amortized);
         }
       });
   if (solved) return;
@@ -447,7 +435,7 @@ void CompileService::WalkChain(ColdSolve& solve, ChainStart chain) {
           solve.solve_seconds =
               std::chrono::duration<double>(SteadyClock::now() - begin)
                   .count();
-          RecordSolve(solve.solve_seconds);
+          solve_hist_.Observe(solve.solve_seconds);
         });
     if (solved) {
       solve.engine_used = engine;
@@ -877,41 +865,9 @@ CompileService::Ticket CompileService::SubmitInternal(
 
   Ticket ticket(pending->promise.get_future().share());
 
-  // Deadline-aware admission (opt-in): when the lane's backlog times the
-  // recent average solve cost already exceeds the request's deadline, the
-  // queue wait alone would expire it — shed now (Overloaded) instead of
-  // letting a doomed entry deepen the backlog for everyone behind it.
-  if (deadline_admission_ && pending->request.deadline) {
-    const double ewma = ewma_solve_seconds_.load(std::memory_order_relaxed);
-    const LaneCounters& counters = lane_counters_[lane];
-    const std::uint64_t enqueued =
-        counters.enqueued.load(std::memory_order_relaxed);
-    const std::uint64_t settled =
-        counters.started.load(std::memory_order_relaxed) +
-        counters.expired.load(std::memory_order_relaxed) +
-        counters.shed.load(std::memory_order_relaxed);
-    const double backlog =
-        enqueued > settled ? static_cast<double>(enqueued - settled) : 0.0;
-    const double est_wait =
-        backlog * ewma / std::max(1, pool_->NumThreads());
-    if (ewma > 0.0 &&
-        pending->enqueue_time +
-                std::chrono::duration_cast<SteadyClock::duration>(
-                    std::chrono::duration<double>(est_wait)) >
-            *pending->request.deadline) {
-      lane_counters_[lane].shed.fetch_add(1, std::memory_order_relaxed);
-      pending->promise.set_exception(std::make_exception_ptr(Overloaded(
-          "deadline-aware admission: estimated queue wait " +
-          std::to_string(est_wait) + "s on lane " +
-          std::string(PriorityName(pending->request.priority)) +
-          " exceeds the request deadline")));
-      return ticket;
-    }
-  }
-
   core::ThreadPool::TaskAttrs attrs;
   attrs.lane = static_cast<int>(lane);
-  attrs.flow = pending->request.tenant;  // weighted-fair queueing + quotas
+  attrs.flow = pending->request.tenant;  // weighted-fair queueing
   attrs.sheddable = true;  // a full lane refuses us with Overloaded
   attrs.trace_id = pending->request.trace_id;
   if (pending->request.deadline) {

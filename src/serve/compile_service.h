@@ -76,7 +76,7 @@
 #include "obs/registry.h"
 #include "serve/circuit_breaker.h"
 #include "serve/request.h"
-#include "serve/store/cache_store.h"
+#include "serve/store/disk_store.h"
 #include "tpu/device_profile.h"
 
 namespace respect::core {
@@ -131,11 +131,6 @@ struct ServiceOptions {
   /// absent from the map weigh 1.
   std::map<std::string, double> tenant_weights;
 
-  /// Per-tenant concurrency quotas: how many of one tenant's requests may
-  /// *run* at once across all lanes.  Tenants absent from the map, and
-  /// entries <= 0, are unlimited.
-  std::map<std::string, int> tenant_quotas;
-
   /// Ordered engines tried after the preferred engine blows its solve
   /// budget, throws, or sits behind an open circuit breaker.  Canonical
   /// names or aliases, resolved to canonical names at construction (unknown
@@ -168,13 +163,6 @@ struct ServiceOptions {
   /// Ticket::Wait throws Overloaded — instead of deepening the backlog; a
   /// grouped CompileBatch task is one entry, shed with all its members.
   int max_lane_depth = 0;
-
-  /// Deadline-aware admission: shed a request at Submit time (Overloaded)
-  /// when its lane's backlog times the recent average solve cost already
-  /// exceeds the request's deadline — the queue wait alone would expire it.
-  /// Off by default: expiry then still fails the request fast, but only
-  /// once it surfaces in the queue.
-  bool deadline_admission = false;
 };
 
 /// Per-tenant async-path counters ("" is the shared default tenant).
@@ -401,7 +389,7 @@ class CompileService {
       const graph::CanonicalHash& key);
 
   /// Verifies and persists raw envelope bytes under `key` (see
-  /// store::CacheStore::ImportRaw).  False without a store or when the
+  /// store::DiskStore::ImportRaw).  False without a store or when the
   /// bytes are refused.
   bool ImportSpill(const graph::CanonicalHash& key, std::string_view bytes);
 
@@ -573,9 +561,6 @@ class CompileService {
   /// Per-attempt solve budget in seconds (0 = unlimited).
   [[nodiscard]] double BudgetFor(const CompileRequest& request) const;
 
-  /// Feeds one cold solve's latency to the window and the admission EWMA.
-  void RecordSolve(double seconds);
-
   /// Settles a cold solve.  On success: inserts under the serving engine's
   /// key (the fallback's own key when degraded, never the preferred one's),
   /// spills, resolves `flight` (may be null) and fills the response.  On
@@ -686,7 +671,7 @@ class CompileService {
   /// Persistent tier; null when no cache_dir is configured.  Declared
   /// before pool_ so queued writeback tasks (which reference it) are
   /// drained by the pool's destructor first.
-  std::unique_ptr<store::CacheStore> store_;
+  std::unique_ptr<store::DiskStore> store_;
 
   std::unique_ptr<core::ThreadPool> pool_;
 
@@ -774,13 +759,6 @@ class CompileService {
   /// Fallback chain resolved to canonical registry names at construction.
   std::vector<std::string_view> fallback_chain_;
   double default_solve_budget_seconds_ = 0.0;
-
-  /// Deadline-aware admission (ServiceOptions::deadline_admission) and the
-  /// smoothed cold-solve cost its wait estimate uses.  The EWMA update is
-  /// load-compute-store (not CAS): a lost race skews the estimate by one
-  /// sample, which admission can tolerate.
-  bool deadline_admission_ = false;
-  std::atomic<double> ewma_solve_seconds_{0.0};
 
   /// One breaker per canonical engine name, created closed on first use.
   /// string_view keys borrow from the registry (process lifetime).

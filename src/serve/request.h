@@ -149,10 +149,9 @@ class DeadlineExceeded : public std::runtime_error {
 
 /// Thrown (synchronously from Submit-side admission, or through
 /// Ticket::Wait) when the service sheds the request instead of queueing it:
-/// the request's lane is at its configured depth bound, or deadline-aware
-/// admission estimates the queue wait alone already exceeds the deadline.
-/// The request never occupies a worker; back off and retry, or retry
-/// against a less loaded lane.
+/// the request's lane is at its configured depth bound.  The request never
+/// occupies a worker; back off and retry, or retry against a less loaded
+/// lane.
 class Overloaded : public std::runtime_error {
  public:
   explicit Overloaded(const std::string& what) : std::runtime_error(what) {}
@@ -181,8 +180,8 @@ struct CompileRequest {
   /// names fail with std::invalid_argument.
   std::string profile;
 
-  /// Tenant id for weighted-fair queueing and per-tenant quotas ("" = the
-  /// shared default tenant).  The tenant never enters the cache key —
+  /// Tenant id for weighted-fair queueing ("" = the shared default
+  /// tenant).  The tenant never enters the cache key —
   /// identical work is shared across tenants; fairness applies to queueing,
   /// not to cached answers.
   std::string tenant;

@@ -36,24 +36,6 @@ double RequestQueue::WeightFor(const std::string& flow) const {
   return std::max(weight, 1e-6);
 }
 
-int RequestQueue::QuotaFor(const std::string& flow) const {
-  const auto it = options_.tenant_quotas.find(flow);
-  const int quota = it != options_.tenant_quotas.end() ? it->second : 0;
-  return std::max(quota, 0);  // <= 0 means unlimited
-}
-
-bool RequestQueue::HasQuotas() const {
-  return !options_.tenant_quotas.empty();
-}
-
-bool RequestQueue::FlowBlocked(const std::string& flow) const {
-  const int quota = QuotaFor(flow);
-  if (quota <= 0) return false;
-  const std::lock_guard<std::mutex> lock(running_mutex_);
-  const auto it = running_.find(flow);
-  return it != running_.end() && it->second >= quota;
-}
-
 void RequestQueue::Push(core::ThreadPool::Task task,
                         core::ThreadPool::TaskAttrs attrs) {
   Lane& lane = lanes_[LaneIndex(attrs.lane)];
@@ -91,7 +73,6 @@ core::ThreadPool::Task RequestQueue::TakeEntry(Lane& lane, FlowIter it,
   Flow& flow = it->second;
   Entry entry = std::move(flow.entries.front());
   flow.entries.pop_front();
-  const std::string flow_name = it->first;
   if (flow.entries.empty()) lane.flows.erase(it);
   lane.depth.fetch_sub(1, std::memory_order_relaxed);
   --size_;
@@ -121,11 +102,9 @@ core::ThreadPool::Task RequestQueue::TakeEntry(Lane& lane, FlowIter it,
     return [] {};  // Pop must return a runnable callable
   }
 
-  // The popped tag advances the lane's virtual time (monotonically — a
-  // quota-unblocked flow may surface an older tag).
+  // The popped tag advances the lane's virtual time, never backwards.
   lane.virtual_time = std::max(lane.virtual_time, entry.tag);
 
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
   // Chaos hook: the injected action (a stall, an error) must run on the
   // worker that executes the task, never here under the pool mutex — so
   // wrap instead of evaluating, and only when something is armed.
@@ -135,47 +114,28 @@ core::ThreadPool::Task RequestQueue::TakeEntry(Lane& lane, FlowIter it,
       run();
     };
   }
-#endif
 
-  // Claim slots now (under the pool mutex) and release them when the task
-  // finishes on its worker — the release is visible to that worker's very
-  // next Size() check, which is what resumes a capped/quota'd backlog.
-  const bool batch_slot =
-      IsBatchLane(lane) && options_.max_batch_inflight > 0;
-  if (batch_slot) batch_running_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<std::string> quota_slot;
-  if (QuotaFor(flow_name) > 0) {
-    const std::lock_guard<std::mutex> lock(running_mutex_);
-    ++running_[flow_name];
-    quota_slot = flow_name;
+  // Claim the batch slot now (under the pool mutex) and release it when the
+  // task finishes on its worker — the release is visible to that worker's
+  // very next Size() check, which is what resumes a capped backlog.
+  if (!IsBatchLane(lane) || options_.max_batch_inflight <= 0) {
+    return std::move(entry.run);
   }
-  if (!batch_slot && !quota_slot.has_value()) return std::move(entry.run);
-
-  auto release = [this, batch_slot, quota_slot = std::move(quota_slot)] {
-    if (batch_slot) batch_running_.fetch_sub(1, std::memory_order_relaxed);
-    if (quota_slot.has_value()) {
-      const std::lock_guard<std::mutex> lock(running_mutex_);
-      const auto running = running_.find(*quota_slot);
-      if (running != running_.end() && --running->second <= 0) {
-        running_.erase(running);
-      }
-    }
-  };
-  return [run = std::move(entry.run), release = std::move(release)] {
+  batch_running_.fetch_add(1, std::memory_order_relaxed);
+  return [this, run = std::move(entry.run)] {
     try {
       run();
     } catch (...) {
-      release();
+      batch_running_.fetch_sub(1, std::memory_order_relaxed);
       throw;
     }
-    release();
+    batch_running_.fetch_sub(1, std::memory_order_relaxed);
   };
 }
 
 RequestQueue::FlowIter RequestQueue::EligibleHead(Lane& lane) {
   FlowIter best = lane.flows.end();
   for (FlowIter it = lane.flows.begin(); it != lane.flows.end(); ++it) {
-    if (FlowBlocked(it->first)) continue;
     // Strictly-less keeps tag ties on the lexicographically first tenant.
     if (best == lane.flows.end() ||
         it->second.entries.front().tag < best->second.entries.front().tag) {
@@ -190,8 +150,7 @@ core::ThreadPool::Task RequestQueue::Pop() {
 
   // Expired heads fail fast before any live work runs, most-urgent lane
   // first.  One entry per Pop keeps the pool's push/pop accounting 1:1.
-  // Expiring costs neither a batch slot nor a quota slot, so neither cap
-  // gates this sweep.
+  // Expiring costs no batch slot, so the cap does not gate this sweep.
   for (Lane& lane : lanes_) {
     for (FlowIter it = lane.flows.begin(); it != lane.flows.end(); ++it) {
       const Entry& head = it->second.entries.front();
@@ -235,26 +194,19 @@ core::ThreadPool::Task RequestQueue::Pop() {
 }
 
 std::size_t RequestQueue::Size() const {
-  // Backlogs hidden by the batch cap or a tenant quota are invisible: idle
-  // workers must sleep on them, not spin Pop against entries Pop would
-  // skip.  They become visible again the moment a slot frees (the
-  // completing worker re-checks Size() before it sleeps) — except expired
-  // flow heads, which are poppable regardless because expiry costs no slot.
-  const bool capped = BatchCapped();
-  if (!capped && !HasQuotas()) return size_;
+  // A batch backlog hidden by the cap is invisible: idle workers must sleep
+  // on it, not spin Pop against entries Pop would skip.  It becomes visible
+  // again the moment a slot frees (the completing worker re-checks Size()
+  // before it sleeps) — except expired flow heads, which are poppable
+  // regardless because expiry costs no slot.
+  if (!BatchCapped()) return size_;
 
+  const Lane& batch = lanes_.back();
   const Clock::time_point now = Now();
-  std::size_t visible = 0;
-  for (const Lane& lane : lanes_) {
-    const bool lane_capped = capped && IsBatchLane(lane);
-    for (const auto& [name, flow] : lane.flows) {
-      if (!lane_capped && !FlowBlocked(name)) {
-        visible += flow.entries.size();
-        continue;
-      }
-      const Entry& head = flow.entries.front();
-      if (head.has_deadline && head.deadline < now) ++visible;
-    }
+  std::size_t visible = size_ - batch.depth.load(std::memory_order_relaxed);
+  for (const auto& [name, flow] : batch.flows) {
+    const Entry& head = flow.entries.front();
+    if (head.has_deadline && head.deadline < now) ++visible;
   }
   return visible;
 }
@@ -267,7 +219,7 @@ std::size_t RequestQueue::Depth(Priority lane) const {
 void RequestQueue::Shutdown() {
   // Post-join, single-threaded (the TaskQueue::Shutdown contract): workers
   // stop as soon as Size() hits zero, which strands entries hidden by the
-  // batch cap or a tenant quota.  Each stranded entry is settled exactly
+  // batch cap.  Each stranded entry is settled exactly
   // once — its on_expired runs (failing its waiters fast) or, absent one,
   // it is dropped deliberately.
   for (Lane& lane : lanes_) {
@@ -291,12 +243,6 @@ void RequestQueue::Shutdown() {
 
 int RequestQueue::BatchRunning() const {
   return batch_running_.load(std::memory_order_relaxed);
-}
-
-int RequestQueue::TenantRunning(const std::string& tenant) const {
-  const std::lock_guard<std::mutex> lock(running_mutex_);
-  const auto it = running_.find(tenant);
-  return it == running_.end() ? 0 : it->second;
 }
 
 }  // namespace respect::serve

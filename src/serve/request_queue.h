@@ -33,8 +33,7 @@
 // of its task, so an expired request costs the worker a few microseconds
 // (failing the waiter with DeadlineExceeded) instead of a solve.  Expiry is
 // checked at sub-queue heads only — an entry queued behind a live head
-// fails the moment it surfaces, not before.  Expiry costs neither a batch
-// slot nor a tenant quota slot.
+// fails the moment it surfaces, not before.  Expiry costs no batch slot.
 //
 // Batch concurrency cap.  Options::max_batch_inflight > 0 bounds how many
 // batch-lane tasks may *run* at once: while the cap is reached, Size()
@@ -44,20 +43,11 @@
 // re-examines the queue right after, which is what resumes a capped
 // backlog — no pool cooperation needed.
 //
-// Tenant quotas.  Options::tenant_quotas bounds how many of one tenant's
-// tasks may run concurrently, the same way: a flow at
-// its quota is skipped by Pop() and its backlog hidden from Size() (its
-// expired heads stay visible), and the slot releases when the finishing
-// worker completes the wrapped task.  Quotas are per tenant across all
-// lanes.  <= 0 means unlimited — and unlimited flows are not tracked at
-// all, so the default configuration pays nothing.
-//
 // Threading.  Push/Pop/Size run under the owning ThreadPool's mutex (the
 // TaskQueue contract), so the lane/flow deques need no locking of their
-// own.  The per-lane depth and the batch-running count are atomics;
-// the per-tenant running map is guarded by its own mutex because wrapped
-// tasks decrement it from worker threads (lock order: pool mutex, then
-// running mutex — the release path takes only the running mutex).
+// own.  The per-lane depth and the batch-running count are atomics because
+// they are read off-thread and a wrapped batch task releases its slot from
+// its worker.
 #pragma once
 
 #include <array>
@@ -68,8 +58,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <mutex>
-#include <optional>
 #include <string>
 
 #include "core/thread_pool.h"
@@ -103,10 +91,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
     /// Absent tenants weigh 1; non-positive weights are clamped to a tiny
     /// positive value.
     std::map<std::string, double> tenant_weights;
-
-    /// Per-tenant concurrency quotas; absent tenants and entries <= 0 are
-    /// unlimited.
-    std::map<std::string, int> tenant_quotas;
   };
 
   RequestQueue();
@@ -132,10 +116,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
   /// Always 0 when no cap is configured — the count is only maintained
   /// when it gates something.
   [[nodiscard]] int BatchRunning() const;
-
-  /// Tasks of `tenant` running right now.  Only tenants with a finite
-  /// quota are tracked (0 otherwise).  Readable off-thread.
-  [[nodiscard]] int TenantRunning(const std::string& tenant) const;
 
  private:
   struct Entry {
@@ -166,19 +146,15 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
 
   [[nodiscard]] std::chrono::steady_clock::time_point Now() const;
 
-  /// Consumes the head of `it`'s flow; claims batch/quota slots and wraps
-  /// the task to release them unless the entry expired.
+  /// Consumes the head of `it`'s flow; claims a batch slot and wraps the
+  /// task to release it unless the entry expired.
   [[nodiscard]] core::ThreadPool::Task TakeEntry(Lane& lane, FlowIter it,
                                                  bool expired);
 
-  /// Smallest-tagged flow whose tenant is under quota; flows.end() if every
-  /// flow is blocked.
+  /// Smallest-tagged flow; flows.end() when the lane is empty.
   [[nodiscard]] FlowIter EligibleHead(Lane& lane);
 
   [[nodiscard]] double WeightFor(const std::string& flow) const;
-  [[nodiscard]] int QuotaFor(const std::string& flow) const;
-  [[nodiscard]] bool FlowBlocked(const std::string& flow) const;
-  [[nodiscard]] bool HasQuotas() const;
 
   /// True when the batch lane may not start another task right now.
   [[nodiscard]] bool BatchCapped() const;
@@ -192,11 +168,6 @@ class RequestQueue final : public core::ThreadPool::TaskQueue {
   std::array<Lane, kNumPriorityLanes> lanes_;
   std::size_t size_ = 0;
   std::atomic<int> batch_running_{0};
-
-  /// Tenants with a finite quota currently running tasks (see file
-  /// comment for the lock order).
-  mutable std::mutex running_mutex_;
-  std::map<std::string, int> running_;
 };
 
 }  // namespace respect::serve

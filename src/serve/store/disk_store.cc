@@ -20,6 +20,12 @@ namespace {
 
 constexpr const char* kSpillExtension = ".spill";
 
+/// Spill write attempts before Put gives up (transient ENOSPC/EIO often
+/// clears within milliseconds), and the backoff before the first retry;
+/// each further retry waits twice as long.
+constexpr int kWriteAttempts = 3;
+constexpr int kWriteRetryBackoffMs = 2;
+
 /// Reads a whole file into a string.  Throws std::runtime_error when the
 /// file cannot be opened or read.
 std::string ReadFileBytes(const std::filesystem::path& path) {
@@ -195,9 +201,8 @@ bool DiskStore::WriteEnvelopeAtomic(const graph::CanonicalHash& key,
   // spill up.  Every attempt writes its own temp file and removes it on
   // failure — no litter however an attempt dies.
   const std::filesystem::path final_path = PathFor(key);
-  const int attempts = 1 + std::max(0, options_.write_retries);
-  int backoff_ms = std::max(0, options_.write_retry_backoff_ms);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  int backoff_ms = kWriteRetryBackoffMs;
+  for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
     const std::filesystem::path temp_path =
         final_path.string() + "." +
         std::to_string(temp_counter_.fetch_add(1, std::memory_order_relaxed)) +
@@ -221,15 +226,13 @@ bool DiskStore::WriteEnvelopeAtomic(const graph::CanonicalHash& key,
     } catch (...) {
       std::error_code ec;
       std::filesystem::remove(temp_path, ec);
-      if (attempt + 1 == attempts) {
+      if (attempt + 1 == kWriteAttempts) {
         write_failures_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
       write_retries_.fetch_add(1, std::memory_order_relaxed);
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-        backoff_ms *= 2;
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
+      backoff_ms *= 2;
     }
   }
   return false;

@@ -1,5 +1,32 @@
-// DiskStore — the on-disk CacheStore: one self-describing spill file per
-// cached CompileResult, named `<key-hex>.spill` under a cache directory.
+// DiskStore — the persistent tier behind CompileService's sharded in-memory
+// schedule cache: one self-describing spill file per cached CompileResult,
+// named `<key-hex>.spill` under a cache directory.
+//
+// The in-memory cache answers the hot set; the store keeps solved
+// schedules across process restarts.  The service consults it in exactly
+// three places:
+//
+//   * Probe  — on a memory miss (kUse policy only), before paying an engine
+//              solve.  This is the one synchronous store call on the request
+//              path; a hit is surfaced as CacheOutcome::kDiskHit and promoted
+//              into memory subject to the admission policy.
+//   * Put    — after a successful cold solve or refresh, enqueued as a
+//              background task on the service's thread pool so the request
+//              path never blocks on store I/O.  Put never throws: a failed
+//              write is a counted non-event (the entry simply is not
+//              persisted), never a request failure.
+//   * Compact — housekeeping: drop entries no future request can reach
+//              (RL-dependent results from superseded weight snapshots — the
+//              snapshot version is folded into the request key, so they are
+//              unreachable the moment ReplaceRl bumps it) and entries past
+//              their TTL.
+//
+// The fleet's peer fetch additionally moves whole verified envelopes in and
+// out (ExportRaw / ImportRaw).  Keys are the service's content-addressed
+// request keys (graph::CanonicalHash over the serialized DAG + canonical
+// engine name + num_stages + options fingerprint + RL snapshot version), so
+// a store entry answers exactly one request shape and restart warm-start
+// needs no re-keying.  Every method is safe to call from multiple threads.
 //
 // File format (host-native bytes; a local cache artifact, not a wire
 // format):
@@ -40,6 +67,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -50,10 +78,26 @@
 #include <unordered_set>
 
 #include "obs/registry.h"
-#include "serve/store/cache_store.h"
+#include "serve/request.h"
 #include "serve/store/spill_codec.h"
 
 namespace respect::serve::store {
+
+/// Point-in-time store counters (all monotone except resident).
+struct StoreMetrics {
+  std::uint64_t probes = 0;           // Probe calls
+  std::uint64_t hits = 0;             // probes answered with a result
+  std::uint64_t misses = 0;           // probes with no usable entry
+  std::uint64_t writes = 0;           // successful Put spills
+  std::uint64_t write_failures = 0;   // Puts that failed every attempt
+  std::uint64_t write_retries = 0;    // transient failures retried inside Put
+  std::uint64_t corrupt_dropped = 0;  // malformed entries quarantined
+  std::uint64_t expired_dropped = 0;  // TTL-expired entries dropped lazily
+  std::uint64_t compacted = 0;        // entries removed by Compact
+  std::uint64_t exports = 0;          // raw envelopes served to peers
+  std::uint64_t imports = 0;          // raw envelopes accepted from peers
+  std::size_t resident = 0;           // entries indexed right now
+};
 
 struct DiskStoreOptions {
   /// Cache directory; created (with parents) when missing.
@@ -67,51 +111,60 @@ struct DiskStoreOptions {
   /// to std::chrono::system_clock::now.
   std::function<std::chrono::system_clock::time_point()> clock;
 
-  /// Extra attempts after a failed spill write (transient ENOSPC/EIO often
-  /// clears within milliseconds); 0 disables retrying.  Each retry backs
-  /// off twice as long, starting at write_retry_backoff_ms.
-  int write_retries = 2;
-  int write_retry_backoff_ms = 2;
-
   /// Metrics registry to register the store's counters into (must outlive
   /// the store).  CompileService passes its own so one exposition page
   /// covers both tiers; null makes the store carry a private registry.
   obs::Registry* registry = nullptr;
 };
 
-class DiskStore final : public CacheStore {
+class DiskStore {
  public:
   /// Scans `options.directory` (creating it when absent) and indexes the
   /// resident spill files.  Throws std::runtime_error when the directory
   /// cannot be created or read.
   explicit DiskStore(const DiskStoreOptions& options);
 
-  [[nodiscard]] ResultPtr Probe(
-      const graph::CanonicalHash& key,
-      std::int64_t* expires_at_unix_ms = nullptr) override;
-  void Put(const SpillMeta& meta, const ResultPtr& result) override;
+  /// Returns the stored result for `key`, or null on a miss.  Every failure
+  /// mode — absent, corrupt, truncated, expired, wrong envelope — is a
+  /// clean miss, never an exception or a wrong answer.  On a hit with
+  /// `expires_at_unix_ms` non-null, the entry's absolute wall-clock expiry
+  /// (unix milliseconds; 0 = never) is written through — the caller caps
+  /// any in-memory promotion at the entry's remaining lifetime instead of
+  /// re-arming a fresh TTL.
+  [[nodiscard]] ResultPtr Probe(const graph::CanonicalHash& key,
+                                std::int64_t* expires_at_unix_ms = nullptr);
 
-  /// O(files * meta-prefix): decisions read only the envelope's meta
-  /// fields (key, RL version, expiry), never the package bytes — safe to
-  /// run synchronously under live traffic even for large stores.  A
-  /// structurally corrupt prefix quarantines the file; full checksum
-  /// verification stays where it matters, on the Probe path that serves
-  /// bytes to callers.
-  std::size_t Compact(std::uint64_t live_rl_version) override;
+  /// Persists one result under meta.key.  A failed write is retried twice
+  /// (3 attempts; the backoff starts at 2 ms and doubles per retry).  Never
+  /// throws; failures are counted in StoreMetrics::write_failures.
+  void Put(const SpillMeta& meta, const ResultPtr& result);
 
-  /// Fleet peer-fetch read: the verified raw envelope bytes for `key`, or
-  /// nullopt (absent, corrupt — quarantined on the way out — or expired).
+  /// Deletes unreachable entries: RL-dependent results whose rl_version !=
+  /// live_rl_version, TTL-expired entries, and anything malformed.  Returns
+  /// the number of entries removed.  O(files * meta-prefix): decisions read
+  /// only the envelope's meta fields (key, RL version, expiry), never the
+  /// package bytes — safe to run synchronously under live traffic even for
+  /// large stores.  A structurally corrupt prefix quarantines the file;
+  /// full checksum verification stays where it matters, on the Probe path
+  /// that serves bytes to callers.
+  std::size_t Compact(std::uint64_t live_rl_version);
+
+  /// Fleet peer-fetch read: the verified raw envelope bytes for `key` — the
+  /// exact `.spill` format (serve/store/spill_codec.h) — or nullopt
+  /// (absent, corrupt — quarantined on the way out — or expired).  Bytes
+  /// are fully verified (checksum + embedded key) before a single one
+  /// leaves the process.
   [[nodiscard]] std::optional<std::string> ExportRaw(
-      const graph::CanonicalHash& key) override;
+      const graph::CanonicalHash& key);
 
   /// Fleet peer-fetch write: fully verifies the envelope (checksum, version
   /// range, embedded key == `key`, not expired) then publishes it with the
   /// same temp-file + rename discipline as Put.  Refused bytes never touch
-  /// the directory.
-  bool ImportRaw(const graph::CanonicalHash& key,
-                 std::string_view bytes) override;
+  /// the directory and return false — corrupt peer bytes are a typed miss,
+  /// never a stored lie.  Never throws.
+  bool ImportRaw(const graph::CanonicalHash& key, std::string_view bytes);
 
-  [[nodiscard]] StoreMetrics Metrics() const override;
+  [[nodiscard]] StoreMetrics Metrics() const;
 
   /// The `<key-hex>.spill` path an entry lives at (exposed for tests that
   /// corrupt real spill files).
@@ -140,7 +193,7 @@ class DiskStore final : public CacheStore {
       const graph::CanonicalHash& key, SpillEnvelope* envelope);
 
   /// Writes `envelope` to `<key-hex>.spill` via a temp file + rename, with
-  /// the configured retry/backoff schedule.  Counts write_failures on
+  /// Put's retry/backoff schedule.  Counts write_failures on
   /// giving up; the caller counts the success.
   bool WriteEnvelopeAtomic(const graph::CanonicalHash& key,
                            std::string_view envelope);

@@ -25,6 +25,7 @@
 // a typed miss.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -32,13 +33,35 @@
 #include <string_view>
 
 #include "graph/canonical_hash.h"
-#include "serve/store/cache_store.h"
+#include "serve/request.h"
 
 namespace respect {
 struct CompileResult;
 }  // namespace respect
 
 namespace respect::serve::store {
+
+/// Self-description stored next to the serialized result: what Compact()
+/// and humans poking at a cache directory need without recomputing keys.
+struct SpillMeta {
+  /// The full content-addressed request key (also the file name, in hex).
+  graph::CanonicalHash key;
+
+  /// True when the result came from an RL-dependent engine; such entries
+  /// become unreachable when the RL snapshot version moves past rl_version.
+  bool rl_dependent = false;
+  std::uint64_t rl_version = 0;
+
+  /// Canonical engine name, for observability only (the key covers it).
+  std::string engine_name;
+
+  /// Device profile the schedule was optimized for.  Observability only —
+  /// the key covers it (non-default profiles fold their fingerprint in).
+  /// Format-v1 spills predate profiles and read back as the default
+  /// profile with a zero fingerprint.
+  std::string profile_name;
+  graph::CanonicalHash profile_fingerprint{};
+};
 
 inline constexpr std::uint32_t kSpillMagic = 0x4c505352;  // "RSPL"
 inline constexpr std::uint32_t kSpillFormatVersion = 2;

@@ -56,11 +56,6 @@ TEST(ObsTrace, DisarmedEmitsNothing) {
   EXPECT_TRUE(obs::Tracer::Global().Drain().empty());
 }
 
-// The RAII-span tests need the OBS_SPAN macro compiled in (the default); a
-// -DRESPECT_OBS=OFF build drops them — everything else goes through the
-// always-compiled RecordSpan/RecordInstant API so ring, registry, and
-// exporter coverage survives the compiled-away configuration.
-#if defined(RESPECT_OBS) && RESPECT_OBS
 TEST(ObsTrace, SpansRecordNameDepthAndNesting) {
   ScopedTracing tracing;
   {
@@ -84,7 +79,6 @@ TEST(ObsTrace, SpansRecordNameDepthAndNesting) {
             events[0].start_us + events[0].dur_us);
   EXPECT_GE(events[0].dur_us, 0);
 }
-#endif  // RESPECT_OBS
 
 TEST(ObsTrace, ScopedTraceIdNestsAndRestores) {
   ScopedTracing tracing;
@@ -186,7 +180,6 @@ TEST(ObsTrace, ConcurrentEmissionIsCleanUnderDrain) {
   }
 }
 
-#if defined(RESPECT_OBS) && RESPECT_OBS
 /// The grouped CompileBatch path is spanned like the single path: the disk
 /// probe, the solve and its engine attempt nest under serve.batch_group.
 TEST(ObsTrace, GroupedBatchSpansNestUnderTheGroup) {
@@ -233,7 +226,6 @@ TEST(ObsTrace, GroupedBatchSpansNestUnderTheGroup) {
         << name;
   }
 }
-#endif  // RESPECT_OBS
 
 TEST(ObsRegistry, GetCounterIsIdempotent) {
   obs::Registry registry;
@@ -265,7 +257,6 @@ TEST(ObsRegistry, HistogramQuantilesInterpolate) {
 TEST(ObsRegistry, RenderPrometheusExposition) {
   obs::Registry registry;
   registry.GetCounter("respect_test_hits_total", "Test hits").fetch_add(5);
-  registry.GetGauge("respect_test_depth", "Test depth").Set(2.5);
   obs::Histogram& hist =
       registry.GetHistogram("respect_test_wait_seconds", "Test waits",
                             std::vector<double>{0.1, 1.0});
@@ -280,7 +271,6 @@ TEST(ObsRegistry, RenderPrometheusExposition) {
   EXPECT_NE(text.find("# TYPE respect_test_hits_total counter"),
             std::string::npos);
   EXPECT_NE(text.find("respect_test_hits_total 5"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE respect_test_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("# TYPE respect_test_wait_seconds histogram"),
             std::string::npos);
   // Cumulative buckets: the le="1" bucket includes the le="0.1" count.

@@ -325,62 +325,6 @@ TEST_F(RequestQueueTest, SingleTenantKeepsExactFifoOrder) {
   EXPECT_EQ(ran_, (std::vector<std::string>{"x-0", "x-1", "x-2", "x-3"}));
 }
 
-TEST_F(RequestQueueTest, TenantQuotaHidesBacklogAcrossAllLanes) {
-  RequestQueue::Options options;
-  options.aging_seconds = 100.0;
-  options.clock = [this] { return clock_.now; };
-  options.tenant_quotas["t"] = 1;
-  RequestQueue queue(options);
-
-  PushFlow(queue, "t-0", Priority::kInteractive, "t");
-  PushFlow(queue, "t-1", Priority::kInteractive, "t");
-  EXPECT_EQ(queue.Size(), 2u);
-
-  // Popping t-0 claims t's one slot; the rest of t's backlog — in every
-  // lane — is invisible until the task finishes.
-  ThreadPool::Task running = queue.Pop();
-  EXPECT_EQ(queue.TenantRunning("t"), 1);
-  EXPECT_EQ(queue.Size(), 0u);
-  PushFlow(queue, "t-2", Priority::kNormal, "t");  // another lane: still hidden
-  EXPECT_EQ(queue.Size(), 0u);
-
-  // Other tenants are unaffected.
-  PushFlow(queue, "u-0", Priority::kNormal, "u");
-  EXPECT_EQ(queue.Size(), 1u);
-  PopAndRun(queue);
-  EXPECT_EQ(ran_.back(), "u-0");
-
-  // Finishing t's task releases the slot and resurfaces the backlog.
-  running();
-  EXPECT_EQ(ran_.back(), "t-0");
-  EXPECT_EQ(queue.TenantRunning("t"), 0);
-  EXPECT_EQ(queue.Size(), 2u);
-  PopAndRun(queue);
-  EXPECT_EQ(ran_.back(), "t-1");  // interactive lane first
-}
-
-TEST_F(RequestQueueTest, ExpiredQuotaBlockedHeadStillFailsFast) {
-  RequestQueue::Options options;
-  options.aging_seconds = 100.0;
-  options.clock = [this] { return clock_.now; };
-  options.tenant_quotas["t"] = 1;
-  RequestQueue queue(options);
-
-  PushFlow(queue, "t-running", Priority::kNormal, "t");
-  ThreadPool::Task running = queue.Pop();  // holds t's only slot
-  PushFlow(queue, "t-doomed", Priority::kNormal, "t",
-           /*deadline_in_seconds=*/0.5);
-  EXPECT_EQ(queue.Size(), 0u);  // blocked and unexpired: hidden
-  clock_.Advance(1.0);
-  // The lapsed head surfaces despite the quota — expiry costs no slot.
-  EXPECT_EQ(queue.Size(), 1u);
-  PopAndRun(queue);
-  EXPECT_EQ(ran_.back(), "t-doomed!expired");
-  EXPECT_EQ(queue.TenantRunning("t"), 1);  // running task still holds the slot
-  running();
-  EXPECT_EQ(queue.TenantRunning("t"), 0);
-}
-
 // ── Depth bounds and load shedding ───────────────────────────────────────
 
 TEST_F(RequestQueueTest, DepthBoundShedsOnlySheddableEntries) {
@@ -420,12 +364,11 @@ TEST_F(RequestQueueTest, DepthBoundShedsOnlySheddableEntries) {
   EXPECT_EQ(queue.Depth(Priority::kNormal), 1u);
 }
 
-TEST_F(RequestQueueTest, DepthBoundComposesWithBatchCapAndQuota) {
+TEST_F(RequestQueueTest, DepthBoundComposesWithBatchCap) {
   RequestQueue::Options options;
   options.aging_seconds = 100.0;
   options.max_lane_depth = 2;
   options.max_batch_inflight = 1;
-  options.tenant_quotas["t"] = 1;
   options.clock = [this] { return clock_.now; };
   RequestQueue queue(options);
 
@@ -451,16 +394,16 @@ TEST_F(RequestQueueTest, DepthBoundComposesWithBatchCapAndQuota) {
   EXPECT_THROW(push("b-4", Priority::kBatch, "t"), serve::Overloaded);
   EXPECT_EQ(queue.Depth(Priority::kBatch), 2u);
 
-  // Tenant t's quota slot is held by the running batch task, so t's normal-
-  // lane work is hidden too — yet its depth slots still bound admission.
+  // The cap hides only the batch lane: normal-lane work stays visible
+  // while the batch slot is held, and its own depth bound still applies.
   push("n-0", Priority::kNormal, "t");
   push("n-1", Priority::kNormal, "t");
   EXPECT_THROW(push("n-2", Priority::kNormal, "t"), serve::Overloaded);
-  EXPECT_EQ(queue.Size(), 0u);  // everything blocked behind cap + quota
+  EXPECT_EQ(queue.Size(), 2u);  // n-0 and n-1; b-1 and b-3 still hidden
   EXPECT_EQ(queue.Depth(Priority::kNormal), 2u);
 
-  // Finishing the batch task releases both the batch slot and the quota
-  // slot; everything queued drains in lane order.
+  // Finishing the batch task releases the batch slot; everything queued
+  // drains in lane order.
   running_batch();
   EXPECT_EQ(ran_.back(), "b-0");
   EXPECT_EQ(queue.Size(), 4u);

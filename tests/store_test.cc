@@ -243,15 +243,12 @@ TEST(DiskStoreTest, PutProbeRoundTripsTheResult) {
   EXPECT_EQ(metrics.misses, 1u);
 }
 
-#if defined(RESPECT_FAILPOINTS) && RESPECT_FAILPOINTS
 // Regression (failure-domain hardening PR): a transient write failure must
 // retry to success, count the retry, and never leave a temp file behind; an
 // exhausted retry budget is one counted write failure, still litter-free.
 TEST(DiskStoreTest, TransientWriteFailureRetriesWithoutTempLitter) {
   const TempDir dir("respect-store-write-retry");
-  DiskStore store(DiskStoreOptions{.directory = dir.str(),
-                                   .write_retries = 2,
-                                   .write_retry_backoff_ms = 1});
+  DiskStore store(DiskStoreOptions{.directory = dir.str()});
   const ResultPtr result = SolveOnce(SampleDag(24, 6));
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0x7e57, 0x1};
@@ -282,7 +279,6 @@ TEST(DiskStoreTest, TransientWriteFailureRetriesWithoutTempLitter) {
     EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
 }
-#endif  // RESPECT_FAILPOINTS
 
 TEST(DiskStoreTest, ScanWarmStartsAndIgnoresForeignFiles) {
   const TempDir dir("respect-store-scan");
