@@ -24,7 +24,6 @@
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "obs/trace.h"
-#include "nn/lstm.h"
 #include "nn/tape.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
@@ -86,19 +85,6 @@ void BM_CompileSegment(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CompileSegment)->Arg(50)->Arg(150);
-
-void BM_LstmStepForward(benchmark::State& state) {
-  std::mt19937_64 rng(3);
-  nn::ParamStore store;
-  nn::LstmCell cell(store, "lstm", 48, 48, rng);
-  const nn::Tensor x = nn::Tensor::Xavier(48, 1, rng);
-  auto s = cell.InitialState();
-  for (auto _ : state) {
-    s = cell.Step(x, s);
-    benchmark::DoNotOptimize(s.h);
-  }
-}
-BENCHMARK(BM_LstmStepForward);
 
 /// The decode-throughput trio (the tentpole metric).  All three decode the
 /// same graphs with the same weights and produce bit-identical sequences

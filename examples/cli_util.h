@@ -2,11 +2,13 @@
 #pragma once
 
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "serve/compile_service.h"
@@ -26,94 +28,31 @@ inline bool ParseIntInRange(const char* text, int lo, int hi, int& out) {
   return ec == std::errc{} && *ptr == '\0' && out >= lo && out <= hi;
 }
 
-/// The shared end-of-run metrics dump: every serve_cli mode prints the same
-/// snapshot shape, so runs are comparable across modes.  Quiet sections
-/// (stores never probed, breakers never tripped) are skipped.
+/// A service counter by series name, e.g. "respect_serve_misses_total"
+/// (a misspelt name throws std::out_of_range instead of reading 0).
+inline std::uint64_t CounterValue(const serve::CompileService& service,
+                                  std::string_view name) {
+  return service.MetricsRegistry().FindCounter(name).load();
+}
+
+/// The shared end-of-run metrics dump, derived from the registry: every
+/// non-zero series of the Prometheus page (histograms as _sum/_count), then
+/// the point-in-time sizes the registry does not hold.  Every serve_cli
+/// mode prints the same shape, so runs are comparable across modes.
 inline void PrintServiceMetrics(const serve::CompileService& service) {
-  const serve::ServiceMetrics m = service.Metrics();
-  std::printf("  hits %llu  disk-hits %llu  misses %llu  "
-              "single-flight waits %llu  bypasses %llu\n",
-              static_cast<unsigned long long>(m.hits),
-              static_cast<unsigned long long>(m.disk_hits),
-              static_cast<unsigned long long>(m.misses),
-              static_cast<unsigned long long>(m.single_flight_waits),
-              static_cast<unsigned long long>(m.bypasses));
-  std::printf("  evictions %llu  invalidations %llu  failures %llu  "
-              "deadline-expired %llu  resident %zu\n",
-              static_cast<unsigned long long>(m.evictions),
-              static_cast<unsigned long long>(m.invalidations),
-              static_cast<unsigned long long>(m.failures),
-              static_cast<unsigned long long>(m.deadline_expired),
-              m.cache_size);
-  if (m.ttl_expired + m.admission_rejected > 0) {
-    std::printf("  ttl-expired %llu  admission-rejected %llu\n",
-                static_cast<unsigned long long>(m.ttl_expired),
-                static_cast<unsigned long long>(m.admission_rejected));
-  }
-  if (m.store.probes + m.store.writes > 0) {
-    std::printf("  store: probes %llu  hits %llu  writes %llu  "
-                "corrupt %llu  expired %llu  resident %zu\n",
-                static_cast<unsigned long long>(m.store.probes),
-                static_cast<unsigned long long>(m.store.hits),
-                static_cast<unsigned long long>(m.store.writes),
-                static_cast<unsigned long long>(m.store.corrupt_dropped),
-                static_cast<unsigned long long>(m.store.expired_dropped),
-                m.store.resident);
-  }
-  if (m.peer_fetches + m.peer_hits + m.peer_fetch_failures > 0) {
-    std::printf("  peer: fetches %llu  hits %llu  failures %llu  "
-                "exports %llu  imports %llu\n",
-                static_cast<unsigned long long>(m.peer_fetches),
-                static_cast<unsigned long long>(m.peer_hits),
-                static_cast<unsigned long long>(m.peer_fetch_failures),
-                static_cast<unsigned long long>(m.store.exports),
-                static_cast<unsigned long long>(m.store.imports));
-  }
-  if (m.budget_blown + m.degraded_served + m.fallback_exhausted + m.shed +
-          m.writeback_errors >
-      0) {
-    std::printf("  budget-blown %llu  degraded %llu  fallback-exhausted "
-                "%llu  shed %llu  writeback-errors %llu\n",
-                static_cast<unsigned long long>(m.budget_blown),
-                static_cast<unsigned long long>(m.degraded_served),
-                static_cast<unsigned long long>(m.fallback_exhausted),
-                static_cast<unsigned long long>(m.shed),
-                static_cast<unsigned long long>(m.writeback_errors));
-  }
-  for (const auto& [name, breaker] : m.breakers) {
-    if (breaker.opened + breaker.short_circuits == 0 &&
-        breaker.consecutive_failures == 0) {
-      continue;  // healthy and never tripped: not worth a line
+  std::ostringstream text;
+  service.MetricsRegistry().RenderPrometheus(text);
+  std::istringstream lines(std::move(text).str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.starts_with('#') || line.ends_with(" 0") ||
+        line.find("_bucket{") != std::string::npos) {
+      continue;
     }
-    std::printf("  breaker %-16s %-9s failures %d  opened %llu  "
-                "short-circuits %llu\n",
-                name.c_str(), breaker.state.c_str(),
-                breaker.consecutive_failures,
-                static_cast<unsigned long long>(breaker.opened),
-                static_cast<unsigned long long>(breaker.short_circuits));
+    std::printf("  %s\n", line.c_str());
   }
-  std::printf("  cold-solve latency p50 %.2f ms  p99 %.2f ms\n",
-              m.solve_p50_seconds * 1e3, m.solve_p99_seconds * 1e3);
-  for (const auto& [tenant, tm] : m.tenants) {
-    std::printf("  tenant %-10s enqueued %llu  started %llu  expired %llu\n",
-                tenant.c_str(),
-                static_cast<unsigned long long>(tm.enqueued),
-                static_cast<unsigned long long>(tm.started),
-                static_cast<unsigned long long>(tm.expired));
-  }
-  for (std::size_t lane = 0; lane < serve::kNumPriorityLanes; ++lane) {
-    const serve::LaneMetrics& lm = m.lanes[lane];
-    if (lm.enqueued == 0) continue;
-    std::printf("  lane %-11s enqueued %llu  started %llu  expired %llu  "
-                "wait p50 %.2f ms  p99 %.2f ms\n",
-                std::string(
-                    PriorityName(static_cast<serve::Priority>(lane)))
-                    .c_str(),
-                static_cast<unsigned long long>(lm.enqueued),
-                static_cast<unsigned long long>(lm.started),
-                static_cast<unsigned long long>(lm.expired),
-                lm.wait_p50_seconds * 1e3, lm.wait_p99_seconds * 1e3);
-  }
+  const serve::ServiceMetrics m = service.Metrics();
+  std::printf("  resident: %zu memory entries, %zu store entries\n",
+              m.cache_size, m.store.resident);
 }
 
 /// Writes the service's whole metrics registry (service + store + fleet

@@ -140,6 +140,7 @@ void PrintLane(const char* label, const LaneSamples& lane) {
       Percentile(lane.total_seconds, 0.99) * 1e3);
 }
 
+using examples::CounterValue;         // registry reads in cli_util.h
 using examples::PrintServiceMetrics;  // the shared dump in cli_util.h
 
 /// One synchronous pass over a fixed request stream; the measurable unit of
@@ -233,7 +234,8 @@ int RunRestartDemo(const CompilerOptions& options,
       100.0 * (warm.hits + warm.disk_hits) / n, warm.disk_hits,
       cold.wall_seconds / warm.wall_seconds);
   PrintServiceMetrics(restarted);
-  return warm.misses == 0 ? 0 : 1;  // a restarted stream must not re-solve
+  // A restarted stream must not re-solve.
+  return CounterValue(restarted, "respect_serve_misses_total") == 0 ? 0 : 1;
 }
 
 /// --miss-storm: the cold-refill path after a weight rollout.  Fill the
@@ -279,7 +281,8 @@ int RunMissStorm(const CompilerOptions& options,
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  const serve::ServiceMetrics metrics = service.Metrics();
+  const std::uint64_t batch_solved =
+      CounterValue(service, "respect_serve_batch_solved_total");
 
   int mismatches = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
@@ -296,10 +299,13 @@ int RunMissStorm(const CompilerOptions& options,
       "  refill: %7.3f s (%6.0f solves/s, %6.0f req/s)  batch-solved %llu "
       "of %llu cold solves in %llu group(s); %d result mismatch(es)\n",
       wall_seconds, unique_models / wall_seconds, requests / wall_seconds,
-      static_cast<unsigned long long>(metrics.batch_solved),
-      static_cast<unsigned long long>(metrics.misses),
-      static_cast<unsigned long long>(metrics.batch_groups), mismatches);
-  if (metrics.batch_solved == 0) {
+      static_cast<unsigned long long>(batch_solved),
+      static_cast<unsigned long long>(
+          CounterValue(service, "respect_serve_misses_total")),
+      static_cast<unsigned long long>(
+          CounterValue(service, "respect_serve_batch_groups_total")),
+      mismatches);
+  if (batch_solved == 0) {
     std::fprintf(stderr, "error: the refill never took the batch path\n");
     return 1;
   }
@@ -538,7 +544,7 @@ int RunFleetDemo(const CompilerOptions& options,
                                               .num_stages = stages,
                                               .engine = engine});
   check(warm.outcome == serve::CacheOutcome::kDiskHit &&
-            restarted.Metrics().misses == 0,
+            CounterValue(restarted, "respect_serve_misses_total") == 0,
         "default-profile restart warm-starts from a v1 (old-format) spill");
 
   std::printf("fleet demo: %s\n", failures == 0 ? "all checks passed"

@@ -171,16 +171,21 @@ void FleetServer::HandleFrame(Socket& conn, FrameType type,
       HandleSpillGet(conn, payload);
       return;
     case FrameType::kStatsGet: {
-      const serve::ServiceMetrics m = service_.Metrics();
+      const obs::Registry& registry = service_.MetricsRegistry();
+      const auto count = [&registry](std::string_view name) {
+        return registry.FindCounter(name).load(std::memory_order_relaxed);
+      };
       FleetStats stats;
       stats.requests = requests_.load(std::memory_order_relaxed);
       // Engine solves = every path that ran a local solve: cold misses,
       // bypasses, refreshes.
-      stats.engine_solves = m.misses + m.bypasses + m.refreshes;
-      stats.cache_hits = m.hits;
-      stats.disk_hits = m.disk_hits;
-      stats.peer_hits = m.peer_hits;
-      stats.peer_fetches = m.peer_fetches;
+      stats.engine_solves = count("respect_serve_misses_total") +
+                            count("respect_serve_bypasses_total") +
+                            count("respect_serve_refreshes_total");
+      stats.cache_hits = count("respect_serve_hits_total");
+      stats.disk_hits = count("respect_serve_disk_hits_total");
+      stats.peer_hits = count("respect_serve_peer_hits_total");
+      stats.peer_fetches = count("respect_serve_peer_fetches_total");
       stats.forwarded = forwarded_.load(std::memory_order_relaxed);
       stats.forward_failures =
           forward_failures_.load(std::memory_order_relaxed);
@@ -377,16 +382,10 @@ std::string FleetServer::PeerFetch(const graph::CanonicalHash& key) {
 
 FleetServerMetrics FleetServer::Metrics() const {
   FleetServerMetrics metrics;
-  metrics.accepted = accepted_.load(std::memory_order_relaxed);
-  metrics.requests = requests_.load(std::memory_order_relaxed);
   metrics.forwarded = forwarded_.load(std::memory_order_relaxed);
   metrics.forward_failures =
       forward_failures_.load(std::memory_order_relaxed);
-  metrics.spill_requests = spill_requests_.load(std::memory_order_relaxed);
-  metrics.spill_served = spill_served_.load(std::memory_order_relaxed);
-  metrics.spill_missed = spill_missed_.load(std::memory_order_relaxed);
   metrics.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  metrics.flushes = flushes_.load(std::memory_order_relaxed);
   return metrics;
 }
 

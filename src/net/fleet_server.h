@@ -86,17 +86,13 @@ struct FleetServerOptions {
   std::uint32_t shard_id = 0;
 };
 
-/// Server-side counters (the service keeps its own cache/solve metrics).
+/// What perfbench/ reads as fields; every other server counter (accepted,
+/// requests, spill traffic, flushes) is read from the fronted service's
+/// registry by series name (respect_fleet_*_total).
 struct FleetServerMetrics {
-  std::uint64_t accepted = 0;          // connections accepted
-  std::uint64_t requests = 0;          // compile frames handled
-  std::uint64_t forwarded = 0;         // relayed to their owner shard
-  std::uint64_t forward_failures = 0;  // relays degraded to a local solve
-  std::uint64_t spill_requests = 0;    // kSpillGet frames received
-  std::uint64_t spill_served = 0;      // answered with envelope bytes
-  std::uint64_t spill_missed = 0;      // answered kSpillMiss
-  std::uint64_t protocol_errors = 0;   // malformed frames from clients
-  std::uint64_t flushes = 0;           // kFlush frames handled
+  std::uint64_t forwarded = 0;         // respect_fleet_forwarded_total
+  std::uint64_t forward_failures = 0;  // ..._forward_failures_total
+  std::uint64_t protocol_errors = 0;   // ..._protocol_errors_total
 };
 
 class FleetServer {
@@ -175,8 +171,7 @@ class FleetServer {
   std::list<std::weak_ptr<Socket>> conns_;
 
   /// Counters live in the fronted service's registry (one exposition page
-  /// per shard covers service + store + fleet tiers); the references keep
-  /// the std::atomic increment surface, so counting sites are unchanged.
+  /// per shard covers service + store + fleet tiers).
   obs::Counter& accepted_;
   obs::Counter& requests_;
   obs::Counter& forwarded_;

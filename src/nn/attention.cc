@@ -31,13 +31,6 @@ PointerAttention::PointerAttention(ParamStore& store, std::string prefix,
   store_.GetOrCreate(vp_name_, hidden_dim_, 1, rng);
 }
 
-PointerAttention::CachedRefs PointerAttention::Precompute(
-    const Tensor& contexts) const {
-  CachedRefs refs;
-  PrecomputeInto(contexts, refs);
-  return refs;
-}
-
 void PointerAttention::PrecomputeInto(const Tensor& contexts,
                                       CachedRefs& refs) const {
   if (contexts.Rows() != hidden_dim_) {
@@ -55,37 +48,6 @@ void PointerAttention::PrecomputeInto(const Tensor& contexts,
 
 namespace {
 
-/// Fused attention-score kernel: scores[j] = v^T tanh(ref[:,j] + q), with no
-/// (d, V) temporaries.  This runs once per decode step over every node, so
-/// it dominates inference cost on large graphs.
-void ScoreColumns(const Tensor& ref, const Tensor& q, const Tensor& v,
-                  Tensor& scores) {
-  const int d = ref.Rows();
-  const int n = ref.Cols();
-  for (int j = 0; j < n; ++j) scores.At(0, j) = 0.0f;
-  for (int i = 0; i < d; ++i) {
-    const float qi = q.At(i, 0);
-    const float vi = v.At(i, 0);
-    const float* row = ref.Data() + static_cast<std::int64_t>(i) * n;
-    float* out = scores.Data();
-    for (int j = 0; j < n; ++j) {
-      out[j] += vi * std::tanh(row[j] + qi);
-    }
-  }
-}
-
-/// glimpse = contexts · attnᵀ, row-dot form of the allocating path.
-void GlimpseInto(const Tensor& contexts, const Tensor& attn, Tensor& glimpse) {
-  const int d = contexts.Rows();
-  const int n = contexts.Cols();
-  for (int i = 0; i < d; ++i) {
-    const float* row = contexts.Data() + static_cast<std::int64_t>(i) * n;
-    float acc = 0.0f;
-    for (int j = 0; j < n; ++j) acc += row[j] * attn.At(0, j);
-    glimpse.At(i, 0) = acc;
-  }
-}
-
 /// q = W·x + b for the (d, B) queries of B lock-stepped graphs: the
 /// product keeps MatMul's per-element chain (nn::DecodeProductInto), then
 /// adds b — matching Add(MatMul(W, x_g), b) bit for bit in every column.
@@ -102,11 +64,12 @@ void QueryInto(const Tensor& w, const Tensor& wt, const Tensor& x,
   }
 }
 
-/// ScoreColumns restricted to the valid columns of the packed batch: for
-/// graph g, every valid absolute column j gets
+/// Attention scores over the valid columns of the packed batch: for graph
+/// g, every valid absolute column j gets
 /// scores[j] = v^T tanh(ref[:,j] + q[:,g]); masked entries are untouched.
-/// Per computed element the accumulation is i-ascending exactly like
-/// ScoreColumns, so every value the masked softmax reads is bit-identical.
+/// Per computed element the accumulation is i-ascending exactly like the
+/// all-column reference kernel, so every value the masked softmax reads is
+/// bit-identical.
 void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
                         const std::vector<int>& valid_idx,
                         const std::vector<int>& valid_begin, int batch,
@@ -132,10 +95,11 @@ void ScoreColumnsMasked(const Tensor& ref, const Tensor& q, const Tensor& v,
   }
 }
 
-/// GlimpseInto restricted to each graph's valid columns: glimpse[i·B+g]
-/// accumulates graph g's valid columns in ascending order.  Masked columns
-/// carry an attention weight of exactly ±0, whose addition cannot change
-/// the accumulated sum, so skipping them leaves the glimpse unchanged.
+/// glimpse = contexts · attnᵀ over each graph's valid columns:
+/// glimpse[i·B+g] accumulates graph g's valid columns in ascending order.
+/// Masked columns carry an attention weight of exactly ±0, whose addition
+/// cannot change the accumulated sum, so skipping them leaves the glimpse
+/// unchanged.
 void GlimpseIntoMasked(const Tensor& contexts, const Tensor& attn,
                        const std::vector<int>& valid_idx,
                        const std::vector<int>& valid_begin, int batch,
@@ -159,32 +123,6 @@ void GlimpseIntoMasked(const Tensor& contexts, const Tensor& attn,
 }
 
 }  // namespace
-
-Tensor PointerAttention::PointerLogits(const Tensor& contexts,
-                                       const CachedRefs& refs, const Tensor& h,
-                                       const std::vector<bool>& valid) const {
-  const int n = contexts.Cols();
-  const int d = hidden_dim_;
-
-  // Glimpse.
-  const Tensor q_g = Add(MatMul(store_.Value(wq_g_name_), h),
-                         store_.Value(bg_name_));
-  Tensor scores_g(1, n);
-  ScoreColumns(refs.glimpse_ref, q_g, store_.Value(vg_name_), scores_g);
-  const Tensor attn = MaskedSoftmax(scores_g, valid);
-  Tensor glimpse(d, 1);
-  GlimpseInto(contexts, attn, glimpse);
-
-  // Pointer.
-  const Tensor q_p = Add(MatMul(store_.Value(wq_p_name_), glimpse),
-                         store_.Value(bp_name_));
-  Tensor u(1, n);
-  ScoreColumns(refs.pointer_ref, q_p, store_.Value(vp_name_), u);
-  for (int j = 0; j < n; ++j) {
-    u.At(0, j) = kLogitClip * std::tanh(u.At(0, j));
-  }
-  return u;
-}
 
 void PointerAttention::Scratch::Reserve(int hidden_dim, int nodes,
                                         int batch) {

@@ -35,7 +35,7 @@ class PointerAttention {
   /// Per-sequence state reused across decode steps: the W_ref C products
   /// and the k-major query panels W_qᵀ that PointerLogitsInto's per-step
   /// W_q·h GEMVs sweep at B = 1.  The panels are snapshots of the store's
-  /// weights, rebuilt with the products on every Precompute rather than
+  /// weights, rebuilt with the products on every PrecomputeInto rather than
   /// cached on the ParamStore, so ParamStore::Load and weight swaps stay
   /// safe.
   struct CachedRefs {
@@ -44,16 +44,10 @@ class PointerAttention {
     Tensor wq_g_t;       // (d, d) — W_q_gᵀ
     Tensor wq_p_t;       // (d, d) — W_q_pᵀ
   };
-  [[nodiscard]] CachedRefs Precompute(const Tensor& contexts) const;
 
-  /// Allocation-free Precompute: resizes and overwrites `refs`' tensors in
+  /// Fills `refs` for `contexts`, resizing and overwriting its tensors in
   /// place (grow-only storage reused across calls).
   void PrecomputeInto(const Tensor& contexts, CachedRefs& refs) const;
-
-  /// Returns the masked pointer logits (1, V) for query h.
-  [[nodiscard]] Tensor PointerLogits(const Tensor& contexts,
-                                     const CachedRefs& refs, const Tensor& h,
-                                     const std::vector<bool>& valid) const;
 
   /// Caller-owned scratch for PointerLogitsInto; Reserve() sizes every
   /// buffer (grow-only storage, so steady-state reuse never allocates).
@@ -80,15 +74,18 @@ class PointerAttention {
   ///
   /// Only the VALID columns of `logits` are computed (masked entries are
   /// left stale): the masked softmax zeroes them regardless, so every
-  /// observable value — and the decoded sequence — is identical to
-  /// PointerLogits, while the per-step cost drops from O(d·V) to
+  /// observable value — and the decoded sequence — is identical to the
+  /// allocating all-column reference (PointerLogits in
+  /// tests/support/reference_decode.h), while the per-step cost drops from
+  /// O(d·V) to
   /// O(d·|valid|).  With ready-set masking (the deployment default) that is
   /// the difference between O(V) and O(deg) attention work per step.
   ///
   /// Both query products go through nn::DecodeProductInto (the k-major
   /// panels `refs.wq_*_t` at B = 1, a row-pair GEMM across wider batches),
-  /// and every per-column accumulation keeps PointerLogits' order, so each
-  /// graph's logits are bit-identical to PointerLogits on that graph alone.
+  /// and every per-column accumulation keeps the reference's order, so
+  /// each graph's logits are bit-identical to the reference on that graph
+  /// alone.
   void PointerLogitsInto(const Tensor& contexts, const CachedRefs& refs,
                          const Tensor& h,
                          const std::vector<std::uint8_t>& valid, int nodes,

@@ -27,31 +27,9 @@ LstmCell::LstmCell(ParamStore& store, std::string prefix, int input_dim,
 
 const Tensor& LstmCell::InputWeight() const { return store_.Value(wx_name_); }
 
-LstmCell::State LstmCell::InitialState() const {
-  return State{Tensor::Zeros(hidden_dim_, 1), Tensor::Zeros(hidden_dim_, 1)};
-}
-
 LstmCell::TapeState LstmCell::InitialState(Tape& tape) const {
   return TapeState{tape.Constant(Tensor::Zeros(hidden_dim_, 1)),
                    tape.Constant(Tensor::Zeros(hidden_dim_, 1))};
-}
-
-LstmCell::State LstmCell::Step(const Tensor& x, const State& prev) const {
-  if (x.Rows() != input_dim_ || x.Cols() != 1) {
-    throw std::invalid_argument("LstmCell::Step: bad input shape");
-  }
-  const Tensor z = Add(Add(MatMul(store_.Value(wx_name_), x),
-                           MatMul(store_.Value(wh_name_), prev.h)),
-                       store_.Value(b_name_));
-  const int d = hidden_dim_;
-  const Tensor i = Sigmoid(SliceRows(z, 0, d));
-  const Tensor f = Sigmoid(SliceRows(z, d, 2 * d));
-  const Tensor g = Tanh(SliceRows(z, 2 * d, 3 * d));
-  const Tensor o = Sigmoid(SliceRows(z, 3 * d, 4 * d));
-  State next;
-  next.c = Add(Mul(f, prev.c), Mul(i, g));
-  next.h = Mul(o, Tanh(next.c));
-  return next;
 }
 
 void LstmCell::RecurrentPanelInto(Tensor& wh_t) const {
@@ -82,7 +60,8 @@ void LstmCell::StepInto(const Tensor& zx, const int* zx_cols, int batch,
   float* __restrict zd = gates.Data();
   const int zxn = zx.Cols();
 
-  // z[:, g] = (Wx·x_g + Wh·h_g) + b, in Step()'s addition order.
+  // z[:, g] = (Wx·x_g + Wh·h_g) + b, in the reference step's addition
+  // order.
   DecodeProductInto(store_.Value(wh_name_).Data(), wh_t.Data(),
                     state.h.Data(), d, 4 * d, batch, zd);
   for (int g = 0; g < batch; ++g) {

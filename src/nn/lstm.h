@@ -1,5 +1,6 @@
 // LSTM cell with twin execution paths: a tape-recorded path for training
-// (gradients flow through BPTT) and a value-only path for inference.
+// (gradients flow through BPTT) and a fused allocation-free path for
+// inference (StepInto).
 //
 // Standard formulation, gate order [i f g o]:
 //   z = Wx·x + Wh·h + b;  i,f,o = σ(z…);  g = tanh(z…)
@@ -39,12 +40,8 @@ class LstmCell {
     Ref c = -1;
   };
 
-  /// B = 1 initial states.
-  [[nodiscard]] State InitialState() const;
+  /// B = 1 initial tape state.
   [[nodiscard]] TapeState InitialState(Tape& tape) const;
-
-  /// One B = 1 step without gradient recording.
-  [[nodiscard]] State Step(const Tensor& x, const State& prev) const;
 
   /// Fused allocation-free step for the inference hot path: advances
   /// `batch` independent sequences one step, updating `state.h` /
@@ -58,9 +55,10 @@ class LstmCell {
   /// batch >= 2 it is a (4d, d)×(d, B) row-pair GEMM over Wh itself.
   /// `gates` is a caller-owned (4·hidden, batch) scratch.
   ///
-  /// Column g is bit-identical to Step() on sequence g alone: per output
-  /// element the k-accumulation runs in MatMul's ascending order on both
-  /// branches, and the gate math stores the same intermediates.
+  /// Column g is bit-identical to the allocating MatMul-based step on
+  /// sequence g alone (LstmStep in tests/support/reference_decode.h): per
+  /// output element the k-accumulation runs in MatMul's ascending order on
+  /// both branches, and the gate math stores the same intermediates.
   void StepInto(const Tensor& zx, const int* zx_cols, int batch,
                 const Tensor& wh_t, Tensor& gates, State& state) const;
 

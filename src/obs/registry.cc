@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 namespace respect::obs {
 
@@ -68,25 +71,76 @@ std::vector<double> Histogram::LatencyBoundsSeconds() {
           10.0,  30.0};
 }
 
-Counter& Registry::GetCounter(std::string name, std::string help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& entry : counters_) {
-    if (entry.name == name) return entry.metric;
+template <typename T, typename... Args>
+T& Registry::GetSeries(Families<T>& families, std::string_view name,
+                       std::string_view help, Label label, Args&&... args) {
+  auto family = families.find(name);
+  if (family == families.end()) {
+    family = families
+                 .emplace(std::string(name),
+                          Family<T>{std::string(help),
+                                    std::string(label.key),
+                                    {}})
+                 .first;
+  } else if (family->second.label_key != label.key) {
+    throw std::invalid_argument("obs::Registry: family " + std::string(name) +
+                                " is labelled by \"" +
+                                family->second.label_key + "\", not \"" +
+                                std::string(label.key) + "\"");
   }
-  counters_.emplace_back(std::move(name), std::move(help));
-  return counters_.back().metric;
+  auto& series = family->second.series;
+  auto it = series.find(label.value);
+  if (it == series.end()) {
+    it = series
+             .try_emplace(std::string(label.value),
+                          std::forward<Args>(args)...)
+             .first;
+  }
+  return it->second;
 }
 
-Histogram& Registry::GetHistogram(std::string name, std::string help,
-                                  std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& entry : histograms_) {
-    if (entry.name == name) return entry.metric;
+template <typename T>
+const T& Registry::FindSeries(const Families<T>& families,
+                              std::string_view name, Label label) {
+  if (const auto family = families.find(name);
+      family != families.end() && family->second.label_key == label.key) {
+    if (const auto it = family->second.series.find(label.value);
+        it != family->second.series.end()) {
+      return it->second;
+    }
   }
+  std::string series(name);
+  if (!label.key.empty()) {
+    series += "{" + std::string(label.key) + "=\"" +
+              std::string(label.value) + "\"}";
+  }
+  throw std::out_of_range("obs::Registry: no series " + series);
+}
+
+Counter& Registry::GetCounter(std::string_view name, std::string_view help,
+                              Label label) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetSeries(counters_, name, help, label);
+}
+
+Histogram& Registry::GetHistogram(std::string_view name,
+                                  std::string_view help,
+                                  std::vector<double> bounds, Label label) {
   if (bounds.empty()) bounds = Histogram::LatencyBoundsSeconds();
-  histograms_.emplace_back(std::move(name), std::move(help),
-                           std::move(bounds));
-  return histograms_.back().metric;
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetSeries(histograms_, name, help, label, std::move(bounds));
+}
+
+const Counter& Registry::FindCounter(std::string_view name,
+                                     Label label) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FindSeries(counters_, name, label);
+}
+
+const Histogram& Registry::FindHistogram(std::string_view name,
+                                         Label label) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FindSeries(histograms_, name, label);
 }
 
 namespace {
@@ -97,27 +151,71 @@ void WriteHeader(std::ostream& os, const std::string& name,
   os << "# TYPE " << name << ' ' << type << '\n';
 }
 
+/// `value` at the fewest significant digits (6 or more) that parse back to
+/// exactly `value`: a 6-digit value keeps the stream default's spelling
+/// (le="0.0001"), while a large sum or a fine bound gets every digit it
+/// needs instead of being quantised (1234567.25, not 1.23457e+06).
+void WriteDouble(std::ostream& os, double value) {
+  char buf[32];
+  for (int digits = 6;; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
+    if (digits >= 17 || std::strtod(buf, nullptr) == value) break;
+  }
+  os << buf;
+}
+
+/// `key="value"` with the value escaped per the text format (backslash,
+/// double quote, newline); empty for an unlabelled series.
+std::string LabelPair(std::string_view key, std::string_view value) {
+  if (key.empty()) return {};
+  std::string pair(key);
+  pair += "=\"";
+  for (const char c : value) {
+    if (c == '\n') {
+      pair += "\\n";
+      continue;
+    }
+    if (c == '\\' || c == '"') pair += '\\';
+    pair += c;
+  }
+  pair += '"';
+  return pair;
+}
+
 }  // namespace
 
 void Registry::RenderPrometheus(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& entry : counters_) {
-    WriteHeader(os, entry.name, entry.help, "counter");
-    os << entry.name << ' ' << entry.metric.load() << '\n';
-  }
-  for (const auto& entry : histograms_) {
-    WriteHeader(os, entry.name, entry.help, "histogram");
-    const auto& bounds = entry.metric.Bounds();
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += entry.metric.BucketCount(i);
-      os << entry.name << "_bucket{le=\"" << bounds[i] << "\"} " << cumulative
-         << '\n';
+  for (const auto& [name, family] : counters_) {
+    WriteHeader(os, name, family.help, "counter");
+    for (const auto& [value, counter] : family.series) {
+      const std::string pair = LabelPair(family.label_key, value);
+      os << name << (pair.empty() ? "" : "{" + pair + "}") << ' '
+         << counter.load() << '\n';
     }
-    cumulative += entry.metric.BucketCount(bounds.size());
-    os << entry.name << "_bucket{le=\"+Inf\"} " << cumulative << '\n';
-    os << entry.name << "_sum " << entry.metric.Sum() << '\n';
-    os << entry.name << "_count " << entry.metric.Count() << '\n';
+  }
+  for (const auto& [name, family] : histograms_) {
+    WriteHeader(os, name, family.help, "histogram");
+    for (const auto& [value, hist] : family.series) {
+      // Bucket samples merge the series label with `le`.
+      const std::string pair = LabelPair(family.label_key, value);
+      const std::string bucket =
+          name + "_bucket{" + (pair.empty() ? "" : pair + ",") + "le=\"";
+      const auto& bounds = hist.Bounds();
+      std::uint64_t cumulative = 0;
+      for (std::size_t i = 0; i < bounds.size(); ++i) {
+        cumulative += hist.BucketCount(i);
+        os << bucket;
+        WriteDouble(os, bounds[i]);
+        os << "\"} " << cumulative << '\n';
+      }
+      cumulative += hist.BucketCount(bounds.size());
+      os << bucket << "+Inf\"} " << cumulative << '\n';
+      const std::string braced = pair.empty() ? "" : "{" + pair + "}";
+      os << name << "_sum" << braced << ' ';
+      WriteDouble(os, hist.Sum());
+      os << '\n' << name << "_count" << braced << ' ' << hist.Count() << '\n';
+    }
   }
 }
 

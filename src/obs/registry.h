@@ -1,29 +1,35 @@
 // Unified metrics registry: counters and fixed-bucket latency histograms
-// with Prometheus text exposition.
+// with Prometheus text exposition — the one place a serving counter is
+// declared, stored and read.
 //
 // Design constraints, in order:
-//  1. Zero call-site churn.  The serve/store/net layers already increment
-//     `std::atomic<std::uint64_t>` counters with fetch_add/load; obs::Counter
-//     exposes that exact API so a member declaration swap
-//     (`std::atomic<std::uint64_t> hits_{0};` ->
-//      `obs::Counter& hits_ = registry_.GetCounter("respect_serve_hits_total",
-//      "...");`) recompiles every existing increment unchanged.
+//  1. Zero call-site churn.  obs::Counter exposes the
+//     `std::atomic<std::uint64_t>` fetch_add/load surface, so a counter is a
+//     member reference bound once (`obs::Counter& hits_ =
+//     registry_.GetCounter("respect_serve_hits_total", "...");`) and every
+//     increment site reads like plain atomic code.
 //  2. Instance-scoped, not global.  Tests assert exact counter values per
-//     service instance, so each CompileService/DiskStore owns (or borrows)
-//     a Registry; fleet shards get one unified exposition page by sharing
-//     the service's registry across layers.
-//  3. Stable addresses.  Metrics live in std::deque so references handed to
-//     members never move; GetCounter on an existing name returns the same
-//     object (idempotent registration).
+//     service instance, so each CompileService owns a Registry and its disk
+//     store and fleet server register into it: one exposition page per
+//     shard.
+//  3. Stable addresses.  Series live in node-based maps, so references
+//     handed out never move; GetCounter on an existing series returns the
+//     same object (idempotent registration).
+//  4. Labelled families.  A series may carry one `key="value"` label
+//     (lane, tenant): one family, one HELP/TYPE header, one series per
+//     label value.  A (name, label) lookup is two ordered-map finds, never a
+//     scan of every series.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <initializer_list>
+#include <functional>
+#include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace respect::obs {
@@ -90,40 +96,64 @@ class Histogram {
   std::atomic<double> sum_{0.0};
 };
 
-/// Named metric registry.  GetCounter/GetHistogram are idempotent:
-/// the first call registers, later calls return the same instance (help text
-/// from the first registration wins).  All returned references stay valid
-/// for the registry's lifetime.
+/// The one optional `key="value"` label of a series; an empty key means
+/// the series is unlabelled.  Values may hold any bytes (tenant ids arrive
+/// from wire clients); the exposition escapes them.
+struct Label {
+  std::string_view key;
+  std::string_view value;
+};
+
+/// Named metric registry.  GetCounter/GetHistogram are idempotent: the
+/// first call registers a series, later calls return the same instance
+/// (help text and label key from the family's first registration win; a
+/// series whose label key disagrees with its family's throws
+/// std::invalid_argument).  Find* only reads: an unknown series throws
+/// std::out_of_range, so a misspelt name fails instead of reading 0.  All
+/// returned references stay valid for the registry's lifetime.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& GetCounter(std::string name, std::string help = "");
+  Counter& GetCounter(std::string_view name, std::string_view help = "",
+                      Label label = {});
   /// Empty `bounds` selects Histogram::LatencyBoundsSeconds().
-  Histogram& GetHistogram(std::string name, std::string help = "",
-                          std::vector<double> bounds = {});
+  Histogram& GetHistogram(std::string_view name, std::string_view help = "",
+                          std::vector<double> bounds = {}, Label label = {});
 
-  /// Renders Prometheus text exposition format (HELP/TYPE + samples);
-  /// histograms emit cumulative `_bucket{le=...}` plus `_sum`/`_count`.
+  [[nodiscard]] const Counter& FindCounter(std::string_view name,
+                                           Label label = {}) const;
+  [[nodiscard]] const Histogram& FindHistogram(std::string_view name,
+                                               Label label = {}) const;
+
+  /// Renders Prometheus text exposition format: one HELP/TYPE header per
+  /// family, then its series (label values escaped); histograms emit
+  /// cumulative `_bucket{...,le=...}` plus `_sum`/`_count`.  Doubles render
+  /// at round-trip precision.
   void RenderPrometheus(std::ostream& os) const;
 
  private:
   template <typename T>
-  struct Entry {
-    std::string name;
+  struct Family {
     std::string help;
-    T metric;
-    template <typename... Args>
-    Entry(std::string n, std::string h, Args&&... args)
-        : name(std::move(n)), help(std::move(h)),
-          metric(std::forward<Args>(args)...) {}
+    std::string label_key;
+    std::map<std::string, T, std::less<>> series;  // by label value
   };
+  template <typename T>
+  using Families = std::map<std::string, Family<T>, std::less<>>;
+
+  template <typename T, typename... Args>
+  static T& GetSeries(Families<T>& families, std::string_view name,
+                      std::string_view help, Label label, Args&&... args);
+  template <typename T>
+  static const T& FindSeries(const Families<T>& families,
+                             std::string_view name, Label label);
 
   mutable std::mutex mu_;
-  std::deque<Entry<Counter>> counters_;
-  std::deque<Entry<Histogram>> histograms_;
+  Families<Counter> counters_;
+  Families<Histogram> histograms_;
 };
 
 }  // namespace respect::obs

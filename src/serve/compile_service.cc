@@ -110,20 +110,36 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
 
 CompileService::LaneCounters CompileService::MakeLaneCounters(
     std::size_t lane) {
-  const std::string stem =
-      "respect_serve_lane_" +
-      std::string(PriorityName(static_cast<Priority>(lane))) + "_";
+  const obs::Label label{"lane", PriorityName(static_cast<Priority>(lane))};
   return LaneCounters{
-      registry_.GetCounter(stem + "enqueued_total",
-                           "Submits routed to this lane"),
-      registry_.GetCounter(stem + "started_total",
-                           "Requests that began their compile on a worker"),
-      registry_.GetCounter(stem + "expired_total",
-                           "Requests failed fast with DeadlineExceeded"),
-      registry_.GetCounter(stem + "shed_total",
-                           "Requests refused at admission with Overloaded"),
-      registry_.GetHistogram(stem + "wait_seconds",
-                             "Queue wait of started requests (seconds)")};
+      registry_.GetCounter("respect_serve_lane_enqueued_total",
+                           "Submits routed to this lane", label),
+      registry_.GetCounter("respect_serve_lane_started_total",
+                           "Requests that began their compile on a worker",
+                           label),
+      registry_.GetCounter("respect_serve_lane_expired_total",
+                           "Requests failed fast with DeadlineExceeded",
+                           label),
+      registry_.GetCounter("respect_serve_lane_shed_total",
+                           "Requests refused at admission with Overloaded",
+                           label),
+      registry_.GetHistogram("respect_serve_lane_wait_seconds",
+                             "Queue wait of started requests (seconds)", {},
+                             label)};
+}
+
+CompileService::TenantCounters CompileService::BindTenant(
+    std::string_view tenant) {
+  const obs::Label label{"tenant", tenant};
+  return TenantCounters{
+      &registry_.GetCounter("respect_serve_tenant_enqueued_total",
+                            "Submits carrying this tenant id", label),
+      &registry_.GetCounter("respect_serve_tenant_started_total",
+                            "Requests that began their compile on a worker",
+                            label),
+      &registry_.GetCounter("respect_serve_tenant_expired_total",
+                            "Requests failed fast with DeadlineExceeded",
+                            label)};
 }
 
 // The pool joins before the members the queued tasks reference are torn
@@ -478,7 +494,7 @@ void CompileService::ResolveFlight(const RequestKey& key, Flight& flight,
 
 void CompileService::Publish(const ColdSolve& solve,
                              const std::shared_ptr<Flight>& flight,
-                             CompileResponse& response) {
+                             CompileResponse& response, bool cache) {
   const RequestKey& key = *solve.key;
   if (solve.failure != nullptr) {
     if (flight != nullptr) ResolveFlight(key, *flight, nullptr, solve.failure);
@@ -490,12 +506,12 @@ void CompileService::Publish(const ColdSolve& solve,
   // resolves so collapsed waiters share this answer, tagged degraded via
   // the flight's provenance fields.
   std::optional<RequestKey> fallback_key;
-  if (solve.degraded) {
+  if (cache && solve.degraded) {
     fallback_key = MakeKey(solve.request->dag, solve.request->num_stages,
                            solve.engine_used, key.profile.name);
   }
   const RequestKey& cache_key = fallback_key ? *fallback_key : key;
-  {
+  if (cache) {
     Shard& shard = ShardFor(cache_key.hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
     InsertLocked(shard, cache_key, solve.result);
@@ -505,7 +521,7 @@ void CompileService::Publish(const ColdSolve& solve,
     flight->served_by = solve.engine_used;
     ResolveFlight(key, *flight, solve.result);
   }
-  EnqueueWriteback(cache_key, solve.result);
+  if (cache) EnqueueWriteback(cache_key, solve.result);
   response.result = solve.result;
   response.solve_seconds = solve.solve_seconds;
   if (solve.degraded) {
@@ -609,19 +625,8 @@ CompileResponse CompileService::Execute(
   (refresh ? refreshes_ : bypasses_).fetch_add(1, std::memory_order_relaxed);
   ColdSolve solve(request, key);
   SolveCold({&solve, 1});
-  if (refresh) {
-    Publish(solve, nullptr, response);
-    response.outcome = CacheOutcome::kRefresh;
-    return response;
-  }
-  if (solve.failure != nullptr) std::rethrow_exception(solve.failure);
-  response.result = solve.result;
-  response.solve_seconds = solve.solve_seconds;
-  response.outcome = CacheOutcome::kBypass;
-  if (solve.degraded) {
-    response.degraded = true;
-    response.engine_name = solve.engine_used;
-  }
+  Publish(solve, nullptr, response, /*cache=*/refresh);
+  response.outcome = refresh ? CacheOutcome::kRefresh : CacheOutcome::kBypass;
   return response;
 }
 
@@ -822,20 +827,28 @@ CompileService::Ticket CompileService::Submit(CompileRequest request) {
   return SubmitInternal(std::move(request), std::nullopt);
 }
 
-void CompileService::StartQueued(const CompileRequest& request,
-                                 double wait_seconds) {
-  const std::size_t lane = LaneIndex(request.priority);
-  lane_counters_[lane].started.fetch_add(1, std::memory_order_relaxed);
-  BumpTenant(request.tenant, &TenantMetrics::started);
-  lane_counters_[lane].wait.Observe(wait_seconds);
+CompileService::QueueCounters CompileService::CountEnqueued(
+    const CompileRequest& request) {
+  const QueueCounters counters{
+      &lane_counters_[LaneIndex(request.priority)],
+      request.tenant.empty() ? default_tenant_ : BindTenant(request.tenant)};
+  counters.lane->enqueued.fetch_add(1, std::memory_order_relaxed);
+  counters.tenant.enqueued->fetch_add(1, std::memory_order_relaxed);
+  return counters;
 }
 
-void CompileService::ExpireQueued(const CompileRequest& request,
+void CompileService::StartQueued(const QueueCounters& counters,
+                                 double wait_seconds) {
+  counters.lane->started.fetch_add(1, std::memory_order_relaxed);
+  counters.tenant.started->fetch_add(1, std::memory_order_relaxed);
+  counters.lane->wait.Observe(wait_seconds);
+}
+
+void CompileService::ExpireQueued(const QueueCounters& counters,
                                   std::promise<CompileResponse>& promise,
                                   const std::string& what) {
-  lane_counters_[LaneIndex(request.priority)].expired.fetch_add(
-      1, std::memory_order_relaxed);
-  BumpTenant(request.tenant, &TenantMetrics::expired);
+  counters.lane->expired.fetch_add(1, std::memory_order_relaxed);
+  counters.tenant.expired->fetch_add(1, std::memory_order_relaxed);
   deadline_expired_.fetch_add(1, std::memory_order_relaxed);
   promise.set_exception(std::make_exception_ptr(DeadlineExceeded(what)));
 }
@@ -850,6 +863,7 @@ CompileService::Ticket CompileService::SubmitInternal(
     CompileRequest request;
     std::optional<RequestKey> key;
     SteadyClock::time_point enqueue_time;
+    QueueCounters counters;
   };
   auto pending = std::make_shared<Pending>();
   pending->request = std::move(request);
@@ -860,8 +874,7 @@ CompileService::Ticket CompileService::SubmitInternal(
   }
 
   const std::size_t lane = LaneIndex(pending->request.priority);
-  lane_counters_[lane].enqueued.fetch_add(1, std::memory_order_relaxed);
-  BumpTenant(pending->request.tenant, &TenantMetrics::enqueued);
+  pending->counters = CountEnqueued(pending->request);
 
   Ticket ticket(pending->promise.get_future().share());
 
@@ -875,7 +888,7 @@ CompileService::Ticket CompileService::SubmitInternal(
     attrs.deadline = *pending->request.deadline;
   }
   attrs.on_expired = [this, pending] {
-    ExpireQueued(pending->request, pending->promise,
+    ExpireQueued(pending->counters, pending->promise,
                  "compile request deadline expired while queued (lane " +
                      std::string(PriorityName(pending->request.priority)) +
                      ")");
@@ -894,12 +907,12 @@ CompileService::Ticket CompileService::SubmitInternal(
           // instruction.
           if (pending->request.deadline &&
               SteadyClock::now() > *pending->request.deadline) {
-            ExpireQueued(pending->request, pending->promise,
+            ExpireQueued(pending->counters, pending->promise,
                          "compile request deadline expired after " +
                              std::to_string(wait) + "s in queue");
             return;
           }
-          StartQueued(pending->request, wait);
+          StartQueued(pending->counters, wait);
           try {
             CompileResponse response =
                 Execute(pending->request, pending->key);
@@ -914,7 +927,7 @@ CompileService::Ticket CompileService::SubmitInternal(
     // The lane refused the entry at its depth bound (nothing enqueued).
     // The typed rejection reaches the caller through the ticket, same as
     // every other async failure.
-    lane_counters_[lane].shed.fetch_add(1, std::memory_order_relaxed);
+    pending->counters.lane->shed.fetch_add(1, std::memory_order_relaxed);
     pending->promise.set_exception(std::current_exception());
   }
   return ticket;
@@ -994,10 +1007,8 @@ std::vector<CompileResponse> CompileService::CompileBatch(
     // lane counters still record each request under its own lane.
     std::size_t task_lane = kNumPriorityLanes - 1;
     for (GroupMember& m : members) {
-      const std::size_t lane = LaneIndex(requests[m.index].priority);
-      lane_counters_[lane].enqueued.fetch_add(1, std::memory_order_relaxed);
-      BumpTenant(requests[m.index].tenant, &TenantMetrics::enqueued);
-      task_lane = std::min(task_lane, lane);
+      m.counters = CountEnqueued(requests[m.index]);
+      task_lane = std::min(task_lane, LaneIndex(requests[m.index].priority));
       pending.emplace_back(m.index, Ticket(m.promise.get_future().share()));
     }
     // `requests` is captured by view: CompileBatch blocks on every ticket
@@ -1019,8 +1030,7 @@ std::vector<CompileResponse> CompileService::CompileBatch(
     } catch (const Overloaded&) {
       // Shed as a unit, counted per member on its own lane.
       for (GroupMember& m : *shared_members) {
-        lane_counters_[LaneIndex(requests[m.index].priority)].shed.fetch_add(
-            1, std::memory_order_relaxed);
+        m.counters.lane->shed.fetch_add(1, std::memory_order_relaxed);
         m.promise.set_exception(std::current_exception());
       }
     }
@@ -1059,12 +1069,12 @@ void CompileService::RunBatchGroup(std::span<const CompileRequest> requests,
                                                       m.enqueue_time)
                             .count();
     if (request.deadline && SteadyClock::now() > *request.deadline) {
-      ExpireQueued(request, m.promise,
+      ExpireQueued(m.counters, m.promise,
                    "compile request deadline expired after " +
                        std::to_string(wait) + "s in queue (batched group)");
       continue;
     }
-    StartQueued(request, wait);
+    StartQueued(m.counters, wait);
     Slot slot{&m, nullptr, ResponseFor(m.key)};
     slot.response.queue_wait_seconds = wait;
     switch (ClaimFlight(m.key, slot.flight, slot.response)) {
@@ -1137,82 +1147,29 @@ void CompileService::ReplaceRl(std::shared_ptr<rl::RlScheduler> rl) {
   }
 }
 
-void CompileService::BumpTenant(const std::string& tenant,
-                                std::uint64_t TenantMetrics::*field) {
-  const std::lock_guard<std::mutex> lock(tenant_mutex_);
-  tenant_counters_[tenant].*field += 1;
-}
-
 ServiceMetrics CompileService::Metrics() const {
   ServiceMetrics metrics;
-  metrics.hits = hits_.load(std::memory_order_relaxed);
-  metrics.misses = misses_.load(std::memory_order_relaxed);
   metrics.evictions = evictions_.load(std::memory_order_relaxed);
-  metrics.invalidations = invalidations_.load(std::memory_order_relaxed);
-  metrics.single_flight_waits =
-      single_flight_waits_.load(std::memory_order_relaxed);
-  metrics.failures = failures_.load(std::memory_order_relaxed);
-  metrics.bypasses = bypasses_.load(std::memory_order_relaxed);
-  metrics.refreshes = refreshes_.load(std::memory_order_relaxed);
-  metrics.deadline_expired =
-      deadline_expired_.load(std::memory_order_relaxed);
-  metrics.disk_hits = disk_hits_.load(std::memory_order_relaxed);
-  metrics.ttl_expired = ttl_expired_.load(std::memory_order_relaxed);
   metrics.admission_rejected =
       admission_rejected_.load(std::memory_order_relaxed);
+  metrics.invalidations = invalidations_.load(std::memory_order_relaxed);
   metrics.batch_solved = batch_solved_.load(std::memory_order_relaxed);
   metrics.batch_single = batch_single_.load(std::memory_order_relaxed);
   metrics.batch_groups = batch_groups_.load(std::memory_order_relaxed);
-  metrics.budget_blown = budget_blown_.load(std::memory_order_relaxed);
-  metrics.degraded_served = degraded_served_.load(std::memory_order_relaxed);
-  metrics.fallback_exhausted =
-      fallback_exhausted_.load(std::memory_order_relaxed);
-  metrics.writeback_errors =
-      writeback_errors_.load(std::memory_order_relaxed);
-  metrics.peer_fetches = peer_fetches_.load(std::memory_order_relaxed);
-  metrics.peer_hits = peer_hits_.load(std::memory_order_relaxed);
-  metrics.peer_fetch_failures =
-      peer_fetch_failures_.load(std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(breaker_mutex_);
-    for (const auto& [name, breaker] : breakers_) {
-      const CircuitBreaker::Snapshot snapshot = breaker->GetSnapshot();
-      BreakerMetrics& out = metrics.breakers[std::string(name)];
-      out.state = std::string(ToString(snapshot.state));
-      out.consecutive_failures = snapshot.consecutive_failures;
-      out.opened = snapshot.opened;
-      out.short_circuits = snapshot.short_circuits;
-    }
-  }
-  if (store_ != nullptr) metrics.store = store_->Metrics();
-  {
-    const std::lock_guard<std::mutex> lock(tenant_mutex_);
-    metrics.tenants = tenant_counters_;
-  }
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     metrics.cache_size += shard->entries.size();
   }
-  metrics.solve_p50_seconds = solve_hist_.Quantile(0.50);
-  metrics.solve_p99_seconds = solve_hist_.Quantile(0.99);
-  for (std::size_t lane = 0; lane < kNumPriorityLanes; ++lane) {
-    LaneMetrics& out = metrics.lanes[lane];
-    out.enqueued = lane_counters_[lane].enqueued.load(std::memory_order_relaxed);
-    out.started = lane_counters_[lane].started.load(std::memory_order_relaxed);
-    out.expired = lane_counters_[lane].expired.load(std::memory_order_relaxed);
-    out.shed = lane_counters_[lane].shed.load(std::memory_order_relaxed);
-    metrics.shed += out.shed;
-    // Monotone counters loaded independently; saturate rather than wrap on
-    // a transiently inconsistent snapshot.  Shed requests counted enqueued
-    // but never start or expire, so they settle here too.
-    const std::uint64_t settled = out.started + out.expired + out.shed;
-    out.depth = out.enqueued > settled
-                    ? static_cast<std::size_t>(out.enqueued - settled)
-                    : 0;
-    out.wait_p50_seconds = lane_counters_[lane].wait.Quantile(0.50);
-    out.wait_p99_seconds = lane_counters_[lane].wait.Quantile(0.99);
-  }
+  if (store_ != nullptr) metrics.store = store_->Metrics();
   return metrics;
+}
+
+std::optional<CircuitBreaker::Snapshot> CompileService::BreakerSnapshot(
+    std::string_view engine) const {
+  const std::lock_guard<std::mutex> lock(breaker_mutex_);
+  const auto it = breakers_.find(engine);
+  if (it == breakers_.end()) return std::nullopt;
+  return it->second->GetSnapshot();
 }
 
 void CompileService::ClearCache() {

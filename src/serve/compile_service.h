@@ -165,82 +165,20 @@ struct ServiceOptions {
   int max_lane_depth = 0;
 };
 
-/// Per-tenant async-path counters ("" is the shared default tenant).
-struct TenantMetrics {
-  std::uint64_t enqueued = 0;  // Submits carrying this tenant id
-  std::uint64_t started = 0;   // began their compile on a worker
-  std::uint64_t expired = 0;   // failed fast with DeadlineExceeded
-};
-
-/// Per-lane queue statistics (async path only; synchronous Compile calls
-/// never enter a lane).
-struct LaneMetrics {
-  std::uint64_t enqueued = 0;  // Submits routed to this lane
-  std::uint64_t started = 0;   // began their compile on a worker
-  std::uint64_t expired = 0;   // failed fast with DeadlineExceeded
-  std::uint64_t shed = 0;      // refused at admission with Overloaded
-  std::size_t depth = 0;       // waiting in queue right now (approximate)
-  // Queue wait of started requests, interpolated from the lane's
-  // respect_serve_lane_<lane>_wait_seconds histogram buckets over every
-  // start since construction.
-  double wait_p50_seconds = 0.0;
-  double wait_p99_seconds = 0.0;
-};
-
-/// Point-in-time view of one engine's circuit breaker.
-struct BreakerMetrics {
-  std::string state;  // "closed" / "open" / "half-open"
-  int consecutive_failures = 0;
-  std::uint64_t opened = 0;          // transitions into open
-  std::uint64_t short_circuits = 0;  // attempts skipped while open
-};
-
-/// Point-in-time counters; Metrics() assembles a consistent-enough snapshot
-/// without stopping traffic.
+/// What the registry cannot hold, plus the fields perfbench/ reads; every
+/// other service counter (hits, misses, lanes, tenants, the solve
+/// histogram...) is read from MetricsRegistry() by series name.
 struct ServiceMetrics {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;           // cold solves started (cacheable or not)
-  std::uint64_t evictions = 0;        // LRU capacity evictions
-  std::uint64_t invalidations = 0;    // entries dropped by ReplaceRl
-  std::uint64_t single_flight_waits = 0;  // requests collapsed onto a solve
-  std::uint64_t failures = 0;         // solves that threw
-  std::uint64_t bypasses = 0;         // CachePolicy::kBypass solves
-  std::uint64_t refreshes = 0;        // CachePolicy::kRefresh solves
-  std::uint64_t deadline_expired = 0;  // DeadlineExceeded failures, all paths
-  std::uint64_t disk_hits = 0;        // memory misses answered by the store
-  std::uint64_t ttl_expired = 0;      // memory entries lazily expired
-  std::uint64_t admission_rejected = 0;  // inserts refused by TinyLFU
-  std::uint64_t batch_solved = 0;     // cold solves done by lock-stepped groups
-  std::uint64_t batch_single = 0;     // grouped-path solves that fell back to
-                                      // the per-graph decode (stragglers)
-  std::uint64_t batch_groups = 0;     // lock-stepped group decodes executed
-  std::uint64_t budget_blown = 0;     // engine attempts cancelled on budget
-  std::uint64_t degraded_served = 0;  // responses produced by a fallback
-  std::uint64_t fallback_exhausted = 0;  // requests whose whole chain failed
-  std::uint64_t shed = 0;             // requests refused at admission
-                                      // (Overloaded), summed over lanes
-  std::uint64_t writeback_errors = 0;  // background spills that failed
-  std::uint64_t peer_fetches = 0;     // peer warm attempts on cold misses
-  std::uint64_t peer_hits = 0;        // requests answered by peer envelopes
-  std::uint64_t peer_fetch_failures = 0;  // fetches that threw or returned
-                                          // corrupt/mismatched bytes
-  // Cold-solve latency, interpolated from the respect_serve_solve_seconds
-  // histogram buckets over every cold solve since construction.
-  double solve_p50_seconds = 0.0;
-  double solve_p99_seconds = 0.0;
-  std::size_t cache_size = 0;         // resident entries right now
-  std::array<LaneMetrics, kNumPriorityLanes> lanes{};
+  std::uint64_t evictions = 0;           // respect_serve_evictions_total
+  std::uint64_t admission_rejected = 0;  // ..._admission_rejected_total
+  std::uint64_t invalidations = 0;       // respect_serve_invalidations_total
+  std::uint64_t batch_solved = 0;        // respect_serve_batch_solved_total
+  std::uint64_t batch_single = 0;        // respect_serve_batch_single_total
+  std::uint64_t batch_groups = 0;        // respect_serve_batch_groups_total
+  std::size_t cache_size = 0;            // resident memory entries right now
 
-  /// Async-path counters by tenant id; empty until a Submit carries a
-  /// non-empty tenant (the "" default tenant is tracked once it appears).
-  std::map<std::string, TenantMetrics> tenants;
-
-  /// Persistent-tier counters; all zero when no cache_dir is configured.
+  /// Persistent-tier snapshot; all zero when no cache_dir is configured.
   store::StoreMetrics store{};
-
-  /// Circuit-breaker state by canonical engine name; an engine appears
-  /// once it has served (or skipped) at least one solve attempt.
-  std::map<std::string, BreakerMetrics> breakers;
 };
 
 class CompileService {
@@ -326,6 +264,11 @@ class CompileService {
 
   [[nodiscard]] ServiceMetrics Metrics() const;
 
+  /// The circuit breaker of canonical engine `engine`, or nullopt until
+  /// that engine has served (or skipped) its first solve attempt.
+  [[nodiscard]] std::optional<CircuitBreaker::Snapshot> BreakerSnapshot(
+      std::string_view engine) const;
+
   /// Drops every cached *memory* entry (counters are preserved; the
   /// persistent tier is untouched, so subsequent requests may come back as
   /// disk hits — which is exactly how the restart path behaves).
@@ -395,11 +338,15 @@ class CompileService {
 
   // ── Observability ──────────────────────────────────────────────────────
 
-  /// The unified metrics registry behind Metrics()'s counters.  Instance-
-  /// scoped (tests assert exact per-service values); the disk store and the
-  /// fleet server register their metrics here too, so one
-  /// RenderPrometheus(os) call emits the whole shard's exposition page.
+  /// The unified metrics registry: every service counter and histogram,
+  /// including the lane- and tenant-labelled series.  Instance-scoped
+  /// (tests assert exact per-service values); the disk store and the fleet
+  /// server register their metrics here too, so one RenderPrometheus(os)
+  /// call emits the whole shard's exposition page.
   [[nodiscard]] obs::Registry& MetricsRegistry() { return registry_; }
+  [[nodiscard]] const obs::Registry& MetricsRegistry() const {
+    return registry_;
+  }
 
  private:
   struct CacheEntry {
@@ -561,12 +508,13 @@ class CompileService {
   /// Per-attempt solve budget in seconds (0 = unlimited).
   [[nodiscard]] double BudgetFor(const CompileRequest& request) const;
 
-  /// Settles a cold solve.  On success: inserts under the serving engine's
-  /// key (the fallback's own key when degraded, never the preferred one's),
-  /// spills, resolves `flight` (may be null) and fills the response.  On
-  /// failure: resolves `flight` with the failure and rethrows it.
+  /// Settles a cold solve.  On success: when `cache` (false for kBypass),
+  /// inserts under the serving engine's key (the fallback's own key when
+  /// degraded, never the preferred one's) and spills; then resolves
+  /// `flight` (may be null) and fills the response.  On failure: resolves
+  /// `flight` with the failure and rethrows it.
   void Publish(const ColdSolve& solve, const std::shared_ptr<Flight>& flight,
-               CompileResponse& response);
+               CompileResponse& response, bool cache = true);
 
   /// Removes `key`'s flight from its shard, then resolves it with `result`
   /// or, when `result` is null, with `failure`.
@@ -582,23 +530,53 @@ class CompileService {
   [[nodiscard]] Ticket SubmitInternal(CompileRequest request,
                                       std::optional<RequestKey> key);
 
+  /// One lane's lane-labelled async-path series.
+  struct LaneCounters {
+    obs::Counter& enqueued;
+    obs::Counter& started;
+    obs::Counter& expired;
+    obs::Counter& shed;
+    obs::Histogram& wait;  // queue wait of started requests (seconds)
+  };
+
+  /// One tenant's tenant-labelled async-path series.
+  struct TenantCounters {
+    obs::Counter* enqueued = nullptr;
+    obs::Counter* started = nullptr;
+    obs::Counter* expired = nullptr;
+  };
+
+  /// The series a queued request is counted under — its lane's and its
+  /// tenant's — resolved once at enqueue and carried with the request.
+  struct QueueCounters {
+    LaneCounters* lane = nullptr;
+    TenantCounters tenant;
+  };
+
+  /// Binds `tenant`'s series (registering them on first use).
+  [[nodiscard]] TenantCounters BindTenant(std::string_view tenant);
+
+  /// Resolves `request`'s series and counts it enqueued.
+  [[nodiscard]] QueueCounters CountEnqueued(const CompileRequest& request);
+
   /// Lane and tenant accounting for a queued request a worker starts.
-  void StartQueued(const CompileRequest& request, double wait_seconds);
+  static void StartQueued(const QueueCounters& counters, double wait_seconds);
 
   /// Fails a queued request whose deadline lapsed (counted per lane and
   /// tenant) with DeadlineExceeded carrying `what`.
-  void ExpireQueued(const CompileRequest& request,
+  void ExpireQueued(const QueueCounters& counters,
                     std::promise<CompileResponse>& promise,
                     const std::string& what);
 
   /// One member of a grouped cold-miss solve: index into the caller's
-  /// request span, the precomputed key, and the promise behind the
-  /// member's ticket.
+  /// request span, the precomputed key, the promise behind the member's
+  /// ticket, and the member's series.
   struct GroupMember {
     std::size_t index = 0;
     RequestKey key;
     std::promise<CompileResponse> promise;
     std::chrono::steady_clock::time_point enqueue_time{};
+    QueueCounters counters;
   };
 
   /// True when the engine behind `engine_name` overrides ScheduleBatch
@@ -680,9 +658,7 @@ class CompileService {
   graph::CanonicalHash options_fingerprint_;
 
   /// Unified metrics registry (obs::Registry).  Declared before every
-  /// counter reference below — members bind into it at construction.  The
-  /// references have the std::atomic fetch_add/load surface, so increment
-  /// sites are byte-for-byte the pre-registry code.
+  /// counter reference below — members bind into it at construction.
   obs::Registry registry_;
 
   obs::Counter& hits_ =
@@ -746,8 +722,7 @@ class CompileService {
       "respect_serve_peer_fetch_failures_total",
       "Peer fetches that threw or returned corrupt/mismatched bytes");
 
-  /// Cold-solve latency distribution (seconds) with Prometheus buckets;
-  /// also the source of ServiceMetrics::solve_p50/p99_seconds.
+  /// Cold-solve latency distribution (seconds) with Prometheus buckets.
   obs::Histogram& solve_hist_ = registry_.GetHistogram(
       "respect_serve_solve_seconds", "Cold engine solve latency (seconds)");
 
@@ -772,27 +747,15 @@ class CompileService {
   std::condition_variable writeback_cv_;
   std::size_t pending_writebacks_ = 0;
 
-  struct LaneCounters {
-    obs::Counter& enqueued;
-    obs::Counter& started;
-    obs::Counter& expired;
-    obs::Counter& shed;
-    obs::Histogram& wait;  // queue wait of started requests (seconds)
-  };
-  /// Binds one lane's counters and wait histogram into the registry under
-  /// respect_serve_lane_<lane>_* names.
+  /// Binds one lane's lane-labelled respect_serve_lane_* series.
   [[nodiscard]] LaneCounters MakeLaneCounters(std::size_t lane);
   static_assert(kNumPriorityLanes == 3, "extend lane_counters_ init");
   std::array<LaneCounters, kNumPriorityLanes> lane_counters_ = {
       MakeLaneCounters(0), MakeLaneCounters(1), MakeLaneCounters(2)};
 
-  /// Per-tenant async-path counters, keyed by tenant id.  A small map under
-  /// its own mutex (not atomics): tenant cardinality is low and the updates
-  /// are off the solve's critical path.
-  void BumpTenant(const std::string& tenant,
-                  std::uint64_t TenantMetrics::*field);
-  mutable std::mutex tenant_mutex_;
-  std::map<std::string, TenantMetrics> tenant_counters_;
+  /// The default ("") tenant's series, bound at construction so untagged
+  /// requests skip the registry lookup.
+  const TenantCounters default_tenant_ = BindTenant("");
 };
 
 }  // namespace respect::serve

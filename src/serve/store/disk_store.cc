@@ -40,40 +40,46 @@ std::string ReadFileBytes(const std::filesystem::path& path) {
   return std::move(os).str();
 }
 
+obs::Registry& RequireRegistry(const DiskStoreOptions& options) {
+  if (options.registry == nullptr) {
+    throw std::invalid_argument("DiskStore: a metrics registry is required");
+  }
+  return *options.registry;
+}
+
 }  // namespace
 
 DiskStore::DiskStore(const DiskStoreOptions& options)
     : options_(options),
       directory_(options.directory),
-      own_registry_(options.registry ? nullptr : new obs::Registry()),
-      registry_(options.registry ? options.registry : own_registry_.get()),
-      probes_(registry_->GetCounter("respect_store_probes_total",
+      registry_(RequireRegistry(options)),
+      probes_(registry_.GetCounter("respect_store_probes_total",
                                     "Disk-store probes")),
-      hits_(registry_->GetCounter("respect_store_hits_total",
+      hits_(registry_.GetCounter("respect_store_hits_total",
                                   "Disk-store verified hits")),
-      misses_(registry_->GetCounter("respect_store_misses_total",
+      misses_(registry_.GetCounter("respect_store_misses_total",
                                     "Disk-store misses")),
-      writes_(registry_->GetCounter("respect_store_writes_total",
+      writes_(registry_.GetCounter("respect_store_writes_total",
                                     "Spill files published")),
-      write_failures_(registry_->GetCounter(
+      write_failures_(registry_.GetCounter(
           "respect_store_write_failures_total",
           "Spill writes abandoned after every retry")),
-      write_retries_(registry_->GetCounter("respect_store_write_retries_total",
+      write_retries_(registry_.GetCounter("respect_store_write_retries_total",
                                            "Spill write attempts retried")),
-      corrupt_dropped_(registry_->GetCounter(
+      corrupt_dropped_(registry_.GetCounter(
           "respect_store_corrupt_dropped_total",
           "Spill files quarantined as corrupt or mismatched")),
-      expired_dropped_(registry_->GetCounter(
+      expired_dropped_(registry_.GetCounter(
           "respect_store_expired_dropped_total",
           "Spill files dropped past their TTL")),
-      compacted_(registry_->GetCounter(
+      compacted_(registry_.GetCounter(
           "respect_store_compacted_total",
           "Spill files reclaimed by Compact (stale RL version)")),
-      exports_(registry_->GetCounter("respect_store_exports_total",
+      exports_(registry_.GetCounter("respect_store_exports_total",
                                      "Raw envelopes served to fleet peers")),
-      imports_(registry_->GetCounter("respect_store_imports_total",
+      imports_(registry_.GetCounter("respect_store_imports_total",
                                      "Peer envelopes verified and published")),
-      import_rejected_(registry_->GetCounter(
+      import_rejected_(registry_.GetCounter(
           "respect_store_import_rejected_total",
           "Peer envelopes refused at verification")) {
   if (directory_.empty()) {
@@ -329,17 +335,9 @@ std::size_t DiskStore::Compact(std::uint64_t live_rl_version) {
 
 StoreMetrics DiskStore::Metrics() const {
   StoreMetrics metrics;
-  metrics.probes = probes_.load(std::memory_order_relaxed);
-  metrics.hits = hits_.load(std::memory_order_relaxed);
-  metrics.misses = misses_.load(std::memory_order_relaxed);
   metrics.writes = writes_.load(std::memory_order_relaxed);
   metrics.write_failures = write_failures_.load(std::memory_order_relaxed);
-  metrics.write_retries = write_retries_.load(std::memory_order_relaxed);
   metrics.corrupt_dropped = corrupt_dropped_.load(std::memory_order_relaxed);
-  metrics.expired_dropped = expired_dropped_.load(std::memory_order_relaxed);
-  metrics.compacted = compacted_.load(std::memory_order_relaxed);
-  metrics.exports = exports_.load(std::memory_order_relaxed);
-  metrics.imports = imports_.load(std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(index_mutex_);
     metrics.resident = index_.size();

@@ -83,19 +83,14 @@
 
 namespace respect::serve::store {
 
-/// Point-in-time store counters (all monotone except resident).
+/// What perfbench/ reads as fields, plus the index size the registry does
+/// not hold; every other store counter (probes, hits, misses, retries,
+/// expiries, compactions, exports, imports) is read from the registry by
+/// series name (respect_store_*_total).
 struct StoreMetrics {
-  std::uint64_t probes = 0;           // Probe calls
-  std::uint64_t hits = 0;             // probes answered with a result
-  std::uint64_t misses = 0;           // probes with no usable entry
-  std::uint64_t writes = 0;           // successful Put spills
-  std::uint64_t write_failures = 0;   // Puts that failed every attempt
-  std::uint64_t write_retries = 0;    // transient failures retried inside Put
-  std::uint64_t corrupt_dropped = 0;  // malformed entries quarantined
-  std::uint64_t expired_dropped = 0;  // TTL-expired entries dropped lazily
-  std::uint64_t compacted = 0;        // entries removed by Compact
-  std::uint64_t exports = 0;          // raw envelopes served to peers
-  std::uint64_t imports = 0;          // raw envelopes accepted from peers
+  std::uint64_t writes = 0;           // respect_store_writes_total
+  std::uint64_t write_failures = 0;   // respect_store_write_failures_total
+  std::uint64_t corrupt_dropped = 0;  // respect_store_corrupt_dropped_total
   std::size_t resident = 0;           // entries indexed right now
 };
 
@@ -111,9 +106,10 @@ struct DiskStoreOptions {
   /// to std::chrono::system_clock::now.
   std::function<std::chrono::system_clock::time_point()> clock;
 
-  /// Metrics registry to register the store's counters into (must outlive
-  /// the store).  CompileService passes its own so one exposition page
-  /// covers both tiers; null makes the store carry a private registry.
+  /// Metrics registry the store's counters live in (required; must outlive
+  /// the store — the constructor throws std::invalid_argument on null).
+  /// CompileService passes its own so one exposition page covers both
+  /// tiers.
   obs::Registry* registry = nullptr;
 };
 
@@ -136,7 +132,7 @@ class DiskStore {
 
   /// Persists one result under meta.key.  A failed write is retried twice
   /// (3 attempts; the backoff starts at 2 ms and doubles per retry).  Never
-  /// throws; failures are counted in StoreMetrics::write_failures.
+  /// throws; failures are counted in respect_store_write_failures_total.
   void Put(const SpillMeta& meta, const ResultPtr& result);
 
   /// Deletes unreachable entries: RL-dependent results whose rl_version !=
@@ -207,13 +203,10 @@ class DiskStore {
 
   std::atomic<std::uint64_t> temp_counter_{0};  // unique temp-file suffixes
 
-  /// Counters live in the caller's registry (DiskStoreOptions::registry)
-  /// or the private one below; either way the references expose the same
-  /// std::atomic surface the pre-registry code used, so increment sites
-  /// are unchanged.  Declaration order matters: own_registry_ must
-  /// construct before any counter binds.
-  std::unique_ptr<obs::Registry> own_registry_;
-  obs::Registry* registry_ = nullptr;
+  /// Counters live in the caller's registry (DiskStoreOptions::registry);
+  /// the references expose the std::atomic fetch_add/load surface.
+  /// Declaration order matters: registry_ binds before any counter.
+  obs::Registry& registry_;
   obs::Counter& probes_;
   obs::Counter& hits_;
   obs::Counter& misses_;

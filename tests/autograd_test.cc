@@ -11,6 +11,7 @@
 #include "nn/lstm.h"
 #include "nn/tape.h"
 #include "nn/tensor.h"
+#include "tests/support/reference_decode.h"
 
 namespace respect::nn {
 namespace {
@@ -230,8 +231,10 @@ TEST(AutogradTest, AttentionLogitsMatchInferencePath) {
   const Tensor h = RandomTensor(4, 1, 27);
   const std::vector<bool> valid{true, true, true, false, true, true};
 
-  const auto refs = attention.Precompute(C);
-  const Tensor logits_value = attention.PointerLogits(C, refs, h, valid);
+  PointerAttention::CachedRefs refs;
+  attention.PrecomputeInto(C, refs);
+  const Tensor logits_value = rl::PointerLogits(
+      store, "attn", C, refs.glimpse_ref, refs.pointer_ref, h, valid, 4);
 
   Tape tape;
   const Ref c_ref = tape.Constant(C);

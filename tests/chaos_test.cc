@@ -23,6 +23,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <utility>
@@ -39,6 +40,7 @@
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/socket.h"
+#include "obs/registry.h"
 #include "serve/circuit_breaker.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
@@ -68,6 +70,7 @@ using serve::ResultPtr;
 using serve::store::DiskStore;
 using serve::store::DiskStoreOptions;
 using serve::store::SpillMeta;
+using Breaker = serve::CircuitBreaker::State;
 
 CompilerOptions FastOptions() {
   CompilerOptions options;
@@ -82,6 +85,32 @@ CompilerOptions FastOptions() {
 graph::Dag SampleDag(int nodes, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   return graph::SampleTrainingDag(nodes, rng);
+}
+
+/// A counter read through the registry: a misspelt series throws instead
+/// of reading 0.
+std::uint64_t Count(const obs::Registry& registry, std::string_view name,
+                    obs::Label label = {}) {
+  return registry.FindCounter(name, label).load();
+}
+
+std::uint64_t Count(const serve::CompileService& service,
+                    std::string_view name, obs::Label label = {}) {
+  return Count(service.MetricsRegistry(), name, label);
+}
+
+obs::Label Lane(Priority priority) {
+  return {"lane", serve::PriorityName(priority)};
+}
+
+/// Requests refused at admission with Overloaded, summed over lanes.
+std::uint64_t ShedTotal(const serve::CompileService& service) {
+  std::uint64_t shed = 0;
+  for (std::size_t lane = 0; lane < serve::kNumPriorityLanes; ++lane) {
+    shed += Count(service, "respect_serve_lane_shed_total",
+                  Lane(static_cast<Priority>(lane)));
+  }
+  return shed;
 }
 
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
@@ -357,12 +386,12 @@ TEST(ChaosServiceTest, BlownBudgetFallsBackDegradedAndCachesUnderFallbackKey) {
   EXPECT_EQ(degraded.result->schedule.num_stages, 4);
   EXPECT_EQ(StallPollEngine::Solves().load(), 0);  // cancelled, never finished
 
-  auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.budget_blown, 1u);
-  EXPECT_EQ(metrics.degraded_served, 1u);
-  EXPECT_EQ(metrics.fallback_exhausted, 0u);
-  ASSERT_TRUE(metrics.breakers.count("StallPoll"));
-  EXPECT_EQ(metrics.breakers.at("StallPoll").consecutive_failures, 1);
+  EXPECT_EQ(Count(service, "respect_serve_budget_blown_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_degraded_served_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_fallback_exhausted_total"), 0u);
+  const auto stall = service.BreakerSnapshot("StallPoll");
+  ASSERT_TRUE(stall.has_value());
+  EXPECT_EQ(stall->consecutive_failures, 1);
 
   // The degraded result lives under the fallback engine's own key: asking
   // for ListScheduling outright is a hit on the same shared result...
@@ -380,7 +409,7 @@ TEST(ChaosServiceTest, BlownBudgetFallsBackDegradedAndCachesUnderFallbackKey) {
                                      .solve_budget_seconds = 0.05});
   EXPECT_EQ(again.outcome, CacheOutcome::kMiss);
   EXPECT_TRUE(again.degraded);
-  EXPECT_EQ(service.Metrics().budget_blown, 2u);
+  EXPECT_EQ(Count(service, "respect_serve_budget_blown_total"), 2u);
 }
 
 TEST(ChaosServiceTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
@@ -391,12 +420,11 @@ TEST(ChaosServiceTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
   const graph::Dag dag = SampleDag(24, 22);
 
   EXPECT_THROW((void)Ask(service, dag, 4, "StallPoll"), DeadlineExceeded);
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.budget_blown, 1u);
-  EXPECT_EQ(metrics.fallback_exhausted, 1u);
-  EXPECT_EQ(metrics.failures, 1u);
-  EXPECT_EQ(metrics.deadline_expired, 1u);
-  EXPECT_EQ(metrics.degraded_served, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_budget_blown_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_fallback_exhausted_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_deadline_expired_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_degraded_served_total"), 0u);
 }
 
 TEST(ChaosServiceTest, InjectedEngineErrorWalksTheFallbackChain) {
@@ -412,7 +440,7 @@ TEST(ChaosServiceTest, InjectedEngineErrorWalksTheFallbackChain) {
   EXPECT_EQ(response.engine_name, "GreedyBalance");
   EXPECT_EQ(response.requested_engine, "ListScheduling");
   ASSERT_NE(response.result, nullptr);
-  EXPECT_EQ(service.Metrics().degraded_served, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_degraded_served_total"), 1u);
 }
 
 TEST(ChaosServiceTest, UnknownFallbackEngineFailsAtConstruction) {
@@ -442,20 +470,20 @@ TEST(ChaosServiceTest, BreakerOpensShortCircuitsAndRecoversViaProbe) {
   const CompileResponse r1 = Ask(service, SampleDag(24, 31), 4, "Flaky");
   EXPECT_TRUE(r1.degraded);
   EXPECT_EQ(FlakyEngine::Attempts().load(), 1);
-  EXPECT_EQ(service.Metrics().breakers.at("Flaky").state, "closed");
+  EXPECT_EQ(service.BreakerSnapshot("Flaky")->state, Breaker::kClosed);
 
   const CompileResponse r2 = Ask(service, SampleDag(24, 32), 4, "Flaky");
   EXPECT_TRUE(r2.degraded);
   EXPECT_EQ(FlakyEngine::Attempts().load(), 2);
-  EXPECT_EQ(service.Metrics().breakers.at("Flaky").state, "open");
-  EXPECT_EQ(service.Metrics().breakers.at("Flaky").opened, 1u);
+  EXPECT_EQ(service.BreakerSnapshot("Flaky")->state, Breaker::kOpen);
+  EXPECT_EQ(service.BreakerSnapshot("Flaky")->opened, 1u);
 
   // While open the sick engine is skipped entirely — no third attempt —
   // and the fallback answers alone.
   const CompileResponse r3 = Ask(service, SampleDag(24, 33), 4, "Flaky");
   EXPECT_TRUE(r3.degraded);
   EXPECT_EQ(FlakyEngine::Attempts().load(), 2);
-  EXPECT_GE(service.Metrics().breakers.at("Flaky").short_circuits, 1u);
+  EXPECT_GE(service.BreakerSnapshot("Flaky")->short_circuits, 1u);
 
   // After the open window a half-open probe reaches the (now healed)
   // engine; its success closes the breaker and the response is undegraded.
@@ -465,9 +493,10 @@ TEST(ChaosServiceTest, BreakerOpensShortCircuitsAndRecoversViaProbe) {
   EXPECT_FALSE(r4.degraded);
   EXPECT_EQ(r4.engine_name, "Flaky");
   EXPECT_EQ(FlakyEngine::Attempts().load(), 3);
-  const auto snapshot = service.Metrics().breakers.at("Flaky");
-  EXPECT_EQ(snapshot.state, "closed");
-  EXPECT_EQ(snapshot.consecutive_failures, 0);
+  const auto snapshot = service.BreakerSnapshot("Flaky");
+  ASSERT_TRUE(snapshot.has_value());
+  EXPECT_EQ(snapshot->state, Breaker::kClosed);
+  EXPECT_EQ(snapshot->consecutive_failures, 0);
 }
 
 TEST(ChaosServiceTest, LastCandidateIsAttemptedEvenWithAnOpenBreaker) {
@@ -482,7 +511,7 @@ TEST(ChaosServiceTest, LastCandidateIsAttemptedEvenWithAnOpenBreaker) {
   // "no attempt at all" — the only candidate is always tried.
   EXPECT_THROW((void)Ask(service, SampleDag(24, 35), 4, "Flaky"),
                std::runtime_error);
-  EXPECT_EQ(service.Metrics().breakers.at("Flaky").state, "open");
+  EXPECT_EQ(service.BreakerSnapshot("Flaky")->state, Breaker::kOpen);
   const int after_open = FlakyEngine::Attempts().load();
   EXPECT_THROW((void)Ask(service, SampleDag(24, 36), 4, "Flaky"),
                std::runtime_error);
@@ -523,9 +552,9 @@ TEST(ChaosServiceTest, FullLaneShedsWithTypedOverloaded) {
   EXPECT_GE(served, 1);
   EXPECT_GE(overloaded, 1);
 
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.shed, static_cast<std::uint64_t>(overloaded));
-  EXPECT_EQ(metrics.lanes[static_cast<std::size_t>(Priority::kNormal)].shed,
+  EXPECT_EQ(ShedTotal(service), static_cast<std::uint64_t>(overloaded));
+  EXPECT_EQ(Count(service, "respect_serve_lane_shed_total",
+                  Lane(Priority::kNormal)),
             static_cast<std::uint64_t>(overloaded));
 }
 
@@ -544,7 +573,7 @@ TEST(ChaosServiceTest, WritebackFailureIsCountedNotSilent) {
   service.FlushStore();
 
   const auto metrics = service.Metrics();
-  EXPECT_GE(metrics.writeback_errors, 1u);
+  EXPECT_GE(Count(service, "respect_serve_writeback_errors_total"), 1u);
   EXPECT_EQ(metrics.store.writes, 0u);
 }
 
@@ -556,7 +585,9 @@ ResultPtr SolveOnce(const graph::Dag& dag) {
 
 TEST(DiskStoreChaosTest, PutRetriesTransientWriteFailure) {
   const TempDir dir("respect-chaos-put-retry");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0xc0de, 0xf00d};
   meta.engine_name = "ListScheduling";
@@ -566,7 +597,7 @@ TEST(DiskStoreChaosTest, PutRetriesTransientWriteFailure) {
 
   const auto metrics = store.Metrics();
   EXPECT_EQ(metrics.writes, 1u);
-  EXPECT_EQ(metrics.write_retries, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_write_retries_total"), 1u);
   EXPECT_EQ(metrics.write_failures, 0u);
   EXPECT_FALSE(HasTempLitter(dir.path()));
   EXPECT_NE(store.Probe(meta.key), nullptr);
@@ -574,7 +605,9 @@ TEST(DiskStoreChaosTest, PutRetriesTransientWriteFailure) {
 
 TEST(DiskStoreChaosTest, PutRetriesRenameFailureToo) {
   const TempDir dir("respect-chaos-rename-retry");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0xabad, 0x1dea};
   meta.engine_name = "ListScheduling";
@@ -584,14 +617,16 @@ TEST(DiskStoreChaosTest, PutRetriesRenameFailureToo) {
 
   const auto metrics = store.Metrics();
   EXPECT_EQ(metrics.writes, 1u);
-  EXPECT_EQ(metrics.write_retries, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_write_retries_total"), 1u);
   EXPECT_EQ(metrics.write_failures, 0u);
   EXPECT_FALSE(HasTempLitter(dir.path()));
 }
 
 TEST(DiskStoreChaosTest, ExhaustedRetriesCountOneFailureWithoutLitter) {
   const TempDir dir("respect-chaos-put-exhaust");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0xdead, 0xbeef};
   meta.engine_name = "ListScheduling";
@@ -601,7 +636,7 @@ TEST(DiskStoreChaosTest, ExhaustedRetriesCountOneFailureWithoutLitter) {
 
   const auto metrics = store.Metrics();
   EXPECT_EQ(metrics.writes, 0u);
-  EXPECT_EQ(metrics.write_retries, 2u);
+  EXPECT_EQ(Count(registry, "respect_store_write_retries_total"), 2u);
   EXPECT_EQ(metrics.write_failures, 1u);
   EXPECT_FALSE(HasTempLitter(dir.path()));
   EXPECT_EQ(store.Probe(meta.key), nullptr);
@@ -610,7 +645,9 @@ TEST(DiskStoreChaosTest, ExhaustedRetriesCountOneFailureWithoutLitter) {
 
 TEST(DiskStoreChaosTest, ReadFailureQuarantinesTheFileAndMisses) {
   const TempDir dir("respect-chaos-read");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0x5eed, 0x511};
   meta.engine_name = "ListScheduling";
@@ -628,8 +665,8 @@ TEST(DiskStoreChaosTest, ReadFailureQuarantinesTheFileAndMisses) {
 
   const auto metrics = store.Metrics();
   EXPECT_EQ(metrics.corrupt_dropped, 1u);
-  EXPECT_EQ(metrics.hits, 0u);
-  EXPECT_EQ(metrics.misses, 2u);
+  EXPECT_EQ(Count(registry, "respect_store_hits_total"), 0u);
+  EXPECT_EQ(Count(registry, "respect_store_misses_total"), 2u);
 }
 
 // ── Queue and pool fault injection ───────────────────────────────────────
@@ -669,10 +706,10 @@ TEST(RequestQueueChaosTest, DeadlineLapsingAfterThePopFailsBeforeTheSolve) {
   const auto ticket = service.Submit(std::move(request));
   EXPECT_THROW((void)ticket.Wait(), DeadlineExceeded);
 
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 0u);
-  EXPECT_EQ(metrics.deadline_expired, 1u);
-  EXPECT_EQ(metrics.lanes[static_cast<std::size_t>(Priority::kNormal)].expired,
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_deadline_expired_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_expired_total",
+                  Lane(Priority::kNormal)),
             1u);
 }
 
@@ -771,15 +808,14 @@ TEST(NetChaosTest, DroppedPeerDegradesToLocalSolve) {
     ASSERT_NE(degraded.result, nullptr);
     EXPECT_EQ(degraded.outcome, CacheOutcome::kMiss);
   }
-  const auto during = service_b.Metrics();
-  EXPECT_GE(during.peer_fetch_failures, 1u);
-  EXPECT_EQ(during.peer_hits, 0u);
+  EXPECT_GE(Count(service_b, "respect_serve_peer_fetch_failures_total"), 1u);
+  EXPECT_EQ(Count(service_b, "respect_serve_peer_hits_total"), 0u);
 
   // Fault cleared: the next cold key warms from the peer again.
   const CompileResponse warmed = client_b.Compile(
       CompileRequest{.dag = second, .num_stages = 4, .engine = "list"});
   EXPECT_EQ(warmed.outcome, CacheOutcome::kPeerHit);
-  EXPECT_GE(service_b.Metrics().peer_hits, 1u);
+  EXPECT_GE(Count(service_b, "respect_serve_peer_hits_total"), 1u);
   server_b.Stop();
   server_a.Stop();
 }
@@ -1151,7 +1187,7 @@ TEST_P(EntryPointContractTest, FailingEngineDegradesToTheFallback) {
   EXPECT_EQ(Run(service, 201), Outcome::kDegraded);
   EXPECT_EQ(response_.engine_name, "ListScheduling");
   EXPECT_EQ(response_.requested_engine, "RESPECT");
-  EXPECT_EQ(service.Metrics().degraded_served, Owners());
+  EXPECT_EQ(Count(service, "respect_serve_degraded_served_total"), Owners());
 }
 
 TEST_P(EntryPointContractTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
@@ -1159,9 +1195,8 @@ TEST_P(EntryPointContractTest, BlownBudgetWithoutFallbackIsDeadlineExceeded) {
   const ScopedFailpoint fp("engine.solve.RESPECT", "delay(50)");
   EXPECT_EQ(Run(service, 211, {.solve_budget_seconds = 0.01}),
             Outcome::kDeadline);
-  const auto metrics = service.Metrics();
-  EXPECT_GE(metrics.budget_blown, 1u);
-  EXPECT_EQ(metrics.fallback_exhausted, Owners());
+  EXPECT_GE(Count(service, "respect_serve_budget_blown_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_fallback_exhausted_total"), Owners());
 }
 
 TEST_P(EntryPointContractTest, OpenBreakerShortCircuitsToTheFallback) {
@@ -1174,11 +1209,11 @@ TEST_P(EntryPointContractTest, OpenBreakerShortCircuitsToTheFallback) {
     const ScopedFailpoint fp("engine.solve.RESPECT", "error");
     (void)service.Compile(Request(221));
   }
-  ASSERT_EQ(service.Metrics().breakers.at("RESPECT").state, "open");
+  ASSERT_EQ(service.BreakerSnapshot("RESPECT")->state, Breaker::kOpen);
 
   EXPECT_EQ(Run(service, 222), Outcome::kDegraded);
   EXPECT_EQ(response_.engine_name, "ListScheduling");
-  EXPECT_GE(service.Metrics().breakers.at("RESPECT").short_circuits, 1u);
+  EXPECT_GE(service.BreakerSnapshot("RESPECT")->short_circuits, 1u);
 }
 
 TEST_P(EntryPointContractTest, ExpiredDeadlineIsDeadlineExceeded) {
@@ -1187,16 +1222,17 @@ TEST_P(EntryPointContractTest, ExpiredDeadlineIsDeadlineExceeded) {
                 {.deadline = std::chrono::steady_clock::now() -
                              std::chrono::milliseconds(1)}),
             Outcome::kDeadline);
-  EXPECT_EQ(service.Metrics().misses, 0u);  // never reached a solve
+  // Never reached a solve.
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
 }
 
 TEST_P(EntryPointContractTest, NonPositiveStageCountIsRejectedAtAdmission) {
   serve::CompileService service(FastOptions());
   EXPECT_EQ(Run(service, 235, {}, /*num_stages=*/0),
             Outcome::kInvalidArgument);
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 0u);  // never reached a flight
-  EXPECT_TRUE(metrics.breakers.empty());
+  // Never reached a flight, so never an engine attempt.
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
+  EXPECT_FALSE(service.BreakerSnapshot("RESPECT").has_value());
 }
 
 TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
@@ -1208,10 +1244,9 @@ TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
   });
   EXPECT_EQ(Run(service, 241), Outcome::kServed);
   EXPECT_EQ(static_cast<std::size_t>(fetches.load()), Owners());
-  auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.peer_fetches, Owners());
-  EXPECT_EQ(metrics.peer_fetch_failures, 0u);
-  EXPECT_EQ(metrics.batch_groups,
+  EXPECT_EQ(Count(service, "respect_serve_peer_fetches_total"), Owners());
+  EXPECT_EQ(Count(service, "respect_serve_peer_fetch_failures_total"), 0u);
+  EXPECT_EQ(service.Metrics().batch_groups,
             GetParam() == EntryPoint::kGroupedBatch ? 1u : 0u);
 
   // A dead peer: the hook throws, and every cold owner still solves
@@ -1220,9 +1255,9 @@ TEST_P(EntryPointContractTest, PeerHookIsAskedOncePerColdOwner) {
     throw std::runtime_error("peer connection refused");
   });
   EXPECT_EQ(Run(service, 242), Outcome::kServed);
-  metrics = service.Metrics();
-  EXPECT_EQ(metrics.peer_fetches, 2 * Owners());
-  EXPECT_EQ(metrics.peer_fetch_failures, Owners());
+  EXPECT_EQ(Count(service, "respect_serve_peer_fetches_total"), 2 * Owners());
+  EXPECT_EQ(Count(service, "respect_serve_peer_fetch_failures_total"),
+            Owners());
   service.SetPeerFetch(nullptr);
 }
 
@@ -1256,9 +1291,9 @@ TEST_P(EntryPointContractTest, FullLaneShedsQueuedEntryPoints) {
   }
   EXPECT_TRUE(settled);
   EXPECT_EQ(got, Outcome::kOverloaded);
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.shed, Owners());
-  EXPECT_EQ(metrics.lanes[static_cast<std::size_t>(Priority::kNormal)].shed,
+  EXPECT_EQ(ShedTotal(service), Owners());
+  EXPECT_EQ(Count(service, "respect_serve_lane_shed_total",
+                  Lane(Priority::kNormal)),
             Owners());
 }
 

@@ -167,7 +167,9 @@ TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
           }
         }
 
-        std::vector<nn::LstmCell::State> slow(batch, cell.InitialState());
+        std::vector<rl::LstmState> slow(
+            batch, rl::LstmState{nn::Tensor::Zeros(hidden, 1),
+                                 nn::Tensor::Zeros(hidden, 1)});
         nn::LstmCell::State fast{nn::Tensor(hidden, batch),
                                  nn::Tensor(hidden, batch)};
         nn::Tensor panel, gates(4 * hidden, batch), zx(4 * hidden, batch);
@@ -179,7 +181,7 @@ TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
             const nn::Tensor zx_g = nn::MatMul(cell.InputWeight(), x);
             for (int i = 0; i < 4 * hidden; ++i) zx.At(i, g) = zx_g.At(i, 0);
             zx_cols[g] = g;
-            slow[g] = cell.Step(x, slow[g]);
+            slow[g] = rl::LstmStep(store, "lstm", x, slow[g], hidden);
           }
           cell.StepInto(zx, zx_cols.data(), batch, panel, gates, fast);
           for (int g = 0; g < batch; ++g) {
@@ -204,9 +206,10 @@ TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
         nn::PointerAttention::Scratch scratch;
         scratch.Reserve(hidden, nodes, batch);
         nn::Tensor logits(1, total);
-        attention.PointerLogitsInto(packed, attention.Precompute(packed),
-                                    fast.h, valid_bytes, nodes, batch,
-                                    scratch, logits);
+        nn::PointerAttention::CachedRefs packed_refs;
+        attention.PrecomputeInto(packed, packed_refs);
+        attention.PointerLogitsInto(packed, packed_refs, fast.h, valid_bytes,
+                                    nodes, batch, scratch, logits);
         for (int g = 0; g < batch; ++g) {
           const nn::Tensor contexts =
               nn::SliceCols(packed, g * nodes, (g + 1) * nodes);
@@ -214,8 +217,11 @@ TEST(DecodeParityTest, KMajorKernelsMatchAllocatingPathBitForBit) {
           for (int j = 0; j < nodes; ++j) {
             valid[j] = valid_bytes[g * nodes + j] != 0;
           }
-          const nn::Tensor expected = attention.PointerLogits(
-              contexts, attention.Precompute(contexts), slow[g].h, valid);
+          nn::PointerAttention::CachedRefs refs;
+          attention.PrecomputeInto(contexts, refs);
+          const nn::Tensor expected =
+              rl::PointerLogits(store, "attention", contexts, refs.glimpse_ref,
+                                refs.pointer_ref, slow[g].h, valid, hidden);
           for (int j = 0; j < nodes; ++j) {
             if (!valid[j]) continue;
             EXPECT_TRUE(SameBits(expected.Data() + j,

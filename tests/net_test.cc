@@ -28,6 +28,7 @@
 #include "net/fleet_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/registry.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
 #include "serve/store/spill_codec.h"
@@ -517,9 +518,11 @@ TEST(FleetServerTest, SpillFetchByHexServesVerifiedEnvelopes) {
   graph::CanonicalHash absent = key;
   absent.lo ^= 0x1;
   EXPECT_FALSE(client.FetchSpill(absent).has_value());
-  const auto metrics = server.Metrics();
-  EXPECT_EQ(metrics.spill_served, 1u);
-  EXPECT_EQ(metrics.spill_missed, 1u);
+  const obs::Registry& registry = service.MetricsRegistry();
+  EXPECT_EQ(registry.FindCounter("respect_fleet_spill_served_total").load(),
+            1u);
+  EXPECT_EQ(registry.FindCounter("respect_fleet_spill_missed_total").load(),
+            1u);
   server.Stop();
 }
 

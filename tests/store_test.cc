@@ -20,6 +20,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
+#include "obs/registry.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
 #include "serve/store/disk_store.h"
@@ -64,6 +66,18 @@ CompilerOptions FastOptions() {
 graph::Dag SampleDag(int nodes, std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   return graph::SampleTrainingDag(nodes, rng);
+}
+
+/// A counter read through the registry: a misspelt series throws instead
+/// of reading 0.
+std::uint64_t Count(const obs::Registry& registry, std::string_view name,
+                    obs::Label label = {}) {
+  return registry.FindCounter(name, label).load();
+}
+
+std::uint64_t Count(const serve::CompileService& service,
+                    std::string_view name, obs::Label label = {}) {
+  return Count(service.MetricsRegistry(), name, label);
 }
 
 CompileResponse Ask(serve::CompileService& service, const graph::Dag& dag,
@@ -219,7 +233,9 @@ ResultPtr SolveOnce(const graph::Dag& dag) {
 
 TEST(DiskStoreTest, PutProbeRoundTripsTheResult) {
   const TempDir dir("respect-store-roundtrip");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   const graph::Dag dag = SampleDag(24, 5);
   const ResultPtr result = SolveOnce(dag);
 
@@ -237,10 +253,9 @@ TEST(DiskStoreTest, PutProbeRoundTripsTheResult) {
   EXPECT_EQ(loaded->solve_seconds, result->solve_seconds);
 
   EXPECT_EQ(store.Probe(graph::CanonicalHash{1, 2}), nullptr);  // absent
-  const auto metrics = store.Metrics();
-  EXPECT_EQ(metrics.probes, 2u);
-  EXPECT_EQ(metrics.hits, 1u);
-  EXPECT_EQ(metrics.misses, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_probes_total"), 2u);
+  EXPECT_EQ(Count(registry, "respect_store_hits_total"), 1u);
+  EXPECT_EQ(Count(registry, "respect_store_misses_total"), 1u);
 }
 
 // Regression (failure-domain hardening PR): a transient write failure must
@@ -248,7 +263,9 @@ TEST(DiskStoreTest, PutProbeRoundTripsTheResult) {
 // exhausted retry budget is one counted write failure, still litter-free.
 TEST(DiskStoreTest, TransientWriteFailureRetriesWithoutTempLitter) {
   const TempDir dir("respect-store-write-retry");
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   const ResultPtr result = SolveOnce(SampleDag(24, 6));
   SpillMeta meta;
   meta.key = graph::CanonicalHash{0x7e57, 0x1};
@@ -259,7 +276,7 @@ TEST(DiskStoreTest, TransientWriteFailureRetriesWithoutTempLitter) {
   }
   auto metrics = store.Metrics();
   EXPECT_EQ(metrics.writes, 1u);
-  EXPECT_EQ(metrics.write_retries, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_write_retries_total"), 1u);
   EXPECT_EQ(metrics.write_failures, 0u);
   EXPECT_NE(store.Probe(meta.key), nullptr);
 
@@ -288,7 +305,9 @@ TEST(DiskStoreTest, ScanWarmStartsAndIgnoresForeignFiles) {
   meta.key = graph::HashDag(dag);
   meta.engine_name = "ListScheduling";
   {
-    DiskStore writer(DiskStoreOptions{.directory = dir.str()});
+    obs::Registry writer_registry;
+    DiskStore writer(
+        DiskStoreOptions{.directory = dir.str(), .registry = &writer_registry});
     writer.Put(meta, result);
   }
   // Clutter the directory: a foreign file, a badly named spill, an
@@ -303,7 +322,9 @@ TEST(DiskStoreTest, ScanWarmStartsAndIgnoresForeignFiles) {
   const fs::path stale_temp = dir.path() / (meta.key.ToHex() + ".spill.9.tmp");
   std::ofstream(stale_temp) << "partial write";
 
-  DiskStore reader(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry reader_registry;
+  DiskStore reader(
+      DiskStoreOptions{.directory = dir.str(), .registry = &reader_registry});
   EXPECT_EQ(reader.Metrics().resident, 1u);   // only the real spill indexed
   EXPECT_FALSE(fs::exists(stale_temp));       // swept on construction
   const ResultPtr loaded = reader.Probe(meta.key);
@@ -318,7 +339,9 @@ class DiskStoreCorruptionTest : public ::testing::Test {
     const graph::Dag dag = SampleDag(24, 9);
     meta_.key = graph::HashDag(dag);
     meta_.engine_name = "ListScheduling";
-    DiskStore writer(DiskStoreOptions{.directory = dir_->str()});
+    obs::Registry writer_registry;
+    DiskStore writer(DiskStoreOptions{.directory = dir_->str(),
+                                      .registry = &writer_registry});
     writer.Put(meta_, SolveOnce(dag));
     path_ = writer.PathFor(meta_.key);
     std::ifstream is(path_, std::ios::binary);
@@ -335,11 +358,13 @@ class DiskStoreCorruptionTest : public ::testing::Test {
       std::ofstream os(path_, std::ios::binary | std::ios::trunc);
       os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    DiskStore store(DiskStoreOptions{.directory = dir_->str()});
+    obs::Registry registry;
+    DiskStore store(
+        DiskStoreOptions{.directory = dir_->str(), .registry = &registry});
     EXPECT_EQ(store.Probe(meta_.key), nullptr) << label;
     const auto metrics = store.Metrics();
     EXPECT_EQ(metrics.corrupt_dropped, 1u) << label;
-    EXPECT_EQ(metrics.hits, 0u) << label;
+    EXPECT_EQ(Count(registry, "respect_store_hits_total"), 0u) << label;
     EXPECT_EQ(metrics.resident, 0u) << label;
     EXPECT_FALSE(fs::exists(path_)) << label;            // quarantined
     EXPECT_EQ(store.Probe(meta_.key), nullptr) << label;  // cheap re-miss
@@ -397,11 +422,15 @@ TEST(DiskStoreTest, RenamedSpillNeverAnswersTheWrongKey) {
   meta.engine_name = "ListScheduling";
   const graph::CanonicalHash other_key{0xfeed, 0xbeef};
   {
-    DiskStore writer(DiskStoreOptions{.directory = dir.str()});
+    obs::Registry writer_registry;
+    DiskStore writer(
+        DiskStoreOptions{.directory = dir.str(), .registry = &writer_registry});
     writer.Put(meta, SolveOnce(dag));
     fs::copy_file(writer.PathFor(meta.key), writer.PathFor(other_key));
   }
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   EXPECT_EQ(store.Metrics().resident, 2u);
   EXPECT_EQ(store.Probe(other_key), nullptr);
   EXPECT_EQ(store.Metrics().corrupt_dropped, 1u);
@@ -444,7 +473,9 @@ TEST(DiskStoreTest, Version1SpillsReadBackAsTheDefaultProfile) {
   hasher.Update(std::string_view(payload));
   const graph::CanonicalHash checksum = hasher.Finish();
 
-  DiskStore store(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
   const fs::path path = store.PathFor(key);
   {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -457,7 +488,9 @@ TEST(DiskStoreTest, Version1SpillsReadBackAsTheDefaultProfile) {
   }
 
   // A fresh store indexes and serves the v1 file as a normal hit.
-  DiskStore reader(DiskStoreOptions{.directory = dir.str()});
+  obs::Registry reader_registry;
+  DiskStore reader(
+      DiskStoreOptions{.directory = dir.str(), .registry = &reader_registry});
   EXPECT_EQ(reader.Metrics().resident, 1u);
   const ResultPtr loaded = reader.Probe(key);
   ASSERT_NE(loaded, nullptr);
@@ -489,6 +522,8 @@ TEST(DiskStoreTest, TtlExpiredEntriesAreDroppedOnProbe) {
   options.directory = dir.str();
   options.ttl_seconds = 100.0;
   options.clock = [&fake_now] { return fake_now; };
+  obs::Registry registry;
+  options.registry = &registry;
   DiskStore store(options);
 
   const graph::Dag dag = SampleDag(24, 13);
@@ -501,7 +536,7 @@ TEST(DiskStoreTest, TtlExpiredEntriesAreDroppedOnProbe) {
   fake_now += std::chrono::seconds(200);      // past the 100 s TTL
   EXPECT_EQ(store.Probe(meta.key), nullptr);
   const auto metrics = store.Metrics();
-  EXPECT_EQ(metrics.expired_dropped, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_expired_dropped_total"), 1u);
   EXPECT_EQ(metrics.resident, 0u);
   EXPECT_FALSE(fs::exists(store.PathFor(meta.key)));
 }
@@ -513,6 +548,8 @@ TEST(DiskStoreTest, CompactDeletesStaleRlAndExpiredEntries) {
   options.directory = dir.str();
   options.ttl_seconds = 1000.0;
   options.clock = [&fake_now] { return fake_now; };
+  obs::Registry registry;
+  options.registry = &registry;
   DiskStore store(options);
   const ResultPtr result = SolveOnce(SampleDag(24, 15));
 
@@ -528,7 +565,7 @@ TEST(DiskStoreTest, CompactDeletesStaleRlAndExpiredEntries) {
 
   // Live version 3: only the version-0 RL spill is unreachable.
   EXPECT_EQ(store.Compact(/*live_rl_version=*/3), 1u);
-  EXPECT_EQ(store.Metrics().compacted, 1u);
+  EXPECT_EQ(Count(registry, "respect_store_compacted_total"), 1u);
   EXPECT_EQ(store.Metrics().resident, 2u);
   EXPECT_EQ(store.Probe(stale_rl.key), nullptr);
   EXPECT_NE(store.Probe(live_rl.key), nullptr);
@@ -572,9 +609,9 @@ TEST(CompileServiceStoreTest, RestartWarmStartServesFromDiskWithZeroSolves) {
   ExpectSameResult(*warm.result, *first_result);
 
   const auto metrics = restarted.Metrics();
-  EXPECT_EQ(metrics.disk_hits, 1u);
-  EXPECT_EQ(metrics.misses, 0u);
-  EXPECT_EQ(metrics.store.hits, 1u);
+  EXPECT_EQ(Count(restarted, "respect_serve_disk_hits_total"), 1u);
+  EXPECT_EQ(Count(restarted, "respect_serve_misses_total"), 0u);
+  EXPECT_EQ(Count(restarted, "respect_store_hits_total"), 1u);
   EXPECT_EQ(metrics.cache_size, 1u);  // promoted into memory ...
 
   const CompileResponse memory_hit = Ask(restarted, dag, 4, "StoreCounting");
@@ -632,7 +669,7 @@ TEST(CompileServiceStoreTest, CorruptSpillIsACleanMissAtTheServiceLevel) {
   EXPECT_EQ(StoreCountingEngine::Solves().load(), 2);
   const auto metrics = restarted.Metrics();
   EXPECT_EQ(metrics.store.corrupt_dropped, 1u);
-  EXPECT_EQ(metrics.disk_hits, 0u);
+  EXPECT_EQ(Count(restarted, "respect_serve_disk_hits_total"), 0u);
   ASSERT_NE(response.result, nullptr);
 }
 
@@ -651,9 +688,8 @@ TEST(CompileServiceStoreTest, TtlExpiredEntriesMissAndAreResolved) {
   EXPECT_EQ(Ask(service, dag, 4, "StoreCounting").outcome,
             CacheOutcome::kMiss);  // expired lazily on probe, re-solved
   EXPECT_EQ(StoreCountingEngine::Solves().load(), 2);
-  const auto metrics = service.Metrics();
-  EXPECT_EQ(metrics.ttl_expired, 1u);
-  EXPECT_EQ(metrics.misses, 2u);
+  EXPECT_EQ(Count(service, "respect_serve_ttl_expired_total"), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_misses_total"), 2u);
 }
 
 TEST(CompileServiceStoreTest, PromotedDiskHitKeepsTheOriginalExpiry) {
@@ -754,12 +790,12 @@ TEST(CompileServiceStoreTest, BypassNeverTouchesTheDiskTier) {
 
   (void)Ask(service, dag, 4, "StoreCounting");
   service.FlushStore();
-  const auto probes_before = service.Metrics().store.probes;
+  const auto probes_before = Count(service, "respect_store_probes_total");
   const CompileResponse bypass =
       Ask(service, dag, 4, "StoreCounting", CachePolicy::kBypass);
   EXPECT_EQ(bypass.outcome, CacheOutcome::kBypass);
   EXPECT_EQ(StoreCountingEngine::Solves().load(), 2);  // really solved
-  EXPECT_EQ(service.Metrics().store.probes, probes_before);
+  EXPECT_EQ(Count(service, "respect_store_probes_total"), probes_before);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@ namespace respect::rl {
 namespace {
 
 // Verbatim copies of the pre-optimization helpers (ptrnet.cc / lstm.cc /
-// attention.cc as of the allocate-per-op implementation).  Do not "clean
-// up": bit-identity with the fused path is the whole point.
+// attention.cc as of the allocate-per-op implementation; parameter names
+// now derive from a prefix).  Do not "clean up": bit-identity with the
+// fused path is the whole point.
 
 int ArgmaxIndex(const nn::Tensor& probs) {
   int best = -1;
@@ -26,26 +27,15 @@ int ArgmaxIndex(const nn::Tensor& probs) {
   return best;
 }
 
-struct LstmState {
-  nn::Tensor h;
-  nn::Tensor c;
-};
-
-/// The original LstmCell::Step, driven off the ParamStore by name.
-LstmState LstmStep(const nn::ParamStore& store, const std::string& prefix,
-                   const nn::Tensor& x, const LstmState& prev, int d) {
-  const nn::Tensor z =
-      nn::Add(nn::Add(nn::MatMul(store.Value(prefix + ".Wx"), x),
-                      nn::MatMul(store.Value(prefix + ".Wh"), prev.h)),
-              store.Value(prefix + ".b"));
-  const nn::Tensor i = nn::Sigmoid(nn::SliceRows(z, 0, d));
-  const nn::Tensor f = nn::Sigmoid(nn::SliceRows(z, d, 2 * d));
-  const nn::Tensor g = nn::Tanh(nn::SliceRows(z, 2 * d, 3 * d));
-  const nn::Tensor o = nn::Sigmoid(nn::SliceRows(z, 3 * d, 4 * d));
-  LstmState next;
-  next.c = nn::Add(nn::Mul(f, prev.c), nn::Mul(i, g));
-  next.h = nn::Mul(o, nn::Tanh(next.c));
-  return next;
+std::vector<bool> StepMask(MaskingMode masking, const std::vector<bool>& picked,
+                           const std::vector<int>& unpicked_parents) {
+  const int n = static_cast<int>(picked.size());
+  std::vector<bool> valid(n);
+  for (int j = 0; j < n; ++j) {
+    valid[j] = !picked[j] && (masking == MaskingMode::kVisitedOnly ||
+                              unpicked_parents[j] == 0);
+  }
+  return valid;
 }
 
 /// The original fused attention-score kernel (attention.cc).
@@ -65,19 +55,36 @@ void ScoreColumns(const nn::Tensor& ref, const nn::Tensor& q,
   }
 }
 
-/// The original PointerAttention::PointerLogits inference path.
+}  // namespace
+
+LstmState LstmStep(const nn::ParamStore& store, const std::string& prefix,
+                   const nn::Tensor& x, const LstmState& prev, int d) {
+  const nn::Tensor z =
+      nn::Add(nn::Add(nn::MatMul(store.Value(prefix + ".Wx"), x),
+                      nn::MatMul(store.Value(prefix + ".Wh"), prev.h)),
+              store.Value(prefix + ".b"));
+  const nn::Tensor i = nn::Sigmoid(nn::SliceRows(z, 0, d));
+  const nn::Tensor f = nn::Sigmoid(nn::SliceRows(z, d, 2 * d));
+  const nn::Tensor g = nn::Tanh(nn::SliceRows(z, 2 * d, 3 * d));
+  const nn::Tensor o = nn::Sigmoid(nn::SliceRows(z, 3 * d, 4 * d));
+  LstmState next;
+  next.c = nn::Add(nn::Mul(f, prev.c), nn::Mul(i, g));
+  next.h = nn::Mul(o, nn::Tanh(next.c));
+  return next;
+}
+
 nn::Tensor PointerLogits(const nn::ParamStore& store,
-                         const nn::Tensor& contexts,
+                         const std::string& prefix, const nn::Tensor& contexts,
                          const nn::Tensor& glimpse_ref,
                          const nn::Tensor& pointer_ref, const nn::Tensor& h,
                          const std::vector<bool>& valid, int d) {
   constexpr float kLogitClip = 10.0f;
   const int n = contexts.Cols();
 
-  const nn::Tensor q_g = nn::Add(nn::MatMul(store.Value("attention.Wq_g"), h),
-                                 store.Value("attention.b_g"));
+  const nn::Tensor q_g = nn::Add(nn::MatMul(store.Value(prefix + ".Wq_g"), h),
+                                 store.Value(prefix + ".b_g"));
   nn::Tensor scores_g(1, n);
-  ScoreColumns(glimpse_ref, q_g, store.Value("attention.v_g"), scores_g);
+  ScoreColumns(glimpse_ref, q_g, store.Value(prefix + ".v_g"), scores_g);
   const nn::Tensor attn = nn::MaskedSoftmax(scores_g, valid);
   nn::Tensor glimpse(d, 1);
   for (int i = 0; i < d; ++i) {
@@ -88,28 +95,15 @@ nn::Tensor PointerLogits(const nn::ParamStore& store,
   }
 
   const nn::Tensor q_p =
-      nn::Add(nn::MatMul(store.Value("attention.Wq_p"), glimpse),
-              store.Value("attention.b_p"));
+      nn::Add(nn::MatMul(store.Value(prefix + ".Wq_p"), glimpse),
+              store.Value(prefix + ".b_p"));
   nn::Tensor u(1, n);
-  ScoreColumns(pointer_ref, q_p, store.Value("attention.v_p"), u);
+  ScoreColumns(pointer_ref, q_p, store.Value(prefix + ".v_p"), u);
   for (int j = 0; j < n; ++j) {
     u.At(0, j) = kLogitClip * std::tanh(u.At(0, j));
   }
   return u;
 }
-
-std::vector<bool> StepMask(MaskingMode masking, const std::vector<bool>& picked,
-                           const std::vector<int>& unpicked_parents) {
-  const int n = static_cast<int>(picked.size());
-  std::vector<bool> valid(n);
-  for (int j = 0; j < n; ++j) {
-    valid[j] = !picked[j] && (masking == MaskingMode::kVisitedOnly ||
-                              unpicked_parents[j] == 0);
-  }
-  return valid;
-}
-
-}  // namespace
 
 /// The original greedy PtrNetAgent decode.
 std::vector<graph::NodeId> ReferenceDecodeGreedy(const PtrNetAgent& agent,
@@ -152,8 +146,8 @@ std::vector<graph::NodeId> ReferenceDecodeGreedy(const PtrNetAgent& agent,
     dec = LstmStep(store, "decoder", d_input, dec, d);
     const std::vector<bool> valid =
         StepMask(config.masking, picked, unpicked_parents);
-    const nn::Tensor logits =
-        PointerLogits(store, C, glimpse_ref, pointer_ref, dec.h, valid, d);
+    const nn::Tensor logits = PointerLogits(store, "attention", C, glimpse_ref,
+                                            pointer_ref, dec.h, valid, d);
     const nn::Tensor probs = nn::MaskedSoftmax(logits, valid);
     const int j = ArgmaxIndex(probs);
     const graph::NodeId v = topo.order[j];
