@@ -4,7 +4,7 @@
 //   $ ./build/examples/serve_cli [requests] [models] [stages] [engine] \
 //       [--priority=interactive|normal|batch] [--deadline-ms=N] \
 //       [--threads=N] [--mixed] [--max-batch-inflight=N] \
-//       [--cache-dir=DIR] [--cache-ttl-s=N] [--restart-demo]
+//       [--cache-dir=DIR] [--restart-demo]
 //
 // Default mode samples `models` distinct synthetic DAGs, then fires
 // `requests` async CompileRequests with a skewed popularity distribution
@@ -25,7 +25,7 @@
 // flood can never hold every worker.
 //
 // --cache-dir=DIR plugs in the persistent schedule store (spill files under
-// DIR, --cache-ttl-s bounds their age).  --restart-demo (requires
+// DIR).  --restart-demo (requires
 // --cache-dir) shows what the store buys: it compiles a skewed stream
 // against an empty cache, tears the service down, builds a fresh one on the
 // same directory — the restart — and replays the exact stream, reporting
@@ -47,7 +47,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -59,9 +58,7 @@
 
 #include "cli_util.h"
 #include "core/failpoint.h"
-#include "deploy/pod_io.h"
 #include "engines/registry.h"
-#include "graph/canonical_hash.h"
 #include "graph/sampler.h"
 #include "net/consistent_hash.h"
 #include "net/fleet_client.h"
@@ -85,7 +82,7 @@ int Usage(const char* argv0) {
       "[engine=anneal]\n"
       "          [--priority=interactive|normal|batch] [--deadline-ms=N]\n"
       "          [--threads=N] [--mixed] [--max-batch-inflight=N]\n"
-      "          [--cache-dir=DIR] [--cache-ttl-s=N] [--restart-demo]\n"
+      "          [--cache-dir=DIR] [--restart-demo]\n"
       "          [--miss-storm]\n"
       "          [--profile=NAME] [--tenant=NAME] [--fleet-demo]\n"
       "          [--fleet[=N]] [--chaos-demo] "
@@ -346,50 +343,6 @@ graph::Dag ChainDag(int nodes) {
   return dag;
 }
 
-/// Rewrites a v2 spill file as the v1 (pre-profile) format in place —
-/// strips the profile fields from the payload, recomputes the checksum, and
-/// stamps format version 1.  This is how the fleet demo proves a
-/// default-profile service warm-starts from spills written before profiles
-/// existed.
-bool DowngradeSpillToV1(const std::filesystem::path& path) {
-  std::string bytes;
-  {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return false;
-    bytes.assign(std::istreambuf_iterator<char>(is),
-                 std::istreambuf_iterator<char>());
-  }
-  const auto read_u32 = [&](std::size_t offset) {
-    std::uint32_t value = 0;
-    std::memcpy(&value, bytes.data() + offset, sizeof(value));
-    return value;
-  };
-  if (bytes.size() < 64 || read_u32(0) != 0x4c505352u || read_u32(4) != 2u) {
-    return false;
-  }
-  std::string payload = bytes.substr(32);
-  // Payload prefix: key (16) + rl_dependent (1) + rl_version (8) = 25, then
-  // the engine name (u32 length + bytes), then the v2 profile fields.
-  const std::uint32_t engine_len = read_u32(32 + 25);
-  const std::size_t profile_offset = 25 + 4 + engine_len;
-  if (payload.size() < profile_offset + 4) return false;
-  const std::uint32_t profile_len = read_u32(32 + profile_offset);
-  if (payload.size() < profile_offset + 4 + profile_len + 16) return false;
-  payload.erase(profile_offset, 4 + static_cast<std::size_t>(profile_len) + 16);
-
-  graph::CanonicalHasher hasher;
-  hasher.Update(std::string_view(payload));
-  const graph::CanonicalHash checksum = hasher.Finish();
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  deploy::WritePod(os, std::uint32_t{0x4c505352});
-  deploy::WritePod(os, std::uint32_t{1});
-  deploy::WritePod(os, static_cast<std::uint64_t>(payload.size()));
-  deploy::WritePod(os, checksum.hi);
-  deploy::WritePod(os, checksum.lo);
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  return static_cast<bool>(os);
-}
-
 /// --fleet-demo: one service, several device profiles, several tenants.
 /// Checks, in one run, every serving-layer invariant the heterogeneity
 /// refactor added:
@@ -398,8 +351,7 @@ bool DowngradeSpillToV1(const std::filesystem::path& path) {
 ///   2. the profile-adapted schedule beats the uniform-profile schedule
 ///      when both are replayed on the heterogeneous simulator;
 ///   3. under an adversarial arrival mix (one tenant floods first) the
-///      weighted-fair queue holds Jain's index >= 0.9;
-///   4. a default-profile restart warm-starts from v1 (pre-profile) spills.
+///      weighted-fair queue holds Jain's index >= 0.9.
 int RunFleetDemo(const CompilerOptions& options,
                  serve::ServiceOptions service_options,
                  const std::vector<graph::Dag>& zoo, int requests, int stages,
@@ -410,12 +362,6 @@ int RunFleetDemo(const CompilerOptions& options,
     if (!ok) ++failures;
   };
 
-  if (service_options.cache_dir.empty()) {
-    service_options.cache_dir =
-        (std::filesystem::temp_directory_path() / "respect-fleet-cache")
-            .string();
-    std::filesystem::remove_all(service_options.cache_dir);
-  }
   service_options.num_threads = 1;  // serialize solves: fairness is visible
   service_options.tenant_weights = {{"alice", 2.0}};  // bob/mallory default 1
   const std::vector<std::string> tenants = {"mallory", "alice", "bob"};
@@ -426,126 +372,103 @@ int RunFleetDemo(const CompilerOptions& options,
 
   std::printf("fleet demo: engine %s, %d stages, profiles "
               "{coral, coral-x2fast, coral-usb2}, tenants {alice w=2, bob, "
-              "mallory}, cache dir %s\n",
-              engine.c_str(), stages, service_options.cache_dir.c_str());
+              "mallory}\n",
+              engine.c_str(), stages);
 
-  std::string default_key_hex;
-  {
-    serve::CompileService service(options, service_options);
+  serve::CompileService service(options, service_options);
 
-    // Leg 1: per-profile cache keys for the same DAG never collide.
-    const auto key_for = [&](const std::string& profile) {
-      return service
-          .Compile(serve::CompileRequest{.dag = zoo[0],
-                                         .num_stages = stages,
-                                         .engine = engine,
-                                         .profile = profile})
-          .key_hex;
-    };
-    default_key_hex = key_for("");
-    const std::string named_default = key_for("coral");
-    const std::string fast_key = key_for("coral-x2fast");
-    const std::string usb2_key = key_for("coral-usb2");
-    std::printf("  keys for %s: default %s  coral-x2fast %s  coral-usb2 "
-                "%s\n",
-                zoo[0].Name().c_str(), default_key_hex.c_str(),
-                fast_key.c_str(), usb2_key.c_str());
-    check(default_key_hex == named_default,
-          "\"\" and \"coral\" share one cache entry");
-    check(fast_key != default_key_hex && usb2_key != default_key_hex &&
-              fast_key != usb2_key,
-          "each non-default profile has its own cache key");
+  // Leg 1: per-profile cache keys for the same DAG never collide.
+  const auto key_for = [&](const std::string& profile) {
+    return service
+        .Compile(serve::CompileRequest{.dag = zoo[0],
+                                       .num_stages = stages,
+                                       .engine = engine,
+                                       .profile = profile})
+        .key_hex;
+  };
+  const std::string default_key_hex = key_for("");
+  const std::string named_default = key_for("coral");
+  const std::string fast_key = key_for("coral-x2fast");
+  const std::string usb2_key = key_for("coral-usb2");
+  std::printf("  keys for %s: default %s  coral-x2fast %s  coral-usb2 "
+              "%s\n",
+              zoo[0].Name().c_str(), default_key_hex.c_str(),
+              fast_key.c_str(), usb2_key.c_str());
+  check(default_key_hex == named_default,
+        "\"\" and \"coral\" share one cache entry");
+  check(fast_key != default_key_hex && usb2_key != default_key_hex &&
+            fast_key != usb2_key,
+        "each non-default profile has its own cache key");
 
-    // Leg 2: the adapted schedule wins on the heterogeneous simulator.
-    const graph::Dag chain = ChainDag(6 * stages);
-    const tpu::DeviceProfile hetero = *tpu::FindProfile("coral-x2fast");
-    const auto uniform =
-        service.Compile(serve::CompileRequest{.dag = chain,
-                                              .num_stages = stages,
-                                              .engine = engine});
-    const auto adapted =
-        service.Compile(serve::CompileRequest{.dag = chain,
-                                              .num_stages = stages,
-                                              .engine = engine,
-                                              .profile = "coral-x2fast"});
-    const double uniform_us =
-        tpu::SimulatePipeline(uniform.result->package, hetero).total_us;
-    const double adapted_us =
-        tpu::SimulatePipeline(adapted.result->package, hetero).total_us;
-    std::printf("  chain-%d on coral-x2fast: uniform schedule %.0f us, "
-                "adapted %.0f us (%.2fx)\n",
-                chain.NodeCount(), uniform_us, adapted_us,
-                uniform_us / adapted_us);
-    check(adapted_us < uniform_us,
-          "profile-adapted schedule beats the uniform one on the hetero sim");
+  // Leg 2: the adapted schedule wins on the heterogeneous simulator.
+  const graph::Dag chain = ChainDag(6 * stages);
+  const tpu::DeviceProfile hetero = *tpu::FindProfile("coral-x2fast");
+  const auto uniform =
+      service.Compile(serve::CompileRequest{.dag = chain,
+                                            .num_stages = stages,
+                                            .engine = engine});
+  const auto adapted =
+      service.Compile(serve::CompileRequest{.dag = chain,
+                                            .num_stages = stages,
+                                            .engine = engine,
+                                            .profile = "coral-x2fast"});
+  const double uniform_us =
+      tpu::SimulatePipeline(uniform.result->package, hetero).total_us;
+  const double adapted_us =
+      tpu::SimulatePipeline(adapted.result->package, hetero).total_us;
+  std::printf("  chain-%d on coral-x2fast: uniform schedule %.0f us, "
+              "adapted %.0f us (%.2fx)\n",
+              chain.NodeCount(), uniform_us, adapted_us,
+              uniform_us / adapted_us);
+  check(adapted_us < uniform_us,
+        "profile-adapted schedule beats the uniform one on the hetero sim");
 
-    // Leg 3: adversarial arrival mix.  mallory floods the queue first, then
-    // alice and bob arrive — FIFO would drain mallory before serving either.
-    // Every request bypasses the cache so each one occupies the worker, and
-    // each tenant targets its own fleet (three profiles in flight at once).
-    const int per_tenant = std::max(12, requests / 12);
-    struct Pending {
-      std::size_t tenant;
-      serve::CompileService::Ticket ticket;
-    };
-    std::vector<Pending> pending;
-    pending.reserve(static_cast<std::size_t>(per_tenant) * tenants.size());
-    std::mt19937_64 mix_rng(7);
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-      for (int r = 0; r < per_tenant; ++r) {
-        const std::size_t pick =
-            std::min(mix_rng() % zoo.size(), mix_rng() % zoo.size());
-        pending.push_back(
-            {t, service.Submit(serve::CompileRequest{
-                    .dag = zoo[pick],
-                    .num_stages = stages,
-                    .engine = engine,
-                    .cache_policy = serve::CachePolicy::kBypass,
-                    .profile = tenant_profiles[t],
-                    .tenant = tenants[t]})});
-      }
+  // Leg 3: adversarial arrival mix.  mallory floods the queue first, then
+  // alice and bob arrive — FIFO would drain mallory before serving either.
+  // Every request bypasses the cache so each one occupies the worker, and
+  // each tenant targets its own fleet (three profiles in flight at once).
+  const int per_tenant = std::max(12, requests / 12);
+  struct Pending {
+    std::size_t tenant;
+    serve::CompileService::Ticket ticket;
+  };
+  std::vector<Pending> pending;
+  pending.reserve(static_cast<std::size_t>(per_tenant) * tenants.size());
+  std::mt19937_64 mix_rng(7);
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    for (int r = 0; r < per_tenant; ++r) {
+      const std::size_t pick =
+          std::min(mix_rng() % zoo.size(), mix_rng() % zoo.size());
+      pending.push_back(
+          {t, service.Submit(serve::CompileRequest{
+                  .dag = zoo[pick],
+                  .num_stages = stages,
+                  .engine = engine,
+                  .cache_policy = serve::CachePolicy::kBypass,
+                  .profile = tenant_profiles[t],
+                  .tenant = tenants[t]})});
     }
-    std::vector<double> wait_sum(tenants.size(), 0.0);
-    for (auto& [tenant, ticket] : pending) {
-      wait_sum[tenant] += ticket.WaitResponse().queue_wait_seconds;
-    }
-    std::vector<double> rates;
-    for (std::size_t t = 0; t < tenants.size(); ++t) {
-      const double mean_wait = wait_sum[t] / per_tenant;
-      // Weight-normalized service rate: completions per second of queue
-      // wait, divided by the tenant's configured share.
-      rates.push_back(per_tenant / (mean_wait * weights.at(tenants[t])));
-      std::printf("  tenant %-8s mean wait %7.2f ms (weight %.0f)\n",
-                  tenants[t].c_str(), mean_wait * 1e3,
-                  weights.at(tenants[t]));
-    }
-    const double jain = JainIndex(rates);
-    std::printf("  Jain's fairness index (weight-normalized): %.3f\n", jain);
-    check(jain >= 0.9, "weighted-fair queue holds Jain's index >= 0.9");
-
-    service.FlushStore();
-    PrintServiceMetrics(service);
-  }  // service destroyed: the restart
-
-  // Leg 4: rewrite the default-profile spill as the v1 (pre-profile)
-  // format, then prove a fresh default-profile service still warm-starts
-  // from it.
-  const std::filesystem::path spill =
-      std::filesystem::path(service_options.cache_dir) /
-      (default_key_hex + ".spill");
-  if (!DowngradeSpillToV1(spill)) {
-    std::printf("  [FAIL] could not rewrite %s as a v1 spill\n",
-                spill.string().c_str());
-    return failures + 1;
   }
-  serve::CompileService restarted(options, service_options);
-  const auto warm =
-      restarted.Compile(serve::CompileRequest{.dag = zoo[0],
-                                              .num_stages = stages,
-                                              .engine = engine});
-  check(warm.outcome == serve::CacheOutcome::kDiskHit &&
-            CounterValue(restarted, "respect_serve_misses_total") == 0,
-        "default-profile restart warm-starts from a v1 (old-format) spill");
+  std::vector<double> wait_sum(tenants.size(), 0.0);
+  for (auto& [tenant, ticket] : pending) {
+    wait_sum[tenant] += ticket.WaitResponse().queue_wait_seconds;
+  }
+  std::vector<double> rates;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const double mean_wait = wait_sum[t] / per_tenant;
+    // Weight-normalized service rate: completions per second of queue
+    // wait, divided by the tenant's configured share.
+    rates.push_back(per_tenant / (mean_wait * weights.at(tenants[t])));
+    std::printf("  tenant %-8s mean wait %7.2f ms (weight %.0f)\n",
+                tenants[t].c_str(), mean_wait * 1e3,
+                weights.at(tenants[t]));
+  }
+  const double jain = JainIndex(rates);
+  std::printf("  Jain's fairness index (weight-normalized): %.3f\n", jain);
+  check(jain >= 0.9, "weighted-fair queue holds Jain's index >= 0.9");
+
+  service.FlushStore();
+  PrintServiceMetrics(service);
 
   std::printf("fleet demo: %s\n", failures == 0 ? "all checks passed"
                                                 : "CHECKS FAILED");
@@ -1175,7 +1098,6 @@ int main(int argc, char** argv) {
   bool mixed = false;
   int max_batch_inflight = 0;  // 0 = uncapped
   std::string cache_dir;       // empty = no persistent tier
-  int cache_ttl_s = 0;         // 0 = no expiry
   bool restart_demo = false;
   bool miss_storm = false;
   bool fleet_demo = false;
@@ -1225,10 +1147,6 @@ int main(int argc, char** argv) {
       cache_dir = arg + 12;
       if (cache_dir.empty()) {
         std::fprintf(stderr, "error: --cache-dir needs a path\n");
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--cache-ttl-s=", 14) == 0) {
-      if (!examples::ParseIntInRange(arg + 14, 1, kMaxInt, cache_ttl_s)) {
         return Usage(argv[0]);
       }
     } else if (std::strcmp(arg, "--restart-demo") == 0) {
@@ -1354,7 +1272,6 @@ int main(int argc, char** argv) {
   service_options.num_threads = threads;
   service_options.max_batch_inflight = max_batch_inflight;
   service_options.cache_dir = cache_dir;
-  service_options.cache_ttl_seconds = cache_ttl_s;
   service_options.default_solve_budget_seconds = budget_ms * 1e-3;
 
   if (fleet_serve) {

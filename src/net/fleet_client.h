@@ -54,7 +54,7 @@ class FleetClient {
       std::string_view request_payload);
 
   /// Fetch-by-hex of the peer's spill envelope for `key`: bytes on a hit,
-  /// nullopt on a typed miss (absent, corrupt, or expired on the peer).
+  /// nullopt on a typed miss (absent or corrupt on the peer).
   [[nodiscard]] std::optional<std::string> FetchSpill(
       const graph::CanonicalHash& key);
 

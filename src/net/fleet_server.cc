@@ -302,8 +302,8 @@ void FleetServer::HandleSpillGet(Socket& conn, const std::string& payload) {
     spill_served_.fetch_add(1, std::memory_order_relaxed);
     SendFrame(conn, FrameType::kSpillData, *bytes);
   } else {
-    // Absent, corrupt (quarantined server-side), or expired: one typed
-    // miss, never a guess.
+    // Absent or corrupt (quarantined server-side): one typed miss, never a
+    // guess.
     spill_missed_.fetch_add(1, std::memory_order_relaxed);
     SendFrame(conn, FrameType::kSpillMiss, {});
   }
@@ -316,22 +316,29 @@ FleetServer::PeerLink& FleetServer::LinkFor(const std::string& address) {
   return *link;
 }
 
-std::pair<FrameType, std::string> FleetServer::ForwardCompile(
-    const std::string& owner, std::string_view request_payload) {
-  OBS_SPAN("net.forward");
-  PeerLink& link = LinkFor(owner);
+template <typename Rpc>
+auto FleetServer::OnPeerLink(const std::string& address, const Rpc& rpc) {
+  PeerLink& link = LinkFor(address);
   const std::lock_guard<std::mutex> lock(link.mutex);
   if (link.client == nullptr) {
     FleetClientOptions client_options;
     client_options.io_timeout_ms = options_.io_timeout_ms;
-    link.client = std::make_unique<FleetClient>(owner, client_options);
+    link.client = std::make_unique<FleetClient>(address, client_options);
   }
   try {
-    return link.client->CompileRaw(request_payload);
+    return rpc(*link.client);
   } catch (const std::exception&) {
     link.client.reset();  // reconnect on next use
     throw;
   }
+}
+
+std::pair<FrameType, std::string> FleetServer::ForwardCompile(
+    const std::string& owner, std::string_view request_payload) {
+  OBS_SPAN("net.forward");
+  return OnPeerLink(owner, [request_payload](FleetClient& client) {
+    return client.CompileRaw(request_payload);
+  });
 }
 
 std::string FleetServer::PeerFetch(const graph::CanonicalHash& key) {
@@ -357,21 +364,11 @@ std::string FleetServer::PeerFetch(const graph::CanonicalHash& key) {
   for (const std::string& member : order) {
     if (stop_.load(std::memory_order_relaxed)) break;
     try {
-      PeerLink& link = LinkFor(member);
-      const std::lock_guard<std::mutex> lock(link.mutex);
-      if (link.client == nullptr) {
-        FleetClientOptions client_options;
-        client_options.io_timeout_ms = options_.io_timeout_ms;
-        link.client = std::make_unique<FleetClient>(member, client_options);
-      }
-      try {
-        if (std::optional<std::string> bytes = link.client->FetchSpill(key);
-            bytes && !bytes->empty()) {
-          return *std::move(bytes);
-        }
-      } catch (const std::exception&) {
-        link.client.reset();
-        throw;
+      if (std::optional<std::string> bytes = OnPeerLink(
+              member,
+              [&key](FleetClient& client) { return client.FetchSpill(key); });
+          bytes && !bytes->empty()) {
+        return *std::move(bytes);
       }
     } catch (const std::exception&) {
       // Dead peer: the next member may still have it.

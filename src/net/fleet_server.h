@@ -142,8 +142,13 @@ class FleetServer {
   [[nodiscard]] std::shared_ptr<const ConsistentHashRing> RingSnapshot() const;
   [[nodiscard]] PeerLink& LinkFor(const std::string& address);
 
-  /// One RPC on a peer's persistent link; transport failures reset the
-  /// link and rethrow.
+  /// Runs `rpc(client)` on `address`'s persistent link under its mutex,
+  /// connecting (with io_timeout_ms) when the link has no client; a
+  /// failure resets the link, so the next call reconnects, and rethrows.
+  template <typename Rpc>
+  auto OnPeerLink(const std::string& address, const Rpc& rpc);
+
+  /// Relays one compile frame to its owner shard (see OnPeerLink).
   [[nodiscard]] std::pair<FrameType, std::string> ForwardCompile(
       const std::string& owner, std::string_view request_payload);
 

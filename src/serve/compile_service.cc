@@ -73,11 +73,6 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
   for (int i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  if (options.cache_ttl_seconds > 0.0) {
-    has_ttl_ = true;
-    memory_ttl_ = std::chrono::duration_cast<SteadyClock::duration>(
-        std::chrono::duration<double>(options.cache_ttl_seconds));
-  }
   if (options.cache_capacity > 0) {
     admission_ =
         std::make_unique<store::TinyLfuAdmission>(options.cache_capacity);
@@ -101,7 +96,6 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
   if (!options.cache_dir.empty()) {
     store::DiskStoreOptions store_options;
     store_options.directory = options.cache_dir;
-    store_options.ttl_seconds = options.cache_ttl_seconds;
     store_options.registry = &registry_;  // one exposition page per shard
     store_ = std::make_unique<store::DiskStore>(store_options);
   }
@@ -177,16 +171,12 @@ CompileService::RequestKey CompileService::MakeKey(
     rl_version = compiler_.RlVersion();
     h.Update(rl_version);
   }
-  // The default profile folds NOTHING in — keys (and thus spill files)
-  // from before profiles existed stay reachable.  Any other profile's
-  // fingerprint splits the key space: the same DAG compiled for two fleets
-  // is two cache entries.
+  // The profile's fingerprint splits the key space: the same DAG compiled
+  // for two fleets is two cache entries.
   const graph::CanonicalHash profile_fp = profile->Fingerprint();
-  if (!profile->IsDefault()) {
-    h.Update("profile");
-    h.Update(profile_fp.hi);
-    h.Update(profile_fp.lo);
-  }
+  h.Update("profile");
+  h.Update(profile_fp.hi);
+  h.Update(profile_fp.lo);
   const graph::CanonicalHash dag_hash = graph::HashDag(dag);
   h.Update(dag_hash.hi);
   h.Update(dag_hash.lo);
@@ -202,28 +192,14 @@ CompileService::Shard& CompileService::ShardFor(
   return *shards_[hash.hi % shards_.size()];
 }
 
-void CompileService::InsertLocked(
-    Shard& shard, const RequestKey& key, ResultPtr result,
-    std::optional<std::chrono::steady_clock::time_point> expires_at) {
+void CompileService::InsertLocked(Shard& shard, const RequestKey& key,
+                                  ResultPtr result) {
   if (per_shard_capacity_ == 0) return;
   CacheEntry entry{key.hash, std::move(result), key.rl_dependent};
-  if (has_ttl_) {
-    entry.has_ttl = true;
-    entry.expires_at = SteadyClock::now() + memory_ttl_;
-    if (expires_at && *expires_at < entry.expires_at) {
-      entry.expires_at = *expires_at;
-    }
-  } else if (expires_at) {
-    // No service-wide TTL, but the entry itself carries one (a spill from
-    // a TTL-configured producer sharing the cache dir): honor it.
-    entry.has_ttl = true;
-    entry.expires_at = *expires_at;
-  }
   if (const auto it = shard.entries.find(key.hash);
       it != shard.entries.end()) {
     // Reached by CachePolicy::kRefresh overwriting a resident entry, and
-    // defensively if a flight owner ever races an insert.  The TTL clock
-    // restarts: a refresh is a brand-new result.
+    // defensively if a flight owner ever races an insert.
     *it->second = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
@@ -247,22 +223,10 @@ void CompileService::InsertLocked(
   }
 }
 
-bool CompileService::DropIfExpiredLocked(Shard& shard,
-                                         std::list<CacheEntry>::iterator it) {
-  if (!it->has_ttl || SteadyClock::now() <= it->expires_at) return false;
-  shard.entries.erase(it->key);
-  shard.lru.erase(it);
-  ttl_expired_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 CompileService::ResultPtr CompileService::LookupLocked(Shard& shard,
                                                        const RequestKey& key) {
   const auto it = shard.entries.find(key.hash);
   if (it == shard.entries.end()) return nullptr;
-  // Expired: a miss (the disk copy, if any, carries the same TTL and will
-  // be dropped by the store's own check).
-  if (DropIfExpiredLocked(shard, it->second)) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->result;
@@ -682,23 +646,12 @@ std::size_t CompileService::CompactStore() {
   return store_ != nullptr ? store_->Compact(compiler_.RlVersion()) : 0;
 }
 
-std::optional<std::chrono::steady_clock::time_point>
-CompileService::PromoteExpiry(std::int64_t expires_at_unix_ms) {
-  if (expires_at_unix_ms == 0) return std::nullopt;
-  const auto remaining = std::chrono::system_clock::time_point(
-                             std::chrono::milliseconds(expires_at_unix_ms)) -
-                         std::chrono::system_clock::now();
-  return SteadyClock::now() +
-         std::chrono::duration_cast<SteadyClock::duration>(remaining);
-}
-
 void CompileService::Promote(const RequestKey& key, const ResultPtr& result,
-                             std::int64_t expires_at_unix_ms, Flight* flight) {
+                             Flight* flight) {
   {
     Shard& shard = ShardFor(key.hash);
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    InsertLocked(shard, key, result,
-                 PromoteExpiry(expires_at_unix_ms));  // subject to admission
+    InsertLocked(shard, key, result);  // subject to admission
   }
   if (flight != nullptr) ResolveFlight(key, *flight, result);
 }
@@ -707,11 +660,10 @@ CompileService::ResultPtr CompileService::ProbeDisk(const RequestKey& key,
                                                     Flight* flight) {
   if (store_ == nullptr) return nullptr;
   OBS_SPAN("serve.disk_probe");
-  std::int64_t expiry_ms = 0;
-  ResultPtr from_disk = store_->Probe(key.hash, &expiry_ms);
+  ResultPtr from_disk = store_->Probe(key.hash);
   if (from_disk == nullptr) return nullptr;
   disk_hits_.fetch_add(1, std::memory_order_relaxed);
-  Promote(key, from_disk, expiry_ms, flight);
+  Promote(key, from_disk, flight);
   return from_disk;
 }
 
@@ -735,11 +687,6 @@ std::optional<std::string> CompileService::ExportSpill(
   return store_ != nullptr ? store_->ExportRaw(key) : std::nullopt;
 }
 
-bool CompileService::ImportSpill(const graph::CanonicalHash& key,
-                                 std::string_view bytes) {
-  return store_ != nullptr && store_->ImportRaw(key, bytes);
-}
-
 CompileService::ResultPtr CompileService::TryPeerWarm(const RequestKey& key,
                                                       Flight* flight) {
   const std::shared_ptr<const PeerFetchFn> fetch = PeerFetchSnapshot();
@@ -758,15 +705,10 @@ CompileService::ResultPtr CompileService::TryPeerWarm(const RequestKey& key,
   if (bytes.empty()) return nullptr;  // clean peer miss
   const std::optional<store::SpillEnvelope> envelope =
       store::TryDecodeSpillEnvelope(bytes);
-  const bool usable =
-      envelope && envelope->meta.key == key.hash &&
-      (envelope->expires_at_unix_ms == 0 ||
-       std::chrono::system_clock::now() <
-           std::chrono::system_clock::time_point(
-               std::chrono::milliseconds(envelope->expires_at_unix_ms)));
-  if (!usable) {
-    // Corrupt, mismatched, or expired peer bytes: counted, discarded, and
-    // the request pays its own solve — a lying peer cannot poison a cache.
+  if (!envelope || envelope->meta.key != key.hash) {
+    // Corrupt, mismatched, or other-format peer bytes: counted, discarded,
+    // and the request pays its own solve — a lying peer cannot poison a
+    // cache.
     peer_fetch_failures_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -774,7 +716,7 @@ CompileService::ResultPtr CompileService::TryPeerWarm(const RequestKey& key,
     store_->ImportRaw(key.hash, bytes);  // durable warmth; refusal is fine
   }
   peer_hits_.fetch_add(1, std::memory_order_relaxed);
-  Promote(key, envelope->result, envelope->expires_at_unix_ms, flight);
+  Promote(key, envelope->result, flight);
   return envelope->result;
 }
 

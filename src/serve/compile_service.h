@@ -15,11 +15,12 @@
 //
 // Every request is content-addressed: the key is a graph::CanonicalHash
 // folding the graph's serialized form, the engine's canonical name,
-// num_stages, the compiler options fingerprint, and (for RL-dependent
-// engines only) the RL weight snapshot version.  Repeat requests are
-// answered from a sharded LRU cache of shared immutable CompileResults, and
-// concurrent identical requests are collapsed by single-flight
-// deduplication: one caller solves, everyone else waits on that solve.
+// num_stages, the compiler options fingerprint, the device profile's
+// fingerprint, and (for RL-dependent engines only) the RL weight snapshot
+// version.  Repeat requests are answered from a sharded LRU cache of shared
+// immutable CompileResults, and concurrent identical requests are
+// collapsed by single-flight deduplication: one caller solves, everyone
+// else waits on that solve.
 //
 // Async path: Submit enqueues the request on a deadline-aware three-lane
 // queue (serve::RequestQueue) feeding the service's core::ThreadPool and
@@ -39,8 +40,9 @@
 // service's pool, so a restart against the same directory warm-starts
 // without re-running a single engine solve.  TinyLFU admission (always
 // on with a non-zero capacity) keeps one-hit-wonder scans from flushing
-// hot memory entries; cache_ttl_seconds bounds the age of both tiers,
-// enforced lazily on probe.
+// hot memory entries.  A schedule is deterministic in its key, so a cached
+// entry has no age limit: it stays until LRU/TinyLFU evicts it, ReplaceRl
+// invalidates it, or CompactStore reclaims its spill.
 //
 // Every cold miss, whatever its entry point, takes one path: claim (or
 // join) the single-flight slot, probe disk then peers, solve through the
@@ -117,12 +119,6 @@ struct ServiceOptions {
   /// already solved by a previous process is answered from disk
   /// (CacheOutcome::kDiskHit) instead of re-solving.
   std::string cache_dir;
-
-  /// Time-to-live for cached entries in both tiers, enforced lazily on
-  /// probe; <= 0 means entries never expire.  Memory entries age on the
-  /// steady clock from insert; disk entries carry an absolute wall-clock
-  /// expiry so the TTL survives restarts.
-  double cache_ttl_seconds = 0.0;
 
   /// Per-tenant fair-queueing weights ("" is the shared default tenant; see
   /// serve::RequestQueue): inside each priority lane, backlogged tenants
@@ -282,7 +278,7 @@ class CompileService {
 
   /// Deletes unreachable store entries — RL-dependent spills from
   /// superseded weight snapshots (their keys embed the old version, so no
-  /// future request recomputes them) and TTL-expired files.  Returns the
+  /// future request recomputes them) and malformed files.  Returns the
   /// number of entries removed; 0 without a cache_dir.  Synchronous and
   /// safe under live traffic.
   std::size_t CompactStore();
@@ -314,7 +310,8 @@ class CompileService {
   /// Peer warm hook: called on a cold miss (after both local tiers missed,
   /// before the engine solve) with the request key; returns raw spill
   /// envelope bytes or "" for a peer miss.  The bytes are fully verified
-  /// here — checksum, embedded key, expiry — before anything is served;
+  /// here — format version, checksum, embedded key — before anything is
+  /// served;
   /// corrupt bytes and thrown exceptions count as peer_fetch_failures and
   /// the request falls through to a normal local solve.  A verified fetch
   /// is imported into the local store (durable warmth), promoted into
@@ -326,15 +323,10 @@ class CompileService {
   void SetPeerFetch(PeerFetchFn fetch);
 
   /// Verified raw spill envelope bytes for `key` from the persistent tier,
-  /// or nullopt (no store, absent, corrupt, expired) — the serving side of
-  /// a peer's fetch-by-hex.
+  /// or nullopt (no store, absent, corrupt) — the serving side of a peer's
+  /// fetch-by-hex.
   [[nodiscard]] std::optional<std::string> ExportSpill(
       const graph::CanonicalHash& key);
-
-  /// Verifies and persists raw envelope bytes under `key` (see
-  /// store::DiskStore::ImportRaw).  False without a store or when the
-  /// bytes are refused.
-  bool ImportSpill(const graph::CanonicalHash& key, std::string_view bytes);
 
   // ── Observability ──────────────────────────────────────────────────────
 
@@ -353,8 +345,6 @@ class CompileService {
     graph::CanonicalHash key;
     ResultPtr result;
     bool rl_dependent = false;
-    bool has_ttl = false;
-    std::chrono::steady_clock::time_point expires_at{};
   };
 
   /// One single-flight slot: the owner solves and resolves the future; every
@@ -385,9 +375,8 @@ class CompileService {
     std::uint64_t rl_version = 0;  // snapshot folded into hash (RL only)
     std::string_view engine_name;  // canonical; borrowed from the registry
 
-    /// Resolved device profile the solve targets.  The default profile
-    /// folds nothing into the hash (pre-profile keys and spill files stay
-    /// reachable); any other profile folds its fingerprint in.
+    /// Resolved device profile the solve targets; its fingerprint is
+    /// folded into the hash.
     tpu::DeviceProfile profile;
     graph::CanonicalHash profile_fingerprint{};
   };
@@ -405,8 +394,8 @@ class CompileService {
   /// refreshed) or null without joining flights or solving.
   [[nodiscard]] ResultPtr TryCached(const RequestKey& key);
 
-  /// The resident, unexpired entry for `key` (a hit: counted, LRU
-  /// refreshed) or null.  Call under the shard mutex.
+  /// The resident entry for `key` (a hit: counted, LRU refreshed) or
+  /// null.  Call under the shard mutex.
   [[nodiscard]] ResultPtr LookupLocked(Shard& shard, const RequestKey& key);
 
   /// A response carrying only `key`'s header: engine, requested engine and
@@ -591,31 +580,13 @@ class CompileService {
   void RunBatchGroup(std::span<const CompileRequest> requests,
                      std::vector<GroupMember>& members);
 
-  /// Inserts (or refreshes) an entry.  `expires_at` caps the entry's
-  /// lifetime below the default TTL — set on disk-hit promotion so a
-  /// promoted entry dies at the spill's absolute expiry instead of getting
-  /// a freshly re-armed TTL.
-  void InsertLocked(
-      Shard& shard, const RequestKey& key, ResultPtr result,
-      std::optional<std::chrono::steady_clock::time_point> expires_at =
-          std::nullopt);
+  /// Inserts (or refreshes) an entry, subject to admission.
+  void InsertLocked(Shard& shard, const RequestKey& key, ResultPtr result);
 
-  /// Lazily drops `it` when its TTL lapsed; true means the entry is gone
-  /// and the lookup must proceed as a miss.  Call under the shard mutex.
-  [[nodiscard]] bool DropIfExpiredLocked(Shard& shard,
-                                         std::list<CacheEntry>::iterator it);
-
-  /// Memory-promotion cap for an entry carrying an absolute wall-clock
-  /// expiry (disk hit, peer-fetched envelope): promote at the *remaining*
-  /// lifetime — re-arming a full TTL would let the entry outlive its age
-  /// bound by up to 2x.  Nullopt when the entry never expires.
-  [[nodiscard]] static std::optional<std::chrono::steady_clock::time_point>
-  PromoteExpiry(std::int64_t expires_at_unix_ms);
-
-  /// Promotes a result found outside memory (subject to admission, at its
-  /// remaining lifetime) and resolves `flight` with it when non-null.
+  /// Promotes a result found outside memory (subject to admission) and
+  /// resolves `flight` with it when non-null.
   void Promote(const RequestKey& key, const ResultPtr& result,
-               std::int64_t expires_at_unix_ms, Flight* flight);
+               Flight* flight);
 
   /// Persistent-tier probe — the one synchronous disk read on the request
   /// path.  A hit is counted and promoted (see Promote); null on a miss or
@@ -638,10 +609,6 @@ class CompileService {
   PipelineCompiler compiler_;
   std::size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// TTL for memory entries; zero duration = no expiry.
-  std::chrono::steady_clock::duration memory_ttl_{};
-  bool has_ttl_ = false;
 
   /// Frequency sketch consulted on insert/promote; null = always admit.
   std::unique_ptr<store::TinyLfuAdmission> admission_;
@@ -686,8 +653,6 @@ class CompileService {
   obs::Counter& disk_hits_ = registry_.GetCounter(
       "respect_serve_disk_hits_total",
       "Memory misses answered by the persistent store");
-  obs::Counter& ttl_expired_ = registry_.GetCounter(
-      "respect_serve_ttl_expired_total", "Memory entries lazily expired");
   obs::Counter& admission_rejected_ = registry_.GetCounter(
       "respect_serve_admission_rejected_total",
       "Inserts refused by TinyLFU admission");

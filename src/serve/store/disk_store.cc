@@ -1,6 +1,7 @@
 #include "serve/store/disk_store.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -50,8 +51,7 @@ obs::Registry& RequireRegistry(const DiskStoreOptions& options) {
 }  // namespace
 
 DiskStore::DiskStore(const DiskStoreOptions& options)
-    : options_(options),
-      directory_(options.directory),
+    : directory_(options.directory),
       registry_(RequireRegistry(options)),
       probes_(registry_.GetCounter("respect_store_probes_total",
                                     "Disk-store probes")),
@@ -69,9 +69,6 @@ DiskStore::DiskStore(const DiskStoreOptions& options)
       corrupt_dropped_(registry_.GetCounter(
           "respect_store_corrupt_dropped_total",
           "Spill files quarantined as corrupt or mismatched")),
-      expired_dropped_(registry_.GetCounter(
-          "respect_store_expired_dropped_total",
-          "Spill files dropped past their TTL")),
       compacted_(registry_.GetCounter(
           "respect_store_compacted_total",
           "Spill files reclaimed by Compact (stale RL version)")),
@@ -112,10 +109,6 @@ DiskStore::DiskStore(const DiskStoreOptions& options)
   }
 }
 
-std::chrono::system_clock::time_point DiskStore::Now() const {
-  return options_.clock ? options_.clock() : std::chrono::system_clock::now();
-}
-
 std::filesystem::path DiskStore::PathFor(
     const graph::CanonicalHash& key) const {
   return directory_ / (key.ToHex() + kSpillExtension);
@@ -145,12 +138,6 @@ void DiskStore::Drop(const graph::CanonicalHash& key,
   counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool DiskStore::Expired(std::int64_t expires_at_unix_ms) const {
-  return expires_at_unix_ms != 0 &&
-         Now() > std::chrono::system_clock::time_point(
-                     std::chrono::milliseconds(expires_at_unix_ms));
-}
-
 std::optional<std::string> DiskStore::LoadVerified(
     const graph::CanonicalHash& key, SpillEnvelope* envelope) {
   OBS_SPAN("store.read");
@@ -172,16 +159,11 @@ std::optional<std::string> DiskStore::LoadVerified(
     Drop(key, path, corrupt_dropped_);
     return std::nullopt;
   }
-  if (Expired(loaded.expires_at_unix_ms)) {
-    Drop(key, path, expired_dropped_);
-    return std::nullopt;
-  }
   if (envelope != nullptr) *envelope = std::move(loaded);
   return bytes;
 }
 
-ResultPtr DiskStore::Probe(const graph::CanonicalHash& key,
-                           std::int64_t* expires_at_unix_ms) {
+ResultPtr DiskStore::Probe(const graph::CanonicalHash& key) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   if (!Indexed(key)) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -193,9 +175,6 @@ ResultPtr DiskStore::Probe(const graph::CanonicalHash& key,
     return nullptr;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  if (expires_at_unix_ms != nullptr) {
-    *expires_at_unix_ms = envelope.expires_at_unix_ms;
-  }
   return envelope.result;
 }
 
@@ -246,19 +225,9 @@ bool DiskStore::WriteEnvelopeAtomic(const graph::CanonicalHash& key,
 
 void DiskStore::Put(const SpillMeta& meta, const ResultPtr& result) {
   if (result == nullptr) return;
-  std::int64_t expires_at_unix_ms = 0;
-  if (options_.ttl_seconds > 0.0) {
-    expires_at_unix_ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            (Now() + std::chrono::duration_cast<
-                         std::chrono::system_clock::duration>(
-                         std::chrono::duration<double>(options_.ttl_seconds)))
-                .time_since_epoch())
-            .count();
-  }
   std::string envelope;
   try {
-    envelope = EncodeSpillEnvelope(meta, expires_at_unix_ms, *result);
+    envelope = EncodeSpillEnvelope(meta, *result);
   } catch (...) {
     // Serialization failures are deterministic — retrying cannot help.
     write_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -280,9 +249,8 @@ std::optional<std::string> DiskStore::ExportRaw(
 bool DiskStore::ImportRaw(const graph::CanonicalHash& key,
                           std::string_view bytes) {
   const std::optional<SpillEnvelope> envelope = TryDecodeSpillEnvelope(bytes);
-  if (!envelope || envelope->meta.key != key ||
-      Expired(envelope->expires_at_unix_ms)) {
-    // Corrupt, mismatched, or already-dead peer bytes never touch disk:
+  if (!envelope || envelope->meta.key != key) {
+    // Corrupt, mismatched, or other-format peer bytes never touch disk:
     // the caller sees a refusal, the directory keeps only verified truth.
     import_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
@@ -302,31 +270,25 @@ std::size_t DiskStore::Compact(std::uint64_t live_rl_version) {
   std::size_t removed = 0;
   for (const graph::CanonicalHash& key : keys) {
     const std::filesystem::path path = PathFor(key);
-    SpillPrefix prefix;
+    SpillMeta meta;
     try {
       std::ifstream is(path, std::ios::binary);
       if (!is) throw std::runtime_error("spill: cannot open");
-      prefix = DecodeSpillPrefix(is);
+      meta = DecodeSpillMeta(is);
     } catch (const std::exception&) {
       Drop(key, path, corrupt_dropped_);
       ++removed;
       continue;
     }
-    if (prefix.meta.key != key) {  // renamed/mismatched envelope
+    if (meta.key != key) {  // renamed/mismatched envelope
       Drop(key, path, corrupt_dropped_);
       ++removed;
       continue;
     }
-    if (prefix.meta.rl_dependent &&
-        prefix.meta.rl_version != live_rl_version) {
+    if (meta.rl_dependent && meta.rl_version != live_rl_version) {
       // The request key folds the snapshot version in, so no future request
       // can reach this entry — reclaim the bytes.
       Drop(key, path, compacted_);
-      ++removed;
-      continue;
-    }
-    if (Expired(prefix.expires_at_unix_ms)) {
-      Drop(key, path, expired_dropped_);
       ++removed;
     }
   }

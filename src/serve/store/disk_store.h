@@ -18,13 +18,16 @@
 //   * Compact — housekeeping: drop entries no future request can reach
 //              (RL-dependent results from superseded weight snapshots — the
 //              snapshot version is folded into the request key, so they are
-//              unreachable the moment ReplaceRl bumps it) and entries past
-//              their TTL.
+//              unreachable the moment ReplaceRl bumps it).
+//
+// A schedule is deterministic in its key, so an entry has no age limit:
+// it lives until Compact reclaims it or a probe finds it corrupt.
 //
 // The fleet's peer fetch additionally moves whole verified envelopes in and
 // out (ExportRaw / ImportRaw).  Keys are the service's content-addressed
 // request keys (graph::CanonicalHash over the serialized DAG + canonical
-// engine name + num_stages + options fingerprint + RL snapshot version), so
+// engine name + num_stages + options fingerprint + device-profile
+// fingerprint + RL snapshot version), so
 // a store entry answers exactly one request shape and restart warm-start
 // needs no re-keying.  Every method is safe to call from multiple threads.
 //
@@ -36,16 +39,14 @@
 //            graph::CanonicalHasher digest of the payload bytes)
 //   payload  key.hi/key.lo      rl_dependent + rl_version
 //            engine name
-//            profile name + fingerprint hi/lo   (format v2 and later)
-//            expires_at (unix milliseconds, 0 = never)
+//            profile name + fingerprint hi/lo
 //            solve_seconds, peak_stage_param_bytes, proved_optimal
 //            schedule (num_stages + per-node stages)
 //            package  (deploy::WritePackage — the heavy part)
 //
-// Version compatibility: v1 files (pre-device-profile) read back as the
-// default profile, so old cache directories warm-start default-profile
-// services unchanged; files stamped with a version *newer* than this build
-// writes are quarantined as clean misses (never guessed at).
+// One format version is read: a file stamped with any other version (an
+// older or newer build's) is quarantined as a clean miss, never guessed
+// at.
 //
 // A probe verifies magic, version, payload size, checksum, and that the
 // payload's embedded key equals the requested key before trusting a byte of
@@ -59,18 +60,12 @@
 // by the key parsed from its name (contents are verified lazily, at first
 // probe) — that index is what makes restart warm-start O(files) instead of
 // O(bytes), and makes a probe for an absent key cost zero I/O.
-//
-// TTL: when ttl_seconds > 0, each write stamps an absolute wall-clock
-// expiry (system_clock — it must survive restarts) and an expired entry is
-// dropped at probe time or by Compact().
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -85,8 +80,8 @@ namespace respect::serve::store {
 
 /// What perfbench/ reads as fields, plus the index size the registry does
 /// not hold; every other store counter (probes, hits, misses, retries,
-/// expiries, compactions, exports, imports) is read from the registry by
-/// series name (respect_store_*_total).
+/// compactions, exports, imports) is read from the registry by series
+/// name (respect_store_*_total).
 struct StoreMetrics {
   std::uint64_t writes = 0;           // respect_store_writes_total
   std::uint64_t write_failures = 0;   // respect_store_write_failures_total
@@ -97,14 +92,6 @@ struct StoreMetrics {
 struct DiskStoreOptions {
   /// Cache directory; created (with parents) when missing.
   std::string directory;
-
-  /// Per-entry time-to-live stamped on writes; <= 0 means entries never
-  /// expire.
-  double ttl_seconds = 0.0;
-
-  /// Test seam: wall-clock source for expiry stamps and checks.  Defaults
-  /// to std::chrono::system_clock::now.
-  std::function<std::chrono::system_clock::time_point()> clock;
 
   /// Metrics registry the store's counters live in (required; must outlive
   /// the store — the constructor throws std::invalid_argument on null).
@@ -121,14 +108,9 @@ class DiskStore {
   explicit DiskStore(const DiskStoreOptions& options);
 
   /// Returns the stored result for `key`, or null on a miss.  Every failure
-  /// mode — absent, corrupt, truncated, expired, wrong envelope — is a
-  /// clean miss, never an exception or a wrong answer.  On a hit with
-  /// `expires_at_unix_ms` non-null, the entry's absolute wall-clock expiry
-  /// (unix milliseconds; 0 = never) is written through — the caller caps
-  /// any in-memory promotion at the entry's remaining lifetime instead of
-  /// re-arming a fresh TTL.
-  [[nodiscard]] ResultPtr Probe(const graph::CanonicalHash& key,
-                                std::int64_t* expires_at_unix_ms = nullptr);
+  /// mode — absent, corrupt, truncated, other format version, wrong
+  /// envelope — is a clean miss, never an exception or a wrong answer.
+  [[nodiscard]] ResultPtr Probe(const graph::CanonicalHash& key);
 
   /// Persists one result under meta.key.  A failed write is retried twice
   /// (3 attempts; the backoff starts at 2 ms and doubles per retry).  Never
@@ -136,9 +118,9 @@ class DiskStore {
   void Put(const SpillMeta& meta, const ResultPtr& result);
 
   /// Deletes unreachable entries: RL-dependent results whose rl_version !=
-  /// live_rl_version, TTL-expired entries, and anything malformed.  Returns
-  /// the number of entries removed.  O(files * meta-prefix): decisions read
-  /// only the envelope's meta fields (key, RL version, expiry), never the
+  /// live_rl_version, and anything malformed.  Returns the number of
+  /// entries removed.  O(files * meta-prefix): decisions read only the
+  /// envelope's meta fields (key, RL version), never the
   /// package bytes — safe to run synchronously under live traffic even for
   /// large stores.  A structurally corrupt prefix quarantines the file;
   /// full checksum verification stays where it matters, on the Probe path
@@ -147,14 +129,14 @@ class DiskStore {
 
   /// Fleet peer-fetch read: the verified raw envelope bytes for `key` — the
   /// exact `.spill` format (serve/store/spill_codec.h) — or nullopt
-  /// (absent, corrupt — quarantined on the way out — or expired).  Bytes
+  /// (absent, or corrupt — quarantined on the way out).  Bytes
   /// are fully verified (checksum + embedded key) before a single one
   /// leaves the process.
   [[nodiscard]] std::optional<std::string> ExportRaw(
       const graph::CanonicalHash& key);
 
-  /// Fleet peer-fetch write: fully verifies the envelope (checksum, version
-  /// range, embedded key == `key`, not expired) then publishes it with the
+  /// Fleet peer-fetch write: fully verifies the envelope (checksum, format
+  /// version, embedded key == `key`) then publishes it with the
   /// same temp-file + rename discipline as Put.  Refused bytes never touch
   /// the directory and return false — corrupt peer bytes are a typed miss,
   /// never a stored lie.  Never throws.
@@ -168,7 +150,6 @@ class DiskStore {
       const graph::CanonicalHash& key) const;
 
  private:
-  [[nodiscard]] std::chrono::system_clock::time_point Now() const;
   [[nodiscard]] bool Indexed(const graph::CanonicalHash& key) const;
   void Index(const graph::CanonicalHash& key);
   void Unindex(const graph::CanonicalHash& key);
@@ -178,13 +159,10 @@ class DiskStore {
   void Drop(const graph::CanonicalHash& key, const std::filesystem::path& path,
             obs::Counter& counter);
 
-  /// True when a non-zero absolute expiry has passed (per the test clock).
-  [[nodiscard]] bool Expired(std::int64_t expires_at_unix_ms) const;
-
   /// Reads and fully verifies the spill file for `key`, returning its raw
   /// bytes (and the decoded envelope through `envelope` when non-null).
-  /// Corruption quarantines the file and expiry drops it — both are
-  /// nullopt.  The shared read path behind Probe and ExportRaw.
+  /// Corruption quarantines the file and returns nullopt.  The shared read
+  /// path behind Probe and ExportRaw.
   [[nodiscard]] std::optional<std::string> LoadVerified(
       const graph::CanonicalHash& key, SpillEnvelope* envelope);
 
@@ -194,7 +172,6 @@ class DiskStore {
   bool WriteEnvelopeAtomic(const graph::CanonicalHash& key,
                            std::string_view envelope);
 
-  DiskStoreOptions options_;
   std::filesystem::path directory_;
 
   mutable std::mutex index_mutex_;
@@ -214,7 +191,6 @@ class DiskStore {
   obs::Counter& write_failures_;
   obs::Counter& write_retries_;
   obs::Counter& corrupt_dropped_;
-  obs::Counter& expired_dropped_;
   obs::Counter& compacted_;
   obs::Counter& exports_;
   obs::Counter& imports_;

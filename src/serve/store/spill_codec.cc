@@ -16,68 +16,82 @@ using deploy::ReadPod;
 using deploy::WritePod;
 
 /// Parses the meta fields at the front of a payload stream.  Throws
-/// std::runtime_error on any structural problem.  v1 payloads have no
-/// profile fields — they parse as the default profile ("coral", zero
-/// fingerprint), which is exactly what a pre-profile writer was solving
-/// for.
-SpillPrefix ReadMetaFields(std::istream& is, std::uint32_t version) {
-  SpillPrefix prefix;
-  ReadPod(is, prefix.meta.key.hi);
-  ReadPod(is, prefix.meta.key.lo);
+/// std::runtime_error on any structural problem.
+SpillMeta ReadMetaFields(std::istream& is) {
+  SpillMeta meta;
+  ReadPod(is, meta.key.hi);
+  ReadPod(is, meta.key.lo);
   std::uint8_t rl_dependent = 0;
   ReadPod(is, rl_dependent);
-  prefix.meta.rl_dependent = rl_dependent != 0;
-  ReadPod(is, prefix.meta.rl_version);
+  meta.rl_dependent = rl_dependent != 0;
+  ReadPod(is, meta.rl_version);
   std::uint32_t name_len = 0;
   ReadPod(is, name_len);
   if (!is || name_len > kMaxSpillEngineNameBytes) {
     throw std::runtime_error("spill: corrupt engine name");
   }
-  prefix.meta.engine_name.resize(name_len);
-  is.read(prefix.meta.engine_name.data(), name_len);
-  if (version >= 2) {
-    std::uint32_t profile_len = 0;
-    ReadPod(is, profile_len);
-    if (!is || profile_len > kMaxSpillProfileNameBytes) {
-      throw std::runtime_error("spill: corrupt profile name");
-    }
-    prefix.meta.profile_name.resize(profile_len);
-    is.read(prefix.meta.profile_name.data(), profile_len);
-    ReadPod(is, prefix.meta.profile_fingerprint.hi);
-    ReadPod(is, prefix.meta.profile_fingerprint.lo);
+  meta.engine_name.resize(name_len);
+  is.read(meta.engine_name.data(), name_len);
+  std::uint32_t profile_len = 0;
+  ReadPod(is, profile_len);
+  if (!is || profile_len > kMaxSpillProfileNameBytes) {
+    throw std::runtime_error("spill: corrupt profile name");
   }
-  ReadPod(is, prefix.expires_at_unix_ms);
+  meta.profile_name.resize(profile_len);
+  is.read(meta.profile_name.data(), profile_len);
+  ReadPod(is, meta.profile_fingerprint.hi);
+  ReadPod(is, meta.profile_fingerprint.lo);
   if (!is) throw std::runtime_error("spill: truncated meta");
-  return prefix;
+  return meta;
 }
 
 struct SpillHeader {
-  std::uint32_t version = 0;
   std::uint64_t payload_size = 0;
   graph::CanonicalHash checksum;
 };
 
 /// Parses and range-checks the fixed header from a stream.  Throws on bad
-/// magic, out-of-range version, or an implausible payload size.
+/// magic, any version but kSpillFormatVersion, or an implausible payload
+/// size.
 SpillHeader ReadHeader(std::istream& is) {
   SpillHeader header;
   std::uint32_t magic = 0;
+  std::uint32_t version = 0;
   ReadPod(is, magic);
-  ReadPod(is, header.version);
+  ReadPod(is, version);
   ReadPod(is, header.payload_size);
   ReadPod(is, header.checksum.hi);
   ReadPod(is, header.checksum.lo);
   if (!is || magic != kSpillMagic) {
     throw std::runtime_error("spill: bad magic");
   }
-  if (header.version < kSpillMinFormatVersion ||
-      header.version > kSpillFormatVersion) {
+  if (version != kSpillFormatVersion) {
     throw std::runtime_error("spill: unsupported format version");
   }
   if (header.payload_size == 0 || header.payload_size > kMaxSpillPayloadBytes) {
     throw std::runtime_error("spill: implausible payload size");
   }
   return header;
+}
+
+/// Serializes one payload (no header).
+std::string EncodeSpillPayload(const SpillMeta& meta,
+                               const CompileResult& result) {
+  std::ostringstream os(std::ios::binary);
+  WritePod(os, meta.key.hi);
+  WritePod(os, meta.key.lo);
+  WritePod(os, static_cast<std::uint8_t>(meta.rl_dependent));
+  WritePod(os, meta.rl_version);
+  WritePod(os, static_cast<std::uint32_t>(meta.engine_name.size()));
+  os.write(meta.engine_name.data(),
+           static_cast<std::streamsize>(meta.engine_name.size()));
+  WritePod(os, static_cast<std::uint32_t>(meta.profile_name.size()));
+  os.write(meta.profile_name.data(),
+           static_cast<std::streamsize>(meta.profile_name.size()));
+  WritePod(os, meta.profile_fingerprint.hi);
+  WritePod(os, meta.profile_fingerprint.lo);
+  WriteResultBody(os, result);
+  return std::move(os).str();
 }
 
 }  // namespace
@@ -118,33 +132,9 @@ graph::CanonicalHash SpillChecksum(std::string_view payload) {
   return hasher.Finish();
 }
 
-std::string EncodeSpillPayload(const SpillMeta& meta,
-                               std::int64_t expires_at_unix_ms,
-                               const CompileResult& result) {
-  std::ostringstream os(std::ios::binary);
-  WritePod(os, meta.key.hi);
-  WritePod(os, meta.key.lo);
-  WritePod(os, static_cast<std::uint8_t>(meta.rl_dependent));
-  WritePod(os, meta.rl_version);
-  WritePod(os, static_cast<std::uint32_t>(meta.engine_name.size()));
-  os.write(meta.engine_name.data(),
-           static_cast<std::streamsize>(meta.engine_name.size()));
-  // v2 fields: the device profile the schedule targets.
-  WritePod(os, static_cast<std::uint32_t>(meta.profile_name.size()));
-  os.write(meta.profile_name.data(),
-           static_cast<std::streamsize>(meta.profile_name.size()));
-  WritePod(os, meta.profile_fingerprint.hi);
-  WritePod(os, meta.profile_fingerprint.lo);
-  WritePod(os, expires_at_unix_ms);
-  WriteResultBody(os, result);
-  return std::move(os).str();
-}
-
 std::string EncodeSpillEnvelope(const SpillMeta& meta,
-                                std::int64_t expires_at_unix_ms,
                                 const CompileResult& result) {
-  const std::string payload =
-      EncodeSpillPayload(meta, expires_at_unix_ms, result);
+  const std::string payload = EncodeSpillPayload(meta, result);
   const graph::CanonicalHash checksum = SpillChecksum(payload);
   std::ostringstream os(std::ios::binary);
   WritePod(os, kSpillMagic);
@@ -172,11 +162,7 @@ SpillEnvelope DecodeSpillEnvelope(std::string_view bytes) {
   }
   std::istringstream is(std::string(payload), std::ios::binary);
   SpillEnvelope envelope;
-  {
-    SpillPrefix prefix = ReadMetaFields(is, header.version);
-    envelope.meta = std::move(prefix.meta);
-    envelope.expires_at_unix_ms = prefix.expires_at_unix_ms;
-  }
+  envelope.meta = ReadMetaFields(is);
   envelope.result = ReadResultBody(is);
   // The package reader stops exactly at its last field; anything after it
   // means the payload is not what the checksum was supposed to cover.
@@ -194,9 +180,9 @@ std::optional<SpillEnvelope> TryDecodeSpillEnvelope(std::string_view bytes) {
   }
 }
 
-SpillPrefix DecodeSpillPrefix(std::istream& is) {
-  const SpillHeader header = ReadHeader(is);
-  return ReadMetaFields(is, header.version);
+SpillMeta DecodeSpillMeta(std::istream& is) {
+  (void)ReadHeader(is);
+  return ReadMetaFields(is);
 }
 
 }  // namespace respect::serve::store

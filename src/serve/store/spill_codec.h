@@ -10,16 +10,16 @@
 //            graph::CanonicalHasher digest of the payload bytes)
 //   payload  key.hi/key.lo      rl_dependent + rl_version
 //            engine name
-//            profile name + fingerprint hi/lo   (format v2 and later)
-//            expires_at (unix milliseconds, 0 = never)
+//            profile name + fingerprint hi/lo
 //            result body (WriteResultBody below)
 //
-// Version compatibility: v1 payloads (pre-device-profile) decode as the
-// default profile; versions newer than kSpillFormatVersion are refused —
-// a decoder never guesses at fields it does not know.
+// One format: a decoder accepts kSpillFormatVersion only.  Any other
+// version — an older build's spill, a newer build's — is refused like a
+// corrupt file; a decoder never guesses at fields it does not know.
 //
-// Every structural problem — short buffer, bad magic, implausible sizes,
-// checksum mismatch, trailing bytes — throws std::runtime_error from the
+// Every structural problem — short buffer, bad magic, wrong version,
+// implausible sizes, checksum mismatch, trailing bytes — throws
+// std::runtime_error from the
 // Decode functions; TryDecodeSpillEnvelope converts all of those into
 // nullopt for callers (peer fetch, raw import) that treat corrupt bytes as
 // a typed miss.
@@ -56,16 +56,13 @@ struct SpillMeta {
   std::string engine_name;
 
   /// Device profile the schedule was optimized for.  Observability only —
-  /// the key covers it (non-default profiles fold their fingerprint in).
-  /// Format-v1 spills predate profiles and read back as the default
-  /// profile with a zero fingerprint.
+  /// the key covers it (every profile folds its fingerprint in).
   std::string profile_name;
   graph::CanonicalHash profile_fingerprint{};
 };
 
 inline constexpr std::uint32_t kSpillMagic = 0x4c505352;  // "RSPL"
-inline constexpr std::uint32_t kSpillFormatVersion = 2;
-inline constexpr std::uint32_t kSpillMinFormatVersion = 1;
+inline constexpr std::uint32_t kSpillFormatVersion = 3;
 
 /// Fixed header size: magic + version + payload size + checksum hi/lo.
 inline constexpr std::size_t kSpillHeaderBytes = 4 + 4 + 8 + 8 + 8;
@@ -77,17 +74,9 @@ inline constexpr std::uint32_t kMaxSpillEngineNameBytes = 4096;
 inline constexpr std::uint32_t kMaxSpillProfileNameBytes = 4096;
 inline constexpr std::uint64_t kMaxSpillScheduleNodes = 1ull << 24;
 
-/// The self-description at the front of every payload — what Compact and
-/// TTL checks need without touching the package bytes.
-struct SpillPrefix {
-  SpillMeta meta;
-  std::int64_t expires_at_unix_ms = 0;  // 0 = never
-};
-
 /// A fully decoded and verified envelope.
 struct SpillEnvelope {
   SpillMeta meta;
-  std::int64_t expires_at_unix_ms = 0;  // 0 = never
   ResultPtr result;
 };
 
@@ -105,19 +94,13 @@ void WriteResultBody(std::ostream& os, const CompileResult& result);
 /// checksum.
 [[nodiscard]] graph::CanonicalHash SpillChecksum(std::string_view payload);
 
-/// Serializes one payload (no header).
-[[nodiscard]] std::string EncodeSpillPayload(const SpillMeta& meta,
-                                             std::int64_t expires_at_unix_ms,
-                                             const CompileResult& result);
-
 /// Serializes one complete envelope: header + payload, ready to write to a
 /// file or ship over a socket.
 [[nodiscard]] std::string EncodeSpillEnvelope(const SpillMeta& meta,
-                                              std::int64_t expires_at_unix_ms,
                                               const CompileResult& result);
 
-/// Parses and fully verifies one envelope (magic, version range, payload
-/// size, checksum, no trailing bytes).  Throws std::runtime_error on any
+/// Parses and fully verifies one envelope (magic, version, payload size,
+/// checksum, no trailing bytes).  Throws std::runtime_error on any
 /// problem.
 [[nodiscard]] SpillEnvelope DecodeSpillEnvelope(std::string_view bytes);
 
@@ -126,10 +109,11 @@ void WriteResultBody(std::ostream& os, const CompileResult& result);
 [[nodiscard]] std::optional<SpillEnvelope> TryDecodeSpillEnvelope(
     std::string_view bytes);
 
-/// Reads only the header and the meta prefix from a stream — enough for
-/// compaction decisions without deserializing (or even reading) the package
-/// bytes.  Structural corruption throws; the prefix is NOT
-/// checksum-verified (full verification stays where bytes are served).
-[[nodiscard]] SpillPrefix DecodeSpillPrefix(std::istream& is);
+/// Reads only the header and the meta fields at the front of the payload
+/// from a stream — enough for compaction decisions without deserializing
+/// (or even reading) the package bytes.  Structural corruption throws; the
+/// meta is NOT checksum-verified (full verification stays where bytes are
+/// served).
+[[nodiscard]] SpillMeta DecodeSpillMeta(std::istream& is);
 
 }  // namespace respect::serve::store

@@ -61,9 +61,7 @@ struct EdgeTpuModel {
 /// uses stages[min(k, stages.size()-1)], so {fast, coral} means "stage 0 is
 /// the fast device, every later stage a stock Coral" regardless of how many
 /// stages a request asks for.  An empty vector means every stage is a stock
-/// Coral (the paper's testbed) — that is the *default profile*, and it is
-/// the only profile that contributes nothing to cache keys, which keeps
-/// pre-profile spill files readable and warm-startable.
+/// Coral (the paper's testbed) — that is the *default profile*.
 struct DeviceProfile {
   std::string name = "coral";
   std::vector<EdgeTpuModel> stages;
@@ -94,7 +92,7 @@ struct DeviceProfile {
 };
 
 /// The paper's testbed: identical stock Corals on USB 3.0.  Requests that
-/// name no profile resolve to this, and it folds nothing into cache keys.
+/// name no profile resolve to this.
 [[nodiscard]] const DeviceProfile& DefaultProfile();
 
 /// Looks up a named preset.  The empty string is an alias for the default

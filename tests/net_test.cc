@@ -31,6 +31,7 @@
 #include "obs/registry.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
+#include "serve/store/disk_store.h"
 #include "serve/store/spill_codec.h"
 
 namespace respect {
@@ -540,17 +541,21 @@ TEST(FleetServerTest, ExportImportRawEdgeCases) {
   const std::optional<std::string> bytes = service.ExportSpill(key);
   ASSERT_TRUE(bytes.has_value());
 
-  // Re-import of valid bytes under the right key: accepted.
-  EXPECT_TRUE(service.ImportSpill(key, *bytes));
+  // The importing side is a peer's store (what the peer-warm path calls).
+  obs::Registry peer_registry;
+  serve::store::DiskStore peer(serve::store::DiskStoreOptions{
+      .directory = FreshDir("net-import-peer"), .registry = &peer_registry});
+  // Import of valid bytes under the right key: accepted.
+  EXPECT_TRUE(peer.ImportRaw(key, *bytes));
   // Same bytes under a different key: refused (a lying peer cannot poison
   // the store).
   graph::CanonicalHash wrong = key;
   wrong.hi ^= 0xdead;
-  EXPECT_FALSE(service.ImportSpill(wrong, *bytes));
+  EXPECT_FALSE(peer.ImportRaw(wrong, *bytes));
   // Corrupt bytes: refused.
   std::string corrupt = *bytes;
   corrupt[corrupt.size() / 2] ^= 0x10;
-  EXPECT_FALSE(service.ImportSpill(key, corrupt));
+  EXPECT_FALSE(peer.ImportRaw(key, corrupt));
   // Unknown key exports nothing.
   EXPECT_FALSE(service.ExportSpill(wrong).has_value());
 }

@@ -235,8 +235,8 @@ TEST(CompileServiceProfileTest, ProfilesSeparateCacheEntriesPerFleet) {
                                           .profile = profile});
   };
 
-  // "" and the default preset's name are the same key: the default profile
-  // folds nothing in, so pre-profile cache entries stay reachable.
+  // "" and the default preset's name are the same key: both resolve to the
+  // default profile, and a fingerprint covers the hardware, not the name.
   const CompileResponse unnamed = ask("");
   const CompileResponse named_default = ask("coral");
   EXPECT_EQ(named_default.result, unnamed.result);
