@@ -104,9 +104,11 @@ int Usage(const char* argv0) {
                "invariants\n  --fleet[=N] spawns N loopback shard processes "
                "(default 3) behind the wire\n  protocol and checks the "
                "routing-dedup, kill-survival, and peer-warm-restart\n  "
-               "invariants\n  --chaos-demo serves a stream under injected "
-               "faults and exits non-zero\n  unless every request settles "
-               "valid-or-typed-error; --failpoint arms extra\n  fault sites "
+               "invariants; it takes none of --threads, --budget-ms and\n  "
+               "--max-batch-inflight\n  --chaos-demo serves a stream under "
+               "injected faults and exits non-zero\n  unless every request "
+               "settles valid-or-typed-error; --failpoint arms extra\n  fault "
+               "sites "
                "(any mode); --budget-ms bounds each engine solve attempt\n"
                "  --trace-out arms per-request span tracing and writes a "
                "chrometrace JSON\n  (in --fleet mode: one merged trace, one "
@@ -753,7 +755,6 @@ serve::CompileResponse FleetCompile(
 ///      entirely via peer spill fetch — zero local engine solves.
 /// Exits non-zero when any phase's invariant fails.
 int RunFleet(const CompilerOptions& options,
-             const serve::ServiceOptions& service_options,
              const std::vector<graph::Dag>& zoo, int requests, int stages,
              const std::string& engine, int fleet_n,
              const std::string& cache_dir, const std::string& trace_out) {
@@ -1249,6 +1250,13 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Shards are spawned with the --fleet-* flags alone, so service settings
+  // given to the --fleet parent would reach no service.
+  if (fleet_n > 0 && (threads > 0 || budget_ms > 0 || max_batch_inflight > 0)) {
+    std::fprintf(stderr, "error: --threads, --budget-ms and "
+                 "--max-batch-inflight do not apply to --fleet\n");
+    return Usage(argv[0]);
+  }
   if (!engines::EngineRegistry::Global().Contains(engine)) {
     std::fprintf(stderr, "error: unknown engine '%s' (see compiler_cli "
                  "--help for the registry)\n",
@@ -1307,8 +1315,8 @@ int main(int argc, char** argv) {
 
   if (fleet_n > 0) {
     try {
-      return RunFleet(options, service_options, zoo, requests, stages,
-                      engine, fleet_n, cache_dir, trace_out);
+      return RunFleet(options, zoo, requests, stages, engine, fleet_n,
+                      cache_dir, trace_out);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: fleet run failed: %s\n", e.what());
       return 1;

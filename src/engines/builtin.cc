@@ -9,8 +9,6 @@
 #include "exact/dp_partitioner.h"
 #include "heuristics/annealing.h"
 #include "heuristics/edgetpu_compiler.h"
-#include "heuristics/force_directed.h"
-#include "heuristics/hu_scheduler.h"
 #include "heuristics/list_scheduler.h"
 
 namespace respect::engines {
@@ -90,24 +88,6 @@ EngineResult ListScheduling(const EngineContext& /*context*/,
       [&] { return heuristics::ListSchedule(dag, constraints.num_stages); });
 }
 
-EngineResult HuLevel(const EngineContext& /*context*/, const graph::Dag& dag,
-                     const sched::PipelineConstraints& constraints,
-                     const EngineBudget& budget) {
-  budget.cancel.ThrowIfCancelled("hu level scheduling");
-  return TimedSolve(
-      [&] { return heuristics::HuLevelSchedule(dag, constraints.num_stages); });
-}
-
-EngineResult ForceDirected(const EngineContext& /*context*/,
-                           const graph::Dag& dag,
-                           const sched::PipelineConstraints& constraints,
-                           const EngineBudget& budget) {
-  budget.cancel.ThrowIfCancelled("force directed scheduling");
-  return TimedSolve([&] {
-    return heuristics::ForceDirectedSchedule(dag, constraints.num_stages);
-  });
-}
-
 /// Polls the cancel token per sweep instead of once at entry.
 EngineResult Annealing(const EngineContext& /*context*/, const graph::Dag& dag,
                        const sched::PipelineConstraints& constraints,
@@ -153,10 +133,6 @@ void RegisterBuiltinEngines(EngineRegistry& registry) {
   registry.Register({"ListScheduling", "list",
                      "memory-balancing list scheduler",
                      Factory(ListScheduling)});
-  registry.Register(
-      {"HuLevel", "hu", "Hu's level-based scheduling", Factory(HuLevel)});
-  registry.Register({"ForceDirected", "fds", "force-directed scheduling",
-                     Factory(ForceDirected)});
   registry.Register(
       {"Annealing", "anneal", "simulated annealing", Factory(Annealing)});
   registry.Register(

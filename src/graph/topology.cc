@@ -58,19 +58,6 @@ void AnalyzeTopologyInto(const Dag& dag, TopoScratch& scratch,
   info.depth = 0;
   for (const int lvl : info.asap_level) info.depth = std::max(info.depth, lvl);
   info.depth += 1;  // level count, not max level index
-
-  info.alap_level.assign(n, info.depth - 1);
-  for (auto it = info.order.rbegin(); it != info.order.rend(); ++it) {
-    const NodeId v = *it;
-    for (const NodeId c : dag.Children(v)) {
-      info.alap_level[v] = std::min(info.alap_level[v], info.alap_level[c] - 1);
-    }
-  }
-
-  info.mobility.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    info.mobility[v] = info.alap_level[v] - info.asap_level[v];
-  }
 }
 
 std::vector<int> OrderPositions(const std::vector<NodeId>& order,
@@ -98,30 +85,6 @@ bool IsTopologicalOrder(const Dag& dag, const std::vector<NodeId>& order) {
     if (pos[e.from] >= pos[e.to]) return false;
   }
   return true;
-}
-
-std::vector<std::vector<NodeId>> TransitiveReachability(const Dag& dag) {
-  const TopoInfo topo = AnalyzeTopology(dag);
-  const int n = dag.NodeCount();
-  std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
-  // Process in reverse topological order: reach(u) = union of children and
-  // their reach sets.
-  for (auto it = topo.order.rbegin(); it != topo.order.rend(); ++it) {
-    const NodeId u = *it;
-    for (const NodeId c : dag.Children(u)) {
-      reach[u][c] = true;
-      for (NodeId w = 0; w < n; ++w) {
-        if (reach[c][w]) reach[u][w] = true;
-      }
-    }
-  }
-  std::vector<std::vector<NodeId>> out(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId w = 0; w < n; ++w) {
-      if (reach[u][w]) out[u].push_back(w);
-    }
-  }
-  return out;
 }
 
 std::vector<std::int64_t> CriticalPathMacs(const Dag& dag) {

@@ -1,9 +1,10 @@
 // Topological analyses of computational graphs.
 //
-// The paper's embedding (Fig. 1a step 2) is built from As-Soon-As-Possible
-// (ASAP) topological levels; the exact schedulers use ASAP/ALAP levels to
-// bound the feasible stage window of each node; and Table I reports the
-// "Depth" of each evaluated model, which is the number of ASAP levels.
+// TopoInfo serves three readers: the paper's embedding (Fig. 1a step 2) is
+// built from As-Soon-As-Possible (ASAP) topological levels; Table I reports
+// the "Depth" of each evaluated model, which is the number of ASAP levels;
+// and the deterministic Kahn order is the node sequence the pointer-network
+// decode, the exact and compiler schedulers and the packager walk.
 #pragma once
 
 #include <cstdint>
@@ -22,14 +23,6 @@ struct TopoInfo {
   /// ASAP level of each node: sources are level 0, every other node is
   /// 1 + max(parent levels).  This is the paper's "absolute coordinate".
   std::vector<int> asap_level;
-
-  /// ALAP level of each node w.r.t. the graph depth: sinks are at
-  /// depth-1, every other node is min(child levels) - 1.
-  std::vector<int> alap_level;
-
-  /// Scheduling freedom per node: alap - asap (force-directed scheduling
-  /// calls this the node's mobility).
-  std::vector<int> mobility;
 
   /// Number of distinct ASAP levels == longest path length in nodes.
   /// Matches the "Depth" column of Table I.
@@ -62,12 +55,6 @@ void AnalyzeTopologyInto(const Dag& dag, TopoScratch& scratch, TopoInfo& info);
 /// node exactly once.
 [[nodiscard]] bool IsTopologicalOrder(const Dag& dag,
                                       const std::vector<NodeId>& order);
-
-/// Bitset-free transitive reachability: reach[u] lists all v with a directed
-/// path u -> v (u excluded).  O(V * E); only used on small/medium graphs and
-/// in tests.
-[[nodiscard]] std::vector<std::vector<NodeId>> TransitiveReachability(
-    const Dag& dag);
 
 /// Length (in nodes) of the longest path through the graph weighted by MACs;
 /// used by list scheduling as the critical-path priority.

@@ -311,7 +311,7 @@ TEST(BatchCompileTest, NonBatchEnginesFallBackToSingleSolves) {
 
   engines::SolveStats stats;
   const auto results = compiler.CompileGroup(
-      std::span<const graph::Dag* const>(ptrs), 4, "HuLevel",
+      std::span<const graph::Dag* const>(ptrs), 4, "ListScheduling",
       tpu::DefaultProfile(), /*cancel=*/{}, &stats);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(stats.batch_solved, 0u);

@@ -11,8 +11,6 @@
 #include "heuristics/annealing.h"
 #include "heuristics/backend_compile.h"
 #include "heuristics/edgetpu_compiler.h"
-#include "heuristics/force_directed.h"
-#include "heuristics/hu_scheduler.h"
 #include "heuristics/list_scheduler.h"
 #include "models/zoo.h"
 
@@ -35,11 +33,6 @@ TEST_P(AllHeuristicsFeasibilityTest, EverySchedulerProducesValidSchedules) {
 
   EXPECT_TRUE(
       ValidateSchedule(dag, ListSchedule(dag, stages), Stages(stages)).ok);
-  EXPECT_TRUE(
-      ValidateSchedule(dag, HuLevelSchedule(dag, stages), Stages(stages)).ok);
-  EXPECT_TRUE(ValidateSchedule(dag, ForceDirectedSchedule(dag, stages),
-                               Stages(stages))
-                  .ok);
   AnnealingConfig annealing;
   annealing.num_stages = stages;
   annealing.iterations = 2000;
@@ -78,21 +71,6 @@ TEST(AnnealingTest, DeterministicForFixedSeed) {
   const auto a = AnnealSchedule(dag, config);
   const auto b = AnnealSchedule(dag, config);
   EXPECT_EQ(a.stage, b.stage);
-}
-
-TEST(HuSchedulerTest, RespectsLevelBands) {
-  // Nodes on the same ASAP level share a stage by construction.
-  std::mt19937_64 rng(9);
-  const graph::Dag dag = graph::SampleTrainingDag(30, rng);
-  const auto topo = graph::AnalyzeTopology(dag);
-  const auto s = HuLevelSchedule(dag, 4);
-  for (graph::NodeId a = 0; a < dag.NodeCount(); ++a) {
-    for (graph::NodeId b = 0; b < dag.NodeCount(); ++b) {
-      if (topo.asap_level[a] == topo.asap_level[b]) {
-        EXPECT_EQ(s.stage[a], s.stage[b]);
-      }
-    }
-  }
 }
 
 TEST(ListSchedulerTest, HigherPriorityScheduledNoLater) {

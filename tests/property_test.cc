@@ -9,8 +9,6 @@
 #include "exact/dp_partitioner.h"
 #include "graph/sampler.h"
 #include "graph/topology.h"
-#include "heuristics/force_directed.h"
-#include "heuristics/hu_scheduler.h"
 #include "heuristics/list_scheduler.h"
 #include "sched/postprocess.h"
 #include "sched/rho.h"
@@ -49,8 +47,6 @@ TEST_P(SchedulingInvariantsTest, ExactIsLowerBoundAndBoundsAreConsistent) {
   c.num_stages = stages;
   for (const Schedule& s :
        {heuristics::ListSchedule(dag, stages),
-        heuristics::HuLevelSchedule(dag, stages),
-        heuristics::ForceDirectedSchedule(dag, stages),
         exact::PartitionDefaultOrder(dag, stages).schedule}) {
     ASSERT_TRUE(ValidateSchedule(dag, s, c).ok);
     EXPECT_GE(Evaluate(dag, s).peak_param_bytes,
