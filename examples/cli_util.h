@@ -1,12 +1,14 @@
 // Small helpers shared by the example CLIs.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -33,6 +35,30 @@ inline bool ParseIntInRange(const char* text, int lo, int hi, int& out) {
 inline std::uint64_t CounterValue(const serve::CompileService& service,
                                   std::string_view name) {
   return service.MetricsRegistry().FindCounter(name).load();
+}
+
+/// A counter series read off a Prometheus page by name — the page a fleet
+/// shard returns from net::FleetClient::MetricsPage, read the way
+/// CounterValue reads an in-process registry.  `series` is the sample name
+/// as printed, labels included (e.g. respect_serve_lane_started_total{lane=
+/// "batch"}); a series absent from the page throws std::out_of_range.
+inline std::uint64_t PageCounter(std::string_view page,
+                                 std::string_view series) {
+  while (!page.empty()) {
+    const std::string_view line = page.substr(0, page.find('\n'));
+    page.remove_prefix(std::min(page.size(), line.size() + 1));
+    if (line.size() <= series.size() || !line.starts_with(series) ||
+        line[series.size()] != ' ') {
+      continue;
+    }
+    std::uint64_t value = 0;
+    const char* first = line.data() + series.size() + 1;
+    const auto [ptr, ec] =
+        std::from_chars(first, line.data() + line.size(), value);
+    if (ec == std::errc{} && ptr == line.data() + line.size()) return value;
+  }
+  throw std::out_of_range("metrics page has no counter series " +
+                          std::string(series));
 }
 
 /// The shared end-of-run metrics dump, derived from the registry: every

@@ -50,8 +50,10 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -104,11 +106,11 @@ int Usage(const char* argv0) {
                "invariants\n  --fleet[=N] spawns N loopback shard processes "
                "(default 3) behind the wire\n  protocol and checks the "
                "routing-dedup, kill-survival, and peer-warm-restart\n  "
-               "invariants; it takes none of --threads, --budget-ms and\n  "
-               "--max-batch-inflight\n  --chaos-demo serves a stream under "
-               "injected faults and exits non-zero\n  unless every request "
-               "settles valid-or-typed-error; --failpoint arms extra\n  fault "
-               "sites "
+               "invariants; besides N it takes only --failpoint,\n  "
+               "--trace-out and --cache-dir\n  --chaos-demo serves a stream "
+               "under injected faults and exits non-zero\n  unless every "
+               "request settles valid-or-typed-error; --failpoint arms "
+               "extra\n  fault sites "
                "(any mode); --budget-ms bounds each engine solve attempt\n"
                "  --trace-out arms per-request span tracing and writes a "
                "chrometrace JSON\n  (in --fleet mode: one merged trace, one "
@@ -907,11 +909,18 @@ int RunFleet(const CompilerOptions& options,
       }
     }
   };
-  const auto stats_of = [&](int shard) {
+  const auto page_of = [&](int shard) {
     if (clients[shard] == nullptr) {
       clients[shard] = std::make_unique<net::FleetClient>(members[shard]);
     }
-    return clients[shard]->Stats();
+    return clients[shard]->MetricsPage();
+  };
+  // Engine solves = every path that ran a local solve: cold misses,
+  // bypasses, refreshes.
+  const auto solves_in = [](std::string_view page) {
+    return examples::PageCounter(page, "respect_serve_misses_total") +
+           examples::PageCounter(page, "respect_serve_bypasses_total") +
+           examples::PageCounter(page, "respect_serve_refreshes_total");
   };
 
   int exit_code = 0;
@@ -925,14 +934,20 @@ int RunFleet(const CompilerOptions& options,
   std::uint64_t total_solves = 0;
   for (int i = 0; i < fleet_n; ++i) {
     try {
-      const net::FleetStats stats = stats_of(i);
-      std::printf("  shard %d: requests %llu  solves %llu  hits %llu  "
-                  "forwarded %llu\n",
-                  i, static_cast<unsigned long long>(stats.requests),
-                  static_cast<unsigned long long>(stats.engine_solves),
-                  static_cast<unsigned long long>(stats.cache_hits),
-                  static_cast<unsigned long long>(stats.forwarded));
-      total_solves += stats.engine_solves;
+      const std::string page = page_of(i);
+      const std::uint64_t solves = solves_in(page);
+      std::printf(
+          "  shard %d: requests %llu  solves %llu  hits %llu  "
+          "forwarded %llu\n",
+          i,
+          static_cast<unsigned long long>(
+              examples::PageCounter(page, "respect_fleet_requests_total")),
+          static_cast<unsigned long long>(solves),
+          static_cast<unsigned long long>(
+              examples::PageCounter(page, "respect_serve_hits_total")),
+          static_cast<unsigned long long>(
+              examples::PageCounter(page, "respect_fleet_forwarded_total")));
+      total_solves += solves;
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: stats from shard %d failed: %s\n", i,
                    e.what());
@@ -1007,19 +1022,23 @@ int RunFleet(const CompilerOptions& options,
   }
   drive(victim, /*round_robin=*/false, /*kill_at_index=*/-1, -1);
   try {
-    const net::FleetStats stats = stats_of(victim);
+    const std::string page = page_of(victim);
+    const std::uint64_t solves = solves_in(page);
+    const std::uint64_t peer_hits =
+        examples::PageCounter(page, "respect_serve_peer_hits_total");
     std::printf("fleet phase 3: restarted shard solves %llu  peer-hits "
                 "%llu  peer-fetches %llu\n",
-                static_cast<unsigned long long>(stats.engine_solves),
-                static_cast<unsigned long long>(stats.peer_hits),
-                static_cast<unsigned long long>(stats.peer_fetches));
-    if (stats.engine_solves != 0) {
+                static_cast<unsigned long long>(solves),
+                static_cast<unsigned long long>(peer_hits),
+                static_cast<unsigned long long>(examples::PageCounter(
+                    page, "respect_serve_peer_fetches_total")));
+    if (solves != 0) {
       std::fprintf(stderr, "error: restarted shard re-solved %llu already-"
                    "solved graphs instead of peer-warming\n",
-                   static_cast<unsigned long long>(stats.engine_solves));
+                   static_cast<unsigned long long>(solves));
       exit_code = 1;
     }
-    if (stats.peer_hits == 0) {
+    if (peer_hits == 0) {
       std::fprintf(stderr,
                    "error: restarted shard never peer-warm fetched\n");
       exit_code = 1;
@@ -1093,7 +1112,7 @@ int main(int argc, char** argv) {
   int num_models = 6;
   int stages = 4;
   std::string engine = "anneal";
-  serve::Priority priority = serve::Priority::kNormal;
+  std::optional<serve::Priority> priority;  // unset = the normal lane
   int deadline_ms = 0;  // 0 = no deadline
   int threads = 0;      // 0 = ThreadPool::DefaultThreadCount
   bool mixed = false;
@@ -1128,7 +1147,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: bad --priority '%s'\n", arg + 11);
         return Usage(argv[0]);
       }
-      priority = *parsed;
+      priority = parsed;
     } else if (std::strncmp(arg, "--deadline-ms=", 14) == 0) {
       if (!examples::ParseIntInRange(arg + 14, 1, kMaxInt, deadline_ms)) {
         return Usage(argv[0]);
@@ -1250,11 +1269,16 @@ int main(int argc, char** argv) {
       }
     }
   }
-  // Shards are spawned with the --fleet-* flags alone, so service settings
-  // given to the --fleet parent would reach no service.
-  if (fleet_n > 0 && (threads > 0 || budget_ms > 0 || max_batch_inflight > 0)) {
-    std::fprintf(stderr, "error: --threads, --budget-ms and "
-                 "--max-batch-inflight do not apply to --fleet\n");
+  // Shards are spawned with the --fleet-* flags alone and the parent runs
+  // only the fleet phases, so any other serving or demo flag given to the
+  // --fleet parent would silently do nothing.
+  if (fleet_n > 0 &&
+      (threads > 0 || budget_ms > 0 || max_batch_inflight > 0 || priority ||
+       deadline_ms > 0 || mixed || !profile.empty() || !tenant.empty() ||
+       !metrics_out.empty() || !sim_trace_out.empty() || restart_demo ||
+       miss_storm || fleet_demo || chaos_demo)) {
+    std::fprintf(stderr, "error: --fleet takes only --failpoint, "
+                 "--trace-out and --cache-dir\n");
     return Usage(argv[0]);
   }
   if (!engines::EngineRegistry::Global().Contains(engine)) {
@@ -1281,6 +1305,9 @@ int main(int argc, char** argv) {
   service_options.max_batch_inflight = max_batch_inflight;
   service_options.cache_dir = cache_dir;
   service_options.default_solve_budget_seconds = budget_ms * 1e-3;
+  // A named tenant gets its own series (unnamed ones share the overflow
+  // label).
+  if (!tenant.empty()) service_options.tenant_weights[tenant] = 1.0;
 
   if (fleet_serve) {
     // Hidden shard mode, exec'd by the --fleet parent.  It runs the exact
@@ -1420,10 +1447,11 @@ int main(int argc, char** argv) {
   };
 
   const auto submit_stream = [&] {
+    const serve::Priority lane = priority.value_or(serve::Priority::kNormal);
     std::printf("serving %d requests over %d models, %d stages, engine %s, "
                 "%s lane (1 in 4 requests uses the RL engine)\n",
                 requests, num_models, stages, engine.c_str(),
-                std::string(PriorityName(priority)).c_str());
+                std::string(PriorityName(lane)).c_str());
     for (int r = 0; r < requests; ++r) {
       if (r == requests / 2) {
         // Mid-stream weight rollout: RL-engine entries invalidate, every
@@ -1449,7 +1477,7 @@ int main(int argc, char** argv) {
           .dag = zoo[pick],
           .num_stages = stages,
           .engine = (r % 4 == 3) ? std::string("respect") : engine,
-          .priority = priority,
+          .priority = lane,
           .deadline = deadline_for(true),
           .profile = profile,
           .tenant = tenant};

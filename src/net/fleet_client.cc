@@ -57,10 +57,10 @@ std::optional<std::string> FleetClient::FetchSpill(
   return std::move(frame.second);
 }
 
-FleetStats FleetClient::Stats() {
-  const auto frame = Roundtrip(FrameType::kStatsGet, {});
-  ExpectType(frame, FrameType::kStatsData);
-  return DecodeFleetStats(frame.second);
+std::string FleetClient::MetricsPage() {
+  auto frame = Roundtrip(FrameType::kMetricsGet, {});
+  ExpectType(frame, FrameType::kMetricsData);
+  return std::move(frame.second);
 }
 
 TraceDump FleetClient::TraceDumpFetch() {

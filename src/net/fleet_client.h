@@ -58,7 +58,10 @@ class FleetClient {
   [[nodiscard]] std::optional<std::string> FetchSpill(
       const graph::CanonicalHash& key);
 
-  [[nodiscard]] FleetStats Stats();
+  /// The peer's metrics page: its whole registry (service, store and
+  /// fleet series) as Prometheus exposition text, byte for byte what
+  /// obs::Registry::RenderPrometheus writes on the peer.
+  [[nodiscard]] std::string MetricsPage();
 
   /// Drains the peer's trace ring: its shard id plus a chrometrace event
   /// fragment ready to splice into a merged fleet trace.  Draining is

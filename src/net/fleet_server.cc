@@ -1,6 +1,7 @@
 #include "net/fleet_server.h"
 
 #include <chrono>
+#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -170,28 +171,10 @@ void FleetServer::HandleFrame(Socket& conn, FrameType type,
     case FrameType::kSpillGet:
       HandleSpillGet(conn, payload);
       return;
-    case FrameType::kStatsGet: {
-      const obs::Registry& registry = service_.MetricsRegistry();
-      const auto count = [&registry](std::string_view name) {
-        return registry.FindCounter(name).load(std::memory_order_relaxed);
-      };
-      FleetStats stats;
-      stats.requests = requests_.load(std::memory_order_relaxed);
-      // Engine solves = every path that ran a local solve: cold misses,
-      // bypasses, refreshes.
-      stats.engine_solves = count("respect_serve_misses_total") +
-                            count("respect_serve_bypasses_total") +
-                            count("respect_serve_refreshes_total");
-      stats.cache_hits = count("respect_serve_hits_total");
-      stats.disk_hits = count("respect_serve_disk_hits_total");
-      stats.peer_hits = count("respect_serve_peer_hits_total");
-      stats.peer_fetches = count("respect_serve_peer_fetches_total");
-      stats.forwarded = forwarded_.load(std::memory_order_relaxed);
-      stats.forward_failures =
-          forward_failures_.load(std::memory_order_relaxed);
-      stats.spill_served = spill_served_.load(std::memory_order_relaxed);
-      stats.spill_missed = spill_missed_.load(std::memory_order_relaxed);
-      SendFrame(conn, FrameType::kStatsData, EncodeFleetStats(stats));
+    case FrameType::kMetricsGet: {
+      std::ostringstream page;
+      service_.MetricsRegistry().RenderPrometheus(page);
+      SendFrame(conn, FrameType::kMetricsData, std::move(page).str());
       return;
     }
     case FrameType::kFlush:
@@ -232,9 +215,13 @@ void FleetServer::HandleCompile(Socket& conn, const std::string& payload) {
   // every shard share one trace.
   const obs::ScopedTraceId trace_scope(request.trace_id);
   OBS_SPAN("net.handle_compile");
+  // Outlives the handlers below: a failed ticket rethrows the exception its
+  // shared state holds, so this thread keeps that state alive while it
+  // reads the exception and releases it before a worker can free it.
+  serve::CompileService::Ticket ticket;
   try {
     if (request.cache_policy == serve::CachePolicy::kUse &&
-        !decoded.no_forward && options_.forward_to_owner) {
+        !decoded.no_forward) {
       const std::shared_ptr<const ConsistentHashRing> ring = RingSnapshot();
       if (ring != nullptr && !ring->Empty()) {
         const graph::CanonicalHash key = service_.KeyFor(request);
@@ -270,9 +257,12 @@ void FleetServer::HandleCompile(Socket& conn, const std::string& payload) {
         }
       }
     }
-    const serve::CompileResponse response = service_.Compile(request);
+    // Every local answer queues like an in-process Submit: the request's
+    // lane, deadline and tenant apply, and a service worker (not this
+    // connection thread) runs the solve.
+    ticket = service_.Submit(std::move(request));
     SendFrame(conn, FrameType::kCompileResponse,
-              EncodeCompileResponse(response));
+              EncodeCompileResponse(ticket.WaitResponse()));
   } catch (const serve::DeadlineExceeded& e) {
     SendFrame(conn, FrameType::kError,
               EncodeErrorPayload(WireErrorKind::kDeadlineExceeded, e.what()));

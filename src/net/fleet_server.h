@@ -6,9 +6,14 @@
 // for its lifetime and serves its frames sequentially).  Three roles in one
 // server:
 //
-//   * Serving: kCompileRequest frames run through the local
-//     CompileService; the service's typed failures travel back as kError
-//     frames and rethrow as the same types client-side.
+//   * Serving: every kCompileRequest frame answered here is Submitted to
+//     the local CompileService and waited on, so wire traffic takes the
+//     same queue as in-process traffic — priority lanes, aging, in-queue
+//     expiry, weighted-fair tenant flows and lane shedding.  Connection
+//     threads only do I/O; the service pool alone solves.  The service's
+//     typed failures (DeadlineExceeded, Overloaded, invalid_argument)
+//     travel back as kError frames and rethrow as the same types
+//     client-side.
 //   * Routing: with a membership list installed, a kUse request whose key
 //     (CanonicalHash.lo on the consistent-hash ring) belongs to another
 //     member is answered locally only when already warm (TryServeLocal);
@@ -71,10 +76,6 @@ struct FleetServerOptions {
   /// bind first, learn the full member list, then join).
   std::vector<std::string> members;
   std::string self_address;
-
-  /// Relay non-owned cold requests to their home shard (else: always serve
-  /// locally, which forfeits fleet-wide dedup but never pays a hop).
-  bool forward_to_owner = true;
 
   /// Per peer-RPC I/O bound (forward + fetch).  Also the liveness
   /// backstop: mutual peer traffic can never deadlock, only time out and

@@ -87,14 +87,14 @@ std::string_view FrameTypeName(FrameType type) {
     case FrameType::kSpillGet: return "spill-get";
     case FrameType::kSpillData: return "spill-data";
     case FrameType::kSpillMiss: return "spill-miss";
-    case FrameType::kStatsGet: return "stats-get";
-    case FrameType::kStatsData: return "stats-data";
     case FrameType::kFlush: return "flush";
     case FrameType::kFlushOk: return "flush-ok";
     case FrameType::kPing: return "ping";
     case FrameType::kPong: return "pong";
     case FrameType::kTraceDump: return "trace-dump";
     case FrameType::kTraceData: return "trace-data";
+    case FrameType::kMetricsGet: return "metrics-get";
+    case FrameType::kMetricsData: return "metrics-data";
   }
   return "unknown";
 }
@@ -126,11 +126,10 @@ FrameHeader DecodeFrameHeader(std::string_view bytes) {
   ReadPod(is, header.checksum.hi);
   ReadPod(is, header.checksum.lo);
   if (!is || magic != kWireMagic) throw WireError("wire: bad frame magic");
-  if (raw_type < static_cast<std::uint32_t>(FrameType::kCompileRequest) ||
-      raw_type > static_cast<std::uint32_t>(FrameType::kTraceData)) {
+  header.type = static_cast<FrameType>(raw_type);
+  if (FrameTypeName(header.type) == "unknown") {
     throw WireError("wire: unknown frame type " + std::to_string(raw_type));
   }
-  header.type = static_cast<FrameType>(raw_type);
   if (header.payload_size > kMaxFramePayloadBytes) {
     throw WireError("wire: implausible frame payload size");
   }
@@ -348,42 +347,6 @@ void ThrowDecodedError(WireErrorKind kind, const std::string& message) {
       break;
   }
   throw RemoteError(message);
-}
-
-std::string EncodeFleetStats(const FleetStats& stats) {
-  std::ostringstream os(std::ios::binary);
-  WritePod(os, kWireVersion);
-  WritePod(os, stats.requests);
-  WritePod(os, stats.engine_solves);
-  WritePod(os, stats.cache_hits);
-  WritePod(os, stats.disk_hits);
-  WritePod(os, stats.peer_hits);
-  WritePod(os, stats.peer_fetches);
-  WritePod(os, stats.forwarded);
-  WritePod(os, stats.forward_failures);
-  WritePod(os, stats.spill_served);
-  WritePod(os, stats.spill_missed);
-  return std::move(os).str();
-}
-
-FleetStats DecodeFleetStats(std::string_view payload) {
-  return WrapDecode("fleet stats", [&] {
-    std::istringstream is(std::string(payload), std::ios::binary);
-    ReadPayloadVersion(is, "fleet stats");
-    FleetStats stats;
-    ReadPod(is, stats.requests);
-    ReadPod(is, stats.engine_solves);
-    ReadPod(is, stats.cache_hits);
-    ReadPod(is, stats.disk_hits);
-    ReadPod(is, stats.peer_hits);
-    ReadPod(is, stats.peer_fetches);
-    ReadPod(is, stats.forwarded);
-    ReadPod(is, stats.forward_failures);
-    ReadPod(is, stats.spill_served);
-    ReadPod(is, stats.spill_missed);
-    if (!is) throw WireError("wire: truncated fleet stats");
-    return stats;
-  });
 }
 
 std::string EncodeTraceDump(const TraceDump& dump) {

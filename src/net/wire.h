@@ -8,11 +8,14 @@
 //   header   u32 magic 'RNWF'     u32 frame type      u64 payload bytes
 //            u64 checksum.hi      u64 checksum.lo     (checksum = the
 //            graph::CanonicalHasher digest of the payload bytes)
-//   payload  type-specific, starting with a u32 payload version
+//   payload  type-specific: a structured payload starts with a u32
+//            payload version; spill bytes and the metrics page travel as
+//            they are
 //
-// Versioned envelopes, unknown-field tolerant: every payload opens with a
-// version, fields are append-only, and decoders read the fields they know
-// and ignore trailing bytes — a v1 reader accepts a v2 writer's frames.
+// Versioned envelopes, unknown-field tolerant: every structured payload
+// opens with a version, fields are append-only, and decoders read the
+// fields they know and ignore trailing bytes — a v1 reader accepts a v2
+// writer's frames.
 // The checksum still covers every byte, so tolerance never means trusting
 // corruption.
 //
@@ -25,10 +28,15 @@
 //
 //   kCompileRequest  -> kCompileResponse | kError
 //   kSpillGet        -> kSpillData       | kSpillMiss | kError
-//   kStatsGet        -> kStatsData
 //   kFlush           -> kFlushOk
 //   kPing            -> kPong
 //   kTraceDump       -> kTraceData
+//   kMetricsGet      -> kMetricsData  (the shard's Prometheus page, the
+//                                      same text --metrics-out writes)
+//
+// Numbers 7 and 8 stay unassigned (an older build's stats frames): they
+// fail DecodeFrameHeader like any unknown type, so a peer from that build
+// gets a typed WireError, never misread bytes.
 //
 // kError carries a WireErrorKind so the service's typed failures
 // (DeadlineExceeded, Overloaded, std::invalid_argument) survive the hop
@@ -76,16 +84,17 @@ enum class FrameType : std::uint32_t {
   kSpillGet = 4,
   kSpillData = 5,
   kSpillMiss = 6,
-  kStatsGet = 7,
-  kStatsData = 8,
   kFlush = 9,
   kFlushOk = 10,
   kPing = 11,
   kPong = 12,
   kTraceDump = 13,
   kTraceData = 14,
+  kMetricsGet = 15,
+  kMetricsData = 16,
 };
 
+/// "unknown" for a value outside the enumerators.
 [[nodiscard]] std::string_view FrameTypeName(FrameType type);
 
 struct FrameHeader {
@@ -163,27 +172,6 @@ enum class WireErrorKind : std::uint8_t {
 /// RemoteError.
 [[noreturn]] void ThrowDecodedError(WireErrorKind kind,
                                     const std::string& message);
-
-// ── Fleet statistics payload ───────────────────────────────────────────────
-
-/// Fleet-visible counters one shard reports (kStatsGet): enough for the
-/// fleet demo to compute solves-per-unique-graph and to prove a restarted
-/// shard warm-started from its peers.
-struct FleetStats {
-  std::uint64_t requests = 0;          // compile frames handled
-  std::uint64_t engine_solves = 0;     // local cold solves paid
-  std::uint64_t cache_hits = 0;        // memory-tier answers
-  std::uint64_t disk_hits = 0;         // persistent-tier answers
-  std::uint64_t peer_hits = 0;         // peer-envelope answers
-  std::uint64_t peer_fetches = 0;      // peer warm attempts
-  std::uint64_t forwarded = 0;         // requests relayed to their owner
-  std::uint64_t forward_failures = 0;  // relays that degraded to local
-  std::uint64_t spill_served = 0;      // kSpillGet answered with bytes
-  std::uint64_t spill_missed = 0;      // kSpillGet answered with a miss
-};
-
-[[nodiscard]] std::string EncodeFleetStats(const FleetStats& stats);
-[[nodiscard]] FleetStats DecodeFleetStats(std::string_view payload);
 
 // ── Trace dump payload ─────────────────────────────────────────────────────
 

@@ -77,6 +77,12 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
     admission_ =
         std::make_unique<store::TinyLfuAdmission>(options.cache_capacity);
   }
+  for (const auto& [tenant, weight] : options.tenant_weights) {
+    if (tenant == kOverflowTenant) {
+      throw std::invalid_argument("reserved tenant id: " + tenant);
+    }
+    if (!tenant.empty()) named_tenants_.emplace(tenant, BindTenant(tenant));
+  }
   default_solve_budget_seconds_ = options.default_solve_budget_seconds;
   breaker_options_.failure_threshold = options.breaker_failure_threshold;
   breaker_options_.open_seconds = options.breaker_open_seconds;
@@ -608,12 +614,11 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
   meta.engine_name = std::string(key.engine_name);
   meta.profile_name = key.profile.name;
   meta.profile_fingerprint = key.profile_fingerprint;
-  // Normal lane: writeback must not wait out a capped batch flood, and
-  // must not delay interactive solves either.  Put reports I/O failures
-  // through the store's own counters; anything that still throws (an
-  // injected fault, an unexpected error) is counted service-side — the
-  // spill is lost but never silently, and the decrement always runs so
-  // FlushStore cannot hang on a failed write.
+  // Normal lane: writeback must neither wait out a capped batch flood nor
+  // delay interactive solves.  Put counts its own I/O failures; anything
+  // that still throws (an injected fault, an unexpected error) is counted
+  // service-side — the spill is lost but never silently, and the decrement
+  // always runs so FlushStore cannot hang on a failed write.
   const std::uint64_t trace_id = obs::CurrentTraceId();  // the request's flow
   core::ThreadPool::TaskAttrs attrs;
   attrs.lane = static_cast<int>(LaneIndex(Priority::kNormal));
@@ -703,17 +708,16 @@ CompileService::ResultPtr CompileService::TryPeerWarm(const RequestKey& key,
     return nullptr;
   }
   if (bytes.empty()) return nullptr;  // clean peer miss
+  // One decode: the store's import verifies; with no store, verify here.
   const std::optional<store::SpillEnvelope> envelope =
-      store::TryDecodeSpillEnvelope(bytes);
+      store_ != nullptr ? store_->ImportRaw(key.hash, bytes)
+                        : store::TryDecodeSpillEnvelope(bytes);
   if (!envelope || envelope->meta.key != key.hash) {
     // Corrupt, mismatched, or other-format peer bytes: counted, discarded,
     // and the request pays its own solve — a lying peer cannot poison a
     // cache.
     peer_fetch_failures_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
-  }
-  if (store_ != nullptr) {
-    store_->ImportRaw(key.hash, bytes);  // durable warmth; refusal is fine
   }
   peer_hits_.fetch_add(1, std::memory_order_relaxed);
   Promote(key, envelope->result, flight);
@@ -733,19 +737,16 @@ std::optional<CompileResponse> CompileService::TryServeLocal(
   const RequestKey key = MakeKey(request.dag, request.num_stages,
                                  request.engine, request.profile);
   CompileResponse response = ResponseFor(key);
-  // Note: a miss here followed by a full Compile records the admission
+  // Note: a miss here followed by a full Submit records the admission
   // access twice — a one-sample skew the frequency sketch tolerates.
-  if (ResultPtr cached = TryCached(key)) {
-    response.result = std::move(cached);
-    response.outcome = CacheOutcome::kHit;
-    return response;
-  }
-  if (ResultPtr from_disk = ProbeDisk(key, nullptr)) {
-    response.result = std::move(from_disk);
+  response.result = TryCached(key);
+  response.outcome = CacheOutcome::kHit;
+  if (response.result == nullptr) {
+    response.result = ProbeDisk(key, nullptr);
     response.outcome = CacheOutcome::kDiskHit;
-    return response;
   }
-  return std::nullopt;
+  if (response.result == nullptr) return std::nullopt;
+  return response;
 }
 
 CompileResponse CompileService::Compile(const CompileRequest& request) {
@@ -771,9 +772,13 @@ CompileService::Ticket CompileService::Submit(CompileRequest request) {
 
 CompileService::QueueCounters CompileService::CountEnqueued(
     const CompileRequest& request) {
-  const QueueCounters counters{
-      &lane_counters_[LaneIndex(request.priority)],
-      request.tenant.empty() ? default_tenant_ : BindTenant(request.tenant)};
+  QueueCounters counters{&lane_counters_[LaneIndex(request.priority)],
+                         default_tenant_};
+  if (!request.tenant.empty()) {
+    const auto named = named_tenants_.find(request.tenant);
+    counters.tenant =
+        named != named_tenants_.end() ? named->second : overflow_tenant_;
+  }
   counters.lane->enqueued.fetch_add(1, std::memory_order_relaxed);
   counters.tenant.enqueued->fetch_add(1, std::memory_order_relaxed);
   return counters;
@@ -875,25 +880,13 @@ CompileService::Ticket CompileService::SubmitInternal(
   return ticket;
 }
 
-bool CompileService::EngineSupportsBatch(std::string_view engine_name) const {
-  return engines::EngineRegistry::Global()
-      .Create(engine_name, compiler_.MakeEngineContext())
-      ->SupportsBatch();
-}
-
 std::vector<CompileResponse> CompileService::CompileBatch(
     std::span<const CompileRequest> requests) {
-  // Warm kUse entries answer in place — no Dag copy, no pool round-trip (an
-  // all-warm batch costs one key hash + shard lookup per request, like the
-  // sync path).  Cold kUse misses on a batch-capable engine group by
-  // (engine, num_stages, node count, profile): each group of >= 2 becomes
-  // ONE pool task (RunBatchGroup) whose cold owners share a lock-stepped
-  // attempt, so a post-ReplaceRl miss storm refills at batch-decode speed.
-  // Everything else fans out as ordinary async requests on its own lane;
-  // results gather in input order.  Waiters never deadlock the pool: a
-  // flight owner finishes without needing any other queued task (flights
-  // only ever belong to running code, so a queued duplicate that runs
-  // later simply hits the cache or the resolved flight).
+  // Warm kUse entries answer in place — no Dag copy, no pool round-trip;
+  // each cold group of >= 2 becomes ONE pool task (RunBatchGroup).  Waiters
+  // never deadlock the pool: a flight owner finishes without needing any
+  // other queued task (flights only ever belong to running code, so a
+  // queued duplicate that runs later hits the cache or the resolved flight).
   std::vector<CompileResponse> responses(requests.size());
   std::vector<std::pair<std::size_t, Ticket>> pending;
 
@@ -919,9 +912,15 @@ std::vector<CompileResponse> CompileService::CompileBatch(
       responses[i].outcome = CacheOutcome::kHit;
       continue;
     }
-    // One SupportsBatch probe per distinct engine in the batch.
+    // One probe per distinct engine in the batch: does it override
+    // ScheduleBatch with a real lock-stepped path?
     auto [probe, inserted] = supports_batch.try_emplace(key.engine_name);
-    if (inserted) probe->second = EngineSupportsBatch(key.engine_name);
+    if (inserted) {
+      probe->second =
+          engines::EngineRegistry::Global()
+              .Create(key.engine_name, compiler_.MakeEngineContext())
+              ->SupportsBatch();
+    }
     if (!probe->second) {
       pending.emplace_back(i, SubmitInternal(request, std::move(key)));
       continue;
@@ -1068,12 +1067,10 @@ void CompileService::RunBatchGroup(std::span<const CompileRequest> requests,
 
 void CompileService::ReplaceRl(std::shared_ptr<rl::RlScheduler> rl) {
   // Bump the version first: every key computed from here on addresses the
-  // new snapshot.  An in-flight solve keyed against the old version may
-  // still insert after the sweep, but its key is unreachable (no future
-  // request recomputes it), so it can only occupy capacity, never serve.
-  // The same reasoning invalidates the persistent tier for free: old-
-  // version spill files answer keys no future request recomputes.  They
-  // only occupy disk — CompactStore() reclaims them.
+  // new snapshot.  Old-version keys — an in-flight solve inserting after
+  // the sweep, spill files on disk — are unreachable (no future request
+  // recomputes them): they occupy capacity or disk (CompactStore reclaims
+  // it), never serve.
   compiler_.ReplaceRl(std::move(rl));
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);

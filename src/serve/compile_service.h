@@ -91,6 +91,10 @@ class TinyLfuAdmission;
 
 namespace respect::serve {
 
+/// The tenant label value that counts every tenant not named in
+/// ServiceOptions::tenant_weights.
+inline constexpr std::string_view kOverflowTenant = "__other__";
+
 struct ServiceOptions {
   /// Total cached results across all shards (0 disables caching; single-
   /// flight deduplication still applies).  Rounded up to a multiple of
@@ -124,7 +128,10 @@ struct ServiceOptions {
   /// serve::RequestQueue): inside each priority lane, backlogged tenants
   /// receive service proportional to their weight, so one tenant's flood
   /// deepens its own sub-queue instead of starving the others.  Tenants
-  /// absent from the map weigh 1.
+  /// absent from the map weigh 1.  Only "" and the named tenants get their
+  /// own respect_serve_tenant_* series; every other id (remote input on a
+  /// fleet shard) counts under kOverflowTenant, which no key may equal
+  /// (std::invalid_argument), so the metrics page stays bounded.
   std::map<std::string, double> tenant_weights;
 
   /// Ordered engines tried after the preferred engine blows its solve
@@ -309,16 +316,15 @@ class CompileService {
 
   /// Peer warm hook: called on a cold miss (after both local tiers missed,
   /// before the engine solve) with the request key; returns raw spill
-  /// envelope bytes or "" for a peer miss.  The bytes are fully verified
-  /// here — format version, checksum, embedded key — before anything is
-  /// served;
-  /// corrupt bytes and thrown exceptions count as peer_fetch_failures and
-  /// the request falls through to a normal local solve.  A verified fetch
-  /// is imported into the local store (durable warmth), promoted into
-  /// memory, and surfaced as CacheOutcome::kPeerHit.  Pass nullptr to
-  /// uninstall.  The function must stay callable until it is uninstalled
-  /// and every in-flight request has settled (net::FleetServer::Stop does
-  /// both).
+  /// envelope bytes or "" for a peer miss.  The bytes are verified once —
+  /// format version, checksum, embedded key — by the store's import (or
+  /// here, without a store) before anything is served; corrupt bytes and
+  /// thrown exceptions count as peer_fetch_failures and the request falls
+  /// through to a local solve.  A verified fetch is imported into the
+  /// local store, promoted into memory, and surfaced as kPeerHit.  Pass
+  /// nullptr to uninstall.  The function must stay callable until it is
+  /// uninstalled and every in-flight request has settled
+  /// (net::FleetServer::Stop does both).
   using PeerFetchFn = std::function<std::string(const graph::CanonicalHash&)>;
   void SetPeerFetch(PeerFetchFn fetch);
 
@@ -513,9 +519,8 @@ class CompileService {
   /// The breaker guarding `engine` (created closed on first use).
   [[nodiscard]] CircuitBreaker& BreakerFor(std::string_view engine);
 
-  /// Submit with an optionally precomputed key (the batch path probes the
-  /// cache with the key first, then reuses it — one DAG serialization+hash
-  /// per graph, not two).
+  /// Submit with an optionally precomputed key (the batch path's cache
+  /// probe already hashed the DAG; this reuses that key).
   [[nodiscard]] Ticket SubmitInternal(CompileRequest request,
                                       std::optional<RequestKey> key);
 
@@ -542,7 +547,7 @@ class CompileService {
     TenantCounters tenant;
   };
 
-  /// Binds `tenant`'s series (registering them on first use).
+  /// Registers `tenant`'s series; construction-time only.
   [[nodiscard]] TenantCounters BindTenant(std::string_view tenant);
 
   /// Resolves `request`'s series and counts it enqueued.
@@ -567,10 +572,6 @@ class CompileService {
     std::chrono::steady_clock::time_point enqueue_time{};
     QueueCounters counters;
   };
-
-  /// True when the engine behind `engine_name` overrides ScheduleBatch
-  /// with a real lock-stepped path (SchedulerEngine::SupportsBatch).
-  [[nodiscard]] bool EngineSupportsBatch(std::string_view engine_name) const;
 
   /// Body of one grouped task (runs on a worker): per member, deadline
   /// and lane accounting, then the single path's steps — claim, warm
@@ -718,9 +719,11 @@ class CompileService {
   std::array<LaneCounters, kNumPriorityLanes> lane_counters_ = {
       MakeLaneCounters(0), MakeLaneCounters(1), MakeLaneCounters(2)};
 
-  /// The default ("") tenant's series, bound at construction so untagged
-  /// requests skip the registry lookup.
+  /// Tenant series, all bound at construction: "" (no lookup), the
+  /// overflow label, and each tenant named in tenant_weights.
   const TenantCounters default_tenant_ = BindTenant("");
+  const TenantCounters overflow_tenant_ = BindTenant(kOverflowTenant);
+  std::map<std::string, TenantCounters, std::less<>> named_tenants_;
 };
 
 }  // namespace respect::serve

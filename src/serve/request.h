@@ -173,11 +173,10 @@ struct CompileRequest {
   CachePolicy cache_policy = CachePolicy::kUse;
 
   /// Named device profile to schedule for (tpu::FindProfile).  Empty means
-  /// the default profile (the paper's uniform Corals), which folds nothing
-  /// into the cache key — old cache entries and spill files stay valid.
-  /// Any non-default profile's fingerprint becomes part of the key, so the
-  /// same DAG compiled for two fleets yields two cache entries.  Unknown
-  /// names fail with std::invalid_argument.
+  /// the default profile (the paper's uniform Corals).  Every profile's
+  /// fingerprint, the default one included, is part of the cache key, so
+  /// the same DAG compiled for two fleets yields two cache entries.
+  /// Unknown names fail with std::invalid_argument.
   std::string profile;
 
   /// Tenant id for weighted-fair queueing ("" = the shared default

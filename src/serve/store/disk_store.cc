@@ -246,18 +246,19 @@ std::optional<std::string> DiskStore::ExportRaw(
   return bytes;
 }
 
-bool DiskStore::ImportRaw(const graph::CanonicalHash& key,
-                          std::string_view bytes) {
-  const std::optional<SpillEnvelope> envelope = TryDecodeSpillEnvelope(bytes);
+std::optional<SpillEnvelope> DiskStore::ImportRaw(
+    const graph::CanonicalHash& key, std::string_view bytes) {
+  std::optional<SpillEnvelope> envelope = TryDecodeSpillEnvelope(bytes);
   if (!envelope || envelope->meta.key != key) {
     // Corrupt, mismatched, or other-format peer bytes never touch disk:
     // the caller sees a refusal, the directory keeps only verified truth.
     import_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return std::nullopt;
   }
-  if (!WriteEnvelopeAtomic(key, bytes)) return false;
-  imports_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  if (WriteEnvelopeAtomic(key, bytes)) {
+    imports_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return envelope;
 }
 
 std::size_t DiskStore::Compact(std::uint64_t live_rl_version) {

@@ -137,10 +137,13 @@ class DiskStore {
 
   /// Fleet peer-fetch write: fully verifies the envelope (checksum, format
   /// version, embedded key == `key`) then publishes it with the
-  /// same temp-file + rename discipline as Put.  Refused bytes never touch
-  /// the directory and return false — corrupt peer bytes are a typed miss,
-  /// never a stored lie.  Never throws.
-  bool ImportRaw(const graph::CanonicalHash& key, std::string_view bytes);
+  /// same temp-file + rename discipline as Put, and returns the envelope it
+  /// verified (also when the write itself failed — counted in
+  /// write_failures).  Refused bytes never touch the directory and return
+  /// nullopt — corrupt peer bytes are a typed miss, never a stored lie.
+  /// Never throws.
+  [[nodiscard]] std::optional<SpillEnvelope> ImportRaw(
+      const graph::CanonicalHash& key, std::string_view bytes);
 
   [[nodiscard]] StoreMetrics Metrics() const;
 

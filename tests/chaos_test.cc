@@ -37,6 +37,7 @@
 #include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
+#include "net/consistent_hash.h"
 #include "net/fleet_client.h"
 #include "net/fleet_server.h"
 #include "net/socket.h"
@@ -771,8 +772,8 @@ TEST(NetChaosTest, InjectedAcceptFailuresKeepTheListenerAlive) {
 
 TEST(NetChaosTest, DroppedPeerDegradesToLocalSolve) {
   EnsureChaosEngines();
-  // Shard A holds the warm spills; shard B (forwarding off, peer warm on)
-  // would normally answer from A's envelopes.
+  // Shard A holds the warm spills; shard B owns the requests below, so it
+  // answers them itself and would normally warm from A's envelopes.
   const TempDir dir_a("respect-chaos-peer-a");
   const TempDir dir_b("respect-chaos-peer-b");
   serve::ServiceOptions svc_a;
@@ -783,14 +784,25 @@ TEST(NetChaosTest, DroppedPeerDegradesToLocalSolve) {
   serve::CompileService service_b(FastOptions(), svc_b);
 
   net::FleetServer server_a(service_a);
-  net::FleetServerOptions options_b;
-  options_b.forward_to_owner = false;
-  net::FleetServer server_b(service_b, options_b);
-  server_b.SetMembers({server_a.Address(), server_b.Address()},
-                      server_b.Address());
+  net::FleetServer server_b(service_b);
+  const std::vector<std::string> members = {server_a.Address(),
+                                            server_b.Address()};
+  server_b.SetMembers(members, server_b.Address());
 
-  const graph::Dag first = SampleDag(20, 92);
-  const graph::Dag second = SampleDag(20, 93);
+  // The next graph after `seed` whose key lands on B.
+  const net::ConsistentHashRing ring(members);
+  const auto owned_by_b = [&](std::uint64_t seed) {
+    for (;; ++seed) {
+      graph::Dag dag = SampleDag(20, seed);
+      const CompileRequest probe{.dag = dag, .num_stages = 4,
+                                 .engine = "list"};
+      if (ring.OwnerOf(service_b.KeyFor(probe).lo) == server_b.Address()) {
+        return dag;
+      }
+    }
+  };
+  const graph::Dag first = owned_by_b(92);
+  const graph::Dag second = owned_by_b(1000);
   net::FleetClient client_a(server_a.Address());
   (void)client_a.Compile(CompileRequest{.dag = first, .num_stages = 4,
                                         .engine = "list"});
@@ -1017,7 +1029,8 @@ TEST(ChaosTraceTest, DeadPeerForwardShowsFailedHopAndLocalDegrade) {
   const auto events = obs::Tracer::Global().Drain();
   const obs::TraceEvent* handled = FindSpan(events, "net.handle_compile");
   const obs::TraceEvent* hop = FindSpan(events, "net.forward");
-  const obs::TraceEvent* compile = FindSpan(events, "serve.compile");
+  // The local degrade is a queued request on a service worker.
+  const obs::TraceEvent* compile = FindSpan(events, "serve.request");
   ASSERT_NE(handled, nullptr);
   ASSERT_NE(hop, nullptr);
   ASSERT_NE(compile, nullptr);

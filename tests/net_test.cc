@@ -10,17 +10,24 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/respect.h"
+#include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
 #include "net/consistent_hash.h"
@@ -102,6 +109,27 @@ void ExpectSameResult(const CompileResult& a, const CompileResult& b) {
     EXPECT_EQ(a.package.segments[s].param_bytes,
               b.package.segments[s].param_bytes);
   }
+}
+
+/// A counter read through the registry: a misspelt series throws instead
+/// of reading 0.
+std::uint64_t Count(const serve::CompileService& service,
+                    std::string_view name, obs::Label label = {}) {
+  return service.MetricsRegistry().FindCounter(name, label).load();
+}
+
+/// Local engine solves: every path that ran one — cold misses, bypasses,
+/// refreshes.
+std::uint64_t EngineSolves(const serve::CompileService& service) {
+  return Count(service, "respect_serve_misses_total") +
+         Count(service, "respect_serve_bypasses_total") +
+         Count(service, "respect_serve_refreshes_total");
+}
+
+std::string RenderPage(const serve::CompileService& service) {
+  std::ostringstream page;
+  service.MetricsRegistry().RenderPrometheus(page);
+  return std::move(page).str();
 }
 
 // ── Consistent-hash ring ───────────────────────────────────────────────────
@@ -260,32 +288,6 @@ TEST(WireCodecTest, ErrorPayloadMapsToTypedExceptions) {
   EXPECT_THROW(roundtrip(Kind::kInternal, "boom"), net::RemoteError);
 }
 
-TEST(WireCodecTest, FleetStatsRoundTrip) {
-  net::FleetStats stats;
-  stats.requests = 1;
-  stats.engine_solves = 2;
-  stats.cache_hits = 3;
-  stats.disk_hits = 4;
-  stats.peer_hits = 5;
-  stats.peer_fetches = 6;
-  stats.forwarded = 7;
-  stats.forward_failures = 8;
-  stats.spill_served = 9;
-  stats.spill_missed = 10;
-  const net::FleetStats out =
-      net::DecodeFleetStats(net::EncodeFleetStats(stats));
-  EXPECT_EQ(out.requests, 1u);
-  EXPECT_EQ(out.engine_solves, 2u);
-  EXPECT_EQ(out.cache_hits, 3u);
-  EXPECT_EQ(out.disk_hits, 4u);
-  EXPECT_EQ(out.peer_hits, 5u);
-  EXPECT_EQ(out.peer_fetches, 6u);
-  EXPECT_EQ(out.forwarded, 7u);
-  EXPECT_EQ(out.forward_failures, 8u);
-  EXPECT_EQ(out.spill_served, 9u);
-  EXPECT_EQ(out.spill_missed, 10u);
-}
-
 /// Decode one full frame the way a receiver would: header, payload
 /// verification, then the typed payload decoder.
 void DecodeFullFrame(std::string_view bytes) {
@@ -307,11 +309,8 @@ void DecodeFullFrame(std::string_view bytes) {
     case FrameType::kError:
       (void)net::DecodeErrorPayload(payload);
       break;
-    case FrameType::kStatsData:
-      (void)net::DecodeFleetStats(payload);
-      break;
     default:
-      break;  // opaque payloads (spill bytes, pings)
+      break;  // opaque payloads (spill bytes, metrics pages, pings)
   }
 }
 
@@ -382,10 +381,6 @@ TEST(WireFuzzTest, GarbageBytesNeverDecode) {
     EXPECT_THROW((void)net::DecodeCompileRequest(junk), WireError);
     EXPECT_THROW((void)net::DecodeCompileResponse(junk), WireError);
     EXPECT_THROW((void)net::DecodeErrorPayload(junk), WireError);
-    // DecodeFleetStats is deliberately absent: it is all fixed-width
-    // counters with no internal structure to validate, so random bytes of
-    // sufficient length parse as (meaningless) numbers — the frame
-    // checksum is what guards it, and that is exercised above.
   }
 }
 
@@ -418,10 +413,36 @@ TEST(FleetServerTest, PingStatsAndFlushRoundTrip) {
   FleetClient client(server.Address());
   client.Ping();
   client.Flush();
-  const net::FleetStats stats = client.Stats();
-  EXPECT_EQ(stats.requests, 0u);
-  EXPECT_EQ(stats.engine_solves, 0u);
+  EXPECT_EQ(Count(service, "respect_fleet_requests_total"), 0u);
+  EXPECT_EQ(EngineSolves(service), 0u);
   server.Stop();
+}
+
+TEST(FleetServerTest, MetricsFrameIsTheShardsPage) {
+  serve::CompileService service(FastOptions());
+  FleetServer server(service);
+  FleetClient client(server.Address());
+  const CompileRequest request = AnnealRequest(SampleDag(14, 57));
+  (void)client.Compile(request);
+  (void)client.Compile(request);
+
+  // Traffic has settled (both replies arrived), so the wire page and a
+  // local render of the same registry agree byte for byte.
+  const std::string page = client.MetricsPage();
+  EXPECT_EQ(page, RenderPage(service));
+  EXPECT_NE(page.find("respect_fleet_requests_total 2\n"), std::string::npos);
+  EXPECT_NE(page.find("respect_serve_hits_total 1\n"), std::string::npos);
+  server.Stop();
+}
+
+TEST(FleetServerTest, RetiredStatsFrameTypesAreUnknown) {
+  // 7 and 8 carried the old fixed-width stats codec: a peer from an older
+  // build gets a typed WireError, never a misread frame.
+  for (const std::uint32_t retired : {7u, 8u}) {
+    std::string header = net::EncodeFrameHeader(FrameType::kPing, {});
+    std::memcpy(header.data() + 4, &retired, sizeof(retired));
+    EXPECT_THROW((void)net::DecodeFrameHeader(header), WireError) << retired;
+  }
 }
 
 TEST(FleetServerTest, CompileOverWireColdThenWarm) {
@@ -443,10 +464,9 @@ TEST(FleetServerTest, CompileOverWireColdThenWarm) {
   // The remote warm answer is bit-identical to the remote cold solve.
   ExpectSameResult(*warm.result, *cold.result);
 
-  const net::FleetStats stats = client.Stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.engine_solves, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(Count(service, "respect_fleet_requests_total"), 2u);
+  EXPECT_EQ(EngineSolves(service), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_hits_total"), 1u);
   server.Stop();
 }
 
@@ -545,17 +565,21 @@ TEST(FleetServerTest, ExportImportRawEdgeCases) {
   obs::Registry peer_registry;
   serve::store::DiskStore peer(serve::store::DiskStoreOptions{
       .directory = FreshDir("net-import-peer"), .registry = &peer_registry});
-  // Import of valid bytes under the right key: accepted.
-  EXPECT_TRUE(peer.ImportRaw(key, *bytes));
+  // Import of valid bytes under the right key: accepted, and the verified
+  // envelope comes back for the caller to serve.
+  const std::optional<serve::store::SpillEnvelope> imported =
+      peer.ImportRaw(key, *bytes);
+  ASSERT_TRUE(imported.has_value());
+  EXPECT_EQ(imported->meta.key, key);
   // Same bytes under a different key: refused (a lying peer cannot poison
   // the store).
   graph::CanonicalHash wrong = key;
   wrong.hi ^= 0xdead;
-  EXPECT_FALSE(peer.ImportRaw(wrong, *bytes));
+  EXPECT_FALSE(peer.ImportRaw(wrong, *bytes).has_value());
   // Corrupt bytes: refused.
   std::string corrupt = *bytes;
   corrupt[corrupt.size() / 2] ^= 0x10;
-  EXPECT_FALSE(peer.ImportRaw(key, corrupt));
+  EXPECT_FALSE(peer.ImportRaw(key, corrupt).has_value());
   // Unknown key exports nothing.
   EXPECT_FALSE(service.ExportSpill(wrong).has_value());
 }
@@ -598,11 +622,8 @@ TEST(FleetServerTest, ForwardToOwnerSolvesOnceFleetWide) {
   EXPECT_EQ(second.outcome, CacheOutcome::kHit);
   ExpectSameResult(*second.result, *first.result);
 
-  FleetClient client_a(server_a.Address());
-  const net::FleetStats stats_a = client_a.Stats();
-  const net::FleetStats stats_b = client.Stats();
-  EXPECT_EQ(stats_a.engine_solves + stats_b.engine_solves, 1u);
-  EXPECT_EQ(stats_a.engine_solves, 1u);  // the owner paid the solve
+  EXPECT_EQ(EngineSolves(service_a) + EngineSolves(service_b), 1u);
+  EXPECT_EQ(EngineSolves(service_a), 1u);  // the owner paid the solve
   EXPECT_GE(server_b.Metrics().forwarded, 2u);
   server_b.Stop();
   server_a.Stop();
@@ -643,17 +664,16 @@ TEST(FleetServerTest, PeerWarmFetchServesWithoutLocalSolve) {
   serve::CompileService service_b(FastOptions(), store_b);
 
   // A stays standalone (it would otherwise forward the seeding solve to B
-  // and defeat the scenario); B gets the membership with forwarding off to
-  // force the peer-warm path.
+  // and defeat the scenario); B gets the membership and a request it owns,
+  // so it answers locally and warms from A.
   FleetServer server_a(service_a);
-  FleetServerOptions options_b;
-  options_b.forward_to_owner = false;
-  FleetServer server_b(service_b, options_b);
+  FleetServer server_b(service_b);
   const std::vector<std::string> members = {server_a.Address(),
                                             server_b.Address()};
   server_b.SetMembers(members, server_b.Address());
 
-  const CompileRequest request = AnnealRequest(SampleDag(20, 71));
+  const CompileRequest request = RequestOwnedBy(
+      service_b, ConsistentHashRing(members), server_b.Address());
   FleetClient client_a(server_a.Address());
   const CompileResponse solved = client_a.Compile(request);
   client_a.Flush();
@@ -664,10 +684,9 @@ TEST(FleetServerTest, PeerWarmFetchServesWithoutLocalSolve) {
   ASSERT_NE(warmed.result, nullptr);
   ExpectSameResult(*warmed.result, *solved.result);
 
-  const net::FleetStats stats_b = client_b.Stats();
-  EXPECT_EQ(stats_b.engine_solves, 0u);
-  EXPECT_EQ(stats_b.peer_hits, 1u);
-  EXPECT_GE(stats_b.peer_fetches, 1u);
+  EXPECT_EQ(EngineSolves(service_b), 0u);
+  EXPECT_EQ(Count(service_b, "respect_serve_peer_hits_total"), 1u);
+  EXPECT_GE(Count(service_b, "respect_serve_peer_fetches_total"), 1u);
 
   // The imported envelope is durable: B now serves it from its own tiers.
   const CompileResponse resident = client_b.Compile(request);
@@ -682,24 +701,165 @@ TEST(FleetServerTest, PeerMissFallsThroughToLocalSolve) {
   serve::CompileService service_a(FastOptions());
   serve::CompileService service_b(FastOptions());
   FleetServer server_a(service_a);
-  FleetServerOptions options_b;
-  options_b.forward_to_owner = false;
-  FleetServer server_b(service_b, options_b);
+  FleetServer server_b(service_b);
   const std::vector<std::string> members = {server_a.Address(),
                                             server_b.Address()};
   server_b.SetMembers(members, server_b.Address());
 
   FleetClient client(server_b.Address());
-  const CompileResponse response =
-      client.Compile(AnnealRequest(SampleDag(16, 81)));
+  const CompileResponse response = client.Compile(RequestOwnedBy(
+      service_b, ConsistentHashRing(members), server_b.Address()));
   ASSERT_NE(response.result, nullptr);
   EXPECT_EQ(response.outcome, CacheOutcome::kMiss);
-  const net::FleetStats stats = client.Stats();
-  EXPECT_EQ(stats.engine_solves, 1u);
-  EXPECT_GE(stats.peer_fetches, 1u);
-  EXPECT_EQ(stats.peer_hits, 0u);
+  EXPECT_EQ(EngineSolves(service_b), 1u);
+  EXPECT_GE(Count(service_b, "respect_serve_peer_fetches_total"), 1u);
+  EXPECT_EQ(Count(service_b, "respect_serve_peer_hits_total"), 0u);
   server_b.Stop();
   server_a.Stop();
+}
+
+// ── Wire traffic takes the serving queue ─────────────────────────────────
+
+TEST(FleetQueueTest, WireTenantReachesItsSeries) {
+  serve::ServiceOptions options;
+  options.tenant_weights = {{"acme", 2.0}};
+  serve::CompileService service(FastOptions(), options);
+  FleetServer server(service);
+  FleetClient client(server.Address());
+
+  CompileRequest request = AnnealRequest(SampleDag(14, 91));
+  request.tenant = "acme";
+  ASSERT_NE(client.Compile(request).result, nullptr);
+  const obs::Label acme{"tenant", "acme"};
+  EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total", acme), 1u);
+  EXPECT_EQ(Count(service, "respect_serve_tenant_started_total", acme), 1u);
+  server.Stop();
+}
+
+/// Engine that blocks until the test opens its gate, then records the node
+/// count of every graph it solves — on a one-worker service, the order the
+/// queue handed requests to the worker.
+class OrderGateEngine : public engines::SchedulerEngine {
+ public:
+  static void Reset() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    open_ = false;
+    order_.clear();
+  }
+  static void Open() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  static void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [] { return !order_.empty(); });
+  }
+  static std::vector<int> Order() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return order_;
+  }
+
+  [[nodiscard]] engines::EngineResult Schedule(
+      const graph::Dag& dag, const sched::PipelineConstraints& constraints,
+      const engines::EngineBudget&) const override {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      order_.push_back(dag.NodeCount());
+      cv_.notify_all();
+      cv_.wait(lock, [] { return open_; });
+    }
+    engines::EngineResult result;
+    result.schedule.num_stages = constraints.num_stages;
+    result.schedule.stage.assign(dag.NodeCount(), 0);
+    return result;
+  }
+
+ private:
+  static inline std::mutex mutex_;
+  static inline std::condition_variable cv_;
+  static inline bool open_ = false;
+  static inline std::vector<int> order_;
+};
+
+/// Polls until `series{label}` reaches `want` (fails the test after 10 s).
+void AwaitCount(const serve::CompileService& service, std::string_view series,
+                obs::Label label, std::uint64_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Count(service, series, label) < want) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << series;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(FleetQueueTest, InteractiveWireRequestOvertakesQueuedBatch) {
+  engines::EngineRegistry& registry = engines::EngineRegistry::Global();
+  if (!registry.Contains("OrderGate")) {
+    registry.Register({"OrderGate", "", "test-only gated, order-recording",
+                       [](const engines::EngineContext&) {
+                         return std::make_unique<OrderGateEngine>();
+                       }});
+  }
+  OrderGateEngine::Reset();
+  serve::ServiceOptions options;
+  options.num_threads = 1;
+  options.queue_aging_seconds = 0.0;  // strict priority
+  serve::CompileService service(FastOptions(), options);
+  FleetServer server(service);
+
+  // Each wire request on its own connection (a compile blocks its client).
+  // The guard opens the gate and joins every client on any exit path.
+  std::vector<std::thread> clients;
+  struct JoinAll {
+    std::vector<std::thread>& threads;
+    ~JoinAll() {
+      OrderGateEngine::Open();
+      for (std::thread& thread : threads) thread.join();
+    }
+  } join_all{clients};
+  const auto send = [&](int nodes, Priority priority) {
+    clients.emplace_back([&server, nodes, priority] {
+      CompileRequest request{.dag = SampleDag(nodes, 93),
+                             .num_stages = 2,
+                             .engine = "OrderGate",
+                             .priority = priority};
+      try {
+        FleetClient client(server.Address());
+        EXPECT_NE(client.Compile(request).result, nullptr) << nodes;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << nodes << ": " << e.what();
+      }
+    });
+  };
+  const obs::Label batch{"lane", "batch"};
+  const obs::Label interactive{"lane", "interactive"};
+
+  send(10, Priority::kNormal);  // pins the one worker at the gate
+  OrderGateEngine::AwaitEntered();
+  for (const int nodes : {11, 12, 13}) send(nodes, Priority::kBatch);
+  AwaitCount(service, "respect_serve_lane_enqueued_total", batch, 3);
+  send(14, Priority::kInteractive);
+  AwaitCount(service, "respect_serve_lane_enqueued_total", interactive, 1);
+  // The enqueued count rises just before the queue push; give the push a
+  // moment to land before the worker pops.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  OrderGateEngine::Open();
+  for (std::thread& client : clients) client.join();
+  clients.clear();
+
+  // The last-queued interactive request ran right after the pinned one,
+  // ahead of every batch request (those raced each other onto the queue).
+  const std::vector<int> order = OrderGateEngine::Order();
+  ASSERT_EQ(order.size(), 5u);
+  EXPECT_EQ(order[0], SampleDag(10, 93).NodeCount());
+  EXPECT_EQ(order[1], SampleDag(14, 93).NodeCount());
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", interactive),
+            1u);
+  EXPECT_EQ(Count(service, "respect_serve_lane_started_total", batch), 3u);
+  server.Stop();
 }
 
 }  // namespace

@@ -395,10 +395,11 @@ TEST(ObsRegistry, FindThrowsOnUnknownSeriesAndNeverRegisters) {
 }
 
 TEST(ObsRegistry, ServicePageLabelsLanesAndTenants) {
-  // A fresh service pre-registers every lane and the default tenant; a
-  // tenant series appears with the first request that carries it.
+  // A fresh service pre-registers every lane, the default tenant and each
+  // tenant named in tenant_weights.
   serve::ServiceOptions options;
   options.num_threads = 1;
+  options.tenant_weights = {{"alice", 1.0}};
   serve::CompileService service({}, options);
   std::mt19937_64 rng(5);
   (void)service

@@ -7,6 +7,7 @@
 // before a solve ever runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -14,6 +15,7 @@
 #include <memory>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -273,6 +275,7 @@ TEST(CompileServiceProfileTest, UnknownProfileFailsBeforeTouchingTheCache) {
 TEST(CompileServiceTenantTest, MetricsCountWorkPerTenant) {
   serve::ServiceOptions options;
   options.num_threads = 1;
+  options.tenant_weights = {{"alpha", 1.0}, {"beta", 1.0}};
   serve::CompileService service(FastOptions(), options);
 
   const graph::Dag a = SampleDag(20, 83);
@@ -291,7 +294,7 @@ TEST(CompileServiceTenantTest, MetricsCountWorkPerTenant) {
   (void)t1.Wait();
   (void)t2.Wait();
 
-  // Tenant-labelled series; FindCounter throws on a tenant never seen.
+  // Tenant-labelled series; FindCounter throws on a tenant never named.
   const obs::Label alpha{"tenant", "alpha"};
   const obs::Label beta{"tenant", "beta"};
   EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total", alpha), 2u);
@@ -306,6 +309,52 @@ TEST(CompileServiceTenantTest, MetricsCountWorkPerTenant) {
   EXPECT_THROW((void)Count(service, "respect_serve_tenant_enqueued_total",
                            {"tenant", "gamma"}),
                std::out_of_range);
+}
+
+TEST(CompileServiceTenantTest, UnnamedTenantsShareTheOverflowSeries) {
+  serve::ServiceOptions options;
+  options.num_threads = 2;
+  serve::CompileService service(FastOptions(), options);
+  const graph::Dag dag = SampleDag(10, 89);
+  const auto submit = [&](int tenant) {
+    return service.Submit(CompileRequest{.dag = dag,
+                                         .num_stages = 2,
+                                         .engine = "list",
+                                         .tenant = "t" +
+                                                   std::to_string(tenant)});
+  };
+  const auto page_lines = [&service] {
+    std::ostringstream page;
+    service.MetricsRegistry().RenderPrometheus(page);
+    const std::string text = std::move(page).str();
+    return std::count(text.begin(), text.end(), '\n');
+  };
+
+  (void)submit(0).Wait();
+  const auto lines_after_one = page_lines();
+  std::vector<serve::CompileService::Ticket> tickets;
+  constexpr int kTenants = 10'000;
+  tickets.reserve(kTenants - 1);
+  for (int t = 1; t < kTenants; ++t) tickets.push_back(submit(t));
+  for (const auto& ticket : tickets) (void)ticket.Wait();
+
+  // Tenant ids are remote input on a fleet shard: cycling them must not
+  // grow the page.  Their work is counted, under the overflow label.
+  EXPECT_EQ(page_lines(), lines_after_one);
+  const obs::Label overflow{"tenant", serve::kOverflowTenant};
+  EXPECT_EQ(Count(service, "respect_serve_tenant_enqueued_total", overflow),
+            static_cast<std::uint64_t>(kTenants));
+  EXPECT_EQ(Count(service, "respect_serve_tenant_started_total", overflow),
+            static_cast<std::uint64_t>(kTenants));
+  EXPECT_THROW((void)Count(service, "respect_serve_tenant_enqueued_total",
+                           {"tenant", "t1"}),
+               std::out_of_range);
+
+  // The overflow label cannot also name a tenant.
+  serve::ServiceOptions reserved;
+  reserved.tenant_weights = {{std::string(serve::kOverflowTenant), 2.0}};
+  EXPECT_THROW(serve::CompileService(FastOptions(), reserved),
+               std::invalid_argument);
 }
 
 TEST(CompileServiceTest, ReplaceRlInvalidatesOnlyRlEntries) {

@@ -17,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -558,6 +559,50 @@ TEST(CompileServiceStoreTest, CorruptSpillIsACleanMissAtTheServiceLevel) {
   EXPECT_EQ(metrics.store.corrupt_dropped, 1u);
   EXPECT_EQ(Count(restarted, "respect_serve_disk_hits_total"), 0u);
   ASSERT_NE(response.result, nullptr);
+}
+
+TEST(CompileServiceStoreTest, RefusedPeerEnvelopesSolveLocally) {
+  EnsureStoreCountingEngine();
+  // A real envelope, spilled for another graph's key.
+  const TempDir source_dir("respect-peer-refused-source");
+  serve::ServiceOptions source_options;
+  source_options.cache_dir = source_dir.str();
+  serve::CompileService source(FastOptions(), source_options);
+  const CompileRequest other{.dag = SampleDag(20, 41),
+                             .num_stages = 4,
+                             .engine = "StoreCounting"};
+  (void)source.Compile(other);
+  source.FlushStore();
+  const std::optional<std::string> other_envelope =
+      source.ExportSpill(source.KeyFor(other));
+  ASSERT_TRUE(other_envelope.has_value());
+  std::string corrupt = *other_envelope;
+  corrupt[corrupt.size() / 2] ^= 0x10;
+
+  // One peer hook lies with corrupt bytes, the other with another key's
+  // valid envelope: each is counted as a failed fetch, the request solves
+  // locally, and the store imports nothing.
+  int seed = 42;
+  for (const std::string& peer_bytes : {corrupt, *other_envelope}) {
+    const TempDir dir("respect-peer-refused-" + std::to_string(seed));
+    serve::ServiceOptions options;
+    options.cache_dir = dir.str();
+    serve::CompileService service(FastOptions(), options);
+    service.SetPeerFetch(
+        [&peer_bytes](const graph::CanonicalHash&) { return peer_bytes; });
+    const int solves_before = StoreCountingEngine::Solves().load();
+    const CompileResponse response = service.Compile(CompileRequest{
+        .dag = SampleDag(20, seed++), .num_stages = 4,
+        .engine = "StoreCounting"});
+    EXPECT_EQ(response.outcome, CacheOutcome::kMiss);
+    ASSERT_NE(response.result, nullptr);
+    EXPECT_EQ(StoreCountingEngine::Solves().load(), solves_before + 1);
+    EXPECT_EQ(Count(service, "respect_serve_peer_fetch_failures_total"), 1u);
+    EXPECT_EQ(Count(service, "respect_serve_peer_hits_total"), 0u);
+    EXPECT_EQ(Count(service, "respect_store_imports_total"), 0u);
+    EXPECT_EQ(Count(service, "respect_store_import_rejected_total"), 1u);
+    service.SetPeerFetch(nullptr);
+  }
 }
 
 TEST(CompileServiceStoreTest, OneHitWonderScanCannotFlushAHotEntry) {
