@@ -6,11 +6,17 @@ previous run's upload) and fails when a watched throughput metric regresses
 by more than --max-regression (a fraction; 0.15 = 15%).
 
 Watched by default:
-  * BM_DecodeGreedyWorkspace/100    — decode throughput at B = 1 (items/s),
+  * BM_DecodeGreedyWorkspace/100    — decode throughput at B = 1 (items/s;
+                                      one-order graphs, so no network runs),
   * BM_DecodeGreedyZoo              — fused decode at the zoo-compile shape
                                       (default agent on ResNet152; items are
                                       nodes),
-  * BM_BatchedDecode/16             — lock-stepped decode throughput at B = 16,
+  * BM_DecodeGreedyBranchy          — fused decode of InceptionV3, whose
+                                      steps are mostly choices,
+  * BM_BatchedDecode/16             — lock-stepped decode throughput at B = 16
+                                      (one-order graphs),
+  * BM_BatchedDecodeBranchy/4       — lock-stepped decode of fork/join graphs
+                                      with choices at B = 4,
   * BM_MissStormRefill              — grouped refill through the single cold
                                       path (requests/s),
   * BM_CompileServiceWarmCache      — warm-cache serving throughput,
@@ -50,7 +56,9 @@ import sys
 DEFAULT_WATCH = [
     "BM_DecodeGreedyWorkspace/100",
     "BM_DecodeGreedyZoo",
+    "BM_DecodeGreedyBranchy",
     "BM_BatchedDecode/16",
+    "BM_BatchedDecodeBranchy/4",
     "BM_MissStormRefill",
     "BM_CompileServiceWarmCache",
     "BM_CompileServiceDiskWarmStart",

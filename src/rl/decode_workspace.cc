@@ -4,10 +4,22 @@
 
 namespace respect::rl {
 
-void DecodeWorkspace::Reserve(int hidden_dim, int nodes, int batch) {
+void DecodeWorkspace::ReserveGraphs(int nodes, int graphs) {
+  // Outer vectors only grow (shrinking would free the inner buffers and
+  // break the zero-allocation steady state).
+  if (static_cast<int>(topos.size()) < graphs) topos.resize(graphs);
+  if (static_cast<int>(pos.size()) < graphs) pos.resize(graphs);
+  if (static_cast<int>(sequences.size()) < graphs) sequences.resize(graphs);
+  for (int g = 0; g < graphs; ++g) sequences[g].reserve(nodes);
+  lane_graph.resize(graphs);
+  // topo_scratch / topos / pos are sized by AnalyzeTopologyInto and the
+  // decode itself (assign with steady-state capacity).
+}
+
+void DecodeWorkspace::Reserve(int hidden_dim, int nodes, int lanes) {
   const int d = hidden_dim;
   const int n = nodes;
-  const int b = batch;
+  const int b = lanes;
   const int total = n * b;
   emb.Resize(kFeatureDim, total);
   x_all.Resize(d, total);
@@ -24,19 +36,14 @@ void DecodeWorkspace::Reserve(int hidden_dim, int nodes, int batch) {
   logits.Resize(1, total);
   probs.Resize(1, total);
   valid.resize(total);
-  picked.resize(total);
   unpicked_parents.resize(total);
+  ready_count.resize(b);
+  chain_end.resize(b);
+  forced.resize(total);
+  replay_parents.resize(n);
   zx_cols.resize(b);
-  // Outer vectors only grow (shrinking would free the inner buffers and
-  // break the zero-allocation steady state).
-  if (static_cast<int>(topos.size()) < b) topos.resize(b);
-  if (static_cast<int>(pos.size()) < b) pos.resize(b);
-  if (static_cast<int>(sequences.size()) < b) sequences.resize(b);
-  for (int g = 0; g < b; ++g) sequences[g].reserve(n);
-  // topo_scratch / topos / pos and emb_one are sized by AnalyzeTopologyInto,
-  // EmbedGraphInto and the decode itself (assign with steady-state
-  // capacity); the k-major panels (enc_wh_t, dec_wh_t, refs.wq_*_t) by the
-  // calls that fill them.
+  // emb_one is sized by EmbedGraphInto; the k-major panels (enc_wh_t,
+  // dec_wh_t, refs.wq_*_t) by the calls that fill them.
 }
 
 }  // namespace respect::rl

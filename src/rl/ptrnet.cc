@@ -59,6 +59,22 @@ int ArgmaxIndexRange(const nn::Tensor& probs, int c0, int n) {
   return best;
 }
 
+/// True iff the Kahn order `order` is the only topological order of `dag`.
+/// A second order exists iff some consecutive pair (u, w) of `order` is not
+/// an edge: w's parents then all precede u, so swapping u and w stays
+/// topological.  O(V+E).
+bool HasOneOrder(const graph::Dag& dag,
+                 const std::vector<graph::NodeId>& order) {
+  for (std::size_t i = 0; i + 1 < order.size(); ++i) {
+    const std::span<const graph::NodeId> children = dag.Children(order[i]);
+    if (std::find(children.begin(), children.end(), order[i + 1]) ==
+        children.end()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 PtrNetAgent::PtrNetAgent(const PtrNetConfig& config)
@@ -100,22 +116,41 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
           "DecodeGreedyBatch: graphs must be non-null with one node count");
     }
   }
+  cancel.ThrowIfCancelled("rl decode");
   const int n = dags[0]->NodeCount();
   const int d = config_.hidden_dim;
-  const int total = n * batch;
-  ws.Reserve(d, n, batch);
+  const bool ready_set = config_.masking == MaskingMode::kReadySet;
+  ws.ReserveGraphs(n, batch);
 
-  // Input queue q follows the ASAP topological order (§III-A).  Per-graph
-  // analysis and packed embedding: emb column g·n+v is graph g's
-  // node-v feature vector, so every downstream packed column g·n+v matches
-  // a one-graph decode's column v bit for bit (the shared MatMul kernel is
-  // column-independent).  A single graph embeds straight into emb.
-  float* embd = ws.emb.Data();
+  // Input queue q follows the ASAP topological order (§III-A).  Under the
+  // ready-set mask a graph with one topological order has no choice to
+  // make: its sequence is its Kahn order, and it never enters the network.
+  // The others become the lanes of a lock-step over (possibly) fewer
+  // graphs — bit-identical, since every kernel is column-independent.
+  int lanes = 0;
   for (int g = 0; g < batch; ++g) {
     graph::AnalyzeTopologyInto(*dags[g], ws.topo_scratch, ws.topos[g]);
+    const std::vector<graph::NodeId>& order = ws.topos[g].order;
+    if (ready_set && HasOneOrder(*dags[g], order)) {
+      ws.sequences[g].assign(order.begin(), order.end());
+    } else {
+      ws.lane_graph[lanes++] = g;
+    }
+  }
+  if (lanes == 0) return ws.sequences;
+  const int total = n * lanes;
+  ws.Reserve(d, n, lanes);
+
+  // Packed embedding: emb column l·n+v is lane l's node-v feature vector,
+  // so every downstream packed column l·n+v matches a one-graph decode's
+  // column v bit for bit (the shared MatMul kernel is column-independent).
+  // A single lane embeds straight into emb.
+  float* embd = ws.emb.Data();
+  for (int l = 0; l < lanes; ++l) {
+    const int g = ws.lane_graph[l];
     ws.pos[g].assign(n, -1);
     for (int j = 0; j < n; ++j) ws.pos[g][ws.topos[g].order[j]] = j;
-    if (batch == 1) {
+    if (lanes == 1) {
       EmbedGraphInto(*dags[g], config_.embedding, ws.topos[g], ws.emb);
       continue;
     }
@@ -123,7 +158,7 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
     const float* one = ws.emb_one.Data();
     for (int i = 0; i < kFeatureDim; ++i) {
       std::copy(one + std::int64_t{i} * n, one + std::int64_t{i} * n + n,
-                embd + std::int64_t{i} * total + std::int64_t{g} * n);
+                embd + std::int64_t{i} * total + std::int64_t{l} * n);
     }
   }
   nn::MatMulInto(store_.Value("input.W"), ws.emb, ws.x_all);
@@ -139,62 +174,130 @@ const std::vector<std::vector<graph::NodeId>>& PtrNetAgent::DecodeGreedyBatch(
   decoder_.RecurrentPanelInto(ws.dec_wh_t);
 
   // Lock-stepped encoder sweep: one StepInto per position, contexts
-  // scattered to column g·n+j (graph g, position j).
+  // scattered to column l·n+j (lane l, position j).
   ws.state.h.Fill(0.0f);
   ws.state.c.Fill(0.0f);
   float* ctx = ws.contexts.Data();
   for (int j = 0; j < n; ++j) {
-    for (int g = 0; g < batch; ++g) {
-      ws.zx_cols[g] = g * n + ws.topos[g].order[j];
+    for (int l = 0; l < lanes; ++l) {
+      ws.zx_cols[l] = l * n + ws.topos[ws.lane_graph[l]].order[j];
     }
-    encoder_.StepInto(ws.zx_enc, ws.zx_cols.data(), batch, ws.enc_wh_t,
+    encoder_.StepInto(ws.zx_enc, ws.zx_cols.data(), lanes, ws.enc_wh_t,
                       ws.gates, ws.state);
     const float* h = ws.state.h.Data();
     for (int i = 0; i < d; ++i) {
-      const float* hrow = h + std::int64_t{i} * batch;
+      const float* hrow = h + std::int64_t{i} * lanes;
       float* crow = ctx + std::int64_t{i} * total + j;
-      for (int g = 0; g < batch; ++g) crow[std::int64_t{g} * n] = hrow[g];
+      for (int l = 0; l < lanes; ++l) crow[std::int64_t{l} * n] = hrow[l];
     }
   }
   attention_.PrecomputeInto(ws.contexts, ws.refs);
 
   // Decoder bookkeeping, packed position-indexed; the encoder's final
-  // (d, B) state carries over as the decoder's initial state in place.
-  std::fill(ws.picked.begin(), ws.picked.end(), std::uint8_t{0});
-  for (int g = 0; g < batch; ++g) {
+  // (d, L) state carries over as the decoder's initial state in place.
+  for (int l = 0; l < lanes; ++l) {
+    const int g = ws.lane_graph[l];
+    const int c0 = l * n;
+    ws.ready_count[l] = 0;
+    ws.chain_end[l] = 0;
     for (int j = 0; j < n; ++j) {
-      ws.unpicked_parents[g * n + j] =
+      const int parents =
           static_cast<int>(dags[g]->Parents(ws.topos[g].order[j]).size());
+      ws.unpicked_parents[c0 + j] = parents;
+      ws.valid[c0 + j] = !ready_set || parents == 0 ? 1 : 0;
+      ws.ready_count[l] += ws.valid[c0 + j];
     }
     ws.sequences[g].clear();
   }
 
-  const nn::Tensor* zx = &ws.zx_d0;  // first input: shared d0 projection
-  for (int g = 0; g < batch; ++g) ws.zx_cols[g] = 0;
-  for (int t = 0; t < n; ++t) {
-    cancel.ThrowIfCancelled("rl decode step");
-    decoder_.StepInto(*zx, ws.zx_cols.data(), batch, ws.dec_wh_t, ws.gates,
-                      ws.state);
-    for (int c = 0; c < total; ++c) {
-      ws.valid[c] = !ws.picked[c] &&
-                            (config_.masking == MaskingMode::kVisitedOnly ||
-                             ws.unpicked_parents[c] == 0)
-                        ? 1
-                        : 0;
-    }
-    attention_.PointerLogitsInto(ws.contexts, ws.refs, ws.state.h, ws.valid,
-                                 n, batch, ws.attn, ws.logits);
-    for (int g = 0; g < batch; ++g) {
-      const int c0 = g * n;
-      nn::MaskedSoftmaxSliceInto(ws.logits, ws.valid, c0, n, ws.probs);
-      const int j = ArgmaxIndexRange(ws.probs, c0, n);
-      const graph::NodeId v = ws.topos[g].order[j];
-      ws.picked[c0 + j] = 1;
+  // Takes position j of lane l: clears its mask byte and, under the
+  // ready-set mask, sets the byte of every child it leaves parentless.
+  const auto pick = [&](int l, int j) {
+    const int g = ws.lane_graph[l];
+    const int c0 = l * n;
+    const graph::NodeId v = ws.topos[g].order[j];
+    ws.valid[c0 + j] = 0;
+    --ws.ready_count[l];
+    if (ready_set) {
       for (const graph::NodeId c : dags[g]->Children(v)) {
-        --ws.unpicked_parents[c0 + ws.pos[g][c]];
+        const int p = c0 + ws.pos[g][c];
+        if (--ws.unpicked_parents[p] == 0) {
+          ws.valid[p] = 1;
+          ++ws.ready_count[l];
+        }
       }
-      ws.sequences[g].push_back(v);
-      ws.zx_cols[g] = c0 + v;
+    }
+    ws.sequences[g].push_back(v);
+    ws.zx_cols[l] = c0 + v;
+  };
+
+  // Lane l has one valid node at step t, so its pick there is forced.
+  // Replays Kahn from that node on a scratch copy of the lane's parent
+  // counts, recording each forced position until two or more nodes are
+  // ready at once (the lane's next choice step) or the graph runs out.
+  // Under the visited-only mask one valid node is the last unpicked one.
+  const auto replay = [&](int l, int t) {
+    const int g = ws.lane_graph[l];
+    const int c0 = l * n;
+    const std::uint8_t* lane_valid = ws.valid.data() + c0;
+    int j = static_cast<int>(std::find(lane_valid, lane_valid + n, 1) -
+                             lane_valid);
+    if (ready_set) {
+      std::copy_n(ws.unpicked_parents.begin() + c0, n,
+                  ws.replay_parents.begin());
+    }
+    int step = t;
+    for (int ready = 1; ready == 1;) {
+      ws.forced[c0 + step++] = j;
+      if (!ready_set) break;
+      ready = 0;
+      for (const graph::NodeId c : dags[g]->Children(ws.topos[g].order[j])) {
+        if (--ws.replay_parents[ws.pos[g][c]] == 0) {
+          ++ready;
+          j = ws.pos[g][c];
+        }
+      }
+    }
+    ws.chain_end[l] = step;
+  };
+
+  // Forced steps run no attention; steps after every lane's last choice
+  // run no network at all.  The decoder still steps through forced steps
+  // before a later choice, since its state feeds that choice.
+  const nn::Tensor* zx = &ws.zx_d0;  // first input: shared d0 projection
+  for (int l = 0; l < lanes; ++l) ws.zx_cols[l] = 0;
+  for (int t = 0; t < n; ++t) {
+    bool choice = false;
+    bool settled = true;
+    for (int l = 0; l < lanes; ++l) {
+      if (ws.ready_count[l] == 1 && ws.chain_end[l] <= t) replay(l, t);
+      choice = choice || ws.ready_count[l] > 1;
+      settled = settled && ws.chain_end[l] == n;
+    }
+    if (settled) {
+      for (int l = 0; l < lanes; ++l) {
+        const int g = ws.lane_graph[l];
+        for (int s = t; s < n; ++s) {
+          ws.sequences[g].push_back(ws.topos[g].order[ws.forced[l * n + s]]);
+        }
+      }
+      break;
+    }
+    cancel.ThrowIfCancelled("rl decode step");
+    decoder_.StepInto(*zx, ws.zx_cols.data(), lanes, ws.dec_wh_t, ws.gates,
+                      ws.state);
+    if (choice) {
+      attention_.PointerLogitsInto(ws.contexts, ws.refs, ws.state.h, ws.valid,
+                                   n, lanes, ws.attn, ws.logits);
+    }
+    for (int l = 0; l < lanes; ++l) {
+      const int c0 = l * n;
+      if (ws.ready_count[l] == 1) {
+        pick(l, ws.forced[c0 + t]);
+        continue;
+      }
+      nn::MaskedSoftmaxSliceInto(ws.logits, ws.valid, c0, n, ws.probs);
+      pick(l, ArgmaxIndexRange(ws.probs, c0, n));
     }
     zx = &ws.zx_dec;
   }

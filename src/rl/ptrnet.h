@@ -69,8 +69,9 @@ class PtrNetAgent {
   /// decode_workspace.h), so a steady-state call performs zero heap
   /// allocations.  The returned reference aliases `ws.sequences[0]` and is
   /// valid until the next decode on the same workspace.  `cancel`
-  /// (optional) is polled once per decode step; a fired token unwinds with
-  /// core::CancelledError before the step's recurrence runs.
+  /// (optional) is polled on entry and on every step that runs the
+  /// network; a fired token unwinds with core::CancelledError before the
+  /// step's recurrence runs.
   [[nodiscard]] const std::vector<graph::NodeId>& DecodeGreedy(
       const graph::Dag& dag, DecodeWorkspace& ws,
       const core::CancelToken& cancel = {}) const;
@@ -86,12 +87,25 @@ class PtrNetAgent {
   /// per-element accumulation order (see LstmCell::StepInto /
   /// PointerAttention::PointerLogitsInto).
   ///
+  /// Work whose result is already fixed is skipped.  A step where a graph
+  /// has one valid node is forced: that graph takes the node without its
+  /// attention, softmax or argmax.  Once no graph has a choice left, the
+  /// remaining forced nodes are appended without stepping the decoder.
+  /// Under kReadySet a graph with one topological order (every
+  /// consecutive pair of its Kahn order is an edge) returns that order
+  /// without running the network at all.  The one observable difference
+  /// from the reference: a weight set whose logits are NaN makes the
+  /// reference throw at a forced step, where this decode returns the
+  /// forced node.  ParamStore::Load rejects NaN weights, so no loaded
+  /// snapshot reaches that case.
+  ///
   /// Returns a reference to ws.sequences; entries [0, dags.size()) hold
   /// this call's results (later entries may be stale from a larger batch)
   /// and stay valid until the next decode on the same workspace.
   ///
-  /// `cancel` (optional) is polled once per decode step; a fired token
-  /// unwinds the whole batch with core::CancelledError.
+  /// `cancel` (optional) is polled on entry and on every step that runs
+  /// the network; a fired token unwinds the whole batch with
+  /// core::CancelledError.
   [[nodiscard]] const std::vector<std::vector<graph::NodeId>>&
   DecodeGreedyBatch(std::span<const graph::Dag* const> dags,
                     DecodeWorkspace& ws,

@@ -614,14 +614,17 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
   meta.engine_name = std::string(key.engine_name);
   meta.profile_name = key.profile.name;
   meta.profile_fingerprint = key.profile_fingerprint;
-  // Normal lane: writeback must neither wait out a capped batch flood nor
-  // delay interactive solves.  Put counts its own I/O failures; anything
-  // that still throws (an injected fault, an unexpected error) is counted
-  // service-side — the spill is lost but never silently, and the decrement
-  // always runs so FlushStore cannot hang on a failed write.
+  // Batch lane: a queued spill must not delay a waiting request's solve
+  // (queue aging keeps it from starving).  A spill whose RL snapshot
+  // was replaced while it waited is dropped: no future request can reach
+  // its key, and CompactStore would only delete it again.  Put counts its
+  // own I/O failures; anything that still throws (an injected fault, an
+  // unexpected error) is counted service-side — the spill is lost but
+  // never silently, and the decrement always runs so FlushStore cannot
+  // hang on a failed write.
   const std::uint64_t trace_id = obs::CurrentTraceId();  // the request's flow
   core::ThreadPool::TaskAttrs attrs;
-  attrs.lane = static_cast<int>(LaneIndex(Priority::kNormal));
+  attrs.lane = static_cast<int>(LaneIndex(Priority::kBatch));
   attrs.trace_id = trace_id;
   pool_->Submit(
       [this, meta = std::move(meta), result = std::move(result), trace_id] {
@@ -629,7 +632,10 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
         OBS_SPAN("serve.writeback");
         try {
           RESPECT_FAILPOINT("serve.writeback");
-          store_->Put(meta, result);
+          if (!meta.rl_dependent ||
+              meta.rl_version == compiler_.RlVersion()) {
+            store_->Put(meta, result);
+          }
         } catch (...) {
           writeback_errors_.fetch_add(1, std::memory_order_relaxed);
         }

@@ -37,10 +37,11 @@
 // (the only synchronous disk read on the request path); a hit is surfaced
 // as CacheOutcome::kDiskHit and promoted into memory subject to admission.
 // Successful solves spill to disk as background writeback tasks on the
-// service's pool, so a restart against the same directory warm-starts
-// without re-running a single engine solve.  TinyLFU admission (always
-// on with a non-zero capacity) keeps one-hit-wonder scans from flushing
-// hot memory entries.  A schedule is deterministic in its key, so a cached
+// service's pool (batch lane, so they never delay a waiting request's
+// solve; a spill made unreachable by ReplaceRl before it ran is dropped),
+// so a restart against the same directory warm-starts without re-running
+// a single engine solve.  TinyLFU admission (always on with a non-zero
+// capacity) keeps one-hit-wonder scans from flushing hot memory entries.  A schedule is deterministic in its key, so a cached
 // entry has no age limit: it stays until LRU/TinyLFU evicts it, ReplaceRl
 // invalidates it, or CompactStore reclaims its spill.
 //
@@ -112,10 +113,11 @@ struct ServiceOptions {
   /// serve::RequestQueue); <= 0 means pure strict priority.
   double queue_aging_seconds = 2.0;
 
-  /// Max batch-lane solves running concurrently (<= 0 = unlimited).  With
-  /// a cap of N, an interactive request never waits behind more than N
-  /// batch solves even when a batch flood fills the queue — the remaining
-  /// workers stay available to the other lanes.
+  /// Max batch-lane tasks (batch solves and spill writebacks) running
+  /// concurrently (<= 0 = unlimited).  With a cap of N, an interactive
+  /// request never waits behind more than N batch tasks even when a batch
+  /// flood fills the queue — the remaining workers stay available to the
+  /// other lanes.
   int max_batch_inflight = 0;
 
   /// Directory for the persistent spill tier (store::DiskStore); empty

@@ -4,14 +4,19 @@
 //    (deg 2-6, both MaskingModes, batch sizes 1, 3 and 8) and to the frozen
 //    reference, and the same workspace survives different (nodes, batch,
 //    hidden) shapes; empty, null and mixed-size inputs are rejected; a fired
-//    CancelToken unwinds the decode and leaves its workspace reusable;
+//    CancelToken unwinds the decode (B = 1 and batched) and leaves its
+//    workspace reusable;
+//  * a batch mixing one-order graphs (decoded without the network) with
+//    same-size graphs that have choices gives each graph its B = 1 and
+//    reference sequence, in every lane order;
 //  * the compiler-level group path (CompileGroup, chunked by node count)
 //    returns element-wise the same schedules as sequential Compile() calls,
 //    and SolveStats reports the batch/single split correctly — stragglers
 //    are decoded one at a time;
 //  * a steady-state decode on a warm DecodeWorkspace performs ZERO heap
-//    allocations, also when B = 1 decodes and groups interleave on it
-//    (counted via a replaced global operator new).
+//    allocations, also when B = 1 decodes and groups interleave on it and
+//    when the graphs have choices (counted via a replaced global operator
+//    new).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +32,7 @@
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/scheduler.h"
+#include "tests/support/fork_join_dag.h"
 #include "tests/support/reference_decode.h"
 
 // ---- Global allocation counter (same funnel as decode_parity_test). ----
@@ -176,6 +182,67 @@ TEST(BatchDecodeTest, FiredTokenUnwindsTheBatchDecode) {
   for (int g = 0; g < 3; ++g) EXPECT_EQ(reused[g], expected[g]) << "g=" << g;
 }
 
+TEST(BatchDecodeTest, FiredTokenUnwindsTheSingleDecode) {
+  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  std::mt19937_64 rng(155);
+  const graph::Dag one_order = SampleSameSizeDags(1, 20, 3, rng)[0];
+  const graph::Dag branchy = ForkJoinDag(20, 3, 155);
+  const core::CancelToken cancel = core::CancelToken::Manual();
+  cancel.Cancel();
+
+  rl::DecodeWorkspace ws;
+  for (const graph::Dag* dag : {&one_order, &branchy}) {
+    EXPECT_THROW((void)agent.DecodeGreedy(*dag, ws, cancel),
+                 core::CancelledError);
+    EXPECT_EQ(agent.DecodeGreedy(*dag, ws), agent.DecodeGreedy(*dag));
+  }
+}
+
+TEST(BatchDecodeTest, MixedBatchMatchesSingleDecodesAndReference) {
+  // One-order graphs leave the lock-step before packing; the graphs with
+  // choices decode as a narrower batch.  Every lane order must give each
+  // graph exactly its B = 1 and reference sequence.
+  for (const rl::MaskingMode masking :
+       {rl::MaskingMode::kReadySet, rl::MaskingMode::kVisitedOnly}) {
+    const rl::PtrNetAgent agent(NetConfig(masking));
+    rl::DecodeWorkspace ws;
+    rl::DecodeWorkspace single_ws;
+    std::mt19937_64 rng(157);
+    for (const int nodes : {20, 45}) {
+      // Relabelled, so no two graphs share a Kahn order.
+      std::vector<graph::Dag> one_order;
+      for (const graph::Dag& dag : SampleSameSizeDags(2, nodes, 3, rng)) {
+        one_order.push_back(RelabelNodes(dag, rng()));
+      }
+      const graph::Dag fork_a = ForkJoinDag(nodes, 2, 157 + nodes);
+      const graph::Dag fork_b =
+          RelabelNodes(ForkJoinDag(nodes, 4, 158 + nodes), rng());
+      ASSERT_EQ(ChoiceSteps(one_order[0]), 0);
+      ASSERT_EQ(ChoiceSteps(one_order[1]), 0);
+      ASSERT_GT(ChoiceSteps(fork_a), 0);
+      ASSERT_GT(ChoiceSteps(fork_b), 0);
+      const graph::Dag* const a = &one_order[0];
+      const graph::Dag* const b = &one_order[1];
+      for (const std::vector<const graph::Dag*>& group :
+           {std::vector<const graph::Dag*>{a, &fork_a},
+            std::vector<const graph::Dag*>{&fork_a, a},
+            std::vector<const graph::Dag*>{a, &fork_a, b, &fork_b},
+            std::vector<const graph::Dag*>{&fork_b, a, b},
+            std::vector<const graph::Dag*>{a, b},
+            std::vector<const graph::Dag*>{&fork_a, &fork_b}}) {
+        const auto& sequences = agent.DecodeGreedyBatch(
+            std::span<const graph::Dag* const>(group), ws);
+        for (std::size_t g = 0; g < group.size(); ++g) {
+          EXPECT_EQ(sequences[g], agent.DecodeGreedy(*group[g], single_ws))
+              << "nodes=" << nodes << " B=" << group.size() << " g=" << g;
+          EXPECT_EQ(sequences[g], rl::ReferenceDecodeGreedy(agent, *group[g]))
+              << "nodes=" << nodes << " B=" << group.size() << " g=" << g;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
   const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
   std::mt19937_64 rng(161);
@@ -231,6 +298,45 @@ TEST(BatchDecodeTest, SteadyStateBatchDecodeIsAllocationFree) {
     EXPECT_EQ(got[g + 1], expected[g]) << "g=" << g;
   }
   EXPECT_EQ(got[dags.size() + 1], expected[7]);
+}
+
+TEST(BatchDecodeTest, SteadyStateBatchDecodeWithChoicesIsAllocationFree) {
+  // The guard above decodes one-order graphs, which skip the network; this
+  // one lock-steps graphs with choices, mixed with a one-order graph, at
+  // B = 5 and interleaved with B = 1 and a smaller B = 3.
+  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  std::mt19937_64 rng(163);
+  std::vector<graph::Dag> dags;
+  for (int i = 0; i < 4; ++i) dags.push_back(ForkJoinDag(50, 2 + i, 163 + i));
+  dags.push_back(SampleSameSizeDags(1, 50, 3, rng)[0]);
+  const auto ptrs = Pointers(dags);
+  std::vector<graph::Dag> small;
+  for (int i = 0; i < 3; ++i) small.push_back(ForkJoinDag(20, 3, 173 + i));
+  const auto small_ptrs = Pointers(small);
+
+  rl::DecodeWorkspace ws;
+  const auto cold = agent.DecodeGreedyBatch(
+      std::span<const graph::Dag* const>(ptrs), ws);  // warms every buffer
+  ASSERT_EQ(cold.size(), 5u);
+
+  const std::uint64_t before = g_alloc_count.load();
+  const auto& warm =
+      agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state batch decode allocated " << (after - before)
+      << " times";
+  for (int g = 0; g < 5; ++g) EXPECT_EQ(warm[g], cold[g]);
+
+  const std::uint64_t before2 = g_alloc_count.load();
+  (void)agent.DecodeGreedy(dags[0], ws);
+  (void)agent.DecodeGreedyBatch(
+      std::span<const graph::Dag* const>(small_ptrs), ws);
+  (void)agent.DecodeGreedyBatch(std::span<const graph::Dag* const>(ptrs), ws);
+  (void)agent.DecodeGreedy(dags[4], ws);
+  const std::uint64_t after2 = g_alloc_count.load();
+  EXPECT_EQ(after2 - before2, 0u)
+      << "interleaved decodes allocated " << (after2 - before2) << " times";
 }
 
 TEST(BatchScheduleTest, ScheduleRawBatchMatchesSequential) {

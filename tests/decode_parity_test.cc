@@ -10,8 +10,16 @@
 //    of four (the Axpy k-tail) and with exact ±0 weights planted in every
 //    panel-swept matrix; whole decodes keep reference parity with those
 //    zeros at B = 1 and B = 3;
+//  * the sampled graphs above each have one topological order, so under
+//    the deployed ready-set mask their decode makes no choice; zoo models
+//    (ResNet50, Xception, InceptionV3) and a fork/join graph, which do
+//    have choices, keep reference parity at B = 1 and B = 3, under both
+//    masks, with and without planted zeros, and with attention weights
+//    scaled so that some choices depend on the decoder state; a one-order
+//    graph decodes to its Kahn order without running the network;
 //  * a steady-state decode on a warm DecodeWorkspace performs ZERO heap
-//    allocations (counted via a replaced global operator new);
+//    allocations (counted via a replaced global operator new), on
+//    one-order graphs and on graphs with choices;
 //  * repair runs exactly once on both the standalone-scheduler path and the
 //    engine/façade path, and both paths agree.
 #include <gtest/gtest.h>
@@ -19,20 +27,25 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <random>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/respect.h"
 #include "graph/sampler.h"
+#include "graph/topology.h"
+#include "models/zoo.h"
 #include "nn/attention.h"
 #include "nn/lstm.h"
 #include "rl/decode_workspace.h"
 #include "rl/ptrnet.h"
 #include "rl/scheduler.h"
 #include "sched/postprocess.h"
+#include "tests/support/fork_join_dag.h"
 #include "tests/support/reference_decode.h"
 
 // ---- Global allocation counter.  Every operator new in this binary funnels
@@ -276,6 +289,138 @@ TEST(DecodeParityTest, PlantedZeroWeightsMatchReference) {
   }
 }
 
+TEST(DecodeParityTest, ZooModelsWithChoicesMatchReference) {
+  // The zoo models have ready-set choices: ResNet50 forces most of its
+  // steps, InceptionV3 few.  Their decodes mix choice steps, forced steps
+  // inside the lock-step and the forced tail after the last choice; the
+  // B = 3 group lock-steps each model with a fork/join graph of its size.
+  for (const rl::MaskingMode masking :
+       {rl::MaskingMode::kReadySet, rl::MaskingMode::kVisitedOnly}) {
+    for (const bool zeros : {false, true}) {
+      rl::PtrNetAgent agent(NetConfig(masking));
+      if (zeros) {
+        std::mt19937_64 plant_rng(97);
+        for (const std::string name : {"encoder.Wh", "decoder.Wh",
+                                       "attention.Wq_g", "attention.Wq_p"}) {
+          PlantZeros(agent.Params().Value(name), plant_rng);
+        }
+      }
+      rl::DecodeWorkspace ws;
+      for (const models::ModelName model :
+           {models::ModelName::kResNet50, models::ModelName::kXception,
+            models::ModelName::kInceptionV3}) {
+        const graph::Dag dag = models::BuildModel(model);
+        const graph::Dag fork = ForkJoinDag(dag.NodeCount(), 3, 7);
+        ASSERT_GT(ChoiceSteps(dag), 0) << dag.Name();
+        ASSERT_GT(ChoiceSteps(fork), 0) << dag.Name();
+        const auto expected = rl::ReferenceDecodeGreedy(agent, dag);
+        const auto fork_expected = rl::ReferenceDecodeGreedy(agent, fork);
+        EXPECT_EQ(agent.DecodeGreedy(dag, ws), expected)
+            << dag.Name() << " zeros=" << zeros;
+
+        const graph::Dag* const group[] = {&dag, &fork, &dag};
+        const auto& batched = agent.DecodeGreedyBatch(group, ws);
+        EXPECT_EQ(batched[0], expected) << dag.Name() << " zeros=" << zeros;
+        EXPECT_EQ(batched[1], fork_expected)
+            << dag.Name() << " zeros=" << zeros;
+        EXPECT_EQ(batched[2], expected) << dag.Name() << " zeros=" << zeros;
+      }
+    }
+  }
+}
+
+TEST(DecodeParityTest, StateSensitiveWeightsMatchReference) {
+  // With Xavier-initialised weights no ready-set choice of these graphs
+  // depends on the decoder state: zeroing h before every attention changes
+  // none of them, so the tests above cannot see a decoder step that was
+  // skipped or fed the wrong input.  These two scalings make the attention
+  // follow its query, so some choices do depend on h.  The B = 3 group
+  // puts a relabelled one-order graph in front, so lane l decodes graph
+  // l + 1 and the two Kahn orders differ.
+  const std::vector<std::vector<std::pair<std::string, float>>> scalings = {
+      {{"attention.Wref_g", 0.3f}, {"attention.Wq_g", 2.0f},
+       {"attention.v_g", 30.0f}, {"attention.Wref_p", 0.05f},
+       {"attention.Wq_p", 2.0f}, {"attention.v_p", 30.0f},
+       {"decoder.Wh", 4.0f}},
+      {{"attention.Wref_g", 0.66f}, {"attention.Wq_g", 8.7f},
+       {"attention.b_g", 7.0f}, {"attention.v_g", 6.4f},
+       {"attention.Wref_p", 0.56f}, {"attention.Wq_p", 6.7f},
+       {"attention.b_p", 30.0f}, {"attention.v_p", 0.66f},
+       {"decoder.Wx", 2.9f}, {"decoder.Wh", 15.6f}}};
+  std::vector<graph::Dag> dags;
+  for (const models::ModelName model :
+       {models::ModelName::kResNet50, models::ModelName::kXception,
+        models::ModelName::kInceptionV3}) {
+    dags.push_back(models::BuildModel(model));
+  }
+  for (const int nodes : {20, 45}) {
+    for (const int width : {2, 3, 4}) {
+      dags.push_back(ForkJoinDag(nodes, width, nodes + width));
+    }
+  }
+  std::mt19937_64 rng(89);
+  for (std::size_t s = 0; s < scalings.size(); ++s) {
+    for (const int hidden : {24, 64}) {
+      rl::PtrNetConfig config = NetConfig(rl::MaskingMode::kReadySet);
+      config.hidden_dim = hidden;
+      rl::PtrNetAgent agent(config);
+      for (const auto& [name, factor] : scalings[s]) {
+        nn::Tensor& w = agent.Params().Value(name);
+        for (int i = 0; i < w.Rows(); ++i) {
+          for (int k = 0; k < w.Cols(); ++k) w.At(i, k) *= factor;
+        }
+      }
+      rl::DecodeWorkspace ws;
+      for (const graph::Dag& dag : dags) {
+        graph::SamplerConfig sampler;
+        sampler.num_nodes = dag.NodeCount();
+        const graph::Dag one_order =
+            RelabelNodes(graph::SampleDag(sampler, rng), rng());
+        const auto expected = rl::ReferenceDecodeGreedy(agent, dag);
+        EXPECT_EQ(agent.DecodeGreedy(dag, ws), expected)
+            << "scaling=" << s << " d=" << hidden << " n=" << dag.NodeCount();
+        const graph::Dag* const group[] = {&one_order, &dag, &dag};
+        const auto& batched = agent.DecodeGreedyBatch(group, ws);
+        EXPECT_EQ(batched[1], expected)
+            << "scaling=" << s << " d=" << hidden << " n=" << dag.NodeCount();
+        EXPECT_EQ(batched[2], expected)
+            << "scaling=" << s << " d=" << hidden << " n=" << dag.NodeCount();
+      }
+    }
+  }
+}
+
+TEST(DecodeParityTest, OneOrderGraphDecodesToItsKahnOrder) {
+  rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  rl::DecodeWorkspace ws;
+  std::mt19937_64 rng(83);
+  std::vector<graph::Dag> dags;
+  dags.emplace_back("single");
+  (void)dags.back().AddNode(graph::OpAttr{});
+  for (const int nodes : {12, 60}) {
+    graph::SamplerConfig sampler;
+    sampler.max_in_degree = 4;
+    sampler.num_nodes = nodes;
+    dags.push_back(graph::SampleDag(sampler, rng));
+  }
+  for (const graph::Dag& dag : dags) {
+    ASSERT_EQ(ChoiceSteps(dag), 0) << "nodes=" << dag.NodeCount();
+    const std::vector<graph::NodeId> order = graph::AnalyzeTopology(dag).order;
+    EXPECT_EQ(agent.DecodeGreedy(dag, ws), order)
+        << "nodes=" << dag.NodeCount();
+    EXPECT_EQ(rl::ReferenceDecodeGreedy(agent, dag), order)
+        << "nodes=" << dag.NodeCount();
+  }
+
+  // No network runs for such a graph: with NaN weights the reference
+  // throws at its first (forced) step, the decode still returns the order.
+  agent.Params().Value("input.W").Fill(
+      std::numeric_limits<float>::quiet_NaN());
+  const graph::Dag& dag = dags.back();
+  EXPECT_ANY_THROW((void)rl::ReferenceDecodeGreedy(agent, dag));
+  EXPECT_EQ(agent.DecodeGreedy(dag, ws), graph::AnalyzeTopology(dag).order);
+}
+
 TEST(DecodeParityTest, SteadyStateDecodeIsAllocationFree) {
   const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
   std::mt19937_64 rng(31);
@@ -299,6 +444,36 @@ TEST(DecodeParityTest, SteadyStateDecodeIsAllocationFree) {
   const std::uint64_t before2 = g_alloc_count.load();
   (void)agent.DecodeGreedy(small, ws);
   (void)agent.DecodeGreedy(dag, ws);
+  const std::uint64_t after2 = g_alloc_count.load();
+  EXPECT_EQ(after2 - before2, 0u);
+}
+
+TEST(DecodeParityTest, SteadyStateDecodeWithChoicesIsAllocationFree) {
+  // The guard above decodes one-order graphs, which skip the network; this
+  // one decodes graphs whose steps mix choices and forced picks.
+  const rl::PtrNetAgent agent(NetConfig(rl::MaskingMode::kReadySet));
+  const graph::Dag big = models::BuildModel(models::ModelName::kInceptionV3);
+  const graph::Dag small = ForkJoinDag(60, 3, 11);
+  std::mt19937_64 rng(37);
+  const graph::Dag one_order = graph::SampleTrainingDag(40, rng);
+  ASSERT_GT(ChoiceSteps(big), 0);
+  ASSERT_GT(ChoiceSteps(small), 0);
+
+  rl::DecodeWorkspace ws;
+  const auto cold = agent.DecodeGreedy(big, ws);  // warms every buffer
+  ASSERT_EQ(cold.size(), static_cast<std::size_t>(big.NodeCount()));
+
+  const std::uint64_t before = g_alloc_count.load();
+  const auto& seq = agent.DecodeGreedy(big, ws);
+  const std::uint64_t after = g_alloc_count.load();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state decode allocated " << (after - before) << " times";
+  EXPECT_EQ(seq, cold);
+
+  const std::uint64_t before2 = g_alloc_count.load();
+  (void)agent.DecodeGreedy(small, ws);
+  (void)agent.DecodeGreedy(one_order, ws);
+  (void)agent.DecodeGreedy(big, ws);
   const std::uint64_t after2 = g_alloc_count.load();
   EXPECT_EQ(after2 - before2, 0u);
 }

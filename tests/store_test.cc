@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +23,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <thread>
 #include <vector>
 
 #include "core/failpoint.h"
@@ -663,6 +665,58 @@ TEST(CompileServiceStoreTest, ReplaceRlStrandsOldSpillsAndCompactReclaims) {
             CacheOutcome::kDiskHit);
   EXPECT_EQ(Ask(service, dag, 4, "RESPECT").outcome,
             CacheOutcome::kDiskHit);  // the v1 spill — still reachable
+}
+
+TEST(CompileServiceStoreTest, SpillStrandedBeforeItsWritebackIsNotWritten) {
+  // The writeback of the RL entry is held (delay failpoint) until after
+  // ReplaceRl: its key is unreachable by then, so nothing is written and
+  // there is nothing to compact.  The deterministic spill is still written.
+  const TempDir dir("respect-service-stranded");
+  serve::ServiceOptions service_options;
+  service_options.cache_dir = dir.str();
+  serve::CompileService service(FastOptions(), service_options);
+  const graph::Dag dag = SampleDag(24, 37);
+  {
+    const core::failpoint::ScopedFailpoint hold("serve.writeback",
+                                                "delay(800)");
+    (void)Ask(service, dag, 4, "RESPECT");
+    (void)Ask(service, dag, 4, "ListScheduling");
+    service.ReplaceRl(std::make_shared<rl::RlScheduler>(FastOptions().net));
+    service.FlushStore();
+  }
+  EXPECT_EQ(service.Metrics().store.writes, 1u);
+  EXPECT_EQ(service.Metrics().store.resident, 1u);
+  EXPECT_EQ(service.CompactStore(), 0u);
+}
+
+TEST(CompileServiceStoreTest, QueuedWritebackDoesNotDelayASolve) {
+  // One worker, held inside the writeback of A.  B's spill is queued
+  // (B solves inline), then C is submitted: C's solve runs before B's
+  // spill, so when C completes only A's spill has been written.
+  const TempDir dir("respect-service-writeback-lane");
+  serve::ServiceOptions service_options;
+  service_options.cache_dir = dir.str();
+  service_options.num_threads = 1;
+  serve::CompileService service(FastOptions(), service_options);
+  const core::failpoint::ScopedFailpoint hold("serve.writeback",
+                                              "delay(800)");
+  (void)Ask(service, SampleDag(20, 41), 4, "ListScheduling");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (core::failpoint::HitCount("serve.writeback") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(core::failpoint::HitCount("serve.writeback"), 1u);
+  (void)Ask(service, SampleDag(20, 43), 4, "ListScheduling");
+  const serve::CompileService::Ticket ticket = service.Submit(
+      CompileRequest{.dag = SampleDag(20, 47),
+                     .num_stages = 4,
+                     .engine = "ListScheduling"});
+  EXPECT_EQ(ticket.WaitResponse().outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(service.Metrics().store.writes, 1u);  // A's only
+  service.FlushStore();
+  EXPECT_EQ(service.Metrics().store.writes, 3u);
 }
 
 TEST(CompileServiceStoreTest, BypassNeverTouchesTheDiskTier) {
