@@ -17,6 +17,7 @@
 #include "engines/registry.h"
 #include "exact/bnb_scheduler.h"
 #include "exact/dp_partitioner.h"
+#include "graph/canonical_hash.h"
 #include "graph/sampler.h"
 #include "graph/topology.h"
 #include "heuristics/backend_compile.h"
@@ -53,6 +54,23 @@ void BM_AnalyzeTopology(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AnalyzeTopology);
+
+/// The graph digest every cache key folds in (serve::CompileService
+/// hashes each request's DAG): a rollout-refill catalog-size graph and
+/// the largest Table I model.  Items are hashes.
+void BM_HashDag(benchmark::State& state, const graph::Dag& dag) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::HashDag(dag));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+graph::Dag SampledDag24() {
+  std::mt19937_64 rng(1);
+  return graph::SampleTrainingDag(24, rng);
+}
+BENCHMARK_CAPTURE(BM_HashDag, sampled24, SampledDag24());
+BENCHMARK_CAPTURE(BM_HashDag, resnet152,
+                  models::BuildModel(models::ModelName::kResNet152));
 
 void BM_DpPartition(benchmark::State& state) {
   const graph::Dag dag = models::BuildModel(models::ModelName::kResNet152);

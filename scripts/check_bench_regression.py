@@ -19,6 +19,10 @@ Watched by default:
                                       with choices at B = 4,
   * BM_MissStormRefill              — grouped refill through the single cold
                                       path (requests/s),
+  * BM_HashDag/sampled24,
+    BM_HashDag/resnet152            — the graph digest every cache key folds
+                                      in (hashes/s; a 24-node sampled graph
+                                      and ResNet152),
   * BM_CompileServiceWarmCache      — warm-cache serving throughput,
   * BM_CompileServiceDiskWarmStart  — persistent-tier (disk) hit throughput,
   * BM_TenantFairness               — weighted-fair queue throughput under an
@@ -60,6 +64,8 @@ DEFAULT_WATCH = [
     "BM_BatchedDecode/16",
     "BM_BatchedDecodeBranchy/4",
     "BM_MissStormRefill",
+    "BM_HashDag/sampled24",
+    "BM_HashDag/resnet152",
     "BM_CompileServiceWarmCache",
     "BM_CompileServiceDiskWarmStart",
     "BM_TenantFairness",

@@ -52,7 +52,7 @@ class ThreadPool {
     /// Marks the entry as load-sheddable: a bounded policy queue may refuse
     /// it at Push time by throwing (the exception propagates out of
     /// Submit(); nothing is enqueued).  Default false so bookkeeping tasks
-    /// (writebacks, batch groups) are never shed.
+    /// (batch groups) are never shed.
     bool sheddable = false;
 
     /// Observability trace id of the request flow this task belongs to

@@ -1,8 +1,6 @@
 #include "graph/canonical_hash.h"
 
 #include <cstdio>
-#include <ostream>
-#include <streambuf>
 
 #include "graph/serialize.h"
 
@@ -18,30 +16,6 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
-
-/// Forwards every byte written to the stream into a CanonicalHasher, so
-/// WriteDag defines the hashed byte stream without materializing the text.
-class HashingStreamBuf final : public std::streambuf {
- public:
-  explicit HashingStreamBuf(CanonicalHasher& hasher) : hasher_(hasher) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      const char c = traits_type::to_char_type(ch);
-      hasher_.Update(std::string_view(&c, 1));
-    }
-    return traits_type::not_eof(ch);
-  }
-
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    hasher_.Update(std::string_view(s, static_cast<std::size_t>(n)));
-    return n;
-  }
-
- private:
-  CanonicalHasher& hasher_;
-};
 
 }  // namespace
 
@@ -102,9 +76,7 @@ CanonicalHash CanonicalHasher::Finish() const {
 
 CanonicalHash HashDag(const Dag& dag) {
   CanonicalHasher hasher;
-  HashingStreamBuf buf(hasher);
-  std::ostream os(&buf);
-  WriteDag(dag, os);
+  EmitDag(dag, [&hasher](std::string_view text) { hasher.Update(text); });
   return hasher.Finish();
 }
 

@@ -1,7 +1,8 @@
 // Content-addressed hashing of computational graphs.
 //
 // HashDag folds the exact byte stream WriteDag (graph/serialize.h) would emit
-// into a 128-bit digest — without materializing the text — so two Dags hash
+// into a 128-bit digest — both are driven by the one emitter, EmitDag, and
+// the text is never materialized or locale-formatted — so two Dags hash
 // equal iff their serialized forms are identical: same name, same nodes in id
 // order with identical attributes, same edges in insertion order.  That is
 // the cache-key contract the serving layer (serve/compile_service.h) builds

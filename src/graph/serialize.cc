@@ -1,5 +1,7 @@
 #include "graph/serialize.h"
 
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -26,19 +28,72 @@ const std::unordered_map<std::string, OpType>& TypeByName() {
   return *map;
 }
 
+/// Collects EmitDag's text in a fixed buffer and hands it to the sink a
+/// buffer at a time, so a catalog-size graph costs one sink call.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(const std::function<void(std::string_view)>& sink)
+      : sink_(sink) {}
+
+  ChunkWriter& operator<<(std::string_view text) {
+    if (text.size() > kCapacity - size_) {
+      Flush();
+      if (text.size() > kCapacity) {  // longer than a whole buffer
+        sink_(text);
+        return *this;
+      }
+    }
+    std::memcpy(buffer_ + size_, text.data(), text.size());
+    size_ += text.size();
+    return *this;
+  }
+
+  ChunkWriter& operator<<(std::int64_t value) {
+    constexpr std::size_t kMaxDigits = 20;  // INT64_MIN
+    if (kCapacity - size_ < kMaxDigits) Flush();
+    size_ = static_cast<std::size_t>(
+        std::to_chars(buffer_ + size_, buffer_ + kCapacity, value).ptr -
+        buffer_);
+    return *this;
+  }
+
+  void Flush() {
+    if (size_ > 0) sink_(std::string_view(buffer_, size_));
+    size_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCapacity = 4096;
+
+  const std::function<void(std::string_view)>& sink_;
+  char buffer_[kCapacity];
+  std::size_t size_ = 0;
+};
+
 }  // namespace
 
-void WriteDag(const Dag& dag, std::ostream& os) {
-  os << "respect-dag " << kFormatVersion << "\n";
-  os << "name " << dag.Name() << "\n";
+void EmitDag(const Dag& dag,
+             const std::function<void(std::string_view)>& sink) {
+  ChunkWriter out(sink);
+  out << "respect-dag " << std::int64_t{kFormatVersion} << "\n";
+  out << "name " << dag.Name() << "\n";
   for (NodeId v = 0; v < dag.NodeCount(); ++v) {
     const OpAttr& a = dag.Attr(v);
-    os << "node " << v << " " << OpTypeName(a.type) << " " << a.param_bytes
-       << " " << a.output_bytes << " " << a.macs << " " << a.name << "\n";
+    out << "node " << std::int64_t{v} << " " << OpTypeName(a.type) << " "
+        << a.param_bytes << " " << a.output_bytes << " " << a.macs << " "
+        << a.name << "\n";
   }
   for (const Edge& e : dag.Edges()) {
-    os << "edge " << e.from << " " << e.to << "\n";
+    out << "edge " << std::int64_t{e.from} << " " << std::int64_t{e.to}
+        << "\n";
   }
+  out.Flush();
+}
+
+void WriteDag(const Dag& dag, std::ostream& os) {
+  EmitDag(dag, [&os](std::string_view text) {
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  });
 }
 
 Dag ReadDag(std::istream& is) {

@@ -104,6 +104,7 @@ CompileService::CompileService(const CompilerOptions& compiler_options,
     store_options.directory = options.cache_dir;
     store_options.registry = &registry_;  // one exposition page per shard
     store_ = std::make_unique<store::DiskStore>(store_options);
+    writer_ = std::make_unique<core::ThreadPool>(1);
   }
   pool_ = MakeServicePool(options);
 }
@@ -144,8 +145,12 @@ CompileService::TenantCounters CompileService::BindTenant(
 
 // The pool joins before the members the queued tasks reference are torn
 // down; every outstanding Ticket is resolved by then (queued entries run or
-// expire, never vanish).
-CompileService::~CompileService() { pool_.reset(); }
+// expire, never vanish).  The spill writer drains next — the pool's last
+// tasks may still enqueue spills — and the store it writes to goes last.
+CompileService::~CompileService() {
+  pool_.reset();
+  writer_.reset();
+}
 
 std::size_t CompileService::LaneIndex(Priority priority) {
   const auto index = static_cast<std::size_t>(static_cast<int>(priority));
@@ -614,8 +619,8 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
   meta.engine_name = std::string(key.engine_name);
   meta.profile_name = key.profile.name;
   meta.profile_fingerprint = key.profile_fingerprint;
-  // Batch lane: a queued spill must not delay a waiting request's solve
-  // (queue aging keeps it from starving).  A spill whose RL snapshot
+  // The one writer thread, FIFO: a spill never holds a serving worker, so
+  // it cannot delay a waiting request's solve.  A spill whose RL snapshot
   // was replaced while it waited is dropped: no future request can reach
   // its key, and CompactStore would only delete it again.  Put counts its
   // own I/O failures; anything that still throws (an injected fault, an
@@ -623,10 +628,7 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
   // never silently, and the decrement always runs so FlushStore cannot
   // hang on a failed write.
   const std::uint64_t trace_id = obs::CurrentTraceId();  // the request's flow
-  core::ThreadPool::TaskAttrs attrs;
-  attrs.lane = static_cast<int>(LaneIndex(Priority::kBatch));
-  attrs.trace_id = trace_id;
-  pool_->Submit(
+  writer_->Submit(
       [this, meta = std::move(meta), result = std::move(result), trace_id] {
         const obs::ScopedTraceId trace_scope(trace_id);
         OBS_SPAN("serve.writeback");
@@ -644,8 +646,7 @@ void CompileService::EnqueueWriteback(const RequestKey& key,
           --pending_writebacks_;
         }
         writeback_cv_.notify_all();
-      },
-      std::move(attrs));
+      });
 }
 
 void CompileService::FlushStore() {

@@ -37,7 +37,8 @@
 // (the only synchronous disk read on the request path); a hit is surfaced
 // as CacheOutcome::kDiskHit and promoted into memory subject to admission.
 // Successful solves spill to disk as background writeback tasks on the
-// service's pool (batch lane, so they never delay a waiting request's
+// service's one spill-writer thread (FIFO, beside the num_threads serving
+// workers, so a spill never holds a worker or delays a waiting request's
 // solve; a spill made unreachable by ReplaceRl before it ran is dropped),
 // so a restart against the same directory warm-starts without re-running
 // a single engine solve.  TinyLFU admission (always on with a non-zero
@@ -113,17 +114,19 @@ struct ServiceOptions {
   /// serve::RequestQueue); <= 0 means pure strict priority.
   double queue_aging_seconds = 2.0;
 
-  /// Max batch-lane tasks (batch solves and spill writebacks) running
-  /// concurrently (<= 0 = unlimited).  With a cap of N, an interactive
-  /// request never waits behind more than N batch tasks even when a batch
-  /// flood fills the queue — the remaining workers stay available to the
-  /// other lanes.
+  /// Max batch solves running concurrently (<= 0 = unlimited); spill
+  /// writebacks run on their own writer thread and do not count.  With a
+  /// cap of N, an interactive request never waits behind more than N batch
+  /// solves even when a batch flood fills the queue — the remaining workers
+  /// stay available to the other lanes.
   int max_batch_inflight = 0;
 
   /// Directory for the persistent spill tier (store::DiskStore); empty
   /// disables it.  On construction the directory is scanned, and a request
   /// already solved by a previous process is answered from disk
-  /// (CacheOutcome::kDiskHit) instead of re-solving.
+  /// (CacheOutcome::kDiskHit) instead of re-solving.  A service with a
+  /// cache_dir runs one spill-writer thread besides its num_threads
+  /// workers.
   std::string cache_dir;
 
   /// Per-tenant fair-queueing weights ("" is the shared default tenant; see
@@ -603,8 +606,9 @@ class CompileService {
   /// result, or null (no hook, peer miss, or bad bytes).
   [[nodiscard]] ResultPtr TryPeerWarm(const RequestKey& key, Flight* flight);
 
-  /// Enqueues a background spill of `result` on the pool (no-op without a
-  /// store).  Never blocks on I/O; FlushStore waits for all of these.
+  /// Enqueues a background spill of `result` on the spill writer (no-op
+  /// without a store).  Never blocks on I/O; FlushStore waits for all of
+  /// these.
   void EnqueueWriteback(const RequestKey& key, ResultPtr result);
 
   [[nodiscard]] static std::size_t LaneIndex(Priority priority);
@@ -617,9 +621,14 @@ class CompileService {
   std::unique_ptr<store::TinyLfuAdmission> admission_;
 
   /// Persistent tier; null when no cache_dir is configured.  Declared
-  /// before pool_ so queued writeback tasks (which reference it) are
-  /// drained by the pool's destructor first.
+  /// before writer_ so queued writeback tasks (which reference it) are
+  /// drained by the writer's destructor first.
   std::unique_ptr<store::DiskStore> store_;
+
+  /// The one spill-writer thread (FIFO), present with store_: writebacks
+  /// run here, never on pool_.  One writer publishes spills as fast as two
+  /// would on one directory, and the serving workers stay free.
+  std::unique_ptr<core::ThreadPool> writer_;
 
   std::unique_ptr<core::ThreadPool> pool_;
 
@@ -709,7 +718,7 @@ class CompileService {
   mutable std::mutex breaker_mutex_;
   std::map<std::string_view, std::unique_ptr<CircuitBreaker>> breakers_;
 
-  /// Spill writes queued on the pool but not yet landed (FlushStore waits
+  /// Spill writes queued on the writer but not yet landed (FlushStore waits
   /// on this reaching zero).
   std::mutex writeback_mutex_;
   std::condition_variable writeback_cv_;

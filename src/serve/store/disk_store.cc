@@ -105,7 +105,7 @@ DiskStore::DiskStore(const DiskStoreOptions& options)
     // rebuilds that spelling, so an uppercase-named copy would be indexed
     // yet unreachable — treat it as a foreign file instead.
     if (!key || key->ToHex() != stem) continue;
-    index_.insert(*key);
+    index_.emplace(*key, std::nullopt);
   }
 }
 
@@ -119,9 +119,18 @@ bool DiskStore::Indexed(const graph::CanonicalHash& key) const {
   return index_.contains(key);
 }
 
-void DiskStore::Index(const graph::CanonicalHash& key) {
+void DiskStore::Index(const SpillMeta& meta) {
   const std::lock_guard<std::mutex> lock(index_mutex_);
-  index_.insert(key);
+  index_.insert_or_assign(meta.key,
+                          RlMeta{meta.rl_dependent, meta.rl_version});
+}
+
+void DiskStore::RecordMeta(const SpillMeta& meta) {
+  const std::lock_guard<std::mutex> lock(index_mutex_);
+  const auto it = index_.find(meta.key);
+  if (it != index_.end()) {
+    it->second = RlMeta{meta.rl_dependent, meta.rl_version};
+  }
 }
 
 void DiskStore::Unindex(const graph::CanonicalHash& key) {
@@ -159,6 +168,7 @@ std::optional<std::string> DiskStore::LoadVerified(
     Drop(key, path, corrupt_dropped_);
     return std::nullopt;
   }
+  RecordMeta(loaded.meta);
   if (envelope != nullptr) *envelope = std::move(loaded);
   return bytes;
 }
@@ -178,14 +188,14 @@ ResultPtr DiskStore::Probe(const graph::CanonicalHash& key) {
   return envelope.result;
 }
 
-bool DiskStore::WriteEnvelopeAtomic(const graph::CanonicalHash& key,
+bool DiskStore::WriteEnvelopeAtomic(const SpillMeta& meta,
                                     std::string_view envelope) {
   OBS_SPAN("store.write");
   // Transient I/O failures (ENOSPC racing a cleanup, EIO blips) often clear
   // within milliseconds: retry with doubling backoff before giving the
   // spill up.  Every attempt writes its own temp file and removes it on
   // failure — no litter however an attempt dies.
-  const std::filesystem::path final_path = PathFor(key);
+  const std::filesystem::path final_path = PathFor(meta.key);
   int backoff_ms = kWriteRetryBackoffMs;
   for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
     const std::filesystem::path temp_path =
@@ -206,7 +216,7 @@ bool DiskStore::WriteEnvelopeAtomic(const graph::CanonicalHash& key,
       // never a partial write.
       RESPECT_FAILPOINT("store.rename");
       std::filesystem::rename(temp_path, final_path);
-      Index(key);
+      Index(meta);
       return true;
     } catch (...) {
       std::error_code ec;
@@ -233,7 +243,7 @@ void DiskStore::Put(const SpillMeta& meta, const ResultPtr& result) {
     write_failures_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (WriteEnvelopeAtomic(meta.key, envelope)) {
+  if (WriteEnvelopeAtomic(meta, envelope)) {
     writes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -255,7 +265,7 @@ std::optional<SpillEnvelope> DiskStore::ImportRaw(
     import_rejected_.fetch_add(1, std::memory_order_relaxed);
     return std::nullopt;
   }
-  if (WriteEnvelopeAtomic(key, bytes)) {
+  if (WriteEnvelopeAtomic(envelope->meta, bytes)) {
     imports_.fetch_add(1, std::memory_order_relaxed);
   }
   return envelope;
@@ -263,13 +273,26 @@ std::optional<SpillEnvelope> DiskStore::ImportRaw(
 
 std::size_t DiskStore::Compact(std::uint64_t live_rl_version) {
   OBS_SPAN("store.compact");
-  std::vector<graph::CanonicalHash> keys;
+  const auto stale = [live_rl_version](const RlMeta& meta) {
+    // The request key folds the snapshot version in, so no future request
+    // can reach such an entry.
+    return meta.rl_dependent && meta.rl_version != live_rl_version;
+  };
+  std::vector<graph::CanonicalHash> stale_keys;
+  std::vector<graph::CanonicalHash> unknown_keys;
   {
     const std::lock_guard<std::mutex> lock(index_mutex_);
-    keys.assign(index_.begin(), index_.end());
+    for (const auto& [key, meta] : index_) {
+      if (!meta) {
+        unknown_keys.push_back(key);
+      } else if (stale(*meta)) {
+        stale_keys.push_back(key);
+      }
+    }
   }
   std::size_t removed = 0;
-  for (const graph::CanonicalHash& key : keys) {
+  // Spills the warm-start scan found: read the header once and record it.
+  for (const graph::CanonicalHash& key : unknown_keys) {
     const std::filesystem::path path = PathFor(key);
     SpillMeta meta;
     try {
@@ -286,12 +309,14 @@ std::size_t DiskStore::Compact(std::uint64_t live_rl_version) {
       ++removed;
       continue;
     }
-    if (meta.rl_dependent && meta.rl_version != live_rl_version) {
-      // The request key folds the snapshot version in, so no future request
-      // can reach this entry — reclaim the bytes.
-      Drop(key, path, compacted_);
-      ++removed;
+    RecordMeta(meta);
+    if (stale(RlMeta{meta.rl_dependent, meta.rl_version})) {
+      stale_keys.push_back(key);
     }
+  }
+  for (const graph::CanonicalHash& key : stale_keys) {
+    Drop(key, PathFor(key), compacted_);
+    ++removed;
   }
   return removed;
 }

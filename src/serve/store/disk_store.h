@@ -10,15 +10,16 @@
 //              solve.  This is the one synchronous store call on the request
 //              path; a hit is surfaced as CacheOutcome::kDiskHit and promoted
 //              into memory subject to the admission policy.
-//   * Put    — after a successful cold solve or refresh, enqueued as a
-//              background task on the service's thread pool so the request
-//              path never blocks on store I/O.  Put never throws: a failed
-//              write is a counted non-event (the entry simply is not
-//              persisted), never a request failure.
+//   * Put    — after a successful cold solve or refresh, enqueued on the
+//              service's one spill-writer thread so the request path and
+//              the serving workers never block on store I/O.  Put never
+//              throws: a failed write is a counted non-event (the entry
+//              simply is not persisted), never a request failure.
 //   * Compact — housekeeping: drop entries no future request can reach
 //              (RL-dependent results from superseded weight snapshots — the
 //              snapshot version is folded into the request key, so they are
-//              unreachable the moment ReplaceRl bumps it).
+//              unreachable the moment ReplaceRl bumps it).  Decided from the
+//              index, which records each spill's RL version.
 //
 // A schedule is deterministic in its key, so an entry has no age limit:
 // it lives until Compact reclaims it or a probe finds it corrupt.
@@ -59,7 +60,10 @@
 // Construction scans the directory and indexes every well-named spill file
 // by the key parsed from its name (contents are verified lazily, at first
 // probe) — that index is what makes restart warm-start O(files) instead of
-// O(bytes), and makes a probe for an absent key cost zero I/O.
+// O(bytes), and makes a probe for an absent key cost zero I/O.  The index
+// also records each spill's rl_dependent/rl_version: known for every file
+// this store wrote, imported or verified, and read from the header once, at
+// the first Compact, for files the scan found.
 #pragma once
 
 #include <atomic>
@@ -70,7 +74,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "obs/registry.h"
 #include "serve/request.h"
@@ -118,13 +122,16 @@ class DiskStore {
   void Put(const SpillMeta& meta, const ResultPtr& result);
 
   /// Deletes unreachable entries: RL-dependent results whose rl_version !=
-  /// live_rl_version, and anything malformed.  Returns the number of
-  /// entries removed.  O(files * meta-prefix): decisions read only the
-  /// envelope's meta fields (key, RL version), never the
-  /// package bytes — safe to run synchronously under live traffic even for
-  /// large stores.  A structurally corrupt prefix quarantines the file;
-  /// full checksum verification stays where it matters, on the Probe path
-  /// that serves bytes to callers.
+  /// live_rl_version.  Returns the number of entries removed.  Decided
+  /// from the index, so it is O(entries) with no I/O beyond the unlinks —
+  /// safe to run synchronously under live traffic even for large stores.
+  /// Only spills found by the warm-start scan and not yet probed have
+  /// unknown meta: their header (key, RL version — never the package) is
+  /// read once, here, and recorded; a structurally corrupt or mismatched
+  /// header quarantines the file and counts as removed.  A spill whose
+  /// meta is known is not reopened, so corruption that happens after it was
+  /// written is left to the Probe path, which verifies the checksum and
+  /// embedded key before it serves a byte.
   std::size_t Compact(std::uint64_t live_rl_version);
 
   /// Fleet peer-fetch read: the verified raw envelope bytes for `key` — the
@@ -153,8 +160,17 @@ class DiskStore {
       const graph::CanonicalHash& key) const;
 
  private:
+  /// What Compact needs of a spill.
+  struct RlMeta {
+    bool rl_dependent = false;
+    std::uint64_t rl_version = 0;
+  };
+
   [[nodiscard]] bool Indexed(const graph::CanonicalHash& key) const;
-  void Index(const graph::CanonicalHash& key);
+  /// Indexes `meta.key` with its RL meta (the file is on disk).
+  void Index(const SpillMeta& meta);
+  /// Records the RL meta of an indexed key; no-op when it is not indexed.
+  void RecordMeta(const SpillMeta& meta);
   void Unindex(const graph::CanonicalHash& key);
 
   /// Deletes the file and drops it from the index, counting it against
@@ -169,17 +185,19 @@ class DiskStore {
   [[nodiscard]] std::optional<std::string> LoadVerified(
       const graph::CanonicalHash& key, SpillEnvelope* envelope);
 
-  /// Writes `envelope` to `<key-hex>.spill` via a temp file + rename, with
-  /// Put's retry/backoff schedule.  Counts write_failures on
-  /// giving up; the caller counts the success.
-  bool WriteEnvelopeAtomic(const graph::CanonicalHash& key,
-                           std::string_view envelope);
+  /// Writes `envelope` (whose meta is `meta`) to `<key-hex>.spill` via a
+  /// temp file + rename, with Put's retry/backoff schedule.  Counts
+  /// write_failures on giving up; the caller counts the success.
+  bool WriteEnvelopeAtomic(const SpillMeta& meta, std::string_view envelope);
 
   std::filesystem::path directory_;
 
+  /// Keys with a (believed) resident spill file, with their RL meta;
+  /// nullopt until known (warm-start scan entries not yet read).
   mutable std::mutex index_mutex_;
-  std::unordered_set<graph::CanonicalHash, graph::CanonicalHash::Hasher>
-      index_;  // keys with a (believed) resident spill file
+  std::unordered_map<graph::CanonicalHash, std::optional<RlMeta>,
+                     graph::CanonicalHash::Hasher>
+      index_;
 
   std::atomic<std::uint64_t> temp_counter_{0};  // unique temp-file suffixes
 

@@ -12,6 +12,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
+#include <locale>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -27,6 +29,8 @@
 #include "engines/registry.h"
 #include "graph/canonical_hash.h"
 #include "graph/sampler.h"
+#include "graph/serialize.h"
+#include "models/zoo.h"
 #include "obs/registry.h"
 #include "serve/compile_service.h"
 #include "serve/request.h"
@@ -155,6 +159,82 @@ TEST(CanonicalHashTest, HasherIsStreamingForBytesOnly) {
   graph::CanonicalHasher number;
   number.Update(std::uint64_t{0x616263});  // fixed-width, != the text "abc"
   EXPECT_NE(number.Finish(), one.Finish());
+}
+
+/// A small hand-built graph covering what the key text must spell
+/// exactly: names with spaces, an empty name, INT64_MAX/INT64_MIN and
+/// negative attributes, several edges.
+graph::Dag KeyStreamEdgeCaseDag() {
+  graph::Dag dag("golden model v1");
+  dag.AddNode({.name = "conv 1 / branch a",
+               .type = graph::OpType::kConv2D,
+               .param_bytes = std::numeric_limits<std::int64_t>::max(),
+               .macs = 1234567});
+  dag.AddNode({.name = "", .type = graph::OpType::kRelu});
+  dag.AddNode(
+      {.name = "sum", .type = graph::OpType::kAdd, .output_bytes = 4096});
+  // AddNode refuses negative attributes; the text must spell them anyway.
+  dag.MutableAttr(0).output_bytes = -1;
+  dag.MutableAttr(1).param_bytes = std::numeric_limits<std::int64_t>::min();
+  dag.AddEdge(0, 1);
+  dag.AddEdge(0, 2);
+  dag.AddEdge(1, 2);
+  return dag;
+}
+
+graph::CanonicalHash HashOfWrittenText(const graph::Dag& dag) {
+  std::ostringstream text;
+  graph::WriteDag(dag, text);
+  graph::CanonicalHasher hasher;
+  hasher.Update(text.str());
+  return hasher.Finish();
+}
+
+TEST(CanonicalHashTest, DigestIsTheHashOfTheWrittenText) {
+  std::vector<graph::Dag> dags = {graph::Dag(), graph::Dag(""),
+                                  graph::Dag("name with  spaces "),
+                                  KeyStreamEdgeCaseDag()};
+  for (std::uint64_t seed = 0; seed < 32; ++seed) {
+    dags.push_back(SampleDag(8 + static_cast<int>(seed), seed));
+  }
+  for (const models::ModelName model : models::TableIModels()) {
+    dags.push_back(models::BuildModel(model));
+  }
+  for (const graph::Dag& dag : dags) {
+    EXPECT_EQ(graph::HashDag(dag), HashOfWrittenText(dag)) << dag.Name();
+  }
+}
+
+TEST(CanonicalHashTest, GoldenDigestPinsTheKeyStream) {
+  // Every cache key and spill file name folds this digest in: a change to
+  // the serialized text orphans every existing spill directory, so it must
+  // fail here first.
+  EXPECT_EQ(graph::HashDag(KeyStreamEdgeCaseDag()).ToHex(),
+            "983b093f27d39d2418b46f16ef9a9ab5");
+}
+
+/// Groups thousands with ',' — what a process-wide user locale may do.
+class ThousandsGrouping : public std::numpunct<char> {
+ protected:
+  [[nodiscard]] char do_thousands_sep() const override { return ','; }
+  [[nodiscard]] std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(CanonicalHashTest, DigestAndTextIgnoreTheGlobalLocale) {
+  const graph::Dag dag = SampleDag(24, 5);
+  const graph::CanonicalHash classic_hash = graph::HashDag(dag);
+  std::ostringstream classic_text;
+  graph::WriteDag(dag, classic_text);
+
+  const std::locale previous = std::locale::global(
+      std::locale(std::locale::classic(), new ThousandsGrouping));
+  const graph::CanonicalHash grouped_hash = graph::HashDag(dag);
+  std::ostringstream grouped_text;  // imbued with the grouping locale
+  graph::WriteDag(dag, grouped_text);
+  std::locale::global(previous);
+
+  EXPECT_EQ(grouped_hash, classic_hash);
+  EXPECT_EQ(grouped_text.str(), classic_text.str());
 }
 
 TEST(EngineResolveTest, ResolvesAliasAndNameToOneRegistration) {

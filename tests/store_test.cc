@@ -467,6 +467,88 @@ TEST(DiskStoreTest, CompactDeletesStaleRlEntries) {
   EXPECT_NE(store.Probe(deterministic.key), nullptr);
 }
 
+/// Overwrites a spill file with bytes no decoder accepts.
+void WriteGarbage(const fs::path& path) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << "not a spill";
+}
+
+SpillMeta MetaFor(graph::CanonicalHash key, bool rl_dependent,
+                  std::uint64_t rl_version = 0) {
+  SpillMeta meta;
+  meta.key = key;
+  meta.rl_dependent = rl_dependent;
+  meta.rl_version = rl_version;
+  meta.engine_name = rl_dependent ? "RespectRL" : "ListScheduling";
+  return meta;
+}
+
+TEST(DiskStoreTest, CompactDecidesKnownSpillsFromTheIndex) {
+  // The store wrote every spill here, so Compact knows each one's RL
+  // version without reopening it: garbage over a live spill is not seen
+  // (nor unlinked) by Compact — the next Probe quarantines it.
+  const TempDir dir("respect-store-compact-index");
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
+  const ResultPtr result = SolveOnce(SampleDag(24, 15));
+  const SpillMeta stale_rl = MetaFor({1, 10}, true, 0);
+  const SpillMeta live_rl = MetaFor({2, 20}, true, 3);
+  store.Put(stale_rl, result);
+  store.Put(live_rl, result);
+  WriteGarbage(store.PathFor(live_rl.key));
+
+  EXPECT_EQ(store.Compact(/*live_rl_version=*/3), 1u);  // the stale one only
+  EXPECT_EQ(Count(registry, "respect_store_compacted_total"), 1u);
+  EXPECT_EQ(Count(registry, "respect_store_corrupt_dropped_total"), 0u);
+  EXPECT_TRUE(fs::exists(store.PathFor(live_rl.key)));
+  EXPECT_FALSE(fs::exists(store.PathFor(stale_rl.key)));
+
+  EXPECT_EQ(store.Probe(live_rl.key), nullptr);
+  EXPECT_EQ(Count(registry, "respect_store_corrupt_dropped_total"), 1u);
+  EXPECT_FALSE(fs::exists(store.PathFor(live_rl.key)));
+  EXPECT_EQ(store.Metrics().resident, 0u);
+}
+
+TEST(DiskStoreTest, CompactReadsScannedHeadersOnce) {
+  // A fresh store knows nothing of the spills its scan found: the first
+  // Compact reads each header once (reclaiming the stale RL spill and the
+  // corrupt one) and records the rest, so the second opens no file — not
+  // even one that has turned to garbage since.
+  const TempDir dir("respect-store-compact-scan");
+  const ResultPtr result = SolveOnce(SampleDag(24, 15));
+  const SpillMeta stale_rl = MetaFor({1, 10}, true, 0);
+  const SpillMeta live_rl = MetaFor({2, 20}, true, 3);
+  const SpillMeta deterministic = MetaFor({3, 30}, false);
+  const graph::CanonicalHash corrupt_key{4, 40};
+  {
+    obs::Registry writer_registry;
+    DiskStore writer(
+        DiskStoreOptions{.directory = dir.str(), .registry = &writer_registry});
+    writer.Put(stale_rl, result);
+    writer.Put(live_rl, result);
+    writer.Put(deterministic, result);
+    WriteGarbage(writer.PathFor(corrupt_key));
+  }
+  obs::Registry registry;
+  DiskStore store(
+      DiskStoreOptions{.directory = dir.str(), .registry = &registry});
+  EXPECT_EQ(store.Metrics().resident, 4u);
+
+  EXPECT_EQ(store.Compact(/*live_rl_version=*/3), 2u);
+  EXPECT_EQ(Count(registry, "respect_store_compacted_total"), 1u);
+  EXPECT_EQ(Count(registry, "respect_store_corrupt_dropped_total"), 1u);
+  EXPECT_FALSE(fs::exists(store.PathFor(stale_rl.key)));
+  EXPECT_FALSE(fs::exists(store.PathFor(corrupt_key)));
+  EXPECT_EQ(store.Metrics().resident, 2u);
+
+  WriteGarbage(store.PathFor(live_rl.key));
+  WriteGarbage(store.PathFor(deterministic.key));
+  EXPECT_EQ(store.Compact(/*live_rl_version=*/3), 0u);
+  EXPECT_EQ(Count(registry, "respect_store_corrupt_dropped_total"), 1u);
+  EXPECT_TRUE(fs::exists(store.PathFor(live_rl.key)));
+  EXPECT_TRUE(fs::exists(store.PathFor(deterministic.key)));
+}
+
 // ── CompileService + persistent tier, end to end ─────────────────────────
 
 TEST(CompileServiceStoreTest, RestartWarmStartServesFromDiskWithZeroSolves) {
@@ -690,9 +772,10 @@ TEST(CompileServiceStoreTest, SpillStrandedBeforeItsWritebackIsNotWritten) {
 }
 
 TEST(CompileServiceStoreTest, QueuedWritebackDoesNotDelayASolve) {
-  // One worker, held inside the writeback of A.  B's spill is queued
-  // (B solves inline), then C is submitted: C's solve runs before B's
-  // spill, so when C completes only A's spill has been written.
+  // One worker; the spill writer is held inside the writeback of A.  B
+  // solves inline and C is submitted to the worker: both complete while
+  // A's spill is still held, so no spill has been written and B's has not
+  // started.  Spills never occupy a serving worker.
   const TempDir dir("respect-service-writeback-lane");
   serve::ServiceOptions service_options;
   service_options.cache_dir = dir.str();
@@ -714,7 +797,8 @@ TEST(CompileServiceStoreTest, QueuedWritebackDoesNotDelayASolve) {
                      .num_stages = 4,
                      .engine = "ListScheduling"});
   EXPECT_EQ(ticket.WaitResponse().outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(service.Metrics().store.writes, 1u);  // A's only
+  EXPECT_EQ(service.Metrics().store.writes, 0u);  // A's is still held
+  EXPECT_EQ(core::failpoint::HitCount("serve.writeback"), 1u);
   service.FlushStore();
   EXPECT_EQ(service.Metrics().store.writes, 3u);
 }
